@@ -389,9 +389,7 @@ def coboundary_witness(c: Cocycle2) -> Optional[np.ndarray]:
         return None
     c0 = _bits_to_array(base, n)
     if c.module.r == 1:
-        witness = (c0 % 2).astype(np.int8)
-        assert (coboundary(c.module, witness) == c.values).all()
-        return witness
+        return _checked_witness(c, (c0 % 2).astype(np.int8))
     # r = 2: parametrize all mod-2 solutions as c0 + sum k_i B_i, write the
     # candidate as that plus 2*c1, and solve for (k, c1) over GF(2).
     kbasis = [_bits_to_array(b, n) for b in solver.kernel_basis()]
@@ -422,9 +420,13 @@ def coboundary_witness(c: Cocycle2) -> Optional[np.ndarray]:
     for i in range(K):
         if kvec[i]:
             witness += kbasis[i]
-    witness = (witness + 2 * c1) % 4
-    assert (coboundary(c.module, witness) == c.values).all()
-    return witness.astype(np.int8)
+    return _checked_witness(c, ((witness + 2 * c1) % 4).astype(np.int8))
+
+
+def _checked_witness(c: Cocycle2, witness: np.ndarray) -> np.ndarray:
+    if not (coboundary(c.module, witness) == c.values).all():
+        raise RuntimeError("coboundary witness does not reproduce the cocycle")
+    return witness
 
 
 # -- cohomology dimensions -------------------------------------------------

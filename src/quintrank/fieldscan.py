@@ -7,7 +7,12 @@ plus the factorization patterns at the first 20 primes not dividing the
 discriminant).  Fingerprint identity is a heuristic for field
 isomorphism, not a proof, so every merge is audited against 30 further
 primes and a disagreement raises instead of silently collapsing two
-fields.
+fields.  The certificate, the fingerprint and the audit all read one
+append-only list of patterns at those primes, in increasing order, so
+no pattern is computed twice; each one comes from the root count mod p
+and (disc|p) by Stickelberger's theorem (R. G. Swan, Pacific J. Math.
+12 (1962)).  A square discriminant puts the Galois group in A5, so the
+enumeration does not try to certify such a polynomial.
 
 Enumeration iterates coefficient vectors in lexicographic order, which
 makes the kept representative of each fingerprint class the
@@ -21,9 +26,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -70,22 +76,12 @@ class Instrumentation:
 INSTRUMENTATION = Instrumentation()
 
 
-def _good_primes(disc: int, count: int, skip: int = 0) -> list[int]:
-    """First `count` primes not dividing disc, after skipping `skip`."""
-    budget = 64
-    while True:
-        good = [p for p in first_primes(budget) if disc % p != 0]
-        if len(good) >= skip + count:
-            return good[skip:skip + count]
-        budget *= 2
-
-
 class QuinticField:
     """Monic separable integer quintic with lazily derived field data."""
 
     __slots__ = ("poly", "label", "prime_budget", "trial_bound",
                  "_disc", "_signature", "_resolvent", "_certificate",
-                 "_fingerprint", "_extended")
+                 "_fingerprint", "_patterns")
 
     def __init__(self, poly: IntPolynomial, label: Optional[str] = None,
                  prime_budget: int = DEFAULT_PRIME_BUDGET,
@@ -105,7 +101,7 @@ class QuinticField:
         self._resolvent = None
         self._certificate = None
         self._fingerprint = None
-        self._extended = None
+        self._patterns = []
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -134,29 +130,46 @@ class QuinticField:
     def certificate(self) -> S5Certificate:
         if self._certificate is None:
             self._certificate = certify_s5(self.poly, self.prime_budget,
-                                           disc=self._disc)
+                                           disc=self._disc,
+                                           patterns=self._pattern)
         return self._certificate
 
     @property
     def s5_status(self) -> str:
         return self.certificate.status
 
-    def _patterns(self, count: int, skip: int) -> tuple:
-        ps = _good_primes(self._disc, count, skip)
-        return tuple(factor_pattern_mod_p(self.poly, p).pattern for p in ps)
+    def _pattern(self, k: int, p: int) -> tuple:
+        """Pattern at p, the k-th prime (from 0) not dividing the
+        discriminant.  Readers walk the primes in order, so a miss is
+        always the next entry of the stream."""
+        patterns = self._patterns
+        if k == len(patterns):
+            patterns.append(
+                factor_pattern_mod_p(self.poly, p, self._disc).pattern)
+        return patterns[k]
+
+    def _stream(self, count: int) -> list:
+        """Patterns at the first `count` primes not dividing the
+        discriminant; a nonzero disc has fewer prime factors than bits."""
+        if len(self._patterns) < count:
+            disc = self._disc
+            good = (p for p in first_primes(count + abs(disc).bit_length())
+                    if disc % p)
+            for k, p in enumerate(islice(good, count)):
+                self._pattern(k, p)
+        return self._patterns[:count]
 
     @property
     def fingerprint(self) -> tuple:
         if self._fingerprint is None:
             self._fingerprint = (self.resolvent.squarefree_kernel,
-                                 self._patterns(FINGERPRINT_PRIMES, 0))
+                                 tuple(self._stream(FINGERPRINT_PRIMES)))
         return self._fingerprint
 
     @property
     def extended_fingerprint(self) -> tuple:
-        if self._extended is None:
-            self._extended = self._patterns(AUDIT_PRIMES, FINGERPRINT_PRIMES)
-        return self._extended
+        return tuple(self._stream(FINGERPRINT_PRIMES
+                                  + AUDIT_PRIMES)[FINGERPRINT_PRIMES:])
 
     def __repr__(self):
         return f"QuinticField({self.label!r})"
@@ -183,7 +196,8 @@ class QuinticField:
 
     @staticmethod
     def from_record(rec: dict) -> "QuinticField":
-        """Rebuild without recomputing anything."""
+        """Rebuild without recomputing anything; the fingerprint patterns
+        seed the pattern stream, so an audit computes only its own."""
         self = object.__new__(QuinticField)
         self.poly = IntPolynomial.descending(rec["coeffs"])
         self.label = rec["label"]
@@ -195,7 +209,7 @@ class QuinticField:
         self._certificate = S5Certificate(*rec["s5"])
         self._fingerprint = (rec["fingerprint"][0],
                              tuple(tuple(p) for p in rec["fingerprint"][1]))
-        self._extended = None
+        self._patterns = list(self._fingerprint[1])
         return self
 
 
@@ -222,7 +236,7 @@ class FieldCache:
     def __init__(self, path, strict: bool = False):
         self.path = Path(path)
         self._by_coeffs: dict[tuple, dict] = {}
-        self._by_fp: dict[str, dict] = {}
+        self._by_fp: Optional[dict[str, dict]] = None  # built on first use
         self.corrupt_lines: list[int] = []
         if self.path.exists():
             with open(self.path, "r", encoding="utf-8") as fh:
@@ -252,8 +266,13 @@ class FieldCache:
         return obj
 
     def _index(self, rec: dict):
-        self._by_coeffs[tuple(rec["coeffs"])] = rec
-        self._by_fp[_fp_key(rec["fingerprint"])] = rec
+        # re-insert, so that dict order follows the newest writes and the
+        # lazily built fingerprint index keeps the newest record
+        key = tuple(rec["coeffs"])
+        self._by_coeffs.pop(key, None)
+        self._by_coeffs[key] = rec
+        if self._by_fp is not None:
+            self._by_fp[_fp_key(rec["fingerprint"])] = rec
 
     def put(self, field: QuinticField):
         rec = field.to_record()
@@ -269,6 +288,9 @@ class FieldCache:
         return QuinticField.from_record(rec) if rec is not None else None
 
     def get_by_fingerprint(self, fp) -> Optional[QuinticField]:
+        if self._by_fp is None:
+            self._by_fp = {_fp_key(rec["fingerprint"]): rec
+                           for rec in self._by_coeffs.values()}
         key = _fp_key([fp[0], [list(p) for p in fp[1]]])
         rec = self._by_fp.get(key)
         return QuinticField.from_record(rec) if rec is not None else None
@@ -426,6 +448,10 @@ def _has_integer_root(coeffs_desc: tuple[int, ...]) -> bool:
     return False
 
 
+def _is_square(n: int) -> bool:
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
 def enumerate_quintics(coeff_height: int, disc_bound: int,
                        prime_budget: int = DEFAULT_PRIME_BUDGET,
                        trial_bound: int = DEFAULT_TRIAL_BOUND,
@@ -459,8 +485,8 @@ def enumerate_quintics(coeff_height: int, disc_bound: int,
                 continue
             if abs(field.disc) > disc_bound:
                 continue
-            if field.s5_status != "Certified":
-                continue
+            if _is_square(field.disc) or field.s5_status != "Certified":
+                continue  # a square disc puts the group in A5
             if cache is not None:
                 cache.put(field)
             yield field
@@ -479,7 +505,9 @@ class BucketStat:
     odd: int
 
     def __post_init__(self):
-        assert 0 <= self.odd <= self.admissible <= self.total
+        if not 0 <= self.odd <= self.admissible <= self.total:
+            raise ValueError("bucket counts must satisfy "
+                             "0 <= odd <= admissible <= total")
 
     @property
     def odd_proportion(self) -> Optional[float]:
@@ -493,9 +521,11 @@ class ScanReport:
 
     def __post_init__(self):
         for a, b in zip(self.buckets, self.buckets[1:]):
-            assert a.X < b.X
-            assert a.total <= b.total and a.admissible <= b.admissible \
-                and a.odd <= b.odd
+            if not a.X < b.X:
+                raise ValueError("bucket bounds must be strictly ascending")
+            if not (a.total <= b.total and a.admissible <= b.admissible
+                    and a.odd <= b.odd):
+                raise ValueError("bucket counts must be cumulative")
 
     def to_json_dict(self) -> dict:
         return {"curve": self.curve,

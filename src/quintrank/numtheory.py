@@ -3,7 +3,11 @@
 Everything here is exact: Kronecker symbols by reciprocity, resultants
 by the subresultant remainder sequence, real root counts by Sturm
 chains with sign-corrected pseudo-remainders, and factorization
-patterns mod p by distinct-degree splitting.  Factoring of integers is
+patterns mod p.  A quintic's pattern at a prime not dividing its
+discriminant is read off the number of its roots mod p and the
+Kronecker symbol (disc|p), by Stickelberger's theorem as stated in
+R. G. Swan, Pacific J. Math. 12 (1962); distinct-degree splitting
+covers other degrees and stays as the oracle.  Factoring of integers is
 trial division plus a deterministic Miller-Rabin; whenever a cofactor
 cannot be resolved the result carries complete=False rather than a
 guess.
@@ -15,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 DEFAULT_TRIAL_BOUND = 10 ** 6
 DEFAULT_PRIME_BUDGET = 200
@@ -386,13 +390,21 @@ def _pdivmod(a, b, p):
 
 
 def _pgcd(a, b, p):
+    """Monic gcd mod p.  Remainders are reduced in place, popping the
+    leading term that each step cancels; no quotient is built."""
+    a, b = list(a), list(b)
     while b:
-        _, r = _pdivmod(a, b, p)
-        a, b = b, r
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = tuple(c * inv % p for c in a)
-    return a
+        inv = pow(b[-1], -1, p)
+        db = len(b) - 1
+        while len(a) > db:
+            c = a.pop() * inv % p
+            if c:
+                k = len(a) - db
+                for i in range(db):
+                    a[i + k] = (a[i + k] - c * b[i]) % p
+        a, b = b, list(_trim(a))
+    inv = pow(a[-1], -1, p) if a else 0
+    return tuple(c * inv % p for c in a)
 
 
 def _ppowmod(base, e, mod, p):
@@ -422,141 +434,88 @@ class FactorPattern:
     pattern: Optional[tuple[int, ...]]  # sorted factor degrees, or None
 
 
-# Fast quintic path: plain-list arithmetic with no allocation-heavy
-# helpers.  Polynomials are ascending coefficient lists mod p.
+# Quintic patterns by Stickelberger's theorem in the form given by
+# R. G. Swan, Pacific J. Math. 12 (1962): for p not dividing lc(f)
+# disc(f), p = 2 included, (disc|p) = (-1)^(5 - number of irreducible
+# factors of f mod p).  That sign and the number r of roots mod p fix
+# the pattern; no other (r, sign) pair can occur.
+_QUINTIC_PATTERNS = {
+    (r, sign): FactorPattern(True, pattern) for r, sign, pattern in (
+        (0, 1, (5,)), (0, -1, (2, 3)), (1, -1, (1, 4)), (1, 1, (1, 2, 2)),
+        (2, 1, (1, 1, 3)), (3, -1, (1, 1, 1, 2)), (5, 1, (1, 1, 1, 1, 1)))}
 
-def _rem_small(a, b, p):
-    r = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    binv = 1 if lead == 1 else pow(lead, p - 2, p)
-    while len(r) - 1 >= db:
-        c = r[-1] * binv % p
-        if c:
-            k = len(r) - 1 - db
-            for i in range(db):
-                r[i + k] = (r[i + k] - c * b[i]) % p
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    return r
+# below this prime, evaluating f at every residue is cheaper than
+# deg gcd(x^p - x, f)
+_EVAL_BELOW = 97
 
 
-def _quo_small(a, b, p):
-    # exact quotient; any remainder is discarded
-    r = list(a)
-    db = len(b) - 1
-    binv = pow(b[-1], p - 2, p)
-    q = [0] * (len(r) - db)
-    while len(r) - 1 >= db:
-        c = r[-1] * binv % p
-        q[len(r) - 1 - db] = c
-        if c:
-            k = len(r) - 1 - db
-            for i in range(db):
-                r[i + k] = (r[i + k] - c * b[i]) % p
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    return q
+def _frobenius_quintic(c, p):
+    """x^p mod f for monic f with ascending coefficients c mod p, by
+    repeated squaring where each set bit of p multiplies by x."""
+    n0, n1, n2, n3, n4 = [-a % p for a in c[:5]]   # x^5 = sum n_i x^i
+    u0, u1, u2, u3, u4 = 0, 1, 0, 0, 0
+    for bit in bin(p)[3:]:
+        w0 = u0 * u0
+        w1 = 2 * u0 * u1
+        w2 = 2 * u0 * u2 + u1 * u1
+        w3 = 2 * (u0 * u3 + u1 * u2)
+        w4 = 2 * (u0 * u4 + u1 * u3) + u2 * u2
+        w5 = 2 * (u1 * u4 + u2 * u3)
+        w6 = 2 * u2 * u4 + u3 * u3
+        w7 = 2 * u3 * u4
+        w8 = u4 * u4
+        if bit == "1":
+            # times x, folding the new x^9 = x^4 * x^5 back at once
+            t = w8 % p
+            w0, w1, w2, w3, w4, w5, w6, w7, w8 = (
+                0, w0, w1, w2, w3 + t * n0, w4 + t * n1, w5 + t * n2,
+                w6 + t * n3, w7 + t * n4)
+        # fold x^8, x^7, x^6, x^5 back with x^5 = sum n_i x^i
+        t = w8 % p
+        w3, w4, w5, w6, w7 = (w3 + t * n0, w4 + t * n1, w5 + t * n2,
+                              w6 + t * n3, w7 + t * n4)
+        t = w7 % p
+        w2, w3, w4, w5, w6 = (w2 + t * n0, w3 + t * n1, w4 + t * n2,
+                              w5 + t * n3, w6 + t * n4)
+        t = w6 % p
+        w1, w2, w3, w4, w5 = (w1 + t * n0, w2 + t * n1, w3 + t * n2,
+                              w4 + t * n3, w5 + t * n4)
+        t = w5 % p
+        w0, w1, w2, w3, w4 = (w0 + t * n0, w1 + t * n1, w2 + t * n2,
+                              w3 + t * n3, w4 + t * n4)
+        u0, u1, u2, u3, u4 = w0 % p, w1 % p, w2 % p, w3 % p, w4 % p
+    return (u0, u1, u2, u3, u4)
 
 
-def _gcd_small(a, b, p):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    b = list(b)
-    while b and b[-1] == 0:
-        b.pop()
-    while b:
-        a, b = b, _rem_small(a, b, p)
-    if a and a[-1] != 1:
-        inv = pow(a[-1], p - 2, p)
-        a = [x * inv % p for x in a]
-    return a
+def _quintic_root_count(c, p) -> int:
+    """Number of roots in F_p of the squarefree monic quintic with
+    ascending coefficients c mod p."""
+    if p < _EVAL_BELOW:
+        a0, a1, a2, a3, a4 = c[:5]
+        return sum(1 for x in range(p) if (
+            ((((x + a4) * x + a3) * x + a2) * x + a1) * x + a0) % p == 0)
+    w0, w1, w2, w3, w4 = _frobenius_quintic(c, p)
+    return len(_pgcd(c, _trim([w0, (w1 - 1) % p, w2, w3, w4]), p)) - 1
 
 
-def _mulmod_small(u, v, m, p):
-    # defer the mod to one final pass; intermediate sums stay small
-    dm = len(m) - 1
-    w = [0] * (len(u) + len(v) - 1)
-    for i, x in enumerate(u):
-        if x:
-            for j, y in enumerate(v):
-                w[i + j] += x * y
-    for k in range(len(w) - 1, dm - 1, -1):
-        c = w[k] % p
-        if c:
-            base = k - dm
-            for i in range(dm):
-                w[base + i] -= c * m[i]
-    return [t % p for t in w[:dm]]
-
-
-def _pow_poly_mod_small(u, e, m, p):
-    base = _rem_small(u, m, p) if len(u) >= len(m) else list(u)
-    acc = None
-    while e:
-        if e & 1:
-            acc = list(base) if acc is None else _mulmod_small(acc, base, m, p)
-        e >>= 1
-        if e:
-            base = _mulmod_small(base, base, m, p)
-    return acc if acc is not None else [1]
-
-
-def _quintic_pattern_fast(coeffs, p):
-    """(squarefree, pattern) for degree-5 coeffs mod p.  Only two
-    Frobenius steps are ever needed: once linear and quadratic factors
-    are removed, at most one factor of degree >= 3 can remain."""
-    ic = pow(coeffs[5] % p, p - 2, p)
-    f = [c % p * ic % p for c in coeffs]
-    deriv = [i * f[i] % p for i in range(1, 6)]
-    if len(_gcd_small(f, deriv, p)) != 1:
-        return False, None
-    w = _pow_poly_mod_small([0, 1], p, f, p)    # x^p mod f
-    wx = list(w)
-    while len(wx) < 2:
-        wx.append(0)
-    wx[1] = (wx[1] - 1) % p
-    g1 = _gcd_small(f, wx, p)
-    n1 = len(g1) - 1
-    if n1 == 5:
-        return True, (1, 1, 1, 1, 1)
-    pattern = [1] * n1
-    v = _quo_small(f, g1, p) if n1 else f
-    dv = len(v) - 1
-    if dv == 0:
-        return True, tuple(pattern)
-    if dv in (2, 3):
-        # no linear factor remains, so degree 2 or 3 is irreducible
-        pattern.append(dv)
-        return True, tuple(sorted(pattern))
-    # dv is 4 or 5: one more Frobenius finds the quadratic part
-    wv = _rem_small(w, v, p) if n1 else w
-    w2 = _pow_poly_mod_small(wv, p, v, p)       # x^(p^2) mod v
-    w2 = list(w2)
-    while len(w2) < 2:
-        w2.append(0)
-    w2[1] = (w2[1] - 1) % p
-    g2 = _gcd_small(v, w2, p)
-    n2 = (len(g2) - 1) // 2
-    pattern.extend([2] * n2)
-    rest = dv - 2 * n2
-    if rest:
-        pattern.append(rest)
-    return True, tuple(sorted(pattern))
-
-
-def factor_pattern_mod_p(f: IntPolynomial, p: int) -> FactorPattern:
-    """Degrees of the irreducible factors of f mod p by distinct-degree
-    splitting; pattern is omitted when f mod p has a repeated factor."""
+def factor_pattern_mod_p(f: IntPolynomial, p: int,
+                         disc: Optional[int] = None) -> FactorPattern:
+    """Degrees of the irreducible factors of f mod p; pattern is omitted
+    when f mod p has a repeated factor.  A quintic below 2^20 is read off
+    its root count and (disc|p), with disc computed when not given;
+    other degrees and larger primes use distinct-degree splitting."""
     if f.lc % p == 0:
         raise LeadingCoeffVanishes(f"p={p} divides the leading coefficient")
-    if f.degree == 5 and p < (1 << 20):
-        squarefree, pattern = _quintic_pattern_fast(list(f.coeffs), p)
-        return FactorPattern(squarefree, pattern)
-    return _pattern_general(f, p)
+    if f.degree != 5 or p >= (1 << 20):
+        return _pattern_general(f, p)
+    if disc is None:
+        disc = poly_discriminant(f)
+    if disc % p == 0:
+        return FactorPattern(False, None)
+    inv = pow(f.lc, -1, p)
+    c = [a * inv % p for a in f.coeffs]
+    return _QUINTIC_PATTERNS[_quintic_root_count(c, p),
+                             kronecker_symbol(disc, p)]
 
 
 def _pattern_general(f: IntPolynomial, p: int) -> FactorPattern:
@@ -598,13 +557,17 @@ class S5Certificate:
 
 
 def certify_s5(f: IntPolynomial, prime_budget: int = DEFAULT_PRIME_BUDGET,
-               disc: Optional[int] = None) -> S5Certificate:
+               disc: Optional[int] = None,
+               patterns: Optional[Callable[[int, int], tuple]] = None
+               ) -> S5Certificate:
     """Sound one-sided Galois test for a quintic: a prime with factor
     pattern {5} forces transitivity, one with {1,1,1,2} puts a
     transposition in the group, and a transitive degree-5 group with a
     transposition is the full symmetric group.  Scans the first
     prime_budget primes not dividing the discriminant; never certifies
-    falsely, but may return Inconclusive."""
+    falsely, but may return Inconclusive.  A caller that keeps a pattern
+    stream passes it as patterns(k, p): the pattern at p, the k-th
+    scanned prime (from 0)."""
     if f.degree != 5:
         raise ValueError("certification applies to quintics")
     if disc is None:
@@ -616,8 +579,9 @@ def certify_s5(f: IntPolynomial, prime_budget: int = DEFAULT_PRIME_BUDGET,
     for p in first_primes(prime_budget):
         if disc % p == 0 or f.lc % p == 0:
             continue
+        pat = (patterns(scanned, p) if patterns is not None
+               else factor_pattern_mod_p(f, p, disc).pattern)
         scanned += 1
-        pat = factor_pattern_mod_p(f, p).pattern
         if pat == (5,):
             five = five if five is not None else p
         elif pat == (1, 1, 1, 2):

@@ -123,10 +123,12 @@ class ParityCertificate:
     growth: str             # "Certified" | "Unknown"
 
     def __post_init__(self):
-        if self.growth == "Certified":
-            assert self.admissible and self.parity == "Odd" and self.chi == -1
-        if self.admissible:
-            assert (self.parity == "Odd") == (self.chi == -1)
+        if self.growth == "Certified" and not (
+                self.admissible and self.parity == "Odd" and self.chi == -1):
+            raise ValueError("certified growth needs an admissible pair "
+                             "with odd parity and chi = -1")
+        if self.admissible and (self.parity == "Odd") != (self.chi == -1):
+            raise ValueError("parity must be odd exactly when chi = -1")
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,7 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from collections import Counter
+from itertools import product
+from pathlib import Path
 
 import pytest
 
+import quintrank
+from quintrank import fieldscan
 from quintrank.fieldscan import (
     INSTRUMENTATION,
     ChecksumMismatch,
@@ -15,7 +24,7 @@ from quintrank.fieldscan import (
     ingest_fields,
     scan,
 )
-from quintrank.numtheory import IntPolynomial
+from quintrank.numtheory import IntPolynomial, certify_s5, poly_discriminant
 from quintrank.rankgrowth import CurveData
 
 CURVE37 = CurveData.parse("37a 37 37^1")
@@ -79,6 +88,70 @@ def test_signature_invariants_on_enumeration():
     assert rep.coeffs <= flagship.coeffs
 
 
+# -- pattern stream ---------------------------------------------------------------
+
+# certificates that stop after 11, 36 and 54 good primes (inside the
+# fingerprint, inside the audit, past both), and x^5 - 2, which scans
+# the whole budget
+STREAM_SAMPLES = [(1, -1, -1, 0, 0, -1), (1, 0, 0, 0, -1, -1),
+                  (1, 0, 0, 0, -4, 2), (1, 0, 0, 0, 0, -2)]
+
+
+def _count_patterns(monkeypatch) -> Counter:
+    calls = Counter()
+    real = fieldscan.factor_pattern_mod_p
+
+    def counted(f, p, disc=None):
+        calls[f.coeffs, p] += 1
+        return real(f, p, disc)
+    monkeypatch.setattr(fieldscan, "factor_pattern_mod_p", counted)
+    return calls
+
+
+def test_pattern_stream_computes_each_pattern_once(monkeypatch):
+    calls = _count_patterns(monkeypatch)
+    for desc in STREAM_SAMPLES:
+        f = field_of(*desc)
+        f.certificate
+        f.fingerprint
+        f.extended_fingerprint
+        f.extended_fingerprint
+    assert calls and max(calls.values()) == 1
+    per_field = Counter(c for c, _ in calls.elements())
+    scanned = [field_of(*desc).certificate.primes_scanned
+               for desc in STREAM_SAMPLES]
+    assert scanned[:3] == [11, 36, 54]
+    assert [per_field[IntPolynomial.descending(d).coeffs]
+            for d in STREAM_SAMPLES] == [max(n, 50) for n in scanned]
+
+
+def test_stream_fed_certificate_matches_standalone():
+    span = range(-1, 2)
+    for i, tail in enumerate(product(span, repeat=5)):
+        coeffs = (1,) + tail
+        poly = IntPolynomial.descending(coeffs)
+        disc = poly_discriminant(poly)
+        if disc == 0:
+            continue
+        for budget in (3, 40):
+            f = QuinticField(poly, prime_budget=budget)
+            if i % 2:
+                f.fingerprint        # stream filled before the certificate
+            assert f.certificate == certify_s5(poly, budget, disc)
+
+
+def test_rebuilt_field_audits_only_the_audit_primes(monkeypatch):
+    for desc in STREAM_SAMPLES:
+        fresh = field_of(*desc)
+        rec = json.loads(json.dumps(fresh.to_record()))
+        expect = fresh.extended_fingerprint
+        calls = _count_patterns(monkeypatch)
+        rebuilt = QuinticField.from_record(rec)
+        assert rebuilt.extended_fingerprint == expect
+        assert sum(calls.values()) == 30
+        monkeypatch.undo()
+
+
 # -- enumeration ------------------------------------------------------------------
 
 
@@ -102,6 +175,33 @@ def test_enumeration_edge_heights():
 def test_disc_bound_respected():
     for f in enumerate_quintics(1, 3000, prime_budget=60):
         assert abs(f.disc) <= 3000
+
+
+def test_enumeration_skips_certifying_square_discriminants(monkeypatch):
+    # a square discriminant puts the Galois group in A5, so no prime has
+    # the transposition pattern and the field can never certify
+    squares = []
+    for tail in product(range(-2, 3), repeat=5):
+        coeffs = (1,) + tail
+        poly = IntPolynomial.descending(coeffs)
+        disc = poly_discriminant(poly)
+        if disc > 0 and fieldscan._is_square(disc) \
+                and not fieldscan._has_integer_root(coeffs):
+            squares.append(poly)
+    assert len(squares) == 22
+    for poly in squares:
+        assert certify_s5(poly, 200).status == "Inconclusive"
+        assert QuinticField(poly, prime_budget=40).s5_status == "Inconclusive"
+    certified = []
+    real = fieldscan.certify_s5
+
+    def recording(f, *args, **kwargs):
+        certified.append(f)
+        return real(f, *args, **kwargs)
+    monkeypatch.setattr(fieldscan, "certify_s5", recording)
+    fields = list(enumerate_quintics(2, 10 ** 6, prime_budget=40))
+    assert fields and certified
+    assert not set(certified) & set(squares)
 
 
 def test_shifted_polynomial_merges():
@@ -195,6 +295,19 @@ def test_cache_roundtrip(tmp_path):
     assert g.fingerprint == f.fingerprint
     assert fresh.get((1, 0, 0, 0, 0, -2)) is None
     assert fresh.get_by_fingerprint(f.fingerprint).disc == f.disc
+
+
+def test_cache_builds_fingerprint_index_on_first_lookup(tmp_path):
+    store = tmp_path / "cache.jsonl"
+    f, g, h = (field_of(*desc) for desc in STREAM_SAMPLES[:3])
+    FieldCache(store).put(f)
+    cache = FieldCache(store)
+    assert cache._by_fp is None
+    cache.put(g)
+    assert cache.get_by_fingerprint(g.fingerprint).coeffs == g.coeffs
+    assert cache.get_by_fingerprint(f.fingerprint).coeffs == f.coeffs
+    cache.put(h)                       # after the index exists
+    assert cache.get_by_fingerprint(h.fingerprint).coeffs == h.coeffs
 
 
 def test_cache_detects_corruption(tmp_path):
@@ -305,3 +418,49 @@ def test_scan_height_two_monotone():
     # a second pass over a fresh enumeration gives the identical report
     fields2 = enumerate_quintics(2, 10 ** 6, prime_budget=40)
     assert scan(CURVE37, fields2, [10 ** 4, 10 ** 5, 10 ** 6]) == report
+
+
+# -- guards that python -O keeps ------------------------------------------------------
+
+
+GUARDS_UNDER_O = textwrap.dedent("""
+    import numpy as np
+    from quintrank import cocycles
+    from quintrank.fieldscan import BucketStat, ScanReport
+    from quintrank.groups import cyclic_group
+    from quintrank.rankgrowth import ParityCertificate
+
+    if __debug__:
+        raise SystemExit("expected python -O")
+
+    def raises(exc, fn, *args):
+        try:
+            fn(*args)
+        except exc:
+            return
+        raise SystemExit(f"{fn.__name__}{args} did not raise {exc.__name__}")
+
+    raises(ValueError, BucketStat, 10, 1, 2, 0)
+    raises(ValueError, BucketStat, 10, 2, 1, 2)
+    ok = BucketStat(10, 2, 2, 1)
+    raises(ValueError, ScanReport, "c", (ok, BucketStat(5, 2, 2, 1)))
+    raises(ValueError, ScanReport, "c", (ok, BucketStat(20, 1, 1, 1)))
+    raises(ValueError, ParityCertificate, "c", "f", False, (), None, None,
+           "Certified")
+    raises(ValueError, ParityCertificate, "c", "f", True, (), 1, "Odd",
+           "Unknown")
+    G = cyclic_group(2)
+    mod = cocycles.CoefficientModule.trivial(G, 1)
+    zero = cocycles.Cocycle2(G, mod, np.zeros((2, 2), dtype=np.int8))
+    cocycles.coboundary = lambda module, c: np.ones((2, 2), dtype=np.int64)
+    raises(RuntimeError, cocycles.coboundary_witness, zero)
+""")
+
+
+def test_invariant_guards_survive_python_O():
+    src = str(Path(quintrank.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", GUARDS_UNDER_O],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

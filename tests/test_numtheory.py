@@ -312,6 +312,36 @@ def test_pattern_fast_path_matches_general_ddf():
             assert factor_pattern_mod_p(f, p) == _pattern_general(f, p)
 
 
+def test_root_count_rule_matches_ddf_for_every_monic_quintic_mod_small_p():
+    from itertools import product
+
+    from quintrank.numtheory import _pattern_general
+    for p in (2, 3, 5, 7):
+        for tail in product(range(p), repeat=5):
+            f = IntPolynomial(list(tail) + [1])
+            assert factor_pattern_mod_p(f, p) == _pattern_general(f, p)
+
+
+def test_root_count_rule_matches_ddf_at_first_200_primes():
+    # both root-count methods and the switch between them, with and
+    # without a given discriminant, monic and not
+    from quintrank.numtheory import _EVAL_BELOW, _pattern_general
+    primes = first_primes(200)
+    assert primes[0] < _EVAL_BELOW < primes[-1]
+    rng = np.random.default_rng(29)
+    for i in range(40):
+        c = [int(v) for v in rng.integers(-50, 51, size=6)]
+        c[5] = 1 if i % 2 == 0 else c[5] or 7
+        f = IntPolynomial(c)
+        disc = poly_discriminant(f)
+        for p in primes:
+            if f.lc % p == 0:
+                continue
+            expect = _pattern_general(f, p)
+            assert factor_pattern_mod_p(f, p, disc) == expect
+            assert factor_pattern_mod_p(f, p) == expect
+
+
 def test_pattern_degrees_sum_to_degree():
     rng = np.random.default_rng(18)
     for _ in range(200):
