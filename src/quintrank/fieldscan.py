@@ -19,7 +19,10 @@ makes the kept representative of each fingerprint class the
 lexicographically smallest vector and the whole stream reproducible.
 The cache is an append-only JSONL file with a SHA-256 checksum per
 record; corrupt lines are detected at load, reported, and simply
-recomputed.  Single writer, any number of readers.
+recomputed.  A record is served only to a request with the prime
+budget and trial bound it was derived with; any other request derives
+the field afresh and its record replaces the old one.  Single writer,
+any number of readers.
 """
 
 from __future__ import annotations
@@ -283,9 +286,15 @@ class FieldCache:
             fh.write(_canonical_json(line) + "\n")
         self._index(rec)
 
-    def get(self, coeffs) -> Optional[QuinticField]:
+    def get(self, coeffs, prime_budget: int = DEFAULT_PRIME_BUDGET,
+            trial_bound: int = DEFAULT_TRIAL_BOUND) -> Optional[QuinticField]:
+        """The record for coeffs, if it was derived with these parameters;
+        a record made under others is a miss, so it is never served."""
         rec = self._by_coeffs.get(tuple(coeffs))
-        return QuinticField.from_record(rec) if rec is not None else None
+        if rec is None or rec["prime_budget"] != prime_budget \
+                or rec["trial_bound"] != trial_bound:
+            return None
+        return QuinticField.from_record(rec)
 
     def get_by_fingerprint(self, fp) -> Optional[QuinticField]:
         if self._by_fp is None:
@@ -303,11 +312,12 @@ def field_from_coeffs(coeffs, label: Optional[str] = None,
                       cache: Optional[FieldCache] = None,
                       prime_budget: int = DEFAULT_PRIME_BUDGET,
                       trial_bound: int = DEFAULT_TRIAL_BOUND) -> QuinticField:
-    """Construct a field, serving it from the cache when possible; a
-    cache miss derives everything and stores the record."""
+    """Construct a field, serving it from the cache when a record with
+    the same parameters exists; a miss derives everything and stores
+    the record, which then replaces any older one."""
     coeffs = tuple(int(c) for c in coeffs)
     if cache is not None:
-        hit = cache.get(coeffs)
+        hit = cache.get(coeffs, prime_budget, trial_bound)
         if hit is not None:
             return hit
     field = QuinticField(IntPolynomial.descending(coeffs), label,
@@ -471,7 +481,7 @@ def enumerate_quintics(coeff_height: int, disc_bound: int,
             if _has_integer_root(coeffs):
                 continue  # reducible, can never certify
             if cache is not None:
-                hit = cache.get(coeffs)
+                hit = cache.get(coeffs, prime_budget, trial_bound)
                 if hit is not None:
                     if abs(hit.disc) <= disc_bound \
                             and hit.s5_status == "Certified":

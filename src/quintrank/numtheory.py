@@ -7,10 +7,13 @@ patterns mod p.  A quintic's pattern at a prime not dividing its
 discriminant is read off the number of its roots mod p and the
 Kronecker symbol (disc|p), by Stickelberger's theorem as stated in
 R. G. Swan, Pacific J. Math. 12 (1962); distinct-degree splitting
-covers other degrees and stays as the oracle.  Factoring of integers is
-trial division plus a deterministic Miller-Rabin; whenever a cofactor
-cannot be resolved the result carries complete=False rather than a
-guess.
+covers other degrees and stays as the oracle.  Squarefree kernels of
+integers come from trial division by the primes below 1000, then gcds
+with products of runs of larger primes up to the trial bound (D. J.
+Bernstein, "How to find smooth parts of integers", 2004), then
+Miller-Rabin, deterministic below the bound proven by Sorenson and
+Webster (2017); whenever a cofactor cannot be resolved the result
+carries complete=False rather than a guess.
 """
 
 from __future__ import annotations
@@ -19,13 +22,20 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import compress, dropwhile, islice
 from typing import Callable, Optional
 
 DEFAULT_TRIAL_BOUND = 10 ** 6
 DEFAULT_PRIME_BUDGET = 200
 
-# deterministic Miller-Rabin witness set; correct for all n < 3.3e24
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to the first 13 prime bases is deterministic below
+# psi_13 = _MR_PROVEN (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN = 3317044064679887385961981
+# squarefree_kernel trial-divides by the primes below _TRIAL_BELOW and
+# takes gcds with products of _CHUNK consecutive primes above it
+_TRIAL_BELOW = 1000
+_CHUNK = 512
 
 
 class NotSquarefree(RuntimeError):
@@ -141,11 +151,12 @@ def kronecker_symbol(a: int, n: int) -> int:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin over a fixed witness set; deterministic for every
-    n below 3.3e24, probable-prime beyond."""
+    """Miller-Rabin to the 13 prime bases 2..41.  Deterministic for
+    every n below _MR_PROVEN = psi_13 ~ 3.3e24 (J. Sorenson and J.
+    Webster, Math. Comp. 86, 2017); a probable prime beyond."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -202,25 +213,47 @@ def squarefree_kernel(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND
     of n.  Trial division up to trial_bound, then the cofactor is
     resolved when it is 1, a probable prime, a perfect square, or a
     semiprime forced by size (< trial_bound^3); otherwise the cofactor
-    is kept in the kernel and complete=False."""
+    is kept in the kernel and complete=False.
+
+    Primes below 1000 are tried one by one; larger primes up to
+    trial_bound are taken 512 at a time as a product, whose gcd with
+    the cofactor is peeled in layers, after D. J. Bernstein, "How to
+    find smooth parts of integers" (2004).  The scan stops as soon as
+    the cofactor is 1 or a prime."""
     if n == 0:
         raise ValueError("squarefree kernel of 0 is undefined")
     sign = -1 if n < 0 else 1
     m = abs(n)
     kernel = 1
-    d = 2
-    while d <= trial_bound and d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
+    for p in _sieve(min(trial_bound, _TRIAL_BELOW - 1)):
+        if p * p > m:
+            # no prime factor below p: the cofactor is 1 or a prime
+            return SquarefreeResult(sign * kernel * m, True)
+        if m % p == 0:
+            m //= p
+            e = 1
+            while m % p == 0:
+                m //= p
                 e += 1
             if e & 1:
-                kernel *= d
-        d += 1 if d == 2 else 2
+                kernel *= p
+    if trial_bound >= _TRIAL_BELOW and m >= _TRIAL_BELOW ** 2:
+        for lo, product in _prime_products(trial_bound):
+            if lo * lo > m or m < _MR_PROVEN and is_probable_prime(m):
+                return SquarefreeResult(sign * kernel * m, True)
+            # the k-th layer g holds the run's primes of exponent >= k,
+            # and g // h those of exponent exactly k
+            g = math.gcd(m, product % m)
+            odd = True
+            while g > 1:
+                m //= g
+                h = math.gcd(m, g)
+                if odd:
+                    kernel *= g // h
+                g, odd = h, not odd
     if m == 1:
         return SquarefreeResult(sign * kernel, True)
-    if d * d > m or is_probable_prime(m):
+    if is_probable_prime(m):
         # cofactor is prime (exactly, or with MR confidence)
         return SquarefreeResult(sign * kernel * m, True)
     root = math.isqrt(m)
@@ -232,6 +265,26 @@ def squarefree_kernel(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND
         # prime and not a square forces two distinct primes
         return SquarefreeResult(sign * kernel * m, True)
     return SquarefreeResult(sign * kernel * m, False)
+
+
+@lru_cache(maxsize=None)
+def _prime_products(trial_bound: int) -> tuple[tuple[int, int], ...]:
+    """(smallest prime, product) of each run of _CHUNK consecutive
+    primes from _TRIAL_BELOW to trial_bound.  The odd-only sieve is
+    streamed, so the primes themselves are never all held at once."""
+    half = (trial_bound + 1) // 2          # flags[i] stands for 2i + 1
+    flags = bytearray([1]) * half
+    flags[0] = 0
+    for i in range(1, (math.isqrt(trial_bound) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            flags[p * p // 2::p] = bytes(len(range(p * p // 2, half, p)))
+    primes = dropwhile(lambda p: p < _TRIAL_BELOW,
+                       compress(range(1, trial_bound + 1, 2), flags))
+    out = []
+    while run := list(islice(primes, _CHUNK)):
+        out.append((run[0], math.prod(run)))
+    return tuple(out)
 
 
 # -- resultants and discriminants ---------------------------------------------

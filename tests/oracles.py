@@ -3,12 +3,20 @@
 Each routine here recomputes a quantity by a different algorithm than
 the package uses: Legendre symbols by squaring residues, resultants by
 Sylvester matrices with Bareiss elimination, real root counts by
-Descartes bisection over exact rationals, and mod-p factor patterns by
-exhaustive trial division.
+Descartes bisection over exact rationals, mod-p factor patterns by
+exhaustive trial division, and squarefree kernels by trial division by
+every odd number up to the trial bound.
 """
 
+import math
 from fractions import Fraction
 from math import comb
+
+from quintrank.numtheory import (
+    DEFAULT_TRIAL_BOUND,
+    SquarefreeResult,
+    is_probable_prime,
+)
 
 
 def legendre_by_enumeration(a: int, p: int) -> int:
@@ -195,3 +203,41 @@ def factor_completely(n: int):
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out
+
+
+def squarefree_kernel_by_trial_division(
+        n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> SquarefreeResult:
+    """Product of the primes dividing n to an odd power, with the sign
+    of n.  Trial division up to trial_bound, then the cofactor is
+    resolved when it is 1, a probable prime, a perfect square, or a
+    semiprime forced by size (< trial_bound^3); otherwise the cofactor
+    is kept in the kernel and complete=False."""
+    if n == 0:
+        raise ValueError("squarefree kernel of 0 is undefined")
+    sign = -1 if n < 0 else 1
+    m = abs(n)
+    kernel = 1
+    d = 2
+    while d <= trial_bound and d * d <= m:
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            if e & 1:
+                kernel *= d
+        d += 1 if d == 2 else 2
+    if m == 1:
+        return SquarefreeResult(sign * kernel, True)
+    if d * d > m or is_probable_prime(m):
+        # cofactor is prime (exactly, or with MR confidence)
+        return SquarefreeResult(sign * kernel * m, True)
+    root = math.isqrt(m)
+    if root * root == m:
+        # a square cofactor has only even exponents, whatever its factors
+        return SquarefreeResult(sign * kernel, True)
+    if m < trial_bound ** 3:
+        # all factors exceed trial_bound, so at most two of them; not a
+        # prime and not a square forces two distinct primes
+        return SquarefreeResult(sign * kernel * m, True)
+    return SquarefreeResult(sign * kernel * m, False)

@@ -348,6 +348,25 @@ def test_cache_skips_recomputation(tmp_path):
     assert [f.fingerprint for f in again] == [f.fingerprint for f in first]
 
 
+def test_cache_serves_only_records_with_the_requested_parameters(tmp_path):
+    store = tmp_path / "cache.jsonl"
+    x5 = (1, 0, 0, 0, -1, -1)
+    stale = field_from_coeffs(x5, cache=FieldCache(store), prime_budget=3)
+    assert stale.s5_status == "Inconclusive"
+    cache = FieldCache(store)
+    fresh = field_from_coeffs(x5, cache=cache, prime_budget=200)
+    assert fresh.s5_status == "Certified"
+    assert fresh.prime_budget == 200
+    # the newest record wins, in memory and on reload
+    assert cache.get(x5).s5_status == "Certified"
+    assert FieldCache(store).get(x5).s5_status == "Certified"
+    assert FieldCache(store).get(x5, prime_budget=3) is None
+    # a different trial bound is a different record too
+    assert FieldCache(store).get(x5, trial_bound=10) is None
+    small = field_from_coeffs(x5, cache=cache, trial_bound=10)
+    assert small.trial_bound == 10
+
+
 def test_enumeration_with_cache_is_stable(tmp_path):
     store = tmp_path / "cache.jsonl"
     cold = [f.coeffs for f in enumerate_quintics(

@@ -8,9 +8,11 @@ from oracles import (
     count_real_roots_bisection,
     factor_completely,
     legendre_by_enumeration,
+    squarefree_kernel_by_trial_division,
     sylvester_discriminant,
     sylvester_resultant,
 )
+from quintrank import numtheory
 from quintrank.numtheory import (
     FactorPattern,
     IntPolynomial,
@@ -130,6 +132,15 @@ def test_probable_prime_large_and_carmichael():
     assert not is_probable_prime(1105)
     assert is_probable_prime(2 ** 61 - 1)
     assert not is_probable_prime(2 ** 67 - 1)
+
+
+def test_probable_prime_beyond_the_twelve_base_bound():
+    # psi_12, the least strong pseudoprime to every base 2..37
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_probable_prime(psi12)
+    assert psi12 < numtheory._MR_PROVEN
+    assert is_probable_prime(41) and not is_probable_prime(41 * 43)
 
 
 # -- discriminants ----------------------------------------------------------------
@@ -460,6 +471,73 @@ def test_squarefree_kernel_cofactor_resolution():
     # prime cofactor resolved by the primality test
     r = squarefree_kernel(4 * 7919, trial_bound=10)
     assert r == type(r)(7919, True)
+
+
+def _next_prime(n, step=1):
+    while not is_probable_prime(n):
+        n += step
+    return n
+
+
+def _chunk_runs(bound):
+    primes = [p for p in numtheory._sieve(bound) if p >= 1000]
+    return [primes[i:i + numtheory._CHUNK]
+            for i in range(0, len(primes), numtheory._CHUNK)]
+
+
+def _kernel_cases(bound, rng):
+    """Inputs that steer squarefree_kernel through each of its exits at
+    this trial bound: chunk edges, prime powers, square and semiprime
+    cofactors on both sides of bound^3 and of the Miller-Rabin bound."""
+    lead = {1009, 999983}
+    runs = _chunk_runs(bound)
+    for run in runs[:2] + runs[len(runs) // 2:][:1] + runs[-1:]:
+        lead |= {run[0], run[-1]}
+    cases = [p ** k * q for p in sorted(lead)
+             for k, q in ((1, 1000003), (2, 1), (2, 6 * 1000003), (3, 6))]
+    cases += [p * p * c for p in (991, 997, 1009, 1013) for c in (1, 15)]
+    p = _next_prime(max(bound, 1) + 1)
+    for edge in (max(bound, 1) ** 3, numtheory._MR_PROVEN):
+        near = max(edge // p, 3)
+        for q in (_next_prime(near), _next_prime(near, -1)):
+            cases += [p * q, 12 * p * q]
+        cases += [_next_prime(edge), 3 * _next_prime(max(edge, 3), -1)]
+    cases += [318665857834031151167461, 41, 4 * 41 ** 3]
+    # seeded random n below 10^40, plain and with repeated factors
+    for _ in range(3):
+        a, b, c = (int(rng.integers(1, 10 ** k)) for k in (18, 18, 4))
+        cases += [a * b * c, (a % 10 ** 9 + 2) ** 4 * c]
+    return cases
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 10, 999, 1000, 1009,
+                                   10 ** 4, 10 ** 6])
+def test_squarefree_kernel_matches_trial_division_oracle(bound):
+    rng = np.random.default_rng(bound)
+    for i, n in enumerate(_kernel_cases(bound, rng)):
+        for signed in (n, -n) if i % 5 == 0 else (n,):
+            assert squarefree_kernel(signed, bound) == \
+                squarefree_kernel_by_trial_division(signed, bound), (n, bound)
+
+
+def test_squarefree_kernel_prime_products_table():
+    for bound in (1009, 37 ** 2, 10 ** 4, 10 ** 5, 1009 ** 2):
+        assert numtheory._prime_products(bound) == tuple(
+            (run[0], math.prod(run)) for run in _chunk_runs(bound))
+    assert numtheory._prime_products(1000) == ()
+
+
+def test_squarefree_kernel_small_inputs_leave_chunk_table_unbuilt():
+    # a cofactor below 1000^2 with no prime factor below 1000 is 1 or a
+    # prime, so |n| < 10^6 never needs the products of larger primes
+    numtheory._prime_products.cache_clear()
+    edge = range(10 ** 6 - 30000, 10 ** 6)
+    for n in [*range(1, 10 ** 6, 101), *edge, 991 * 997, 997 ** 2]:
+        squarefree_kernel(n)
+        squarefree_kernel(-n)
+    assert numtheory._prime_products.cache_info().currsize == 0
+    squarefree_kernel(1009 ** 2)
+    assert numtheory._prime_products.cache_info().currsize == 1
 
 
 # -- resolvent and splitting ------------------------------------------------------
