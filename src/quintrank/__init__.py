@@ -11,3 +11,8 @@ Submodules:
 """
 
 __version__ = "0.1.0"
+
+
+class InternalCheckFailed(RuntimeError):
+    """An internal invariant failed: a bug or a broken assumption, never
+    bad input.  The command line exits 1 on it, not 3."""

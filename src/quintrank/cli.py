@@ -11,7 +11,9 @@ Subcommands:
 
 Results go to stdout (canonical JSON with --json; certify and scan
 reports are JSON regardless); diagnostics go to stderr.  Exit codes:
-0 success, 1 a check failed, 2 usage error, 3 bad input or data.
+0 success, 1 a check failed (a failed self-check, or an internal
+invariant, reported as "internal check failed: ..."), 2 usage error,
+3 bad input or data.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import json
 import sys
 from importlib import resources
 
-from . import cocycles, fieldscan, groups, numtheory, rankgrowth, reps
+from . import (InternalCheckFailed, cocycles, fieldscan, groups, numtheory,
+               rankgrowth, reps)
 
 
 class DataError(Exception):
@@ -427,6 +430,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
+    except InternalCheckFailed as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 1
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import InternalCheckFailed
 from .groups import FiniteGroup, Permutation, symmetric_group
 
 H2_GROUP_CAP = 30
@@ -272,12 +273,13 @@ def pin_cocycle_sn(n: int) -> Cocycle2:
         # raw product scale is sa+sb; canonical targets satisfy sc >= sa+sb
         d = scale[c] - scale[lo:hi, None] - scale[None, :]
         if (d < 0).any() or (d % 2).any():
-            raise RuntimeError("pin lift scale mismatch")
+            raise InternalCheckFailed("pin lift scale mismatch")
         target = target * (1 << (d // 2))[:, :, None]
         plus = (prod == target).all(axis=2)
         minus = (prod == -target).all(axis=2)
         if not (plus ^ minus).all():
-            raise RuntimeError("pin lift products do not match up to sign")
+            raise InternalCheckFailed(
+                "pin lift products do not match up to sign")
         w[lo:hi] = np.where(minus, 1, 0)
     return Cocycle2(G, CoefficientModule.trivial(G, 1), w)
 
@@ -396,7 +398,7 @@ def coboundary_witness(c: Cocycle2) -> Optional[np.ndarray]:
     R0 = (w - coboundary(c.module, c0)) % 4
     D = [coboundary(c.module, b) % 4 for b in kbasis]
     if (R0 % 2).any() or any((d % 2).any() for d in D):
-        raise RuntimeError("mod-2 stage left an odd residual")
+        raise InternalCheckFailed("mod-2 stage left an odd residual")
     R0h = (R0 // 2) % 2
     Dh = [(d // 2) % 2 for d in D]
     K = len(kbasis)
@@ -425,7 +427,8 @@ def coboundary_witness(c: Cocycle2) -> Optional[np.ndarray]:
 
 def _checked_witness(c: Cocycle2, witness: np.ndarray) -> np.ndarray:
     if not (coboundary(c.module, witness) == c.values).all():
-        raise RuntimeError("coboundary witness does not reproduce the cocycle")
+        raise InternalCheckFailed(
+            "coboundary witness does not reproduce the cocycle")
     return witness
 
 
@@ -454,7 +457,7 @@ def _mod4_image_profile(A: np.ndarray) -> tuple[int, int]:
     X = np.stack([_bits_to_array(b, ncols) for b in kb], axis=1)
     C = (A.astype(np.int64) @ X) % 4
     if (C % 2).any():
-        raise RuntimeError("kernel lift produced odd entries")
+        raise InternalCheckFailed("kernel lift produced odd entries")
     # A kernel lift is only defined mod 2, so C's columns are contaminated
     # by im(A mod 2); count the 2-divisors in the quotient by that image.
     combined = np.concatenate([A % 2, (C // 2) % 2], axis=1)

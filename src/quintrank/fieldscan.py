@@ -11,8 +11,12 @@ fields.  The certificate, the fingerprint and the audit all read one
 append-only list of patterns at those primes, in increasing order, so
 no pattern is computed twice; each one comes from the root count mod p
 and (disc|p) by Stickelberger's theorem (R. G. Swan, Pacific J. Math.
-12 (1962)).  A square discriminant puts the Galois group in A5, so the
-enumeration does not try to certify such a polynomial.
+12 (1962)).  The list is filled a block of primes at a time (up to the
+fingerprint, up to the audit, then doubling), with the roots of a whole
+block counted by gcds of f(x) with products of its primes; primes from
+_BLOCK_BELOW up go one at a time.  A square discriminant puts the
+Galois group in A5, so the enumeration does not try to certify such a
+polynomial.
 
 Enumeration iterates coefficient vectors in lexicographic order, which
 makes the kept representative of each fingerprint class the
@@ -32,10 +36,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
+from . import InternalCheckFailed
 from .numtheory import (
     DEFAULT_PRIME_BUDGET,
     DEFAULT_TRIAL_BOUND,
@@ -46,6 +51,7 @@ from .numtheory import (
     factor_pattern_mod_p,
     first_primes,
     poly_discriminant,
+    quintic_patterns,
     real_root_count,
     resolvent,
 )
@@ -54,13 +60,17 @@ from .rankgrowth import CurveData, certify_pair
 MAX_ENUM_HEIGHT = 50
 FINGERPRINT_PRIMES = 20
 AUDIT_PRIMES = 30
+# below this prime a block of patterns costs less by quintic_patterns
+# than one factor_pattern_mod_p call per prime; both cost about the same
+# between 3000 and 5000 on the stream's 400th to 800th primes
+_BLOCK_BELOW = 4000
 
 
 class NotSeparable(ValueError):
     """Zero discriminant: the polynomial has a repeated root."""
 
 
-class FalseMergeError(RuntimeError):
+class FalseMergeError(InternalCheckFailed):
     """Two fields shared a fingerprint but disagree at audit primes."""
 
 
@@ -145,21 +155,34 @@ class QuinticField:
         """Pattern at p, the k-th prime (from 0) not dividing the
         discriminant.  Readers walk the primes in order, so a miss is
         always the next entry of the stream."""
-        patterns = self._patterns
-        if k == len(patterns):
-            patterns.append(
-                factor_pattern_mod_p(self.poly, p, self._disc).pattern)
-        return patterns[k]
+        if k == len(self._patterns):
+            self._fill(k + 1)
+        return self._patterns[k]
+
+    def _fill(self, count: int):
+        """Extend the stream to at least `count` patterns, a block at a
+        time: up to the fingerprint, up to the audit, then doubling.  A
+        block's primes below _BLOCK_BELOW share one quintic_patterns
+        pass; larger ones go one at a time."""
+        patterns, disc = self._patterns, self._disc
+        audited = FINGERPRINT_PRIMES + AUDIT_PRIMES
+        while len(patterns) < count:
+            have = len(patterns)
+            end = (FINGERPRINT_PRIMES if have < FINGERPRINT_PRIMES
+                   else audited if have < audited else 2 * have)
+            # a nonzero disc has fewer prime factors than bits
+            good = [p for p in first_primes(end + abs(disc).bit_length())
+                    if disc % p][have:end]
+            small = [p for p in good if p < _BLOCK_BELOW]
+            patterns += [fp.pattern for fp in
+                         quintic_patterns(self.poly, small, disc)]
+            patterns += [factor_pattern_mod_p(self.poly, p, disc).pattern
+                         for p in good[len(small):]]
 
     def _stream(self, count: int) -> list:
         """Patterns at the first `count` primes not dividing the
-        discriminant; a nonzero disc has fewer prime factors than bits."""
-        if len(self._patterns) < count:
-            disc = self._disc
-            good = (p for p in first_primes(count + abs(disc).bit_length())
-                    if disc % p)
-            for k, p in enumerate(islice(good, count)):
-                self._pattern(k, p)
+        discriminant."""
+        self._fill(count)
         return self._patterns[:count]
 
     @property

@@ -26,6 +26,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import InternalCheckFailed
+
 DEFAULT_CAP = 10_000
 
 
@@ -242,12 +244,6 @@ class FiniteGroup:
                 classes.append(tuple(int(v) for v in orb))
             self._classes = tuple(classes)
         return self._classes
-
-    def class_index(self) -> np.ndarray:
-        idx = np.empty(self.order, dtype=np.int32)
-        for k, cls in enumerate(self.conjugacy_classes()):
-            idx[list(cls)] = k
-        return idx
 
     # -- subgroups and quotients ----------------------------------------
 
@@ -559,7 +555,8 @@ def _decompose_abelian(Q: FiniteGroup) -> tuple[list[int], list[int]]:
         members = sorted(int(c) for c in np.nonzero(qidx == gq)[0])
         lift = next((c for c in members if Q.order_of(c) == fac), None)
         if lift is None:
-            raise RuntimeError("no order-preserving lift; group is not abelian?")
+            raise InternalCheckFailed(
+                "no order-preserving lift; group is not abelian?")
         lifts.append(lift)
     return [m] + sub_factors, [x] + lifts
 
@@ -578,10 +575,12 @@ def abelianization(G: FiniteGroup) -> AbelianQuotient:
         for g, e in zip(gens, exps):
             lab = Q.mul(lab, Q.power(g, e))
         if lab in label_of:
-            raise RuntimeError("cyclic decomposition is not a bijection")
+            raise InternalCheckFailed(
+                "cyclic decomposition is not a bijection")
         label_of[lab] = exps
     if len(label_of) != Q.order:
-        raise RuntimeError("cyclic decomposition does not cover the quotient")
+        raise InternalCheckFailed(
+            "cyclic decomposition does not cover the quotient")
     tuples = tuple(label_of[l] for l in range(Q.order))
     return AbelianQuotient(G, derived, factors, qidx, tuples)
 
@@ -622,6 +621,7 @@ def transfer(cs: CosetSystem, source_ab: Optional[AbelianQuotient] = None) -> Tr
     for g in range(G.order):
         key = sab.project(g)
         if key in ab_map and ab_map[key] != values[g]:
-            raise RuntimeError("transfer is not constant on abelianization fibers")
+            raise InternalCheckFailed(
+                "transfer is not constant on abelianization fibers")
         ab_map[key] = values[g]
     return TransferMap(cs, sab, tab, tuple(values), ab_map)

@@ -7,7 +7,9 @@ patterns mod p.  A quintic's pattern at a prime not dividing its
 discriminant is read off the number of its roots mod p and the
 Kronecker symbol (disc|p), by Stickelberger's theorem as stated in
 R. G. Swan, Pacific J. Math. 12 (1962); distinct-degree splitting
-covers other degrees and stays as the oracle.  Squarefree kernels of
+covers other degrees and stays as the oracle.  quintic_patterns counts
+the roots for a whole block of primes in one pass, by gcds of f(x) with
+the product of the block's primes above x.  Squarefree kernels of
 integers come from trial division by the primes below 1000, then gcds
 with products of runs of larger primes up to the trial bound (D. J.
 Bernstein, "How to find smooth parts of integers", 2004), then
@@ -24,6 +26,8 @@ from enum import Enum
 from functools import lru_cache
 from itertools import compress, dropwhile, islice
 from typing import Callable, Optional
+
+from . import InternalCheckFailed
 
 DEFAULT_TRIAL_BOUND = 10 ** 6
 DEFAULT_PRIME_BUDGET = 200
@@ -368,7 +372,8 @@ def poly_discriminant(f: IntPolynomial) -> int:
     sign = -1 if (d * (d - 1) // 2) & 1 else 1
     q, r = divmod(sign * res, f.lc)
     if r:
-        raise RuntimeError("resultant is not divisible by the leading coeff")
+        raise InternalCheckFailed(
+            "resultant is not divisible by the leading coeff")
     return q
 
 
@@ -569,6 +574,53 @@ def factor_pattern_mod_p(f: IntPolynomial, p: int,
     c = [a * inv % p for a in f.coeffs]
     return _QUINTIC_PATTERNS[_quintic_root_count(c, p),
                              kronecker_symbol(disc, p)]
+
+
+def quintic_patterns(f: IntPolynomial, primes, disc: int
+                     ) -> list[FactorPattern]:
+    """Patterns of the monic quintic f at each of the increasing primes,
+    none of which may divide disc = disc(f).
+
+    The roots mod p of every listed p are counted in one pass: f(x) is
+    evaluated once over the integers for x = 0 .. max(primes) - 1, and
+    g = gcd(f(x), M) is taken with M the product of the listed primes
+    above x (each prime is divided out of M when x reaches it).  A prime
+    dividing g has a root at x; g is mostly 1 or a single prime, and
+    f(x) = 0 gives g = M, a root for every prime above x (after D. J.
+    Bernstein's prime-product gcds, 2004).  The pattern then follows
+    from the root count and (disc|p) as in factor_pattern_mod_p."""
+    c = f.coeffs
+    if len(c) != 6 or c[5] != 1:
+        raise ValueError("expected a monic quintic")
+    primes = list(primes)
+    if any(a >= b for a, b in zip(primes, primes[1:])):
+        raise ValueError("primes must be strictly increasing")
+    signs = []
+    for p in primes:
+        d = disc % p
+        if d == 0:
+            raise ValueError(f"p={p} divides the discriminant")
+        signs.append(kronecker_symbol(disc, 2) if p == 2
+                     else 1 if pow(d, (p - 1) // 2, p) == 1 else -1)
+    roots = dict.fromkeys(primes, 0)
+    a0, a1, a2, a3, a4 = c[:5]
+    gcd = math.gcd
+    M = math.prod(primes)
+    lo = 0
+    for q in primes:
+        # for x in [lo, q), M is the product of the listed primes from q on
+        for x in range(lo, q):
+            g = gcd(((((x + a4) * x + a3) * x + a2) * x + a1) * x + a0, M)
+            if g != 1:
+                if g in roots:
+                    roots[g] += 1
+                else:
+                    for p in primes:
+                        if g % p == 0:
+                            roots[p] += 1
+        M //= q
+        lo = q
+    return [_QUINTIC_PATTERNS[roots[p], s] for p, s in zip(primes, signs)]
 
 
 def _pattern_general(f: IntPolynomial, p: int) -> FactorPattern:

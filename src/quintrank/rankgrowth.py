@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
+from . import InternalCheckFailed
 from .numtheory import (
     Splitting,
     is_probable_prime,
@@ -180,7 +181,7 @@ def parity(curve: CurveData, field) -> ParityCertificate:
     # the bottom argument is completely multiplicative: the prime-by-prime
     # product must equal the one-shot symbol over N-
     if chi != kronecker_symbol(fund, curve.multiplicative_part):
-        raise RuntimeError("parity cross-check failed: routes disagree")
+        raise InternalCheckFailed("parity cross-check failed: routes disagree")
     odd = chi == -1
     return ParityCertificate(
         curve=curve.label, field=field.label, admissible=True, reasons=(),

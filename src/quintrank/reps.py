@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import InternalCheckFailed
 from .cocycles import Cocycle2, central_extension, pin_cocycle_sn
 from .groups import (AbelianQuotient, CosetSystem, FiniteGroup, Permutation,
                      abelianization, coset_factorization, symmetric_group)
@@ -83,9 +84,6 @@ class Representation:
 
     def character(self) -> "Character":
         return Character(self.group, np.trace(self.images, axis1=1, axis2=2))
-
-    def det_character(self) -> "Character":
-        return Character(self.group, np.linalg.det(self.images))
 
     def twist(self, scalars) -> "Representation":
         """Multiply by a linear character's values, elementwise."""
@@ -450,7 +448,7 @@ def omega5_data() -> DoubleCoverData:
     ico_g, ico_rep = icosian_group()
     phi = find_isomorphism(Q, ico_g)
     if phi is None:
-        raise RuntimeError("preimage of A5 is not the icosian group")
+        raise InternalCheckFailed("preimage of A5 is not the icosian group")
     rho = Representation(Q, ico_rep.images[phi], 2)
     cs = CosetSystem.build(E, evens)
     lifts = tuple(l for l in range(E.order)
@@ -471,7 +469,8 @@ def binary_octahedral_data() -> DoubleCoverData:
     hw_g, hw_rep = hurwitz_unit_group()
     phi = find_isomorphism(Q, hw_g)
     if phi is None:
-        raise RuntimeError("preimage of A4 is not the Hurwitz unit group")
+        raise InternalCheckFailed(
+            "preimage of A4 is not the Hurwitz unit group")
     rho = Representation(Q, hw_rep.images[phi], 2)
     cs = CosetSystem.build(E, evens)
     lifts = tuple(l for l in range(E.order)

@@ -3,9 +3,15 @@ JSON schemas, and byte-level determinism of repeated runs."""
 
 import json
 
-from quintrank import fieldscan, rankgrowth
+import pytest
+
+from quintrank import InternalCheckFailed, cli, fieldscan, rankgrowth
 from quintrank.cli import main
+from quintrank.cocycles import TooLarge
+from quintrank.groups import CapExceeded
+from quintrank.numtheory import LeadingCoeffVanishes, NotSquarefree
 from quintrank.numtheory import IntPolynomial
+from quintrank.rankgrowth import IncompleteData, NotAdmissible
 
 FLAGSHIP_POLY = "1,0,0,0,-1,-1"
 CURVE37 = "37a 37 37^1"
@@ -129,6 +135,50 @@ def test_certify_non_admissible_still_exits_zero(capsys):
     assert cert["admissible"] is False
     assert "EvenConductor" in cert["reasons"]
     assert cert["growth"] == "Unknown"
+
+
+# -- failures inside a command -----------------------------------------------
+
+def test_parity_cross_check_failure_exits_one(capsys, monkeypatch):
+    # make the prime-by-prime and one-shot symbols over N- = 91 disagree
+    monkeypatch.setattr(rankgrowth, "kronecker_symbol",
+                        lambda a, n: -1 if n == 91 else 1)
+    assert main(["certify", "--curve", "91a 91 7^1 13^1",
+                 "--poly", FLAGSHIP_POLY]) == 1
+    assert capsys.readouterr().err.startswith(
+        "internal check failed: parity cross-check failed")
+
+
+def test_false_merge_exits_one(capsys, monkeypatch):
+    # every merge now looks unproven and splits differently at the audit
+    monkeypatch.setattr(fieldscan, "_provably_same_field", lambda a, b: False)
+    monkeypatch.setattr(fieldscan.QuinticField, "extended_fingerprint",
+                        property(lambda self: self.coeffs))
+    assert main(["scan", "--curve", CURVE37, "--height", "1",
+                 "--buckets", "100000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("internal check failed:")
+    assert "share a fingerprint" in err
+
+
+@pytest.mark.parametrize("error, code", [
+    (InternalCheckFailed("stub"), 1),
+    (fieldscan.FalseMergeError("stub"), 1),
+    (NotSquarefree("stub"), 3),
+    (LeadingCoeffVanishes("stub"), 3),
+    (IncompleteData("stub"), 3),
+    (NotAdmissible(["EvenConductor"]), 3),
+    (TooLarge("stub"), 3),
+    (CapExceeded("stub"), 3),
+    (ValueError("stub"), 3),
+])
+def test_failure_exit_codes(error, code, capsys, monkeypatch):
+    def fail(args):
+        raise error
+    monkeypatch.setattr(cli, "_cmd_h2", fail)
+    assert main(["h2"]) == code
+    prefix = "internal check failed: " if code == 1 else "error: "
+    assert capsys.readouterr().err == f"{prefix}{error}\n"
 
 
 # -- analyze-field ----------------------------------------------------------

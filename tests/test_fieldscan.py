@@ -24,7 +24,12 @@ from quintrank.fieldscan import (
     ingest_fields,
     scan,
 )
-from quintrank.numtheory import IntPolynomial, certify_s5, poly_discriminant
+from quintrank.numtheory import (
+    IntPolynomial,
+    certify_s5,
+    factor_pattern_mod_p,
+    poly_discriminant,
+)
 from quintrank.rankgrowth import CurveData
 
 CURVE37 = CurveData.parse("37a 37 37^1")
@@ -97,14 +102,25 @@ STREAM_SAMPLES = [(1, -1, -1, 0, 0, -1), (1, 0, 0, 0, -1, -1),
                   (1, 0, 0, 0, -4, 2), (1, 0, 0, 0, 0, -2)]
 
 
-def _count_patterns(monkeypatch) -> Counter:
+def _count_patterns(monkeypatch, one_at_a_time=None) -> Counter:
+    """Patterns computed per (coefficients, prime), whether a block of
+    primes goes through the kernel or a prime goes one at a time (those
+    primes are also appended to one_at_a_time, when given)."""
     calls = Counter()
-    real = fieldscan.factor_pattern_mod_p
+    real_block = fieldscan.quintic_patterns
+    real_one = fieldscan.factor_pattern_mod_p
 
-    def counted(f, p, disc=None):
+    def block(f, primes, disc):
+        calls.update((f.coeffs, p) for p in primes)
+        return real_block(f, primes, disc)
+
+    def one(f, p, disc=None):
         calls[f.coeffs, p] += 1
-        return real(f, p, disc)
-    monkeypatch.setattr(fieldscan, "factor_pattern_mod_p", counted)
+        if one_at_a_time is not None:
+            one_at_a_time.append(p)
+        return real_one(f, p, disc)
+    monkeypatch.setattr(fieldscan, "quintic_patterns", block)
+    monkeypatch.setattr(fieldscan, "factor_pattern_mod_p", one)
     return calls
 
 
@@ -120,9 +136,28 @@ def test_pattern_stream_computes_each_pattern_once(monkeypatch):
     per_field = Counter(c for c, _ in calls.elements())
     scanned = [field_of(*desc).certificate.primes_scanned
                for desc in STREAM_SAMPLES]
-    assert scanned[:3] == [11, 36, 54]
+    assert scanned == [11, 36, 54, 198]
+    # the stream grows in blocks ending at 20, 50, 100 and 200 patterns,
+    # so each field computes the first block end covering both its
+    # certificate and the 50 fingerprint and audit primes
     assert [per_field[IntPolynomial.descending(d).coeffs]
-            for d in STREAM_SAMPLES] == [max(n, 50) for n in scanned]
+            for d in STREAM_SAMPLES] == [50, 50, 100, 200]
+
+
+def test_stream_past_the_block_crossover(monkeypatch):
+    # x^5 - 2 never certifies, so a budget of 600 primes fills blocks up
+    # to 800 patterns, whose primes run past the kernel's crossover
+    one_at_a_time = []
+    calls = _count_patterns(monkeypatch, one_at_a_time)
+    poly = IntPolynomial.descending((1, 0, 0, 0, 0, -2))
+    f = QuinticField(poly, prime_budget=600)
+    assert f.certificate == certify_s5(poly, 600, f.disc)
+    assert len(calls) == 800 and max(calls.values()) == 1
+    primes = sorted(p for _, p in calls)
+    assert one_at_a_time == [p for p in primes if p >= fieldscan._BLOCK_BELOW]
+    assert primes[0] < fieldscan._BLOCK_BELOW < primes[-1]
+    assert f._stream(800) == [factor_pattern_mod_p(poly, p, f.disc).pattern
+                              for p in primes]
 
 
 def test_stream_fed_certificate_matches_standalone():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from quintrank.numtheory import (
     is_probable_prime,
     kronecker_symbol,
     poly_discriminant,
+    quintic_patterns,
     real_root_count,
     resolvent,
     splitting_in_resolvent,
@@ -351,6 +353,91 @@ def test_root_count_rule_matches_ddf_at_first_200_primes():
             expect = _pattern_general(f, p)
             assert factor_pattern_mod_p(f, p, disc) == expect
             assert factor_pattern_mod_p(f, p) == expect
+
+
+def _good_primes(disc, count):
+    return [p for p in first_primes(count + abs(disc).bit_length())
+            if disc % p][:count]
+
+
+def _assert_kernel_matches_per_prime(f, primes):
+    disc = poly_discriminant(f)
+    assert quintic_patterns(f, primes, disc) == [
+        factor_pattern_mod_p(f, p, disc) for p in primes]
+
+
+@pytest.mark.parametrize("height", [2, 50, 10 ** 4, 2 ** 70])
+def test_quintic_patterns_match_per_prime_on_random_quintics(height):
+    # the blocks a field's pattern stream asks for: the fingerprint, the
+    # audit (where a rebuilt field starts, after 20 seeded patterns) and
+    # the next doubling
+    rng = random.Random(height)
+    for _ in range(25):
+        f = IntPolynomial([rng.randint(-height, height) for _ in range(5)]
+                          + [1])
+        disc = poly_discriminant(f)
+        if disc == 0:
+            continue
+        good = _good_primes(disc, 100)
+        for lo, hi in ((0, 20), (20, 50), (50, 100)):
+            _assert_kernel_matches_per_prime(f, good[lo:hi])
+
+
+def test_quintic_patterns_with_integer_roots():
+    # f(x) = 0 at some x >= 0 makes the gcd the whole prime product;
+    # roots below 0 are only ever seen through their residues
+    for roots, rest in (((0,), (1, 1, 0, 0, 1)), ((3,), (1, 0, 1, 1, 1)),
+                        ((7, -2), (1, 1, 0, 1)), ((-1,), (1, 0, 0, 1, 1)),
+                        ((-5, -11, 4), (1, 1, 1)), ((2, 5, -3, 10, -20), (1,))):
+        c = list(rest)                  # ascending; times x - r per root
+        for r in roots:
+            c = [a - r * b for a, b in zip([0] + c, c + [0])]
+        f = IntPolynomial(c)
+        assert f.degree == 5 and f.lc == 1
+        assert all(f(r) == 0 for r in roots)
+        disc = poly_discriminant(f)
+        assert disc != 0
+        _assert_kernel_matches_per_prime(f, _good_primes(disc, 60))
+
+
+def test_quintic_patterns_at_two_and_three():
+    # every residue class of a monic quintic mod 6
+    from itertools import product
+    checked = 0
+    for tail in product(range(6), repeat=5):
+        f = IntPolynomial(list(tail) + [1])
+        disc = poly_discriminant(f)
+        if disc % 6:
+            block = [p for p in (2, 3, 5, 7) if disc % p]
+            assert quintic_patterns(f, block, disc) == [
+                factor_pattern_mod_p(f, p, disc) for p in block]
+            checked += 1
+    assert checked > 6000
+
+
+def test_quintic_patterns_past_the_per_prime_crossover():
+    from quintrank.fieldscan import _BLOCK_BELOW
+    for f in (X5_X_1, IntPolynomial.descending([1, -3, 17, 0, -40, 9])):
+        disc = poly_discriminant(f)
+        block = [p for p in numtheory._sieve(_BLOCK_BELOW + 600)
+                 if p > _BLOCK_BELOW - 600 and disc % p]
+        assert block[0] < _BLOCK_BELOW < block[-1]
+        _assert_kernel_matches_per_prime(f, block)
+
+
+def test_quintic_patterns_preconditions():
+    disc = poly_discriminant(X5_X_1)            # 2869 = 19 * 151
+    assert quintic_patterns(X5_X_1, [], disc) == []
+    with pytest.raises(ValueError):
+        quintic_patterns(X5_X_1, [17, 19, 23], disc)
+    with pytest.raises(ValueError):
+        quintic_patterns(X5_X_1, [5, 3], disc)
+    with pytest.raises(ValueError):
+        quintic_patterns(X5_X_1, [3, 5, 5], disc)
+    with pytest.raises(ValueError):
+        quintic_patterns(IntPolynomial([-1, -1, 0, 0, 0, 3]), [5], disc)
+    with pytest.raises(ValueError):
+        quintic_patterns(IntPolynomial([-1, -1, 0, 1]), [5], disc)
 
 
 def test_pattern_degrees_sum_to_degree():
