@@ -447,10 +447,10 @@ def _mod4_image_profile(A: np.ndarray) -> tuple[int, int]:
     so |im| = 4^rho1 * 2^rho2 and |ker| = 4^(ncols-rho1-rho2) * 2^rho2."""
     A = np.unique(A % 4, axis=0)
     ncols = A.shape[1]
-    rho1 = _gf2_rank_of_rows(_pack_rows_gf2(A))
     solver = Gf2Solver(ncols)
     for row in _pack_rows_gf2(A):
         solver.add(row << 1)
+    rho1 = solver.rank
     kb = solver.kernel_basis()
     if not kb:
         return rho1, 0

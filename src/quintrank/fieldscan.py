@@ -246,10 +246,6 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _fp_key(fp_jsonable) -> str:
-    return _canonical_json(fp_jsonable)
-
-
 class FieldCache:
     """Append-only JSONL store of derived field records.
 
@@ -262,7 +258,6 @@ class FieldCache:
     def __init__(self, path, strict: bool = False):
         self.path = Path(path)
         self._by_coeffs: dict[tuple, dict] = {}
-        self._by_fp: Optional[dict[str, dict]] = None  # built on first use
         self.corrupt_lines: list[int] = []
         if self.path.exists():
             with open(self.path, "r", encoding="utf-8") as fh:
@@ -276,7 +271,7 @@ class FieldCache:
                             raise
                         self.corrupt_lines.append(lineno)
                         continue
-                    self._index(rec)
+                    self._by_coeffs[tuple(rec["coeffs"])] = rec
 
     @staticmethod
     def _verify_line(line: str, lineno: int) -> dict:
@@ -291,15 +286,6 @@ class FieldCache:
             raise ChecksumMismatch(f"cache line {lineno} fails its checksum")
         return obj
 
-    def _index(self, rec: dict):
-        # re-insert, so that dict order follows the newest writes and the
-        # lazily built fingerprint index keeps the newest record
-        key = tuple(rec["coeffs"])
-        self._by_coeffs.pop(key, None)
-        self._by_coeffs[key] = rec
-        if self._by_fp is not None:
-            self._by_fp[_fp_key(rec["fingerprint"])] = rec
-
     def put(self, field: QuinticField):
         rec = field.to_record()
         line = dict(rec)
@@ -307,7 +293,7 @@ class FieldCache:
             _canonical_json(rec).encode("utf-8")).hexdigest()
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(_canonical_json(line) + "\n")
-        self._index(rec)
+        self._by_coeffs[tuple(rec["coeffs"])] = rec
 
     def get(self, coeffs, prime_budget: int = DEFAULT_PRIME_BUDGET,
             trial_bound: int = DEFAULT_TRIAL_BOUND) -> Optional[QuinticField]:
@@ -318,14 +304,6 @@ class FieldCache:
                 or rec["trial_bound"] != trial_bound:
             return None
         return QuinticField.from_record(rec)
-
-    def get_by_fingerprint(self, fp) -> Optional[QuinticField]:
-        if self._by_fp is None:
-            self._by_fp = {_fp_key(rec["fingerprint"]): rec
-                           for rec in self._by_coeffs.values()}
-        key = _fp_key([fp[0], [list(p) for p in fp[1]]])
-        rec = self._by_fp.get(key)
-        return QuinticField.from_record(rec) if rec is not None else None
 
     def __len__(self):
         return len(self._by_coeffs)

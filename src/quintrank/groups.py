@@ -19,6 +19,7 @@ homomorphisms (the latter into the wreath product of Q by S_n).
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -96,10 +97,7 @@ class Permutation:
         return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
 
     def order(self) -> int:
-        o = 1
-        for c in self.cycles():
-            o = _lcm(o, len(c))
-        return o
+        return math.lcm(*(len(c) for c in self.cycles()))
 
     def fixed_points(self) -> int:
         return sum(1 for i, img in enumerate(self.images) if i == img)
@@ -109,12 +107,6 @@ class Permutation:
 
     def is_transposition(self) -> bool:
         return self.cycle_type()[:1] == (2,) and self.fixed_points() == self.degree - 2
-
-
-def _lcm(a: int, b: int) -> int:
-    import math
-
-    return a * b // math.gcd(a, b)
 
 
 class FiniteGroup:
@@ -138,8 +130,9 @@ class FiniteGroup:
         self.table.flags.writeable = False
         self.name = name
         self.inv = self._build_inverses()
+        self._orders = None
         if generators is None:
-            generators = _greedy_generators(self.table, self._orders_array())
+            generators = _greedy_generators(self.table, self.element_orders())
         self.generators = tuple(int(g) for g in generators)
         self.words = self._build_words()
         self._classes = None
@@ -155,21 +148,13 @@ class FiniteGroup:
 
     def _build_words(self):
         """Word in generators for every label, by BFS from the identity."""
-        words: list[Optional[tuple[int, ...]]] = [None] * self.order
-        words[0] = ()
-        queue = [0]
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
-            for g in self.generators:
-                y = int(self.table[x, g])
-                if words[y] is None:
-                    words[y] = words[x] + (g,)
-                    queue.append(y)
-        if any(w is None for w in words):
+        words = {0: ()}
+        for x, g, y, new in _bfs(self.table, self.generators):
+            if new:
+                words[y] = words[x] + (g,)
+        if len(words) != self.order:
             raise ValueError("declared generators do not generate the group")
-        return tuple(words)
+        return tuple(words[a] for a in range(self.order))
 
     # -- basic queries -------------------------------------------------
 
@@ -201,25 +186,16 @@ class FiniteGroup:
             k += 1
         return k
 
-    def _orders_array(self) -> np.ndarray:
-        if not hasattr(self, "_orders"):
-            table = self.table
-            orders = np.empty(len(table), dtype=np.int32)
-            for a in range(len(table)):
-                k, x = 1, a
-                while x != 0:
-                    x = int(table[x, a])
-                    k += 1
-                orders[a] = k
+    def element_orders(self) -> np.ndarray:
+        if self._orders is None:
+            orders = np.array([self.order_of(a) for a in range(self.order)],
+                              dtype=np.int32)
             orders.flags.writeable = False
             self._orders = orders
         return self._orders
 
-    def element_orders(self) -> np.ndarray:
-        return self._orders_array()
-
     def order_census(self) -> dict[int, int]:
-        vals, counts = np.unique(self._orders_array(), return_counts=True)
+        vals, counts = np.unique(self.element_orders(), return_counts=True)
         return {int(v): int(c) for v, c in zip(vals, counts)}
 
     def is_abelian(self) -> bool:
@@ -249,18 +225,7 @@ class FiniteGroup:
 
     def subgroup_closure(self, seeds) -> tuple[int, ...]:
         seeds = sorted({int(s) for s in seeds})
-        members = {0}
-        queue = [0]
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
-            for s in seeds:
-                y = int(self.table[x, s])
-                if y not in members:
-                    members.add(y)
-                    queue.append(y)
-        return tuple(sorted(members))
+        return tuple(sorted({0}.union(y for _, _, y, _ in _bfs(self.table, seeds))))
 
     def is_subgroup(self, labels) -> bool:
         S = np.asarray(sorted({int(x) for x in labels}), dtype=np.int32)
@@ -269,7 +234,6 @@ class FiniteGroup:
         return bool(np.isin(self.table[np.ix_(S, S)], S).all())
 
     def derived_subgroup(self) -> tuple[int, ...]:
-        n = self.order
         ia = self.inv
         left = self.table[np.ix_(ia, ia)]  # a^-1 b^-1
         right = self.table  # a b
@@ -290,14 +254,8 @@ class FiniteGroup:
 
     def quotient_by(self, normal_labels, name: str = ""):
         """Return (Q, coset_index) for a normal subgroup given by labels."""
-        N = np.asarray(sorted({int(x) for x in normal_labels}), dtype=np.int32)
-        if not self.is_subgroup(N):
-            raise ValueError("not a subgroup")
-        n = self.order
-        coset_min = self.table[np.ix_(N, np.arange(n))].min(axis=0)
-        reps = np.unique(coset_min)
-        rep_pos = {int(r): i for i, r in enumerate(reps)}
-        qidx = np.vectorize(rep_pos.__getitem__, otypes=[np.int32])(coset_min)
+        cosets = CosetSystem.build(self, normal_labels)
+        reps, qidx = cosets.reps, cosets.coset_of
         qtable = qidx[self.table[np.ix_(reps, reps)]]
         # well-definedness (fails iff the subgroup is not normal)
         full = qtable[qidx[:, None], qidx[None, :]]
@@ -305,8 +263,7 @@ class FiniteGroup:
             raise ValueError("subgroup is not normal")
         gens = [int(qidx[g]) for g in self.generators if qidx[g] != 0]
         gens = list(dict.fromkeys(gens)) or None
-        Q = FiniteGroup([int(r) for r in reps], qtable, generators=gens, name=name)
-        qidx.flags.writeable = False
+        Q = FiniteGroup(list(reps), qtable, generators=gens, name=name)
         return Q, qidx
 
     def dump(self) -> str:
@@ -334,21 +291,26 @@ def _greedy_generators(table: np.ndarray, orders: np.ndarray) -> tuple[int, ...]
         if a in closure:
             continue
         gens.append(a)
-        members = {0}
-        queue = [0]
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
-            for s in gens:
-                y = int(table[x, s])
-                if y not in members:
-                    members.add(y)
-                    queue.append(y)
-        closure = members
+        closure = {0}.union(y for _, _, y, _ in _bfs(table, gens))
         if len(closure) == n:
             break
     return tuple(gens)
+
+
+def _bfs(table: np.ndarray, gens: Sequence[int]):
+    """Walk the labels reachable from the identity by right multiplication
+    by ``gens``, in breadth-first discovery order.  Yields every edge as
+    ``(x, g, x*g, new)``; ``new`` is true where x*g is first reached."""
+    seen = {0}
+    queue = [0]
+    for x in queue:  # grows while it is walked
+        for g in gens:
+            y = int(table[x, g])
+            new = y not in seen
+            if new:
+                seen.add(y)
+                queue.append(y)
+            yield x, g, y, new
 
 
 def close_generators(generators: Sequence, mul: Optional[Callable] = None,
@@ -369,10 +331,7 @@ def close_generators(generators: Sequence, mul: Optional[Callable] = None,
             index[g] = len(elems)
             elems.append(g)
     gens = list(elems)
-    head = 0
-    while head < len(elems):
-        x = elems[head]
-        head += 1
+    for x in elems:  # grows while it is walked
         for g in gens:
             y = mul(x, g)
             if y not in index:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import InternalCheckFailed
 from .cocycles import Cocycle2, central_extension, pin_cocycle_sn
-from .groups import (AbelianQuotient, CosetSystem, FiniteGroup, Permutation,
+from .groups import (CosetSystem, FiniteGroup, Permutation, _bfs,
                      abelianization, coset_factorization, symmetric_group)
 
 TOL_ENTRY = 1e-8
@@ -36,7 +36,7 @@ ISO_GROUP_CAP = 240
 RepMatrix = np.ndarray
 
 
-class ClosureFailure(RuntimeError):
+class ClosureFailure(InternalCheckFailed):
     """A candidate matrix/quaternion set failed to close under products."""
 
 
@@ -48,7 +48,7 @@ class PreconditionViolated(RuntimeError):
     """The projective image is cyclic or dihedral, outside the criterion."""
 
 
-class NonIntegral(RuntimeError):
+class NonIntegral(InternalCheckFailed):
     """A character inner product failed to round to an integer."""
 
 
@@ -250,21 +250,14 @@ def _class_size_by_label(G: FiniteGroup) -> np.ndarray:
 def _extend_partial(G1, G2, gens, imgs):
     """Grow <gens> by right multiplication, carrying the candidate map;
     None on a single-valuedness collision."""
+    image_of = dict(zip(gens, imgs))
     phi = {0: 0}
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        for g, h in zip(gens, imgs):
-            y = int(G1.table[x, g])
-            img = int(G2.table[phi[x], h])
-            if y in phi:
-                if phi[y] != img:
-                    return None
-            else:
-                phi[y] = img
-                queue.append(y)
+    for x, g, y, new in _bfs(G1.table, gens):
+        img = int(G2.table[phi[x], image_of[g]])
+        if new:
+            phi[y] = img
+        elif phi[y] != img:
+            return None
     return phi
 
 

@@ -12,6 +12,7 @@ from quintrank.groups import CapExceeded
 from quintrank.numtheory import LeadingCoeffVanishes, NotSquarefree
 from quintrank.numtheory import IntPolynomial
 from quintrank.rankgrowth import IncompleteData, NotAdmissible
+from quintrank.reps import ClosureFailure, NonIntegral
 
 FLAGSHIP_POLY = "1,0,0,0,-1,-1"
 CURVE37 = "37a 37 37^1"
@@ -171,6 +172,8 @@ def test_false_merge_exits_one(capsys, monkeypatch):
     (TooLarge("stub"), 3),
     (CapExceeded("stub"), 3),
     (ValueError("stub"), 3),
+    (ClosureFailure("stub"), 1),
+    (NonIntegral("stub"), 1),
 ])
 def test_failure_exit_codes(error, code, capsys, monkeypatch):
     def fail(args):

@@ -329,20 +329,6 @@ def test_cache_roundtrip(tmp_path):
     assert g.certificate == f.certificate
     assert g.fingerprint == f.fingerprint
     assert fresh.get((1, 0, 0, 0, 0, -2)) is None
-    assert fresh.get_by_fingerprint(f.fingerprint).disc == f.disc
-
-
-def test_cache_builds_fingerprint_index_on_first_lookup(tmp_path):
-    store = tmp_path / "cache.jsonl"
-    f, g, h = (field_of(*desc) for desc in STREAM_SAMPLES[:3])
-    FieldCache(store).put(f)
-    cache = FieldCache(store)
-    assert cache._by_fp is None
-    cache.put(g)
-    assert cache.get_by_fingerprint(g.fingerprint).coeffs == g.coeffs
-    assert cache.get_by_fingerprint(f.fingerprint).coeffs == f.coeffs
-    cache.put(h)                       # after the index exists
-    assert cache.get_by_fingerprint(h.fingerprint).coeffs == h.coeffs
 
 
 def test_cache_detects_corruption(tmp_path):

@@ -5,6 +5,7 @@ frozen numbers computed by the independent oracles in this file (plain
 dict/set closures and permutation-object arithmetic, no table reuse).
 """
 
+import hashlib
 import random
 
 import numpy as np
@@ -25,6 +26,7 @@ from quintrank.groups import (
     symmetric_group,
     transfer,
 )
+from quintrank.reps import hurwitz_unit_group, icosian_group, omega5_data
 
 
 def brute_closure(gens):
@@ -140,9 +142,40 @@ def test_conjugacy_classes_s5_match_cycle_types():
         assert len(types) == 1  # class = cycle type in S_n
 
 
-def test_dump_roundtrip():
-    G = symmetric_group(3)
+def _v4_labels():
+    S4 = symmetric_group(4)
+    return [l for l in range(24)
+            if S4.elems[l].cycle_type() in ((2, 2), (1, 1, 1, 1))]
+
+
+# Groups built without declared generators get greedy ones, and every
+# group's words come from breadth-first discovery order; the digests of
+# dump() freeze both, so a change of either order shows here.
+@pytest.mark.parametrize("build, gens, digest", [
+    pytest.param(lambda: symmetric_group(3), (1, 2),
+                 "675e40651babd6477764566bd3374f922d59c926b01f4b7094347e5dd997fd6c",
+                 id="S3"),
+    pytest.param(lambda: icosian_group()[0], (33, 35),
+                 "ca97dd90bd431566d0c1e84dd4b058de2193eac19529785572b700f14a90f117",
+                 id="icosian"),
+    pytest.param(lambda: hurwitz_unit_group()[0], (8, 9),
+                 "ab61fc57c7278811aa81e2225f39108d731690c1ff2cf849671fc949ffb26975",
+                 id="hurwitz"),
+    pytest.param(lambda: omega5_data().subgroup_group, (1, 6),
+                 "c0b0d1662924d145aad3ef153f4ecfa9fe6e44dc90f98aad1b21d82f3d91470c",
+                 id="2A5"),
+    pytest.param(lambda: symmetric_group(4).subgroup(_v4_labels())[0], (1, 2),
+                 "169b188cda0d966d993be09098ba8e46369ae1fca9818d622f9ba66c615da697",
+                 id="V4"),
+    pytest.param(lambda: symmetric_group(4).quotient_by(_v4_labels())[0], (1, 2),
+                 "9dfd916f473a1eb89eb0bcf7ff90d3146358d33494a454db8127edf343447024",
+                 id="S4_over_V4"),
+])
+def test_dump_roundtrip(build, gens, digest):
+    G = build()
+    assert G.generators == gens
     text = G.dump()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
     lines = text.strip().split("\n")
     assert lines[0] == "0: e"
     words, rows = lines[: G.order], lines[G.order:]
@@ -163,7 +196,7 @@ def test_dump_roundtrip():
 
 def test_subgroup_closure_and_subgroup():
     S4 = symmetric_group(4)
-    v4 = [l for l in range(24) if S4.elems[l].cycle_type() in ((2, 2), (1, 1, 1, 1))]
+    v4 = _v4_labels()
     assert len(v4) == 4
     assert S4.is_subgroup(v4)
     H, incl = S4.subgroup(v4)
@@ -175,7 +208,7 @@ def test_subgroup_closure_and_subgroup():
 
 def test_quotient_s4_by_v4_is_s3():
     S4 = symmetric_group(4)
-    v4 = [l for l in range(24) if S4.elems[l].cycle_type() in ((2, 2), (1, 1, 1, 1))]
+    v4 = _v4_labels()
     Q, qidx = S4.quotient_by(v4)
     assert Q.order == 6 and not Q.is_abelian()
     # projection is a homomorphism
@@ -368,3 +401,10 @@ def test_from_table_rejects_bad_identity():
     t = np.array([[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         FiniteGroup([0, 1], t)
+
+
+def test_declared_generators_must_generate():
+    table = cyclic_group(4).table
+    FiniteGroup(list(range(4)), table, generators=[3])
+    with pytest.raises(ValueError, match="do not generate"):
+        FiniteGroup(list(range(4)), table, generators=[2])

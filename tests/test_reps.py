@@ -117,6 +117,13 @@ def test_find_isomorphism_same_census_different_groups():
     assert find_isomorphism(m16, c8xc2) is None
 
 
+def test_extend_partial_carries_homomorphisms_and_rejects_collisions():
+    C4, C2, C3 = cyclic_group(4), cyclic_group(2), cyclic_group(3)
+    assert reps._extend_partial(C4, C2, [1], [1]) == {0: 0, 1: 1, 2: 0, 3: 1}
+    # 1 -> 1 in C3 breaks 1^4 = 1: the edge 3 * 1 = 0 lands on 1, not 0
+    assert reps._extend_partial(C4, C3, [1], [1]) is None
+
+
 def test_find_isomorphism_cap():
     big = direct_product(symmetric_group(5), cyclic_group(3))
     with pytest.raises(ValueError):
