@@ -28,6 +28,10 @@ from .groups import FiniteGroup, Permutation, symmetric_group
 H2_GROUP_CAP = 30
 H1_GROUP_CAP = 240
 
+# Entry budget for every n^3-sized temporary: checks over triples and
+# products of lift tables run in slices of at most this many entries.
+_CHUNK_ENTRIES = 1 << 18
+
 
 class TooLarge(RuntimeError):
     """Group is past the cap for a full cohomology computation."""
@@ -108,27 +112,35 @@ class Cocycle2:
         return Cocycle2(group, module, (w - shift[:, None]) % module.order)
 
 
+def _row_chunks(n: int, per_row: int) -> list[tuple[int, int]]:
+    """[lo, hi) slices of range(n), each holding at most _CHUNK_ENTRIES
+    entries of a per_row-wide temporary (but one row at least)."""
+    step = max(1, _CHUNK_ENTRIES // max(1, per_row))
+    return [(lo, min(n, lo + step)) for lo in range(0, n, step)]
+
+
+def _defect_labels(c: Cocycle2) -> list[int]:
+    """Labels g at which the cocycle identity fails for some (h, k)."""
+    t, w, s = c.group.table, c.values, c.module.signs
+    bad = []
+    for lo, hi in _row_chunks(len(t), len(t) ** 2):
+        g = np.arange(lo, hi)
+        # int8 is wide enough: each of the four terms lies in [-3, 3]
+        defect = (s[g][:, None, None] * w - w[t[g]] + w[g][:, t]
+                  - w[g][:, :, None]) % c.module.order
+        bad += (lo + np.flatnonzero(defect.any(axis=(1, 2)))).tolist()
+    return bad
+
+
 def verify_cocycle(c: Cocycle2) -> bool:
     """Exhaustively check the twisted cocycle identity over all |G|^3 triples:
 
         a_g w(h,k) - w(gh,k) + w(g,hk) - w(g,h) = 0  (mod 2^r)
+
+    in slices of consecutive g holding at most _CHUNK_ENTRIES (2^18)
+    triples; S5 takes 7 slices with int8 temporaries near 256 KB each.
     """
-    t = c.group.table
-    w = c.values.astype(np.int64)
-    signs = c.module.signs.astype(np.int64)
-    mod = c.module.order
-    n = c.group.order
-    chunk = max(1, (1 << 22) // max(1, n * n))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        g = np.arange(lo, hi)
-        term1 = signs[g][:, None, None] * w[None, :, :]
-        term2 = w[t[g]]                    # w[gh, k]
-        term3 = w[g][:, t]                 # w[g, hk]
-        term4 = w[g][:, :, None]
-        if ((term1 - term2 + term3 - term4) % mod).any():
-            return False
-    return True
+    return not _defect_labels(c)
 
 
 def coboundary(module: CoefficientModule, c) -> np.ndarray:
@@ -263,10 +275,8 @@ def pin_cocycle_sn(n: int) -> Cocycle2:
     t = G.table
     order = G.order
     w = np.zeros((order, order), dtype=np.int8)
-    chunk = max(1, (1 << 24) // (order * L.shape[1] ** 2))
     B2 = s2[None, :, :] * L[:, idx]
-    for lo in range(0, order, chunk):
-        hi = min(order, lo + chunk)
+    for lo, hi in _row_chunks(order, order * L.shape[1]):
         prod = np.einsum("ai,bik->abk", L[lo:hi], B2)
         c = t[lo:hi]
         target = L[c]
@@ -494,30 +504,43 @@ def _delta1_matrix(G: FiniteGroup, module: CoefficientModule) -> np.ndarray:
 
 
 def _pack_rows_gf2(A: np.ndarray) -> set[int]:
-    out = set()
-    for row in A % 2:
-        mask = 0
-        for j in np.nonzero(row)[0]:
-            mask |= 1 << int(j)
-        if mask:
-            out.add(mask)
-    return out
+    """The nonzero rows of A mod 2 as ints, column j at bit j."""
+    packed = np.packbits(np.asarray(A) % 2, axis=1, bitorder="little")
+    width, raw = packed.shape[1], packed.tobytes()
+    return {int.from_bytes(raw[i:i + width], "little")
+            for i in range(0, len(raw), width)} - {0}
+
+
+def _delta2_rows_gf2(G: FiniteGroup) -> set[int]:
+    """Nonzero rows of delta2 mod 2, read off the table: row (g,h,k) has
+    bits (h,k), (gh,k), (g,hk) and (g,h), column (x,y) at bit x*n + y.
+    The sign action vanishes mod 2, so this serves every r = 1 module."""
+    n, t = G.order, G.table.astype(np.int64)
+    g, h, k = np.indices((n, n, n)).reshape(3, -1)
+    cols = (h * n + k, t[g, h] * n + k, g * n + t[h, k], g * n + h)
+    return {(1 << a) ^ (1 << b) ^ (1 << c) ^ (1 << d)
+            for a, b, c, d in zip(*(col.tolist() for col in cols))} - {0}
+
+
+def _delta1_rows_gf2(G: FiniteGroup) -> set[int]:
+    """Nonzero rows of delta1 mod 2, column x at bit x."""
+    return {_delta1_row_bits(G.table, g, h) >> 1
+            for g in range(G.order) for h in range(G.order)} - {0}
 
 
 def h2_dimension(G: FiniteGroup, module: CoefficientModule) -> int:
     """log2 of |H^2(G, M)| = |ker delta2| / |im delta1|; for r = 1 this is
-    the GF(2) dimension.  Capped at |G| <= 30."""
+    the GF(2) dimension, from sparse coboundary rows (over GF(2) the rank
+    of delta1 equals that of its transpose).  Capped at |G| <= 30."""
     if G.order > H2_GROUP_CAP:
         raise TooLarge(f"h2_dimension is capped at |G| <= {H2_GROUP_CAP}")
     n = G.order
-    d2 = _delta2_matrix(G, module)
-    d1 = _delta1_matrix(G, module)
     if module.r == 1:
-        rank2 = _gf2_rank_of_rows(_pack_rows_gf2(d2))
-        rank1 = _gf2_rank_of_rows(_pack_rows_gf2(d1.T))
+        rank2 = _gf2_rank_of_rows(_delta2_rows_gf2(G))
+        rank1 = _gf2_rank_of_rows(_delta1_rows_gf2(G))
         return (n * n - rank2) - rank1
-    r1a, r2a = _mod4_image_profile(d2)
-    r1b, r2b = _mod4_image_profile(d1.T)
+    r1a, r2a = _mod4_image_profile(_delta2_matrix(G, module))
+    r1b, r2b = _mod4_image_profile(_delta1_matrix(G, module).T)
     log_ker = 2 * (n * n - r1a - r2a) + r2a
     log_im = 2 * r1b + r2b
     return log_ker - log_im
@@ -529,14 +552,11 @@ def h1_dimension(G: FiniteGroup, module: CoefficientModule) -> int:
     if G.order > H1_GROUP_CAP:
         raise TooLarge(f"h1_dimension is capped at |G| <= {H1_GROUP_CAP}")
     n = G.order
-    d1 = _delta1_matrix(G, module)
-    d0 = (module.signs.astype(np.int64) - 1).reshape(n, 1)
     if module.r == 1:
-        rank1 = _gf2_rank_of_rows(_pack_rows_gf2(d1))
-        log_ker = n - rank1
-        log_im = 0  # delta0 is even, hence zero mod 2
-        return log_ker - log_im
-    r1a, r2a = _mod4_image_profile(d1)
+        # delta0 is even, hence zero mod 2
+        return n - _gf2_rank_of_rows(_delta1_rows_gf2(G))
+    d0 = (module.signs.astype(np.int64) - 1).reshape(n, 1)
+    r1a, r2a = _mod4_image_profile(_delta1_matrix(G, module))
     r1b, r2b = _mod4_image_profile(d0 % 4)
     log_ker = 2 * (n - r1a - r2a) + r2a
     log_im = 2 * r1b + r2b

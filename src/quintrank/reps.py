@@ -21,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from . import InternalCheckFailed
-from .cocycles import Cocycle2, central_extension, pin_cocycle_sn
+from .cocycles import (Cocycle2, _row_chunks, central_extension,
+                       pin_cocycle_sn)
 from .groups import (CosetSystem, FiniteGroup, Permutation, _bfs,
                      abelianization, coset_factorization, symmetric_group)
 
@@ -74,9 +75,7 @@ class Representation:
     def is_homomorphism(self, tol: float = TOL_ENTRY) -> bool:
         n = self.group.order
         t = self.group.table
-        chunk = max(1, (1 << 22) // (n * self.dim * self.dim))
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
+        for lo, hi in _row_chunks(n, n * self.dim * self.dim):
             prod = np.matmul(self.images[lo:hi, None], self.images[None, :])
             if np.abs(prod - self.images[t[lo:hi]]).max() > tol:
                 return False
@@ -154,17 +153,48 @@ def linear_characters(G: FiniteGroup) -> list[Character]:
 # -- quaternion groups ------------------------------------------------------
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
+_SNAP_TOL = 1e-9
+_SNAP_B = 4
 
 
-def _hamilton(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    a1, b1, c1, d1 = (q1[..., i] for i in range(4))
-    a2, b2, c2, d2 = (q2[..., i] for i in range(4))
+def _snap_golden(quats: np.ndarray) -> np.ndarray:
+    """Integer pairs (a, b) with 2x = a + b*phi, shape (n, 4, 2), for the
+    float coordinates x; x snaps only when |2x - a - b*phi| < _SNAP_TOL
+    for some |b| <= _SNAP_B.  Distinct values a + b*phi in that range lie
+    more than 0.05 apart, so the pair is unique."""
+    two_x = 2.0 * np.asarray(quats, dtype=np.float64)
+    bs = np.arange(-_SNAP_B, _SNAP_B + 1)
+    rest = two_x[..., None] - bs * _GOLDEN
+    a = np.rint(rest)
+    hit = np.abs(rest - a) < _SNAP_TOL
+    hit &= (np.abs(two_x) <= 2.0 + _SNAP_TOL)[..., None]  # |x| <= 1
+    if not hit.any(axis=-1).all():
+        raise ClosureFailure("a coordinate does not lie in (1/2)Z[phi]")
+    j = hit.argmax(axis=-1)
+    a = np.take_along_axis(a, j[..., None], axis=-1)[..., 0]
+    return np.stack([a.astype(np.int64), bs[j]], axis=-1)
+
+
+def _golden_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(a1 + b1 phi)(a2 + b2 phi) with phi^2 = phi + 1, on (..., 2) pairs."""
+    bb = x[..., 1] * y[..., 1]
+    return np.stack([x[..., 0] * y[..., 0] + bb,
+                     x[..., 0] * y[..., 1] + x[..., 1] * y[..., 0] + bb],
+                    axis=-1)
+
+
+def _golden_hamilton(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """Exact Hamilton product of (..., 4, 2) golden-pair quaternions; the
+    denominators multiply."""
+    a1, b1, c1, d1 = (q1[..., i, :] for i in range(4))
+    a2, b2, c2, d2 = (q2[..., i, :] for i in range(4))
+    m = _golden_mul
     return np.stack([
-        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-    ], axis=-1)
+        m(a1, a2) - m(b1, b2) - m(c1, c2) - m(d1, d2),
+        m(a1, b2) + m(b1, a2) + m(c1, d2) - m(d1, c2),
+        m(a1, c2) - m(b1, d2) + m(c1, a2) + m(d1, b2),
+        m(a1, d2) + m(b1, c2) - m(c1, b2) + m(d1, a2),
+    ], axis=-2)
 
 
 def _tautological_matrix(q) -> np.ndarray:
@@ -176,27 +206,33 @@ def _tautological_matrix(q) -> np.ndarray:
 def _quaternion_group(quats: np.ndarray, name: str
                       ) -> tuple[FiniteGroup, Representation]:
     """Close a finite set of unit quaternions into a FiniteGroup with its
-    tautological 2-dimensional representation.  Products are matched to
-    members by nearest neighbor, which is sound because the pairwise
-    separation is checked first."""
-    n = len(quats)
-    diffs = np.linalg.norm(quats[:, None] - quats[None, :], axis=-1)
-    np.fill_diagonal(diffs, np.inf)
-    sep = diffs.min()
-    if sep <= 1e-3:
-        raise ClosureFailure(f"separation {sep} too small for rounding")
-    ident = int(np.argmin(np.linalg.norm(quats - np.array([1.0, 0, 0, 0]),
-                                         axis=-1)))
-    order = [ident] + [i for i in range(n) if i != ident]
-    quats = quats[order]
-    prods = _hamilton(quats[:, None], quats[None, :])
-    dist = np.linalg.norm(prods[:, :, None] - quats[None, None, :], axis=-1)
-    table = dist.argmin(axis=-1).astype(np.int32)
-    miss = dist.min(axis=-1).max()
-    if miss > 1e-6:
-        raise ClosureFailure(f"product misses the set by {miss}")
-    elems = [tuple(q) for q in quats]
-    G = FiniteGroup(elems, table, name=name)
+    tautological 2-dimensional representation.
+
+    Each coordinate is snapped to an exact pair (a + b*phi)/2 in
+    (1/2)Z[phi], where icosian and Hurwitz coordinates lie, and each
+    snapped quaternion must have norm exactly 1.  The table comes from
+    exact Hamilton products (denominator 4) looked up among the members,
+    so ClosureFailure means a coordinate does not snap, two members
+    coincide, or a product is not in the set.  The floats stay the
+    element values, with the identity moved to label 0."""
+    exact = _snap_golden(quats)
+    if not (_golden_mul(exact, exact).sum(axis=1) == (4, 0)).all():
+        raise ClosureFailure("a member is not an exact unit quaternion")
+    keys = [tuple(k) for k in (2 * exact).reshape(-1, 8).tolist()]
+    ident = (4, 0, 0, 0, 0, 0, 0, 0)
+    if len(set(keys)) != len(keys) or ident not in keys:
+        raise ClosureFailure("members repeat or miss the identity")
+    i0 = keys.index(ident)
+    order = [i0] + [i for i in range(len(keys)) if i != i0]
+    label = {keys[i]: lab for lab, i in enumerate(order)}
+    exact = exact[order]
+    prods = _golden_hamilton(exact[:, None], exact[None, :])
+    flat = [label.get(tuple(k)) for k in prods.reshape(-1, 8).tolist()]
+    if None in flat:
+        raise ClosureFailure("a product is not in the set")
+    table = np.array(flat, dtype=np.int32).reshape(len(order), len(order))
+    quats = np.asarray(quats)[order]
+    G = FiniteGroup([tuple(q) for q in quats], table, name=name)
     images = np.stack([_tautological_matrix(q) for q in quats])
     return G, Representation(G, images, 2)
 
@@ -219,11 +255,9 @@ def hurwitz_unit_group() -> tuple[FiniteGroup, Representation]:
     return _quaternion_group(_hurwitz_quaternions(), "hurwitz")
 
 
-@lru_cache(maxsize=None)
-def icosian_group() -> tuple[FiniteGroup, Representation]:
-    """The 120 unit icosians: Hurwitz units plus the 96 quaternions with
-    components {0, +-1/2, +-phi/2, +-1/(2 phi)} in even coordinate
-    permutations; the binary icosahedral group."""
+def _icosian_quaternions() -> np.ndarray:
+    """Hurwitz units plus the 96 quaternions with components
+    {0, +-1/2, +-phi/2, +-1/(2 phi)} in even coordinate permutations."""
     base = (0.0, 0.5, _GOLDEN / 2.0, 0.5 / _GOLDEN)
     even_perms = [p.images for p in symmetric_group(4).elems if p.is_even()]
     extra = []
@@ -234,8 +268,13 @@ def icosian_group() -> tuple[FiniteGroup, Representation]:
                 v = base[k]
                 q[perm[k]] = v if k == 0 else signs[k - 1] * v
             extra.append(q)
-    quats = np.concatenate([_hurwitz_quaternions(), np.array(extra)])
-    return _quaternion_group(quats, "icosian")
+    return np.concatenate([_hurwitz_quaternions(), np.array(extra)])
+
+
+@lru_cache(maxsize=None)
+def icosian_group() -> tuple[FiniteGroup, Representation]:
+    """The 120 unit icosians: the binary icosahedral group."""
+    return _quaternion_group(_icosian_quaternions(), "icosian")
 
 
 # -- isomorphism search ------------------------------------------------------

@@ -4,13 +4,17 @@ Each routine here recomputes a quantity by a different algorithm than
 the package uses: Legendre symbols by squaring residues, resultants by
 Sylvester matrices with Bareiss elimination, real root counts by
 Descartes bisection over exact rationals, mod-p factor patterns by
-exhaustive trial division, and squarefree kernels by trial division by
-every odd number up to the trial bound.
+exhaustive trial division, squarefree kernels by trial division by
+every odd number up to the trial bound, quaternion group tables by
+float nearest-neighbour matching, and cocycle defects one group element
+at a time.
 """
 
 import math
 from fractions import Fraction
 from math import comb
+
+import numpy as np
 
 from quintrank.numtheory import (
     DEFAULT_TRIAL_BOUND,
@@ -241,3 +245,46 @@ def squarefree_kernel_by_trial_division(
         # prime and not a square forces two distinct primes
         return SquarefreeResult(sign * kernel * m, True)
     return SquarefreeResult(sign * kernel * m, False)
+
+
+def _float_hamilton(q1, q2):
+    a1, b1, c1, d1 = (q1[..., i] for i in range(4))
+    a2, b2, c2, d2 = (q2[..., i] for i in range(4))
+    return np.stack([
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    ], axis=-1)
+
+
+def quaternion_table_by_nearest_neighbour(quats):
+    """(order, table) for a finite set of float unit quaternions: the
+    identity is moved to the front, and each float Hamilton product is
+    matched to its nearest member.  Sound when the members are more than
+    1e-3 apart and every product lands within 1e-6 of one."""
+    quats = np.asarray(quats, dtype=np.float64)
+    n = len(quats)
+    diffs = np.linalg.norm(quats[:, None] - quats[None, :], axis=-1)
+    np.fill_diagonal(diffs, np.inf)
+    assert diffs.min() > 1e-3
+    ident = int(np.argmin(np.linalg.norm(quats - [1.0, 0, 0, 0], axis=-1)))
+    order = [ident] + [i for i in range(n) if i != ident]
+    quats = quats[order]
+    prods = _float_hamilton(quats[:, None], quats[None, :])
+    dist = np.linalg.norm(prods[:, :, None] - quats[None, None, :], axis=-1)
+    assert dist.min(axis=-1).max() < 1e-6
+    return order, dist.argmin(axis=-1)
+
+
+def cocycle_defect_labels(values, table, signs, mod):
+    """Labels g at which a_g w(h,k) - w(gh,k) + w(g,hk) - w(g,h) is
+    nonzero mod `mod` for some (h, k), one g at a time."""
+    w = np.asarray(values, dtype=np.int64)
+    t = np.asarray(table)
+    bad = []
+    for g in range(len(t)):
+        d = signs[g] * w - w[t[g]] + w[g][t] - w[g][:, None]
+        if (d % mod).any():
+            bad.append(g)
+    return bad

@@ -7,10 +7,13 @@ arithmetic used by the implementation.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import cocycle_defect_labels
+from quintrank import InternalCheckFailed
 from quintrank.groups import (FiniteGroup, Permutation, abelianization,
                               alternating_group, cyclic_group,
                               direct_product, symmetric_group)
@@ -147,6 +150,81 @@ def test_verify_rejects_single_flipped_entry():
     vals = c.values.copy()
     vals[3, 5] ^= 1
     assert not verify_cocycle(Cocycle2(c.group, c.module, vals))
+
+
+def test_row_chunks_tile_the_labels():
+    for n, per_row in [(120, 120 * 120), (120, 120 * 32), (7, 1),
+                       (1, 1 << 30)]:
+        chunks = cz._row_chunks(n, per_row)
+        assert chunks[0][0] == 0 and chunks[-1][1] == n
+        assert all(hi == lo for (_, hi), (lo, _) in zip(chunks, chunks[1:]))
+        assert all((hi - lo) * per_row <= cz._CHUNK_ENTRIES or hi - lo == 1
+                   for lo, hi in chunks)
+
+
+@pytest.mark.parametrize("where", ["second_chunk", "last_chunk"])
+def test_verify_rejects_flips_at_chunk_edges(where):
+    c = pin_cocycle_sn(5)
+    chunks = cz._row_chunks(120, 120 * 120)
+    assert len(chunks) > 2
+    g = chunks[1][0] if where == "second_chunk" else 119
+    vals = c.values.copy()
+    vals[g, 7] ^= 1
+    bad = Cocycle2(c.group, c.module, vals)
+    assert not verify_cocycle(bad)
+    # a flip shows at every g but the identity; a slice skipped or
+    # checked twice by the chunk loop would change this list
+    want = cocycle_defect_labels(vals, c.group.table, c.module.signs, 2)
+    assert want == list(range(1, 120))
+    assert cz._defect_labels(bad) == want
+
+
+def test_pin5_table_does_not_depend_on_the_chunk_size(monkeypatch):
+    # 7-row slices end inside the default ones, so a row dropped or
+    # written twice at a slice edge changes the table
+    want = pin_cocycle_sn(5).values
+    monkeypatch.setattr(cz, "_CHUNK_ENTRIES", 7 * 120 * 32)
+    assert len(cz._row_chunks(120, 120 * 32)) == 18
+    assert (cz.pin_cocycle_sn.__wrapped__(5).values == want).all()
+
+
+def test_pin5_sign_check_rejects_a_wrong_last_lift(monkeypatch):
+    last = symmetric_group(5).elems[119]
+    bivector = CliffordElement.make(5, {0b11: 1}, 0)
+    real = cz.pin_lift
+    monkeypatch.setattr(cz, "pin_lift", lambda p: real(p) * bivector
+                        if p == last else real(p))
+    with pytest.raises(InternalCheckFailed, match="up to sign"):
+        cz.pin_cocycle_sn.__wrapped__(5)
+
+
+def _traced_peak_mb(fn) -> float:
+    """Peak traced allocation of fn() in MB; numpy reports its buffers
+    to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+# The dense versions of these (a full n^3 check chunk, a dense delta2
+# matrix) peaked at 66 MB and 17 MB.
+PEAK_BOUND_MB = 12
+
+
+def test_pin5_build_and_verify_stay_in_bounded_memory():
+    peak = _traced_peak_mb(
+        lambda: verify_cocycle(cz.pin_cocycle_sn.__wrapped__(5)))
+    assert peak < PEAK_BOUND_MB
+
+
+def test_h2_s4_stays_in_bounded_memory():
+    S4 = symmetric_group(4)
+    peak = _traced_peak_mb(
+        lambda: h2_dimension(S4, CoefficientModule.trivial(S4, 1)))
+    assert peak < PEAK_BOUND_MB
 
 
 def test_zero_cochain_is_a_cocycle():
@@ -312,6 +390,38 @@ def test_h1_values():
     assert h1_dimension(A4, CoefficientModule.trivial(A4, 1)) == 0
     assert h1_dimension(C2, CoefficientModule.trivial(C2, 1)) == 1
     assert h1_dimension(C2, CoefficientModule.sign_twisted(C2, 2, [1, -1])) == 1
+
+
+@pytest.mark.parametrize("build", [lambda: symmetric_group(3),
+                                   lambda: alternating_group(4),
+                                   lambda: symmetric_group(4)],
+                         ids=["S3", "A4", "S4"])
+def test_sparse_coboundary_rows_match_dense_matrices(build):
+    G = build()
+    for mod in (CoefficientModule.trivial(G, 1),
+                CoefficientModule.sign_twisted(G, 1, [1 if p.is_even() else -1
+                                                      for p in G.elems])):
+        assert cz._delta2_rows_gf2(G) == cz._pack_rows_gf2(
+            cz._delta2_matrix(G, mod))
+        assert cz._delta1_rows_gf2(G) == cz._pack_rows_gf2(
+            cz._delta1_matrix(G, mod))
+
+
+def test_h1_sparse_rows_match_dense_rank():
+    for G in (symmetric_group(5), alternating_group(5)):
+        dense = cz._pack_rows_gf2(
+            cz._delta1_matrix(G, CoefficientModule.trivial(G, 1)))
+        assert (h1_dimension(G, CoefficientModule.trivial(G, 1))
+                == G.order - cz._gf2_rank_of_rows(dense))
+
+
+def test_pack_rows_gf2_matches_bit_loop():
+    rng = np.random.default_rng(5)
+    A = rng.integers(0, 4, size=(200, 77)).astype(np.int8)
+    A[:3] = 2  # even rows pack to zero and are dropped
+    want = {sum(1 << j for j in np.nonzero(row % 2)[0].tolist())
+            for row in A} - {0}
+    assert cz._pack_rows_gf2(A) == want
 
 
 def test_h2_cap_raises():

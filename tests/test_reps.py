@@ -6,6 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import quaternion_table_by_nearest_neighbour
+from test_cocycles import PEAK_BOUND_MB, _traced_peak_mb
 from quintrank.groups import (CosetSystem, Permutation, abelianization,
                               close_generators, coset_factorization,
                               cyclic_group, direct_product, symmetric_group,
@@ -78,6 +80,32 @@ def test_closure_failure_on_tiny_separation():
     near_dup = quats[3:4] + 1e-5
     with pytest.raises(ClosureFailure):
         _quaternion_group(np.concatenate([quats, near_dup]), "broken")
+
+
+@pytest.mark.parametrize("quats", [reps._hurwitz_quaternions,
+                                   reps._icosian_quaternions],
+                         ids=["hurwitz", "icosian"])
+def test_exact_table_matches_nearest_neighbour_oracle(quats):
+    floats = quats()
+    G, _ = reps._quaternion_group(floats, "x")
+    order, table = quaternion_table_by_nearest_neighbour(floats)
+    assert (G.table == table).all()
+    assert list(G.elems) == [tuple(q) for q in floats[order]]
+
+
+def test_closure_failure_on_repeat_and_non_unit():
+    quats = reps._hurwitz_quaternions()
+    with pytest.raises(ClosureFailure, match="repeat"):
+        reps._quaternion_group(np.concatenate([quats, quats[3:4]]), "broken")
+    half = np.array([[0.5, 0.5, 0.0, 0.0]])  # snaps, but has norm 1/2
+    with pytest.raises(ClosureFailure, match="unit"):
+        reps._quaternion_group(np.concatenate([quats, half]), "broken")
+
+
+def test_icosian_table_stays_in_bounded_memory():
+    floats = reps._icosian_quaternions()
+    peak = _traced_peak_mb(lambda: reps._quaternion_group(floats, "x"))
+    assert peak < PEAK_BOUND_MB
 
 
 # -- isomorphism search ------------------------------------------------------
