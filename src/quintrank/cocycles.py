@@ -11,6 +11,11 @@ which transpositions lift to involutions.
 
 Everything is exact: blade coefficients are integers and the 2^(-1/2)
 scale is tracked as a separate half-integer exponent.
+
+Cohomology dimensions and coboundary witnesses work on sparse mod-2
+coboundary rows (Python-int bit rows read off the group table); for
+Z/4 the rows are lifted along a mod-2 kernel basis, so no dense
+coboundary matrix is ever built.
 """
 
 from __future__ import annotations
@@ -119,15 +124,23 @@ def _row_chunks(n: int, per_row: int) -> list[tuple[int, int]]:
     return [(lo, min(n, lo + step)) for lo in range(0, n, step)]
 
 
+def _coboundary2(module: CoefficientModule, w: np.ndarray, lo: int,
+                 hi: int) -> np.ndarray:
+    """delta w (g,h,k) = a_g w(h,k) - w(gh,k) + w(g,hk) - w(g,h) mod 2^r
+    for lo <= g < hi, as a (hi - lo) x n x n array.  An int8 w is wide
+    enough: each of the four terms lies in [-3, 3]."""
+    t, s = module.group.table, module.signs
+    g = np.arange(lo, hi)
+    return (s[g][:, None, None] * w - w[t[g]] + w[g][:, t]
+            - w[g][:, :, None]) % module.order
+
+
 def _defect_labels(c: Cocycle2) -> list[int]:
     """Labels g at which the cocycle identity fails for some (h, k)."""
-    t, w, s = c.group.table, c.values, c.module.signs
+    n = c.group.order
     bad = []
-    for lo, hi in _row_chunks(len(t), len(t) ** 2):
-        g = np.arange(lo, hi)
-        # int8 is wide enough: each of the four terms lies in [-3, 3]
-        defect = (s[g][:, None, None] * w - w[t[g]] + w[g][:, t]
-                  - w[g][:, :, None]) % c.module.order
+    for lo, hi in _row_chunks(n, n * n):
+        defect = _coboundary2(c.module, c.values, lo, hi)
         bad += (lo + np.flatnonzero(defect.any(axis=(1, 2)))).tolist()
     return bad
 
@@ -373,66 +386,76 @@ def _bits_to_array(mask: int, nvars: int) -> np.ndarray:
     return np.array([(mask >> j) & 1 for j in range(nvars)], dtype=np.int64)
 
 
-def _delta1_row_bits(t: np.ndarray, g: int, h: int) -> int:
-    # mod-2 coefficients of a_g c(h) - c(gh) + c(g)
-    row = 0
-    for v in (h, int(t[g, h]), g):
-        row ^= 1 << (v + 1)
-    return row
+def _delta1_rows_gf2(G: FiniteGroup) -> list[int]:
+    """Rows of delta1 mod 2 in (g, h) order: row (g,h) has bits h, gh and
+    g, column x at bit x.  The sign action vanishes mod 2."""
+    return [(1 << h) ^ (1 << gh) ^ (1 << g)
+            for g, row in enumerate(G.table.tolist())
+            for h, gh in enumerate(row)]
+
+
+def _delta2_rows_gf2(G: FiniteGroup) -> list[int]:
+    """Rows of delta2 mod 2 in (g, h, k) order, read off the table: row
+    (g,h,k) has bits (h,k), (gh,k), (g,hk) and (g,h), column (x,y) at
+    bit x*n + y.  The sign action vanishes mod 2."""
+    n, t = G.order, G.table.astype(np.int64)
+    g, h, k = np.indices((n, n, n)).reshape(3, -1)
+    cols = (h * n + k, t[g, h] * n + k, g * n + t[h, k], g * n + h)
+    return [(1 << a) ^ (1 << b) ^ (1 << c) ^ (1 << d)
+            for a, b, c, d in zip(*(col.tolist() for col in cols))]
+
+
+def _lift_rows(rows: list[int], width: int, apply,
+               kernel: list[int]) -> list[int]:
+    """Append to each mod-2 row of a Z/4 operator A (columns below bit
+    width) bit j of (A k_j) / 2, for the mod-2 kernel basis k_j; apply(x)
+    is A x mod 4, flattened in row order."""
+    lifts = [0] * len(rows)
+    for j, k in enumerate(kernel):
+        image = apply(_bits_to_array(k, width))
+        if (image % 2).any():
+            raise InternalCheckFailed("kernel lift produced odd entries")
+        for i in np.flatnonzero(image // 2 % 2).tolist():
+            lifts[i] |= 1 << j
+    return [row | lift << width for row, lift in zip(rows, lifts)]
 
 
 def coboundary_witness(c: Cocycle2) -> Optional[np.ndarray]:
     """A 1-cochain with delta(witness) == c.values, or None when the class
     of the cocycle is nonzero.  Solved over GF(2); for r = 2 the mod-2
     solution space is lifted with a second GF(2) stage."""
-    G, mod = c.group, c.module.order
-    n = G.order
-    t = G.table
-    w = c.values.astype(np.int64)
+    n = c.group.order
+    w = c.values.astype(np.int64).ravel()
+    rows = _delta1_rows_gf2(c.group)
     solver = Gf2Solver(n)
-    rows = set()
-    for g in range(n):
-        for h in range(n):
-            rows.add(_delta1_row_bits(t, g, h) | int(w[g, h] & 1))
-    for row in rows:
+    for row in {row << 1 | int(v & 1) for row, v in zip(rows, w)}:
         solver.add(row)
     base = solver.solve()
     if base is None:
         return None
     c0 = _bits_to_array(base, n)
     if c.module.r == 1:
-        return _checked_witness(c, (c0 % 2).astype(np.int8))
+        return _checked_witness(c, c0.astype(np.int8))
     # r = 2: parametrize all mod-2 solutions as c0 + sum k_i B_i, write the
-    # candidate as that plus 2*c1, and solve for (k, c1) over GF(2).
-    kbasis = [_bits_to_array(b, n) for b in solver.kernel_basis()]
-    R0 = (w - coboundary(c.module, c0)) % 4
-    D = [coboundary(c.module, b) % 4 for b in kbasis]
-    if (R0 % 2).any() or any((d % 2).any() for d in D):
+    # candidate as that plus 2*c1, and solve for (c1, k) over GF(2), with
+    # c1 in the first n variables and the k's after them.
+    residual = (w - coboundary(c.module, c0).ravel()) % 4
+    if (residual % 2).any():
         raise InternalCheckFailed("mod-2 stage left an odd residual")
-    R0h = (R0 // 2) % 2
-    Dh = [(d // 2) % 2 for d in D]
-    K = len(kbasis)
-    solver2 = Gf2Solver(K + n)
-    rows2 = set()
-    for g in range(n):
-        for h in range(n):
-            row = _delta1_row_bits(t, g, h) << K  # c1 variables after the k's
-            for i in range(K):
-                if Dh[i][g, h]:
-                    row ^= 1 << (i + 1)
-            rows2.add(row | int(R0h[g, h]))
-    for row in rows2:
+    kernel = solver.kernel_basis()
+    lifted = _lift_rows(rows, n, lambda x: coboundary(c.module, x).ravel(),
+                        kernel)
+    solver2 = Gf2Solver(n + len(kernel))
+    for row in {row << 1 | int(v // 2) for row, v in zip(lifted, residual)}:
         solver2.add(row)
     sol = solver2.solve()
     if sol is None:
         return None
-    kvec = _bits_to_array(sol, K)
-    c1 = _bits_to_array(sol >> K, n)
-    witness = c0.copy()
-    for i in range(K):
-        if kvec[i]:
-            witness += kbasis[i]
-    return _checked_witness(c, ((witness + 2 * c1) % 4).astype(np.int8))
+    witness = c0 + 2 * _bits_to_array(sol, n)
+    for i, k in enumerate(kernel):
+        if (sol >> (n + i)) & 1:
+            witness += _bits_to_array(k, n)
+    return _checked_witness(c, (witness % 4).astype(np.int8))
 
 
 def _checked_witness(c: Cocycle2, witness: np.ndarray) -> np.ndarray:
@@ -452,115 +475,57 @@ def _gf2_rank_of_rows(rows) -> int:
     return solver.rank
 
 
-def _mod4_image_profile(A: np.ndarray) -> tuple[int, int]:
-    """(rho1, rho2): counts of elementary divisors 1 and 2 of a Z/4 matrix,
-    so |im| = 4^rho1 * 2^rho2 and |ker| = 4^(ncols-rho1-rho2) * 2^rho2."""
-    A = np.unique(A % 4, axis=0)
-    ncols = A.shape[1]
-    solver = Gf2Solver(ncols)
-    for row in _pack_rows_gf2(A):
+def _image_log2(module: CoefficientModule, rows: list[int], width: int,
+                apply) -> int:
+    """log2 |im A| for a Z/2^r operator A given by its mod-2 rows (column
+    j at bit j) and apply(x) = A x mod 2^r in the same row order.  Over
+    Z/4, |im A| = 4^rho1 * 2^rho2 with rho1, rho2 the counts of
+    elementary divisors 1 and 2: rho1 is the rank of the rows and
+    rho1 + rho2 that of the rows lifted along a mod-2 kernel basis (the
+    lift is only defined mod 2, hence mod the image of the rows)."""
+    solver = Gf2Solver(width)
+    for row in set(rows):
         solver.add(row << 1)
-    rho1 = solver.rank
-    kb = solver.kernel_basis()
-    if not kb:
-        return rho1, 0
-    X = np.stack([_bits_to_array(b, ncols) for b in kb], axis=1)
-    C = (A.astype(np.int64) @ X) % 4
-    if (C % 2).any():
-        raise InternalCheckFailed("kernel lift produced odd entries")
-    # A kernel lift is only defined mod 2, so C's columns are contaminated
-    # by im(A mod 2); count the 2-divisors in the quotient by that image.
-    combined = np.concatenate([A % 2, (C // 2) % 2], axis=1)
-    return rho1, _gf2_rank_of_rows(_pack_rows_gf2(combined)) - rho1
+    if module.r == 1:
+        return solver.rank
+    lifted = _lift_rows(rows, width, apply, solver.kernel_basis())
+    return solver.rank + _gf2_rank_of_rows(set(lifted))
 
 
-def _delta2_matrix(G: FiniteGroup, module: CoefficientModule) -> np.ndarray:
-    """Matrix of the 2-coboundary operator, one row per (g,h,k) triple."""
-    n = G.order
-    t = G.table
-    signs = module.signs.astype(np.int64)
-    A = np.zeros((n * n * n, n * n), dtype=np.int8)
-    g, h, k = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
-    g, h, k = g.ravel(), h.ravel(), k.ravel()
-    rows = np.arange(n * n * n)
-    np.add.at(A, (rows, h * n + k), signs[g].astype(np.int8))
-    np.add.at(A, (rows, t[g, h] * n + k), -1)
-    np.add.at(A, (rows, g * n + t[h, k]), 1)
-    np.add.at(A, (rows, g * n + h), -1)
-    return A % 4 if module.r == 2 else A % 2
-
-
-def _delta1_matrix(G: FiniteGroup, module: CoefficientModule) -> np.ndarray:
-    n = G.order
-    t = G.table
-    A = np.zeros((n * n, n), dtype=np.int8)
-    g, h = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    g, h = g.ravel(), h.ravel()
-    rows = np.arange(n * n)
-    np.add.at(A, (rows, h), module.signs[g].astype(np.int8))
-    np.add.at(A, (rows, t[g, h]), -1)
-    np.add.at(A, (rows, g), 1)
-    return A % 4 if module.r == 2 else A % 2
-
-
-def _pack_rows_gf2(A: np.ndarray) -> set[int]:
-    """The nonzero rows of A mod 2 as ints, column j at bit j."""
-    packed = np.packbits(np.asarray(A) % 2, axis=1, bitorder="little")
-    width, raw = packed.shape[1], packed.tobytes()
-    return {int.from_bytes(raw[i:i + width], "little")
-            for i in range(0, len(raw), width)} - {0}
-
-
-def _delta2_rows_gf2(G: FiniteGroup) -> set[int]:
-    """Nonzero rows of delta2 mod 2, read off the table: row (g,h,k) has
-    bits (h,k), (gh,k), (g,hk) and (g,h), column (x,y) at bit x*n + y.
-    The sign action vanishes mod 2, so this serves every r = 1 module."""
-    n, t = G.order, G.table.astype(np.int64)
-    g, h, k = np.indices((n, n, n)).reshape(3, -1)
-    cols = (h * n + k, t[g, h] * n + k, g * n + t[h, k], g * n + h)
-    return {(1 << a) ^ (1 << b) ^ (1 << c) ^ (1 << d)
-            for a, b, c, d in zip(*(col.tolist() for col in cols))} - {0}
-
-
-def _delta1_rows_gf2(G: FiniteGroup) -> set[int]:
-    """Nonzero rows of delta1 mod 2, column x at bit x."""
-    return {_delta1_row_bits(G.table, g, h) >> 1
-            for g in range(G.order) for h in range(G.order)} - {0}
+def _delta1_image_log2(G: FiniteGroup, module: CoefficientModule) -> int:
+    if module.group is not G and not np.array_equal(module.group.table,
+                                                    G.table):
+        raise ValueError("module is not over the given group")
+    return _image_log2(module, _delta1_rows_gf2(G), G.order,
+                       lambda x: coboundary(module, x).ravel())
 
 
 def h2_dimension(G: FiniteGroup, module: CoefficientModule) -> int:
-    """log2 of |H^2(G, M)| = |ker delta2| / |im delta1|; for r = 1 this is
-    the GF(2) dimension, from sparse coboundary rows (over GF(2) the rank
-    of delta1 equals that of its transpose).  Capped at |G| <= 30."""
+    """log2 of |H^2(G, M)| = |ker delta2| / |im delta1|, that is
+    r n^2 - log2 |im delta2| - log2 |im delta1|.  Both images are sized
+    from sparse mod-2 coboundary rows read off the table, lifted to Z/4
+    when r = 2; no dense operator matrix is built.  Capped at |G| <= 30."""
     if G.order > H2_GROUP_CAP:
         raise TooLarge(f"h2_dimension is capped at |G| <= {H2_GROUP_CAP}")
     n = G.order
-    if module.r == 1:
-        rank2 = _gf2_rank_of_rows(_delta2_rows_gf2(G))
-        rank1 = _gf2_rank_of_rows(_delta1_rows_gf2(G))
-        return (n * n - rank2) - rank1
-    r1a, r2a = _mod4_image_profile(_delta2_matrix(G, module))
-    r1b, r2b = _mod4_image_profile(_delta1_matrix(G, module).T)
-    log_ker = 2 * (n * n - r1a - r2a) + r2a
-    log_im = 2 * r1b + r2b
-    return log_ker - log_im
+    log_im1 = _delta1_image_log2(G, module)
+    # n^3 <= 27000 triples under the cap, so delta2 is applied in one go
+    log_im2 = _image_log2(
+        module, _delta2_rows_gf2(G), n * n,
+        lambda x: _coboundary2(module, x.reshape(n, n).astype(np.int8),
+                               0, n).ravel())
+    return module.r * n * n - log_im2 - log_im1
 
 
 def h1_dimension(G: FiniteGroup, module: CoefficientModule) -> int:
-    """log2 of |H^1(G, M)| = |ker delta1| / |im delta0|.  Capped at
-    |G| <= 240."""
+    """log2 of |H^1(G, M)| = |ker delta1| / |im delta0|, that is
+    r n - log2 |im delta1| - log2 |im delta0|.  delta0 m = (a_g m - m)_g
+    takes values in {0, -2}, so its image has two elements when r = 2 and
+    the action is not trivial, and one otherwise.  Capped at |G| <= 240."""
     if G.order > H1_GROUP_CAP:
         raise TooLarge(f"h1_dimension is capped at |G| <= {H1_GROUP_CAP}")
-    n = G.order
-    if module.r == 1:
-        # delta0 is even, hence zero mod 2
-        return n - _gf2_rank_of_rows(_delta1_rows_gf2(G))
-    d0 = (module.signs.astype(np.int64) - 1).reshape(n, 1)
-    r1a, r2a = _mod4_image_profile(_delta1_matrix(G, module))
-    r1b, r2b = _mod4_image_profile(d0 % 4)
-    log_ker = 2 * (n - r1a - r2a) + r2a
-    log_im = 2 * r1b + r2b
-    return log_ker - log_im
+    log_im0 = int(module.r == 2 and not module.is_trivial_action)
+    return module.r * G.order - _delta1_image_log2(G, module) - log_im0
 
 
 # -- central extensions ----------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import compress, dropwhile, islice
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import InternalCheckFailed
 
@@ -180,14 +180,20 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+def _odd_primes(limit: int) -> Iterator[int]:
+    """The odd primes up to limit, in order, from an odd-only sieve."""
+    half = (limit + 1) // 2                # flags[i] stands for 2i + 1
+    flags = bytearray([0]) + bytearray([1]) * (half - 1)  # 1 is not prime
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            flags[p * p // 2::p] = bytes(len(range(p * p // 2, half, p)))
+    return compress(range(1, limit + 1, 2), flags)
+
+
 @lru_cache(maxsize=None)
 def _sieve(limit: int) -> tuple[int, ...]:
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p::p] = bytes(len(flags[p * p::p]))
-    return tuple(i for i in range(limit + 1) if flags[i])
+    return (2,) * (limit >= 2) + tuple(_odd_primes(limit))
 
 
 def first_primes(count: int) -> tuple[int, ...]:
@@ -276,15 +282,7 @@ def _prime_products(trial_bound: int) -> tuple[tuple[int, int], ...]:
     """(smallest prime, product) of each run of _CHUNK consecutive
     primes from _TRIAL_BELOW to trial_bound.  The odd-only sieve is
     streamed, so the primes themselves are never all held at once."""
-    half = (trial_bound + 1) // 2          # flags[i] stands for 2i + 1
-    flags = bytearray([1]) * half
-    flags[0] = 0
-    for i in range(1, (math.isqrt(trial_bound) + 1) // 2):
-        if flags[i]:
-            p = 2 * i + 1
-            flags[p * p // 2::p] = bytes(len(range(p * p // 2, half, p)))
-    primes = dropwhile(lambda p: p < _TRIAL_BELOW,
-                       compress(range(1, trial_bound + 1, 2), flags))
+    primes = dropwhile(lambda p: p < _TRIAL_BELOW, _odd_primes(trial_bound))
     out = []
     while run := list(islice(primes, _CHUNK)):
         out.append((run[0], math.prod(run)))

@@ -173,6 +173,11 @@ def parity(curve: CurveData, field) -> ParityCertificate:
     adm = admissible(curve, field)
     if not adm.ok:
         raise NotAdmissible(adm.reasons)
+    return _admissible_certificate(curve, field)
+
+
+def _admissible_certificate(curve: CurveData, field) -> ParityCertificate:
+    """The parity certificate of a pair already found admissible."""
     fund = field.resolvent.fundamental_disc
     chi = 1
     for p, e in curve.factorization:
@@ -200,7 +205,7 @@ def certify_pair(curve: CurveData, field) -> ParityCertificate:
     if not adm.ok:
         return ParityCertificate(curve.label, field.label, False,
                                  adm.reasons, None, None, "Unknown")
-    return parity(curve, field)
+    return _admissible_certificate(curve, field)
 
 
 def batch_certify(curve: CurveData, fields: Iterable

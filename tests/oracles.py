@@ -6,8 +6,9 @@ Sylvester matrices with Bareiss elimination, real root counts by
 Descartes bisection over exact rationals, mod-p factor patterns by
 exhaustive trial division, squarefree kernels by trial division by
 every odd number up to the trial bound, quaternion group tables by
-float nearest-neighbour matching, and cocycle defects one group element
-at a time.
+float nearest-neighbour matching, cocycle defects one group element
+at a time, and cohomology dimensions from the dense coboundary
+matrices (one row per triple or pair, reduced mod 2^r).
 """
 
 import math
@@ -16,6 +17,7 @@ from math import comb
 
 import numpy as np
 
+from quintrank.cocycles import Gf2Solver, _gf2_rank_of_rows
 from quintrank.numtheory import (
     DEFAULT_TRIAL_BOUND,
     SquarefreeResult,
@@ -288,3 +290,83 @@ def cocycle_defect_labels(values, table, signs, mod):
         if (d % mod).any():
             bad.append(g)
     return bad
+
+
+def delta2_matrix(G, module):
+    """Dense matrix of the 2-coboundary operator mod 2^r, one row per
+    (g,h,k) triple and one column per (x,y) pair."""
+    n = G.order
+    t = G.table
+    signs = module.signs.astype(np.int64)
+    A = np.zeros((n * n * n, n * n), dtype=np.int8)
+    g, h, k = np.meshgrid(np.arange(n), np.arange(n), np.arange(n),
+                          indexing="ij")
+    g, h, k = g.ravel(), h.ravel(), k.ravel()
+    rows = np.arange(n * n * n)
+    np.add.at(A, (rows, h * n + k), signs[g].astype(np.int8))
+    np.add.at(A, (rows, t[g, h] * n + k), -1)
+    np.add.at(A, (rows, g * n + t[h, k]), 1)
+    np.add.at(A, (rows, g * n + h), -1)
+    return A % module.order
+
+
+def delta1_matrix(G, module):
+    """Dense matrix of the 1-coboundary operator mod 2^r, one row per
+    (g,h) pair."""
+    n = G.order
+    t = G.table
+    A = np.zeros((n * n, n), dtype=np.int8)
+    g, h = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    g, h = g.ravel(), h.ravel()
+    rows = np.arange(n * n)
+    np.add.at(A, (rows, h), module.signs[g].astype(np.int8))
+    np.add.at(A, (rows, t[g, h]), -1)
+    np.add.at(A, (rows, g), 1)
+    return A % module.order
+
+
+def pack_rows_gf2(A):
+    """The nonzero rows of A mod 2 as ints, column j at bit j."""
+    packed = np.packbits(np.asarray(A) % 2, axis=1, bitorder="little")
+    width, raw = packed.shape[1], packed.tobytes()
+    return {int.from_bytes(raw[i:i + width], "little")
+            for i in range(0, len(raw), width)} - {0}
+
+
+def mod4_image_profile(A):
+    """(rho1, rho2): counts of elementary divisors 1 and 2 of a Z/4 matrix,
+    so |im| = 4^rho1 * 2^rho2 and |ker| = 4^(ncols-rho1-rho2) * 2^rho2."""
+    A = np.unique(A % 4, axis=0)
+    ncols = A.shape[1]
+    solver = Gf2Solver(ncols)
+    for row in pack_rows_gf2(A):
+        solver.add(row << 1)
+    rho1 = solver.rank
+    kb = solver.kernel_basis()
+    if not kb:
+        return rho1, 0
+    X = np.array([[(b >> j) & 1 for b in kb] for j in range(ncols)],
+                 dtype=np.int64)
+    C = (A.astype(np.int64) @ X) % 4
+    assert not (C % 2).any()
+    # A kernel lift is only defined mod 2, so C's columns are contaminated
+    # by im(A mod 2); count the 2-divisors in the quotient by that image.
+    combined = np.concatenate([A % 2, (C // 2) % 2], axis=1)
+    return rho1, _gf2_rank_of_rows(pack_rows_gf2(combined)) - rho1
+
+
+def dense_h2_dimension_z4(G, module):
+    """log2 |H^2(G, Z/4)| from the dense delta2 and delta1 matrices."""
+    n = G.order
+    r1a, r2a = mod4_image_profile(delta2_matrix(G, module))
+    r1b, r2b = mod4_image_profile(delta1_matrix(G, module).T)
+    return 2 * (n * n - r1a - r2a) + r2a - (2 * r1b + r2b)
+
+
+def dense_h1_dimension_z4(G, module):
+    """log2 |H^1(G, Z/4)| from the dense delta1 and delta0 matrices."""
+    n = G.order
+    d0 = (module.signs.astype(np.int64) - 1).reshape(n, 1)
+    r1a, r2a = mod4_image_profile(delta1_matrix(G, module))
+    r1b, r2b = mod4_image_profile(d0 % 4)
+    return 2 * (n - r1a - r2a) + r2a - (2 * r1b + r2b)

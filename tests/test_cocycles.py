@@ -12,7 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import cocycle_defect_labels
+from oracles import (cocycle_defect_labels, delta1_matrix, delta2_matrix,
+                     dense_h1_dimension_z4, dense_h2_dimension_z4,
+                     pack_rows_gf2)
 from quintrank import InternalCheckFailed
 from quintrank.groups import (FiniteGroup, Permutation, abelianization,
                               alternating_group, cyclic_group,
@@ -210,7 +212,7 @@ def _traced_peak_mb(fn) -> float:
 
 
 # The dense versions of these (a full n^3 check chunk, a dense delta2
-# matrix) peaked at 66 MB and 17 MB.
+# matrix mod 2 and mod 4) peaked at 66 MB, 17 MB and 138 MB.
 PEAK_BOUND_MB = 12
 
 
@@ -224,6 +226,13 @@ def test_h2_s4_stays_in_bounded_memory():
     S4 = symmetric_group(4)
     peak = _traced_peak_mb(
         lambda: h2_dimension(S4, CoefficientModule.trivial(S4, 1)))
+    assert peak < PEAK_BOUND_MB
+
+
+def test_h2_s4_z4_stays_in_bounded_memory():
+    S4 = symmetric_group(4)
+    peak = _traced_peak_mb(
+        lambda: h2_dimension(S4, CoefficientModule.trivial(S4, 2)))
     assert peak < PEAK_BOUND_MB
 
 
@@ -288,6 +297,45 @@ def test_pin5_splits_on_a_transposition_subgroup():
     w = coboundary_witness(csub)
     assert w is not None
     assert (coboundary(csub.module, w) == csub.values).all()
+
+
+def _parity(G):
+    return [1 if p.is_even() else -1 for p in G.elems]
+
+
+@pytest.mark.parametrize("build,twisted", [
+    (lambda: alternating_group(4), False),   # A4 has no sign character
+    (lambda: symmetric_group(4), False),
+    (lambda: symmetric_group(4), True),
+], ids=["A4", "S4", "S4-sign"])
+def test_z4_witness_round_trips(build, twisted):
+    G = build()
+    mod = CoefficientModule.sign_twisted(G, 2, _parity(G)) if twisted \
+        else CoefficientModule.trivial(G, 2)
+    rng = np.random.default_rng(G.order)
+    for _ in range(3):
+        c = rng.integers(0, 4, size=G.order)
+        c[0] = 0
+        coc = Cocycle2(G, mod, coboundary(mod, c))
+        w = coboundary_witness(coc)
+        assert w is not None
+        assert (coboundary(mod, w) == coc.values).all()
+
+
+@pytest.mark.parametrize("build", [lambda: cyclic_group(2),
+                                   lambda: symmetric_group(4)],
+                         ids=["C2", "S4"])
+def test_z4_witness_is_none_on_a_nonzero_class(build):
+    # w(g,h) = 2 when g and h are both odd, twisted by the sign: on C2 the
+    # one normalized value w(1,1) = 2 is not a coboundary (delta c vanishes
+    # at (1,1)); on S4 it restricts to that class on a transposition.
+    G = build()
+    signs = np.array([1, -1] if G.order == 2 else _parity(G))
+    odd = signs == -1
+    mod = CoefficientModule.sign_twisted(G, 2, signs)
+    c = Cocycle2(G, mod, 2 * (odd[:, None] & odd[None, :]))
+    assert verify_cocycle(c)
+    assert coboundary_witness(c) is None
 
 
 # -- GF(2) solver ----------------------------------------------------------
@@ -398,19 +446,19 @@ def test_h1_values():
                          ids=["S3", "A4", "S4"])
 def test_sparse_coboundary_rows_match_dense_matrices(build):
     G = build()
+    n = G.order
+    d2, d1 = cz._delta2_rows_gf2(G), cz._delta1_rows_gf2(G)
+    assert (len(d2), len(d1)) == (n ** 3, n ** 2)
     for mod in (CoefficientModule.trivial(G, 1),
-                CoefficientModule.sign_twisted(G, 1, [1 if p.is_even() else -1
-                                                      for p in G.elems])):
-        assert cz._delta2_rows_gf2(G) == cz._pack_rows_gf2(
-            cz._delta2_matrix(G, mod))
-        assert cz._delta1_rows_gf2(G) == cz._pack_rows_gf2(
-            cz._delta1_matrix(G, mod))
+                CoefficientModule.sign_twisted(G, 1, _parity(G))):
+        assert set(d2) - {0} == pack_rows_gf2(delta2_matrix(G, mod))
+        assert set(d1) - {0} == pack_rows_gf2(delta1_matrix(G, mod))
 
 
 def test_h1_sparse_rows_match_dense_rank():
     for G in (symmetric_group(5), alternating_group(5)):
-        dense = cz._pack_rows_gf2(
-            cz._delta1_matrix(G, CoefficientModule.trivial(G, 1)))
+        dense = pack_rows_gf2(
+            delta1_matrix(G, CoefficientModule.trivial(G, 1)))
         assert (h1_dimension(G, CoefficientModule.trivial(G, 1))
                 == G.order - cz._gf2_rank_of_rows(dense))
 
@@ -421,7 +469,60 @@ def test_pack_rows_gf2_matches_bit_loop():
     A[:3] = 2  # even rows pack to zero and are dropped
     want = {sum(1 << j for j in np.nonzero(row % 2)[0].tolist())
             for row in A} - {0}
-    assert cz._pack_rows_gf2(A) == want
+    assert pack_rows_gf2(A) == want
+
+
+def _label_parity(G):
+    # on C4 and on direct products with a C2 last factor (labels
+    # a * |G2| + b), the label's parity is a sign character
+    return [(-1) ** label for label in range(G.order)]
+
+
+_C2, _C4 = cyclic_group(2), cyclic_group(4)
+
+# A4 has no sign character (its abelianization is C3), so it is checked
+# with the trivial action only.
+Z4_BATTERY = {
+    "C4": (_C4, _label_parity),
+    "C2xC2": (direct_product(_C2, _C2), _label_parity),
+    "C4xC2": (direct_product(_C4, _C2), _label_parity),
+    "S3": (symmetric_group(3), _parity),
+    "A4": (alternating_group(4), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(Z4_BATTERY))
+def test_z4_dimensions_match_dense_oracle(name):
+    G, signs = Z4_BATTERY[name]
+    mods = [CoefficientModule.trivial(G, 2)]
+    if signs is not None:
+        mods.append(CoefficientModule.sign_twisted(G, 2, signs(G)))
+        assert not mods[-1].is_trivial_action
+    for mod in mods:
+        assert h2_dimension(G, mod) == dense_h2_dimension_z4(G, mod)
+        assert h1_dimension(G, mod) == dense_h1_dimension_z4(G, mod)
+
+
+def test_h2_s4_z4_values():
+    S4 = symmetric_group(4)
+    assert h2_dimension(S4, CoefficientModule.trivial(S4, 2)) == 2
+    assert h2_dimension(
+        S4, CoefficientModule.sign_twisted(S4, 2, _parity(S4))) == 2
+
+
+def test_z4_lift_rejects_an_odd_kernel_image():
+    with pytest.raises(InternalCheckFailed, match="odd entries"):
+        cz._lift_rows([0b1], 1, lambda x: x, [0b1])
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_dimensions_reject_a_module_over_another_group(r):
+    C4 = cyclic_group(4)
+    other = CoefficientModule.trivial(direct_product(cyclic_group(2),
+                                                     cyclic_group(2)), r)
+    for dim in (h1_dimension, h2_dimension):
+        with pytest.raises(ValueError, match="not over the given group"):
+            dim(C4, other)
 
 
 def test_h2_cap_raises():

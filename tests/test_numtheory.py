@@ -129,6 +129,13 @@ def test_probable_prime_against_sieve():
         assert is_probable_prime(n) == bool(flags[n])
 
 
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 1000])
+def test_sieve_matches_trial_division(limit):
+    want = tuple(n for n in range(2, limit + 1)
+                 if all(n % d for d in range(2, math.isqrt(n) + 1)))
+    assert numtheory._sieve.__wrapped__(limit) == want
+
+
 def test_probable_prime_large_and_carmichael():
     assert not is_probable_prime(561)
     assert not is_probable_prime(1105)

@@ -1,6 +1,7 @@
 import pytest
 
 from quintrank.fieldscan import QuinticField
+from quintrank import rankgrowth
 from quintrank.numtheory import IntPolynomial, kronecker_symbol
 from quintrank.rankgrowth import (
     CurveData,
@@ -153,6 +154,21 @@ def test_parity_requires_admissible():
     with pytest.raises(NotAdmissible) as ei:
         parity(CurveData.parse("14a 14 2^1 7^1"), FLAGSHIP)
     assert "EvenConductor" in ei.value.reasons
+
+
+def test_certify_pair_checks_admissibility_once(monkeypatch):
+    calls = []
+    real = rankgrowth.admissible
+
+    def counted(curve, field):
+        calls.append(field.label)
+        return real(curve, field)
+
+    monkeypatch.setattr(rankgrowth, "admissible", counted)
+    certs = list(batch_certify(CURVE37, [FLAGSHIP, SOLVABLE, THREE_REAL]))
+    assert [c.admissible for c in certs] == [True, False, False]
+    assert calls == [FLAGSHIP.label, SOLVABLE.label, THREE_REAL.label]
+    assert certs[0] == parity(CURVE37, FLAGSHIP)
 
 
 def test_empty_multiplicative_part_is_even_parity():
