@@ -21,6 +21,15 @@ polynomial.
 Enumeration iterates coefficient vectors in lexicographic order, which
 makes the kept representative of each fingerprint class the
 lexicographically smallest vector and the whole stream reproducible.
+It visits only the smallest vector of each orbit under the mirror
+f(x) -> -f(-x) and, for a unit constant term, the reciprocal
+f(x) -> +-x^5 f(1/x); the others always share their minimum's field and
+fingerprint, so dedup would drop them anyway.  For fixed (a4, ..., a1)
+the discriminant is a quartic in a0, so a row with more than five
+discriminants to find takes five exactly and the rest by forward
+differences.  A QuinticField is built only once its discriminant is
+within the bound.
+
 The cache is an append-only JSONL file with a SHA-256 checksum per
 record; corrupt lines are detected at load, reported, and simply
 recomputed.  A record is served only to a request with the prime
@@ -89,6 +98,12 @@ class Instrumentation:
 INSTRUMENTATION = Instrumentation()
 
 
+def _discriminant(poly: IntPolynomial) -> int:
+    """poly_discriminant, counted in INSTRUMENTATION."""
+    INSTRUMENTATION.disc_computations += 1
+    return poly_discriminant(poly)
+
+
 class QuinticField:
     """Monic separable integer quintic with lazily derived field data."""
 
@@ -101,14 +116,24 @@ class QuinticField:
                  trial_bound: int = DEFAULT_TRIAL_BOUND):
         if poly.degree != 5 or poly.lc != 1:
             raise ValueError("expected a monic quintic")
+        disc = _discriminant(poly)
+        if disc == 0:
+            raise NotSeparable(f"{poly} has a repeated root")
+        self._start(poly, label, prime_budget, trial_bound, disc)
+
+    @classmethod
+    def _of_disc(cls, poly: IntPolynomial, disc: int, prime_budget: int,
+                 trial_bound: int) -> "QuinticField":
+        """A field whose nonzero discriminant the caller has computed."""
+        self = object.__new__(cls)
+        self._start(poly, None, prime_budget, trial_bound, disc)
+        return self
+
+    def _start(self, poly, label, prime_budget, trial_bound, disc):
         self.poly = poly
         self.label = label if label is not None else str(poly)
         self.prime_budget = prime_budget
         self.trial_bound = trial_bound
-        INSTRUMENTATION.disc_computations += 1
-        disc = poly_discriminant(poly)
-        if disc == 0:
-            raise NotSeparable(f"{poly} has a repeated root")
         self._disc = disc
         self._signature = None
         self._resolvent = None
@@ -463,6 +488,63 @@ def _is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
+def _orbit_minimal(tail: tuple[int, ...]) -> bool:
+    """True when no image of t = (a4, a3, a2, a1, a0) is lexicographically
+    smaller.  The images are those under the mirror M, f(x) -> -f(-x),
+    and, when a0 = s = +-1, under the reciprocal R, f(x) -> s x^5 f(1/x),
+    and M R.  M and R commute and are involutions, so with t they make
+    up its whole orbit."""
+    a4, a3, a2, a1, a0 = tail
+    images = [(-a4, a3, -a2, a1, -a0)]
+    if a0 == 1 or a0 == -1:
+        r = (a0 * a1, a0 * a2, a0 * a3, a0 * a4, a0)
+        images += [r, (-r[0], r[1], -r[2], r[3], -r[4])]
+    return not any(u < tail for u in images)
+
+
+def _orbit_minimal_rows(h: int) -> Iterator[tuple[tuple, list[int]]]:
+    """The box |a_i| <= h row by row in lexicographic order: each head
+    (a4, a3, a2, a1) with the ascending a0 that make an orbit-minimal
+    tail.  A head with a4 > 0 has none, as M t starts with -a4 < a4."""
+    span = range(-h, h + 1)
+    for head in product(range(-h, 1), span, span, span):
+        a0s = [a0 for a0 in span if _orbit_minimal(head + (a0,))]
+        if a0s:
+            yield head, a0s
+
+
+def _disc_at(head: tuple[int, ...], a0: int) -> int:
+    return _discriminant(IntPolynomial.descending((1,) + head + (a0,)))
+
+
+def _discs_along_a0(head: tuple[int, ...], start: int, count: int
+                    ) -> list[int]:
+    """disc(x^5 + a4 x^4 + a3 x^3 + a2 x^2 + a1 x + a0) for a0 = start,
+    ..., start + count - 1.  For a fixed head it is an integer quartic
+    in a0, so five exact values fix its forward-difference table and
+    additions give the rest exactly."""
+    diffs = [_disc_at(head, start + i) for i in range(5)]
+    for k in range(1, 5):
+        for i in range(4, k - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    out = []
+    for _ in range(count):
+        out.append(diffs[0])
+        for k in range(4):
+            diffs[k] += diffs[k + 1]
+    return out
+
+
+def _row_discriminants(head: tuple[int, ...], a0s: list[int]) -> list[int]:
+    """Discriminants at the ascending a0s of one row: exact when there
+    are at most five, else from five exact seeds by differences, so a
+    row never costs more poly_discriminant calls than it has entries."""
+    if len(a0s) <= 5:
+        return [_disc_at(head, a0) for a0 in a0s]
+    row = _discs_along_a0(head, a0s[0], a0s[-1] - a0s[0] + 1)
+    return [row[a0 - a0s[0]] for a0 in a0s]
+
+
 def enumerate_quintics(coeff_height: int, disc_bound: int,
                        prime_budget: int = DEFAULT_PRIME_BUDGET,
                        trial_bound: int = DEFAULT_TRIAL_BOUND,
@@ -471,36 +553,52 @@ def enumerate_quintics(coeff_height: int, disc_bound: int,
     """All certified S5 fields from monic quintics with |a_i| <=
     coeff_height and |disc| <= disc_bound, deduplicated by fingerprint.
     Lexicographic coefficient order makes the output deterministic and
-    the kept representatives lexicographically smallest."""
+    the kept representatives lexicographically smallest.
+
+    Only orbit-minimal vectors are visited (see _orbit_minimal).  The
+    mirror and the reciprocal keep the box, integer roots, disc, the
+    pattern at every prime not dividing disc, the fingerprint, the
+    certificate and the field.  So the orbit minimum comes first and
+    passes the same filters, and its fingerprint is in dedup's table
+    before any other member arrives.  Dedup drops every later member,
+    and its audit passes on one whenever it passed on the minimum, as
+    the two agree at every prime not dividing their common disc.  A
+    skipped vector is thus exactly one that dedup dropped.
+
+    The box is walked lazily, a row of a0 at a time (see
+    _row_discriminants), and a QuinticField is built only once its
+    discriminant passes the bound."""
     if not 0 <= coeff_height <= MAX_ENUM_HEIGHT:
         raise ValueError(f"coefficient height must be in [0, {MAX_ENUM_HEIGHT}]")
 
     def raw() -> Iterator[QuinticField]:
-        span = range(-coeff_height, coeff_height + 1)
-        for tail in product(span, repeat=5):
-            coeffs = (1,) + tail
-            if _has_integer_root(coeffs):
-                continue  # reducible, can never certify
-            if cache is not None:
-                hit = cache.get(coeffs, prime_budget, trial_bound)
+        for head, a0s in _orbit_minimal_rows(coeff_height):
+            row = []    # (coeffs, cache hit or None) for root-free entries
+            for a0 in a0s:
+                coeffs = (1,) + head + (a0,)
+                if _has_integer_root(coeffs):
+                    continue  # reducible, can never certify
+                row.append((coeffs, None if cache is None else
+                            cache.get(coeffs, prime_budget, trial_bound)))
+            discs = iter(_row_discriminants(
+                head, [coeffs[-1] for coeffs, hit in row if hit is None]))
+            for coeffs, hit in row:
                 if hit is not None:
                     if abs(hit.disc) <= disc_bound \
                             and hit.s5_status == "Certified":
                         yield hit
                     continue
-            try:
-                field = QuinticField(IntPolynomial.descending(coeffs),
-                                     prime_budget=prime_budget,
-                                     trial_bound=trial_bound)
-            except NotSeparable:
-                continue
-            if abs(field.disc) > disc_bound:
-                continue
-            if _is_square(field.disc) or field.s5_status != "Certified":
-                continue  # a square disc puts the group in A5
-            if cache is not None:
-                cache.put(field)
-            yield field
+                disc = next(discs)
+                # zero: a repeated root; a square disc puts the group in A5
+                if disc == 0 or abs(disc) > disc_bound or _is_square(disc):
+                    continue
+                field = QuinticField._of_disc(IntPolynomial.descending(coeffs),
+                                              disc, prime_budget, trial_bound)
+                if field.s5_status != "Certified":
+                    continue
+                if cache is not None:
+                    cache.put(field)
+                yield field
 
     yield from dedupe_stream(raw(), audit=audit)
 

@@ -7,19 +7,31 @@ Descartes bisection over exact rationals, mod-p factor patterns by
 exhaustive trial division, squarefree kernels by trial division by
 every odd number up to the trial bound, quaternion group tables by
 float nearest-neighbour matching, cocycle defects one group element
-at a time, and cohomology dimensions from the dense coboundary
-matrices (one row per triple or pair, reduced mod 2^r).
+at a time, cohomology dimensions from the dense coboundary
+matrices (one row per triple or pair, reduced mod 2^r), quintic
+enumeration by deriving every vector of the coefficient box, and
+mirror/reciprocal orbits by transforming the polynomial itself.
 """
 
 import math
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import numpy as np
 
 from quintrank.cocycles import Gf2Solver, _gf2_rank_of_rows
+from quintrank.fieldscan import (
+    NotSeparable,
+    QuinticField,
+    _has_integer_root,
+    _is_square,
+    dedupe_stream,
+)
 from quintrank.numtheory import (
+    DEFAULT_PRIME_BUDGET,
     DEFAULT_TRIAL_BOUND,
+    IntPolynomial,
     SquarefreeResult,
     is_probable_prime,
 )
@@ -370,3 +382,58 @@ def dense_h1_dimension_z4(G, module):
     r1a, r2a = mod4_image_profile(delta1_matrix(G, module))
     r1b, r2b = mod4_image_profile(d0 % 4)
     return 2 * (n - r1a - r2a) + r2a - (2 * r1b + r2b)
+
+
+def enumerate_full_box(coeff_height, disc_bound,
+                       prime_budget=DEFAULT_PRIME_BUDGET,
+                       trial_bound=DEFAULT_TRIAL_BOUND, cache=None):
+    """enumerate_quintics by the plain loop: every vector of the box, in
+    lexicographic order, gets a QuinticField (and so a discriminant),
+    and dedup drops the later members of each fingerprint class."""
+    def raw():
+        span = range(-coeff_height, coeff_height + 1)
+        for tail in product(span, repeat=5):
+            coeffs = (1,) + tail
+            if _has_integer_root(coeffs):
+                continue
+            if cache is not None:
+                hit = cache.get(coeffs, prime_budget, trial_bound)
+                if hit is not None:
+                    if abs(hit.disc) <= disc_bound \
+                            and hit.s5_status == "Certified":
+                        yield hit
+                    continue
+            try:
+                field = QuinticField(IntPolynomial.descending(coeffs),
+                                     prime_budget=prime_budget,
+                                     trial_bound=trial_bound)
+            except NotSeparable:
+                continue
+            if abs(field.disc) > disc_bound:
+                continue
+            if _is_square(field.disc) or field.s5_status != "Certified":
+                continue
+            if cache is not None:
+                cache.put(field)
+            yield field
+
+    return dedupe_stream(raw())
+
+
+def quintic_orbit(coeffs):
+    """The monic quintics (descending coefficients) reached from coeffs
+    by -f(-x) and, for a unit constant term, by x^5 f(1/x) / f(0)."""
+    def mirror(c):
+        asc = c[::-1]
+        return tuple(-a * (-1) ** k for k, a in enumerate(asc))[::-1]
+
+    def reciprocal(c):
+        return tuple(a // c[-1] for a in c[::-1])
+
+    orbit = {tuple(coeffs)}
+    while True:
+        grown = orbit | {mirror(c) for c in orbit} \
+            | {reciprocal(c) for c in orbit if c[-1] in (1, -1)}
+        if grown == orbit:
+            return orbit
+        orbit = grown

@@ -269,7 +269,10 @@ def test_criterion_09_height_six_scan():
                    and a.odd <= b.odd
                    for a, b in zip(buckets, buckets[1:]))
     growth_positive = all(b.odd > 0 for b in buckets if b.admissible >= 50)
-    ok = enough and balanced and monotone and growth_positive and elapsed < 600
+    exact = [(b.total, b.admissible, b.odd) for b in buckets] == [
+        (1410, 1028, 501), (5988, 4170, 2055), (12788, 8631, 4310)]
+    ok = (enough and balanced and monotone and growth_positive and exact
+          and elapsed < 600)
     stats = "; ".join(f"X={b.X}: {b.total}/{b.admissible}/{b.odd}"
                       for b in buckets)
     _report(9, ok, f"total/admissible/odd per bucket {stats}; proportions "

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -8,6 +10,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from oracles import enumerate_full_box, quintic_orbit
 
 import quintrank
 from quintrank import fieldscan
@@ -259,6 +262,132 @@ def test_false_merge_is_surfaced():
     # audit exists to prevent
     g._fingerprint = f.fingerprint
     assert list(dedupe_stream([f, g], audit=False)) == [f]
+
+
+# -- orbit walk and discriminant rows ---------------------------------------------
+
+
+def _field_data(fields):
+    return [(f.coeffs, f.disc, f.certificate, f.fingerprint) for f in fields]
+
+
+@pytest.mark.parametrize("height", [1, 2, 3])
+def test_enumeration_matches_full_box_oracle(tmp_path, height):
+    kw = dict(prime_budget=40)
+    want = _field_data(enumerate_full_box(height, 10 ** 6, **kw))
+    assert want
+    assert _field_data(enumerate_quintics(height, 10 ** 6, **kw)) == want
+    store = tmp_path / "cache.jsonl"
+    cold = enumerate_quintics(height, 10 ** 6, cache=FieldCache(store), **kw)
+    assert _field_data(cold) == want
+    warm = enumerate_quintics(height, 10 ** 6, cache=FieldCache(store), **kw)
+    assert _field_data(warm) == want
+
+
+def _orbit_walk(height):
+    return [head + (a0,) for head, a0s in fieldscan._orbit_minimal_rows(height)
+            for a0 in a0s]
+
+
+def test_orbit_walk_visits_one_member_per_orbit():
+    visited = _orbit_walk(2)
+    assert visited == sorted(set(visited))
+    seen = set(visited)
+    orbits = set()
+    for tail in product(range(-2, 3), repeat=5):
+        orbit = frozenset(c[1:] for c in quintic_orbit((1,) + tail))
+        assert len(orbit & seen) == 1, tail
+        orbits.add(orbit)
+    assert len(visited) == len(orbits) == 1275
+
+
+def test_skipped_vectors_are_their_orbit_minimum_field():
+    seen = set(_orbit_walk(2))
+    skipped = 0
+    for tail in product(range(-2, 3), repeat=5):
+        coeffs = (1,) + tail
+        if tail in seen or fieldscan._has_integer_root(coeffs):
+            continue
+        rep = min(quintic_orbit(coeffs))
+        assert rep[1:] in seen
+        disc = poly_discriminant(IntPolynomial.descending(coeffs))
+        assert disc == poly_discriminant(IntPolynomial.descending(rep))
+        if disc == 0:
+            continue
+        assert field_of(*coeffs).fingerprint == field_of(*rep).fingerprint
+        assert fieldscan._provably_same_field(rep, coeffs)
+        skipped += 1
+    # the full box derives 1962 root-free vectors, the walk 737
+    assert skipped == 1962 - 737
+
+
+def _exact_row(head, start, count):
+    return [poly_discriminant(IntPolynomial.descending((1,) + head + (a0,)))
+            for a0 in range(start, start + count)]
+
+
+def test_difference_rows_match_poly_discriminant():
+    for head in product(range(-3, 4), repeat=4):
+        assert fieldscan._discs_along_a0(head, -3, 7) \
+            == _exact_row(head, -3, 7)
+    rng = random.Random(20181)
+    for h in (10, 50):
+        for _ in range(40):
+            head = tuple(rng.randint(-h, h) for _ in range(4))
+            assert fieldscan._discs_along_a0(head, -h, 2 * h + 1) \
+                == _exact_row(head, -h, 2 * h + 1)
+    # (x - 1)^2 (x^3 + x + 1): a repeated root at a0 = 1 of its row
+    head = (-2, 2, -1, -1)
+    row = fieldscan._discs_along_a0(head, -10, 21)
+    assert row == _exact_row(head, -10, 21) and row[11] == 0
+
+
+def test_row_discriminants_are_exact_and_never_cost_more():
+    head = (-2, 2, -1, -1)
+    rows = ([1], [-3, 0, 2, 5, 6], [-3, -2, 0, 1, 4, 9], list(range(-7, 8)))
+    for a0s in rows:
+        INSTRUMENTATION.reset()
+        got = fieldscan._row_discriminants(head, a0s)
+        assert got == [poly_discriminant(
+            IntPolynomial.descending((1,) + head + (a0,))) for a0 in a0s]
+        assert INSTRUMENTATION.disc_computations == min(len(a0s), 5)
+
+
+def test_enumeration_counts_every_discriminant(monkeypatch):
+    calls = []
+    real = fieldscan.poly_discriminant
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+    monkeypatch.setattr(fieldscan, "poly_discriminant", counting)
+    # the count does not depend on the bound; a bound of 1 certifies nothing
+    for height, want in ((2, 737), (3, 4891)):
+        calls.clear()
+        INSTRUMENTATION.reset()
+        assert list(enumerate_quintics(height, 1)) == []
+        assert INSTRUMENTATION.disc_computations == len(calls) == want
+
+
+# sha256 of the JSON list of kept coefficient vectors of
+# enumerate_quintics(height, 10**6, prime_budget=40), as the full-box
+# enumeration produced them
+ENUMERATION_SHA256 = {
+    1: "3e0d51a60ac27db27d5ad3839357e0fb4bddaccd181c340fd834e80d504a3926",
+    2: "477377a2d83b9d833b95a3012519e446cd4710b338a036da5ccd075ee9a188e8",
+    3: "c14f88fbebeee3ede2c335010c3e390465d4c89a1ae2283171b52c5b83e5f7e5",
+}
+
+
+def test_enumeration_outputs_are_pinned():
+    for height, digest in ENUMERATION_SHA256.items():
+        kept = [list(f.coeffs)
+                for f in enumerate_quintics(height, 10 ** 6, prime_budget=40)]
+        assert hashlib.sha256(json.dumps(kept).encode()).hexdigest() == digest
+    report = scan(CURVE37, enumerate_quintics(2, 10 ** 6, prime_budget=40),
+                  [100_000, 400_000, 1_000_000])
+    assert [(b.total, b.admissible, b.odd) for b in report.buckets] == [
+        (364, 295, 145), (537, 430, 225), (569, 446, 233)]
 
 
 # -- ingestion ----------------------------------------------------------------------
