@@ -60,21 +60,22 @@ def _buckets_arg(text: str) -> list[int]:
     return edges
 
 
-def _positive_int(text: str) -> int:
+def _int_arg(text: str) -> int:
     try:
-        n = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    n = _int_arg(text)
     if n <= 0:
         raise argparse.ArgumentTypeError("expected a positive integer")
     return n
 
 
 def _height_arg(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    n = _int_arg(text)
     if not 0 <= n <= fieldscan.MAX_ENUM_HEIGHT:
         raise argparse.ArgumentTypeError(
             f"height must be between 0 and {fieldscan.MAX_ENUM_HEIGHT}")
@@ -362,6 +363,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit canonical JSON on stdout")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--prime-budget", type=_positive_int,
+                        default=numtheory.DEFAULT_PRIME_BUDGET, metavar="B",
+                        help="primes scanned by the Galois test")
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--poly", type=_poly_arg, required=True,
+                       metavar="a5,a4,a3,a2,a1,a0",
+                       help="monic quintic, descending coefficients")
+    field.add_argument("--label", default=None, help="name for the field")
 
     p = sub.add_parser("selftest", parents=[common],
                        help="run the built-in invariant battery")
@@ -375,32 +385,20 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="verify the tensor-induced standard representation")
     p.set_defaults(handler=_cmd_standard_rep)
 
-    p = sub.add_parser("analyze-field", parents=[common],
+    p = sub.add_parser("analyze-field", parents=[common, field, budget],
                        help="resolvent, signature and Galois data for a quintic")
-    p.add_argument("--poly", type=_poly_arg, required=True,
-                   metavar="a5,a4,a3,a2,a1,a0",
-                   help="monic quintic, descending coefficients")
-    p.add_argument("--label", default=None, help="name for the field")
-    p.add_argument("--prime-budget", type=_positive_int, default=200,
-                   metavar="B", help="primes scanned by the Galois test")
     p.set_defaults(handler=_cmd_analyze_field)
 
-    p = sub.add_parser("certify", parents=[common],
+    p = sub.add_parser("certify", parents=[common, field, budget],
                        help="parity certificates (JSON, one per line)")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--curve", metavar="SPEC",
                      help="curve spec: 'label N p1^e1 p2^e2 ...'")
     src.add_argument("--curve-file", metavar="PATH",
                      help="file of curve specs, or 'sample' for the bundled table")
-    p.add_argument("--poly", type=_poly_arg, required=True,
-                   metavar="a5,a4,a3,a2,a1,a0",
-                   help="monic quintic, descending coefficients")
-    p.add_argument("--label", default=None, help="name for the field")
-    p.add_argument("--prime-budget", type=_positive_int, default=200,
-                   metavar="B", help="primes scanned by the Galois test")
     p.set_defaults(handler=_cmd_certify)
 
-    p = sub.add_parser("scan", parents=[common],
+    p = sub.add_parser("scan", parents=[common, budget],
                        help="bucketed growth counts for one curve")
     p.add_argument("--curve", metavar="SPEC", required=True,
                    help="curve spec: 'label N p1^e1 p2^e2 ...'")
@@ -415,8 +413,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="field table format (default csv)")
     p.add_argument("--cache", metavar="PATH", default=None,
                    help="JSONL field cache to read and extend")
-    p.add_argument("--prime-budget", type=_positive_int, default=200,
-                   metavar="B", help="primes scanned by the Galois test")
     p.set_defaults(handler=_cmd_scan)
 
     return parser

@@ -390,8 +390,15 @@ def ingest_fields(path, fmt: str = "csv",
                     coeffs = [int(x) for x in parts[1:]]
                 else:
                     obj = json.loads(line)
-                    label = obj.get("label")
-                    coeffs = [int(c) for c in obj["coeffs"]]
+                    if not isinstance(obj, dict):
+                        raise ValueError("expected a JSON object")
+                    label, coeffs = obj.get("label"), obj.get("coeffs")
+                    if label is not None and not isinstance(label, str):
+                        raise ValueError("label must be a string")
+                    # bool is a subclass of int, and true is no coefficient
+                    if (not isinstance(coeffs, list)
+                            or any(type(c) is not int for c in coeffs)):
+                        raise ValueError("coeffs must be a list of integers")
                     if len(coeffs) != 6:
                         raise ValueError("expected 6 coefficients a5..a0")
                 if coeffs[0] != 1:
@@ -401,7 +408,7 @@ def ingest_fields(path, fmt: str = "csv",
             except NotSeparable:
                 report(lineno, "NotSeparable: zero discriminant")
                 continue
-            except (ValueError, KeyError, json.JSONDecodeError) as exc:
+            except ValueError as exc:
                 report(lineno, str(exc))
                 continue
             yield field

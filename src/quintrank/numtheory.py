@@ -6,16 +6,17 @@ chains with sign-corrected pseudo-remainders, and factorization
 patterns mod p.  A quintic's pattern at a prime not dividing its
 discriminant is read off the number of its roots mod p and the
 Kronecker symbol (disc|p), by Stickelberger's theorem as stated in
-R. G. Swan, Pacific J. Math. 12 (1962); distinct-degree splitting
-covers other degrees and stays as the oracle.  quintic_patterns counts
-the roots for a whole block of primes in one pass, by gcds of f(x) with
-the product of the block's primes above x.  Squarefree kernels of
-integers come from trial division by the primes below 1000, then gcds
-with products of runs of larger primes up to the trial bound (D. J.
-Bernstein, "How to find smooth parts of integers", 2004), then
-Miller-Rabin, deterministic below the bound proven by Sorenson and
-Webster (2017); whenever a cofactor cannot be resolved the result
-carries complete=False rather than a guess.
+R. G. Swan, Pacific J. Math. 12 (1962); only quintics are factored.
+factor_pattern_mod_p counts the roots at one prime as
+deg gcd(x^p - x, f), and quintic_patterns counts them for a whole
+block of primes in one pass, by gcds of f(x) with the product of the
+block's primes above x.  Squarefree kernels of integers come from
+trial division by the primes below 1000, then gcds with products of
+runs of larger primes up to the trial bound (D. J. Bernstein, "How to
+find smooth parts of integers", 2004), then Miller-Rabin,
+deterministic below the bound proven by Sorenson and Webster (2017);
+whenever a cofactor cannot be resolved the result carries
+complete=False rather than a guess.
 """
 
 from __future__ import annotations
@@ -416,35 +417,6 @@ def real_root_count(f: IntPolynomial) -> int:
 # -- arithmetic mod p ----------------------------------------------------------
 
 
-def _pmod(coeffs, p):
-    return _trim([c % p for c in coeffs])
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _trim(out)
-
-
-def _pdivmod(a, b, p):
-    inv = pow(b[-1], p - 2, p) if b[-1] != 1 else 1
-    a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and a:
-        k = len(a) - len(b)
-        c = a[-1] * inv % p
-        q[k] = c
-        for i, y in enumerate(b):
-            a[i + k] = (a[i + k] - c * y) % p
-        a = list(_trim(a))
-    return _trim(q), _trim(a)
-
-
 def _pgcd(a, b, p):
     """Monic gcd mod p.  Remainders are reduced in place, popping the
     leading term that each step cancels; no quotient is built."""
@@ -463,27 +435,6 @@ def _pgcd(a, b, p):
     return tuple(c * inv % p for c in a)
 
 
-def _ppowmod(base, e, mod, p):
-    result = (1,)
-    base = _pdivmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _pdivmod(_pmul(result, base, p), mod, p)[1]
-        e >>= 1
-        if e:
-            base = _pdivmod(_pmul(base, base, p), mod, p)[1]
-    return result
-
-
-def _psub(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, y in enumerate(b):
-        out[i] = (out[i] - y) % p
-    return _trim(out)
-
-
 @dataclass(frozen=True)
 class FactorPattern:
     squarefree: bool
@@ -499,10 +450,6 @@ _QUINTIC_PATTERNS = {
     (r, sign): FactorPattern(True, pattern) for r, sign, pattern in (
         (0, 1, (5,)), (0, -1, (2, 3)), (1, -1, (1, 4)), (1, 1, (1, 2, 2)),
         (2, 1, (1, 1, 3)), (3, -1, (1, 1, 1, 2)), (5, 1, (1, 1, 1, 1, 1)))}
-
-# below this prime, evaluating f at every residue is cheaper than
-# deg gcd(x^p - x, f)
-_EVAL_BELOW = 97
 
 
 def _frobenius_quintic(c, p):
@@ -543,35 +490,25 @@ def _frobenius_quintic(c, p):
     return (u0, u1, u2, u3, u4)
 
 
-def _quintic_root_count(c, p) -> int:
-    """Number of roots in F_p of the squarefree monic quintic with
-    ascending coefficients c mod p."""
-    if p < _EVAL_BELOW:
-        a0, a1, a2, a3, a4 = c[:5]
-        return sum(1 for x in range(p) if (
-            ((((x + a4) * x + a3) * x + a2) * x + a1) * x + a0) % p == 0)
-    w0, w1, w2, w3, w4 = _frobenius_quintic(c, p)
-    return len(_pgcd(c, _trim([w0, (w1 - 1) % p, w2, w3, w4]), p)) - 1
-
-
 def factor_pattern_mod_p(f: IntPolynomial, p: int,
                          disc: Optional[int] = None) -> FactorPattern:
-    """Degrees of the irreducible factors of f mod p; pattern is omitted
-    when f mod p has a repeated factor.  A quintic below 2^20 is read off
-    its root count and (disc|p), with disc computed when not given;
-    other degrees and larger primes use distinct-degree splitting."""
+    """Degrees of the irreducible factors of the quintic f mod p; pattern
+    is omitted when f mod p has a repeated factor.  Read off the number
+    of roots of f mod p, deg gcd(x^p - x, f), and (disc|p), with disc
+    computed when not given; exact at every prime."""
+    if f.degree != 5:
+        raise ValueError("factor patterns are read for quintics only")
     if f.lc % p == 0:
         raise LeadingCoeffVanishes(f"p={p} divides the leading coefficient")
-    if f.degree != 5 or p >= (1 << 20):
-        return _pattern_general(f, p)
     if disc is None:
         disc = poly_discriminant(f)
     if disc % p == 0:
         return FactorPattern(False, None)
     inv = pow(f.lc, -1, p)
     c = [a * inv % p for a in f.coeffs]
-    return _QUINTIC_PATTERNS[_quintic_root_count(c, p),
-                             kronecker_symbol(disc, p)]
+    w0, w1, w2, w3, w4 = _frobenius_quintic(c, p)
+    roots = len(_pgcd(c, _trim([w0, (w1 - 1) % p, w2, w3, w4]), p)) - 1
+    return _QUINTIC_PATTERNS[roots, kronecker_symbol(disc, p)]
 
 
 def quintic_patterns(f: IntPolynomial, primes, disc: int
@@ -619,33 +556,6 @@ def quintic_patterns(f: IntPolynomial, primes, disc: int
         M //= q
         lo = q
     return [_QUINTIC_PATTERNS[roots[p], s] for p, s in zip(primes, signs)]
-
-
-def _pattern_general(f: IntPolynomial, p: int) -> FactorPattern:
-    fp = _pmod(f.coeffs, p)
-    inv = pow(fp[-1], p - 2, p)
-    fp = tuple(c * inv % p for c in fp)
-    deriv = _pmod([i * c for i, c in enumerate(fp)][1:], p)
-    if len(_pgcd(fp, deriv, p)) != 1:
-        return FactorPattern(False, None)
-    pattern = []
-    v = fp
-    x = (0, 1)
-    w = x
-    d = 0
-    while len(v) - 1 > 0:
-        d += 1
-        if 2 * d > len(v) - 1:
-            pattern.append(len(v) - 1)
-            break
-        w = _ppowmod(w, p, v, p)
-        g = _pgcd(_psub(w, x, p), v, p)
-        if len(g) > 1:
-            deg = len(g) - 1
-            pattern.extend([d] * (deg // d))
-            v = _pdivmod(v, g, p)[0]
-            w = _pdivmod(w, v, p)[1]
-    return FactorPattern(True, tuple(sorted(pattern)))
 
 
 # -- Galois certification --------------------------------------------------------

@@ -458,8 +458,8 @@ def dual_twist_reducibility(cs: CosetSystem, theta: int,
 
 @dataclass(frozen=True)
 class DoubleCoverData:
-    """The order-240 double cover of S5 with its index-2 preimage of A5
-    identified with the icosian group."""
+    """A double cover of S_n with its index-2 preimage of A_n
+    identified with a group of quaternion units."""
 
     extension: object            # cocycles.CentralExtension
     coset_system: CosetSystem
@@ -470,44 +470,39 @@ class DoubleCoverData:
 
 
 @lru_cache(maxsize=None)
-def omega5_data() -> DoubleCoverData:
-    S5 = symmetric_group(5)
-    ext = central_extension(S5, pin_cocycle_sn(5))
+def _double_cover(n: int) -> DoubleCoverData:
+    """The double cover of S_n from the Pin cocycle, n = 4 or 5, with
+    the preimage of A_n identified with the Hurwitz units (n = 4) or the
+    icosian group (n = 5)."""
+    units, name = ((hurwitz_unit_group, "Hurwitz unit group") if n == 4
+                   else (icosian_group, "icosian group"))
+    Sn = symmetric_group(n)
+    ext = central_extension(Sn, pin_cocycle_sn(n))
     E = ext.group
     evens = [l for l in range(E.order)
-             if S5.elems[int(ext.projection[l])].is_even()]
-    Q, incl = E.subgroup(evens, name="2A5")
-    ico_g, ico_rep = icosian_group()
-    phi = find_isomorphism(Q, ico_g)
+             if Sn.elems[int(ext.projection[l])].is_even()]
+    Q, incl = E.subgroup(evens, name=f"2A{n}")
+    unit_g, unit_rep = units()
+    phi = find_isomorphism(Q, unit_g)
     if phi is None:
-        raise InternalCheckFailed("preimage of A5 is not the icosian group")
-    rho = Representation(Q, ico_rep.images[phi], 2)
+        raise InternalCheckFailed(f"preimage of A{n} is not the {name}")
+    rho = Representation(Q, unit_rep.images[phi], 2)
     cs = CosetSystem.build(E, evens)
     lifts = tuple(l for l in range(E.order)
-                  if S5.elems[int(ext.projection[l])].is_transposition())
+                  if Sn.elems[int(ext.projection[l])].is_transposition())
     return DoubleCoverData(ext, cs, Q, incl, rho, lifts)
 
 
-@lru_cache(maxsize=None)
+def omega5_data() -> DoubleCoverData:
+    """The order-240 double cover of S5 with its preimage of A5
+    identified with the icosian group."""
+    return _double_cover(5)
+
+
 def binary_octahedral_data() -> DoubleCoverData:
     """The order-48 double cover of S4 with its preimage of A4 identified
     with the Hurwitz units."""
-    S4 = symmetric_group(4)
-    ext = central_extension(S4, pin_cocycle_sn(4))
-    E = ext.group
-    evens = [l for l in range(E.order)
-             if S4.elems[int(ext.projection[l])].is_even()]
-    Q, incl = E.subgroup(evens, name="2A4")
-    hw_g, hw_rep = hurwitz_unit_group()
-    phi = find_isomorphism(Q, hw_g)
-    if phi is None:
-        raise InternalCheckFailed(
-            "preimage of A4 is not the Hurwitz unit group")
-    rho = Representation(Q, hw_rep.images[phi], 2)
-    cs = CosetSystem.build(E, evens)
-    lifts = tuple(l for l in range(E.order)
-                  if S4.elems[int(ext.projection[l])].is_transposition())
-    return DoubleCoverData(ext, cs, Q, incl, rho, lifts)
+    return _double_cover(4)
 
 
 def criterion_catalog() -> list[dict]:

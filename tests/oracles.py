@@ -4,7 +4,8 @@ Each routine here recomputes a quantity by a different algorithm than
 the package uses: Legendre symbols by squaring residues, resultants by
 Sylvester matrices with Bareiss elimination, real root counts by
 Descartes bisection over exact rationals, mod-p factor patterns by
-exhaustive trial division, squarefree kernels by trial division by
+exhaustive trial division and, for any degree and prime, by
+distinct-degree splitting, squarefree kernels by trial division by
 every odd number up to the trial bound, quaternion group tables by
 float nearest-neighbour matching, cocycle defects one group element
 at a time, cohomology dimensions from the dense coboundary
@@ -31,6 +32,7 @@ from quintrank.fieldscan import (
 from quintrank.numtheory import (
     DEFAULT_PRIME_BUDGET,
     DEFAULT_TRIAL_BOUND,
+    FactorPattern,
     IntPolynomial,
     SquarefreeResult,
     is_probable_prime,
@@ -205,6 +207,74 @@ def brute_pattern_mod_p(coeffs, p):
     factors = brute_factors_mod_p(coeffs, p)
     squarefree = len(set(factors)) == len(factors)
     return squarefree, tuple(sorted(len(g) - 1 for g in factors))
+
+
+def _poly_trim_p(coeffs, p):
+    out = [c % p for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _poly_mulmod_p(a, b, m, p):
+    """a * b mod (m, p)."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _poly_divmod_p(_poly_trim_p(out, p), m, p)[1]
+
+
+def _poly_sub_p(a, b, p):
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _poly_trim_p(out, p)
+
+
+def _poly_gcd_p(a, b, p):
+    """Monic gcd mod p by Euclid's algorithm."""
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _poly_divmod_p(a, b, p)[1]
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def ddf_pattern_mod_p(f: IntPolynomial, p: int) -> FactorPattern:
+    """Factor pattern of f mod p, of any degree, by distinct-degree
+    splitting: g_d = gcd(x^(p^d) - x, v) collects the degree-d factors
+    of the part v not yet split off.  Squarefreeness is gcd(f, f') = 1."""
+    fp = _poly_trim_p(f.coeffs, p)
+    inv = pow(fp[-1], p - 2, p)
+    fp = [c * inv % p for c in fp]
+    deriv = _poly_trim_p([i * c for i, c in enumerate(fp)][1:], p)
+    if len(_poly_gcd_p(fp, deriv, p)) != 1:
+        return FactorPattern(False, None)
+    pattern = []
+    v = fp
+    x = [0, 1]
+    w = x
+    d = 0
+    while len(v) - 1 > 0:
+        d += 1
+        if 2 * d > len(v) - 1:
+            pattern.append(len(v) - 1)
+            break
+        # w = x^(p^d) mod v, by square-and-multiply
+        base, e, w = _poly_divmod_p(w, v, p)[1], p, [1]
+        while e:
+            if e & 1:
+                w = _poly_mulmod_p(w, base, v, p)
+            e >>= 1
+            if e:
+                base = _poly_mulmod_p(base, base, v, p)
+        g = _poly_gcd_p(v, _poly_sub_p(w, x, p), p)
+        if len(g) > 1:
+            pattern.extend([d] * ((len(g) - 1) // d))
+            v = _poly_divmod_p(v, g, p)[0]
+            w = _poly_divmod_p(w, v, p)[1]
+    return FactorPattern(True, tuple(sorted(pattern)))
 
 
 def factor_completely(n: int):

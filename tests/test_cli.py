@@ -329,6 +329,21 @@ def test_scan_ingest_reports_bad_rows_and_continues(tmp_path, capsys):
     assert payload["buckets"][-1]["admissible"] == 1
 
 
+def test_scan_jsonl_reports_malformed_rows_and_exits_zero(tmp_path, capsys):
+    table = tmp_path / "fields.jsonl"
+    bad = ['[1,0,0,0,-1,-1]', '"x"', '{"coeffs":5}',
+           '{"coeffs":[1,0,0,0,-1,null]}', '{"coeffs":[1,0,0,0,-1,-1.5]}',
+           '{"coeffs":[true,0,0,0,-1,-1]}']
+    table.write_text('{"label":"flagship","coeffs":[1,0,0,0,-1,-1]}\n'
+                     + "\n".join(bad) + "\n")
+    assert main(["scan", "--curve", CURVE37, "--fields", str(table),
+                 "--format", "jsonl", "--buckets", "3000", "--json"]) == 0
+    captured = capsys.readouterr()
+    for lineno in range(2, 2 + len(bad)):
+        assert f"row {lineno} skipped" in captured.err
+    assert json.loads(captured.out)["buckets"][0]["total"] == 1
+
+
 def test_scan_missing_table_is_data_error(capsys):
     assert main(["scan", "--curve", CURVE37, "--fields", "/no/such.csv",
                  "--buckets", "100"]) == 3

@@ -422,6 +422,14 @@ def test_ingest_jsonl(tmp_path):
         json.dumps({"coeffs": [1, 0, 0, 0, -4, 2]}),
         json.dumps({"label": "x", "coeffs": [1, 2]}),
         json.dumps({"label": "y"}),
+        # not an object, not a list, or not JSON integers: each skipped
+        "[1,0,0,0,-1,-1]",
+        '"x"',
+        '{"coeffs":5}',
+        '{"coeffs":[1,0,0,0,-1,null]}',
+        '{"coeffs":[1,0,0,0,-1,-1.5]}',
+        '{"coeffs":[true,0,0,0,-1,-1]}',
+        '{"coeffs":[1,0,0,0,-1,-1],"label":7}',
     ]
     table.write_text("\n".join(rows) + "\n")
     errs, on_error = collect_errors()
@@ -429,7 +437,7 @@ def test_ingest_jsonl(tmp_path):
     assert len(fields) == 2
     assert fields[0].label == "f1"
     assert fields[1].label == "x^5 - 4*x + 2"  # default label from the poly
-    assert [lineno for lineno, _ in errs] == [2, 4, 5]
+    assert [lineno for lineno, _ in errs] == [2, 4, 5, 6, 7, 8, 9, 10, 11, 12]
 
 
 def test_ingest_empty_and_bad_format(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     brute_pattern_mod_p,
     count_real_roots_bisection,
+    ddf_pattern_mod_p,
     factor_completely,
     legendre_by_enumeration,
     squarefree_kernel_by_trial_division,
@@ -319,7 +320,6 @@ def test_pattern_against_brute_factorization():
 
 
 def test_pattern_fast_path_matches_general_ddf():
-    from quintrank.numtheory import _pattern_general
     rng = np.random.default_rng(23)
     for _ in range(120):
         c = [int(v) for v in rng.integers(-15, 16, size=6)]
@@ -329,25 +329,21 @@ def test_pattern_fast_path_matches_general_ddf():
         for p in (2, 3, 5, 7, 101, 1223):
             if f.lc % p == 0:
                 continue
-            assert factor_pattern_mod_p(f, p) == _pattern_general(f, p)
+            assert factor_pattern_mod_p(f, p) == ddf_pattern_mod_p(f, p)
 
 
 def test_root_count_rule_matches_ddf_for_every_monic_quintic_mod_small_p():
     from itertools import product
 
-    from quintrank.numtheory import _pattern_general
     for p in (2, 3, 5, 7):
         for tail in product(range(p), repeat=5):
             f = IntPolynomial(list(tail) + [1])
-            assert factor_pattern_mod_p(f, p) == _pattern_general(f, p)
+            assert factor_pattern_mod_p(f, p) == ddf_pattern_mod_p(f, p)
 
 
 def test_root_count_rule_matches_ddf_at_first_200_primes():
-    # both root-count methods and the switch between them, with and
-    # without a given discriminant, monic and not
-    from quintrank.numtheory import _EVAL_BELOW, _pattern_general
+    # with and without a given discriminant, monic and not
     primes = first_primes(200)
-    assert primes[0] < _EVAL_BELOW < primes[-1]
     rng = np.random.default_rng(29)
     for i in range(40):
         c = [int(v) for v in rng.integers(-50, 51, size=6)]
@@ -357,9 +353,32 @@ def test_root_count_rule_matches_ddf_at_first_200_primes():
         for p in primes:
             if f.lc % p == 0:
                 continue
-            expect = _pattern_general(f, p)
+            expect = ddf_pattern_mod_p(f, p)
             assert factor_pattern_mod_p(f, p, disc) == expect
             assert factor_pattern_mod_p(f, p) == expect
+
+
+@pytest.mark.parametrize("floor", [2 ** 20, 2 ** 31, 10 ** 12, 2 ** 61])
+def test_root_count_rule_matches_ddf_at_large_primes(floor):
+    # the root count is exact at every prime, far above any prime budget
+    p = next(n for n in range(floor + 1, 2 * floor) if is_probable_prime(n))
+    seen = set()
+    for i, f in enumerate(_random_quintics(60, seed=31, lo=-10 ** 6,
+                                           hi=10 ** 6)):
+        if i % 2 == 0:
+            f = IntPolynomial(list(f.coeffs[:5]) + [1])
+        disc = poly_discriminant(f)
+        expect = ddf_pattern_mod_p(f, p)
+        assert factor_pattern_mod_p(f, p, disc) == expect
+        assert factor_pattern_mod_p(f, p) == expect
+        seen.add(expect.pattern)
+    assert len(seen) >= 4
+
+
+def test_pattern_rejects_non_quintics():
+    for coeffs in ([1, 0, 0, 0, 1], [1, 1, 0, 0, 0, 0, 1], [-1, 1]):
+        with pytest.raises(ValueError):
+            factor_pattern_mod_p(IntPolynomial(coeffs), 7)
 
 
 def _good_primes(disc, count):
