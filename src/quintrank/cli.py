@@ -43,7 +43,7 @@ def _poly_arg(text: str) -> numtheory.IntPolynomial:
         raise argparse.ArgumentTypeError(
             "expected 6 comma-separated integers a5,a4,a3,a2,a1,a0")
     try:
-        coeffs = [int(p) for p in parts]
+        coeffs = [numtheory.parse_int(p) for p in parts]
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-integer coefficient in {text!r}")
     return numtheory.IntPolynomial.descending(coeffs)
@@ -51,7 +51,7 @@ def _poly_arg(text: str) -> numtheory.IntPolynomial:
 
 def _buckets_arg(text: str) -> list[int]:
     try:
-        edges = [int(p) for p in text.split(",")]
+        edges = [numtheory.parse_int(p) for p in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-integer bucket edge in {text!r}")
     if not edges or edges[0] <= 0 or any(b <= a for a, b in zip(edges, edges[1:])):
@@ -62,7 +62,7 @@ def _buckets_arg(text: str) -> list[int]:
 
 def _int_arg(text: str) -> int:
     try:
-        return int(text)
+        return numtheory.parse_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
 

@@ -9,8 +9,10 @@ the sign defect  lift(s) lift(t) = (-1)^w(s,t) lift(st).  Transposition
 lifts square to +1, so the resulting double cover of S_n is the one in
 which transpositions lift to involutions.
 
-Everything is exact: blade coefficients are integers and the 2^(-1/2)
-scale is tracked as a separate half-integer exponent.
+Everything is exact: the lift of a permutation of length k is an
+integer blade vector v, standing for v / 2^(k/2), and every product of
+blade vectors goes through one right-multiplication matrix read off
+the blade sign table.
 
 Cohomology dimensions and coboundary witnesses work on sparse mod-2
 coboundary rows (Python-int bit rows read off the group table); for
@@ -20,7 +22,6 @@ coboundary matrix is ever built.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -164,7 +165,7 @@ def coboundary(module: CoefficientModule, c) -> np.ndarray:
     return (signs[:, None] * c[None, :] - c[t] + c[:, None]) % module.order
 
 
-# -- exact Clifford elements ----------------------------------------------
+# -- the Pin lift on dense blade vectors ------------------------------------
 
 
 def _blade_sign(a: int, b: int) -> int:
@@ -175,55 +176,6 @@ def _blade_sign(a: int, b: int) -> int:
         count += (t & b).bit_count()
         t >>= 1
     return -1 if count & 1 else 1
-
-
-@dataclass(frozen=True)
-class CliffordElement:
-    """Element of Cl(n) with +1 metric: integer blade coefficients plus a
-    separately tracked power of sqrt(2); the value is
-    sum_b coeff[b] e_b * 2^(scale_exp / 2).  Canonical form keeps at
-    least one odd coefficient, so equality is plain field equality."""
-
-    n: int
-    blades: tuple[tuple[int, int], ...]
-    scale_exp: int
-
-    @staticmethod
-    def make(n: int, coeffs: dict[int, int], scale_exp: int) -> "CliffordElement":
-        coeffs = {m: c for m, c in coeffs.items() if c}
-        if not coeffs:
-            return CliffordElement(n, (), 0)
-        while all(c % 2 == 0 for c in coeffs.values()):
-            coeffs = {m: c // 2 for m, c in coeffs.items()}
-            scale_exp += 2
-        return CliffordElement(n, tuple(sorted(coeffs.items())), scale_exp)
-
-    @staticmethod
-    def scalar(n: int, value: int = 1) -> "CliffordElement":
-        return CliffordElement.make(n, {0: value}, 0)
-
-    @staticmethod
-    def reflection_vector(n: int, i: int, j: int) -> "CliffordElement":
-        """(e_i - e_j) / sqrt(2), the Pin lift of the transposition (i j)."""
-        if not (0 <= i < n and 0 <= j < n and i != j):
-            raise ValueError("bad reflection indices")
-        return CliffordElement.make(n, {1 << i: 1, 1 << j: -1}, -1)
-
-    def __mul__(self, other: "CliffordElement") -> "CliffordElement":
-        acc: dict[int, int] = {}
-        for ma, ca in self.blades:
-            for mb, cb in other.blades:
-                m = ma ^ mb
-                acc[m] = acc.get(m, 0) + ca * cb * _blade_sign(ma, mb)
-        return CliffordElement.make(self.n, acc, self.scale_exp + other.scale_exp)
-
-    def __neg__(self) -> "CliffordElement":
-        return CliffordElement(self.n, tuple((m, -c) for m, c in self.blades),
-                               self.scale_exp)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.blades
 
 
 def transposition_factorization(p: Permutation) -> list[tuple[int, int]]:
@@ -242,14 +194,6 @@ def transposition_factorization(p: Permutation) -> list[tuple[int, int]]:
     return swaps
 
 
-def pin_lift(p: Permutation) -> CliffordElement:
-    """Product of reflection vectors along the deterministic factorization."""
-    out = CliffordElement.scalar(p.degree)
-    for i, j in transposition_factorization(p):
-        out = out * CliffordElement.reflection_vector(p.degree, i, j)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _blade_product_tables(n: int):
     """IDX[i,k] = i xor k and S2[i,k] = sign(e_i * e_{i xor k}), so a dense
@@ -265,11 +209,26 @@ def _blade_product_tables(n: int):
     return idx, s2
 
 
-def _dense(e: CliffordElement) -> np.ndarray:
-    v = np.zeros(1 << e.n, dtype=np.int64)
-    for m, c in e.blades:
-        v[m] = c
-    return v
+def _right_mul(b: np.ndarray) -> np.ndarray:
+    """R[..., i, k] = S2[i, k] * b[..., i xor k] for dense blade vectors b
+    of Cl(n), so that a @ R is the Clifford product a * b; batched over
+    the leading axes of b."""
+    idx, s2 = _blade_product_tables(b.shape[-1].bit_length() - 1)
+    return s2 * b[..., idx]
+
+
+def pin_lift(p: Permutation) -> tuple[np.ndarray, int]:
+    """(v, k): v is the integer blade vector of the product of the k
+    reflection vectors e_i - e_j along the deterministic factorization,
+    and the lift of p is v / 2^(k/2)."""
+    fac = transposition_factorization(p)
+    v = np.zeros(1 << p.degree, dtype=np.int64)
+    v[0] = 1
+    for i, j in fac:
+        r = np.zeros_like(v)
+        r[1 << i], r[1 << j] = 1, -1
+        v = v @ _right_mul(r)
+    return v, len(fac)
 
 
 @lru_cache(maxsize=None)
@@ -279,21 +238,20 @@ def pin_cocycle_sn(n: int) -> Cocycle2:
     if n not in (4, 5):
         raise ValueError("pin cocycle is provided for n in {4, 5}")
     G = symmetric_group(n)
-    idx, s2 = _blade_product_tables(n)
     lifts = [pin_lift(p) for p in G.elems]
-    L = np.stack([_dense(e) for e in lifts])
-    scale = np.array([e.scale_exp for e in lifts], dtype=np.int64)
-    # B2[b][i, k] = S2[i,k] * L[b][i xor k]; then (L[a] @ B2[b])[k] is the
-    # dense product of lifts a and b.
+    L = np.stack([v for v, _ in lifts])
+    scale = -np.array([k for _, k in lifts], dtype=np.int64)
+    # (L[a] @ B2[b])[k] is the dense product of lifts a and b
+    B2 = _right_mul(L)
     t = G.table
     order = G.order
     w = np.zeros((order, order), dtype=np.int8)
-    B2 = s2[None, :, :] * L[:, idx]
     for lo, hi in _row_chunks(order, order * L.shape[1]):
         prod = np.einsum("ai,bik->abk", L[lo:hi], B2)
         c = t[lo:hi]
         target = L[c]
-        # raw product scale is sa+sb; canonical targets satisfy sc >= sa+sb
+        # the raw product has scale sa+sb; lengths are subadditive and
+        # keep parity, so d = ka+kb-kc is even and >= 0
         d = scale[c] - scale[lo:hi, None] - scale[None, :]
         if (d < 0).any() or (d % 2).any():
             raise InternalCheckFailed("pin lift scale mismatch")

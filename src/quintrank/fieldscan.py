@@ -33,9 +33,9 @@ within the bound.
 The cache is an append-only JSONL file with a SHA-256 checksum per
 record; corrupt lines are detected at load, reported, and simply
 recomputed.  A record is served only to a request with the prime
-budget and trial bound it was derived with; any other request derives
-the field afresh and its record replaces the old one.  Single writer,
-any number of readers.
+budget it was derived with, and only if it was derived with
+DEFAULT_TRIAL_BOUND; any other request derives the field afresh and its
+record replaces the old one.  Single writer, any number of readers.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .numtheory import (
     certify_s5,
     factor_pattern_mod_p,
     first_primes,
+    parse_int,
     poly_discriminant,
     quintic_patterns,
     real_root_count,
@@ -107,33 +108,30 @@ def _discriminant(poly: IntPolynomial) -> int:
 class QuinticField:
     """Monic separable integer quintic with lazily derived field data."""
 
-    __slots__ = ("poly", "label", "prime_budget", "trial_bound",
-                 "_disc", "_signature", "_resolvent", "_certificate",
-                 "_fingerprint", "_patterns")
+    __slots__ = ("poly", "label", "prime_budget", "_disc", "_signature",
+                 "_resolvent", "_certificate", "_fingerprint", "_patterns")
 
     def __init__(self, poly: IntPolynomial, label: Optional[str] = None,
-                 prime_budget: int = DEFAULT_PRIME_BUDGET,
-                 trial_bound: int = DEFAULT_TRIAL_BOUND):
+                 prime_budget: int = DEFAULT_PRIME_BUDGET):
         if poly.degree != 5 or poly.lc != 1:
             raise ValueError("expected a monic quintic")
         disc = _discriminant(poly)
         if disc == 0:
             raise NotSeparable(f"{poly} has a repeated root")
-        self._start(poly, label, prime_budget, trial_bound, disc)
+        self._start(poly, label, prime_budget, disc)
 
     @classmethod
     def _of_disc(cls, poly: IntPolynomial, disc: int, prime_budget: int,
-                 trial_bound: int) -> "QuinticField":
+                 label: Optional[str] = None) -> "QuinticField":
         """A field whose nonzero discriminant the caller has computed."""
         self = object.__new__(cls)
-        self._start(poly, None, prime_budget, trial_bound, disc)
+        self._start(poly, label, prime_budget, disc)
         return self
 
-    def _start(self, poly, label, prime_budget, trial_bound, disc):
+    def _start(self, poly, label, prime_budget, disc):
         self.poly = poly
         self.label = label if label is not None else str(poly)
         self.prime_budget = prime_budget
-        self.trial_bound = trial_bound
         self._disc = disc
         self._signature = None
         self._resolvent = None
@@ -160,8 +158,7 @@ class QuinticField:
     @property
     def resolvent(self) -> ResolventData:
         if self._resolvent is None:
-            self._resolvent = resolvent(self.poly, self.trial_bound,
-                                        disc=self._disc)
+            self._resolvent = resolvent(self.poly, disc=self._disc)
         return self._resolvent
 
     @property
@@ -242,19 +239,16 @@ class QuinticField:
                    cert.transposition_witness, cert.primes_scanned],
             "fingerprint": [fp[0], [list(p) for p in fp[1]]],
             "prime_budget": self.prime_budget,
-            "trial_bound": self.trial_bound,
+            "trial_bound": DEFAULT_TRIAL_BOUND,
         }
 
     @staticmethod
     def from_record(rec: dict) -> "QuinticField":
         """Rebuild without recomputing anything; the fingerprint patterns
         seed the pattern stream, so an audit computes only its own."""
-        self = object.__new__(QuinticField)
-        self.poly = IntPolynomial.descending(rec["coeffs"])
-        self.label = rec["label"]
-        self.prime_budget = rec["prime_budget"]
-        self.trial_bound = rec["trial_bound"]
-        self._disc = rec["disc"]
+        self = QuinticField._of_disc(IntPolynomial.descending(rec["coeffs"]),
+                                     rec["disc"], rec["prime_budget"],
+                                     rec["label"])
         self._signature = tuple(rec["signature"])
         self._resolvent = ResolventData(*rec["resolvent"])
         self._certificate = S5Certificate(*rec["s5"])
@@ -275,12 +269,12 @@ class FieldCache:
     """Append-only JSONL store of derived field records.
 
     Every line is a record plus its SHA-256 checksum.  Lines that fail
-    to parse or to verify are skipped and listed in corrupt_lines
-    (strict=True raises instead); callers recompute and re-put, and the
-    newest record for a key wins on reload.
+    to parse or to verify are skipped and listed in corrupt_lines;
+    callers recompute and re-put, and the newest record for a key wins
+    on reload.
     """
 
-    def __init__(self, path, strict: bool = False):
+    def __init__(self, path):
         self.path = Path(path)
         self._by_coeffs: dict[tuple, dict] = {}
         self.corrupt_lines: list[int] = []
@@ -292,8 +286,6 @@ class FieldCache:
                     try:
                         rec = self._verify_line(line, lineno)
                     except ChecksumMismatch:
-                        if strict:
-                            raise
                         self.corrupt_lines.append(lineno)
                         continue
                     self._by_coeffs[tuple(rec["coeffs"])] = rec
@@ -320,13 +312,14 @@ class FieldCache:
             fh.write(_canonical_json(line) + "\n")
         self._by_coeffs[tuple(rec["coeffs"])] = rec
 
-    def get(self, coeffs, prime_budget: int = DEFAULT_PRIME_BUDGET,
-            trial_bound: int = DEFAULT_TRIAL_BOUND) -> Optional[QuinticField]:
-        """The record for coeffs, if it was derived with these parameters;
-        a record made under others is a miss, so it is never served."""
+    def get(self, coeffs, prime_budget: int = DEFAULT_PRIME_BUDGET
+            ) -> Optional[QuinticField]:
+        """The record for coeffs, if it was derived with this prime budget
+        and DEFAULT_TRIAL_BOUND; a record made under other parameters is
+        a miss, so it is never served."""
         rec = self._by_coeffs.get(tuple(coeffs))
         if rec is None or rec["prime_budget"] != prime_budget \
-                or rec["trial_bound"] != trial_bound:
+                or rec["trial_bound"] != DEFAULT_TRIAL_BOUND:
             return None
         return QuinticField.from_record(rec)
 
@@ -336,18 +329,16 @@ class FieldCache:
 
 def field_from_coeffs(coeffs, label: Optional[str] = None,
                       cache: Optional[FieldCache] = None,
-                      prime_budget: int = DEFAULT_PRIME_BUDGET,
-                      trial_bound: int = DEFAULT_TRIAL_BOUND) -> QuinticField:
+                      prime_budget: int = DEFAULT_PRIME_BUDGET) -> QuinticField:
     """Construct a field, serving it from the cache when a record with
     the same parameters exists; a miss derives everything and stores
     the record, which then replaces any older one."""
     coeffs = tuple(int(c) for c in coeffs)
     if cache is not None:
-        hit = cache.get(coeffs, prime_budget, trial_bound)
+        hit = cache.get(coeffs, prime_budget)
         if hit is not None:
             return hit
-    field = QuinticField(IntPolynomial.descending(coeffs), label,
-                         prime_budget, trial_bound)
+    field = QuinticField(IntPolynomial.descending(coeffs), label, prime_budget)
     if cache is not None:
         cache.put(field)
     return field
@@ -366,8 +357,7 @@ def _default_on_error(lineno: int, message: str):
 def ingest_fields(path, fmt: str = "csv",
                   cache: Optional[FieldCache] = None,
                   on_error: Optional[Callable[[int, str], None]] = None,
-                  prime_budget: int = DEFAULT_PRIME_BUDGET,
-                  trial_bound: int = DEFAULT_TRIAL_BOUND
+                  prime_budget: int = DEFAULT_PRIME_BUDGET
                   ) -> Iterator[QuinticField]:
     """Stream fields from a table; malformed rows are reported with
     their line number and skipped, never fatal."""
@@ -387,7 +377,7 @@ def ingest_fields(path, fmt: str = "csv",
                     if len(parts) != 7:
                         raise ValueError("expected label plus 6 coefficients")
                     label = parts[0].strip() or None
-                    coeffs = [int(x) for x in parts[1:]]
+                    coeffs = [parse_int(x) for x in parts[1:]]
                 else:
                     obj = json.loads(line)
                     if not isinstance(obj, dict):
@@ -403,8 +393,7 @@ def ingest_fields(path, fmt: str = "csv",
                         raise ValueError("expected 6 coefficients a5..a0")
                 if coeffs[0] != 1:
                     raise ValueError("NotMonic: leading coefficient must be 1")
-                field = field_from_coeffs(coeffs, label, cache,
-                                          prime_budget, trial_bound)
+                field = field_from_coeffs(coeffs, label, cache, prime_budget)
             except NotSeparable:
                 report(lineno, "NotSeparable: zero discriminant")
                 continue
@@ -433,28 +422,34 @@ def _shift_desc(coeffs: tuple[int, ...], c: int) -> tuple[int, ...]:
     return tuple(reversed(acc))
 
 
+def _moves(coeffs: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Images of the monic quintic (1, a4, a3, a2, a1, a0) under the
+    mirror M, f(x) -> -f(-x), and, when a0 = s = +-1, under the
+    reciprocal R, f(x) -> s x^5 f(1/x), and M R.  M and R commute and
+    are involutions, so with coeffs they make up its whole orbit.  They
+    send a root to -x or 1/x, so they never change the field."""
+    _, a4, a3, a2, a1, a0 = coeffs
+    images = [(1, -a4, a3, -a2, a1, -a0)]
+    if a0 == 1 or a0 == -1:
+        r = (1, a0 * a1, a0 * a2, a0 * a3, a0 * a4, a0)
+        images += [r, (1, -r[1], r[2], -r[3], r[4], -r[5])]
+    return images
+
+
 def _provably_same_field(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """True when the monic quintics a and b are related by a mirror
-    x -> -x, a reciprocal (unit constant term), or a translation, in
-    any combination of at most one reciprocal, one mirror and one
-    shift.  Those moves send a root to -x, 1/x or x - c, so they never
-    change the generated field.  False only means "not proven here"."""
-    variants = [b]
-    if abs(b[5]) == 1:
-        s = b[5]
-        variants.append(tuple(x // s for x in reversed(b)))
-    variants += [(v[0], -v[1], v[2], -v[3], v[4], -v[5]) for v in variants]
-    for v in variants:
+    """True when the monic quintics a and b are related by one of
+    _moves, a translation x -> x - c, or both.  False only means "not
+    proven here"."""
+    for v in [b] + _moves(b):
         delta = v[1] - a[1]
         if delta % 5 == 0 and _shift_desc(a, delta // 5) == v:
             return True
     return False
 
 
-def dedupe_stream(fields: Iterable[QuinticField], audit: bool = True
-                  ) -> Iterator[QuinticField]:
-    """Keep the first field of each fingerprint class.  With audit on,
-    every merge must either be provably a same-field transform or agree
+def dedupe_stream(fields: Iterable[QuinticField]) -> Iterator[QuinticField]:
+    """Keep the first field of each fingerprint class.  Every merge is
+    audited: it must either be provably a same-field transform or agree
     at 30 extra primes; a disagreement means the fingerprint collided
     for two genuinely different fields and raises FalseMergeError."""
     seen: dict[tuple, QuinticField] = {}
@@ -462,7 +457,7 @@ def dedupe_stream(fields: Iterable[QuinticField], audit: bool = True
         fp = field.fingerprint
         rep = seen.get(fp)
         if rep is not None:
-            if audit and not _provably_same_field(rep.coeffs, field.coeffs) \
+            if not _provably_same_field(rep.coeffs, field.coeffs) \
                     and rep.extended_fingerprint != field.extended_fingerprint:
                 raise FalseMergeError(
                     f"{rep.label} and {field.label} share a fingerprint but "
@@ -496,17 +491,10 @@ def _is_square(n: int) -> bool:
 
 
 def _orbit_minimal(tail: tuple[int, ...]) -> bool:
-    """True when no image of t = (a4, a3, a2, a1, a0) is lexicographically
-    smaller.  The images are those under the mirror M, f(x) -> -f(-x),
-    and, when a0 = s = +-1, under the reciprocal R, f(x) -> s x^5 f(1/x),
-    and M R.  M and R commute and are involutions, so with t they make
-    up its whole orbit."""
-    a4, a3, a2, a1, a0 = tail
-    images = [(-a4, a3, -a2, a1, -a0)]
-    if a0 == 1 or a0 == -1:
-        r = (a0 * a1, a0 * a2, a0 * a3, a0 * a4, a0)
-        images += [r, (-r[0], r[1], -r[2], r[3], -r[4])]
-    return not any(u < tail for u in images)
+    """True when no image of t = (a4, a3, a2, a1, a0) under _moves is
+    lexicographically smaller."""
+    coeffs = (1,) + tail
+    return not any(u < coeffs for u in _moves(coeffs))
 
 
 def _orbit_minimal_rows(h: int) -> Iterator[tuple[tuple, list[int]]]:
@@ -554,9 +542,8 @@ def _row_discriminants(head: tuple[int, ...], a0s: list[int]) -> list[int]:
 
 def enumerate_quintics(coeff_height: int, disc_bound: int,
                        prime_budget: int = DEFAULT_PRIME_BUDGET,
-                       trial_bound: int = DEFAULT_TRIAL_BOUND,
-                       cache: Optional[FieldCache] = None,
-                       audit: bool = True) -> Iterator[QuinticField]:
+                       cache: Optional[FieldCache] = None
+                       ) -> Iterator[QuinticField]:
     """All certified S5 fields from monic quintics with |a_i| <=
     coeff_height and |disc| <= disc_bound, deduplicated by fingerprint.
     Lexicographic coefficient order makes the output deterministic and
@@ -586,7 +573,7 @@ def enumerate_quintics(coeff_height: int, disc_bound: int,
                 if _has_integer_root(coeffs):
                     continue  # reducible, can never certify
                 row.append((coeffs, None if cache is None else
-                            cache.get(coeffs, prime_budget, trial_bound)))
+                            cache.get(coeffs, prime_budget)))
             discs = iter(_row_discriminants(
                 head, [coeffs[-1] for coeffs, hit in row if hit is None]))
             for coeffs, hit in row:
@@ -600,14 +587,14 @@ def enumerate_quintics(coeff_height: int, disc_bound: int,
                 if disc == 0 or abs(disc) > disc_bound or _is_square(disc):
                     continue
                 field = QuinticField._of_disc(IntPolynomial.descending(coeffs),
-                                              disc, prime_budget, trial_bound)
+                                              disc, prime_budget)
                 if field.s5_status != "Certified":
                     continue
                 if cache is not None:
                     cache.put(field)
                 yield field
 
-    yield from dedupe_stream(raw(), audit=audit)
+    yield from dedupe_stream(raw())
 
 
 # -- scan -----------------------------------------------------------------------

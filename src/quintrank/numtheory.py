@@ -22,6 +22,7 @@ complete=False rather than a guess.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -49,6 +50,16 @@ class NotSquarefree(RuntimeError):
 
 class LeadingCoeffVanishes(RuntimeError):
     """Reduction mod p killed the leading coefficient."""
+
+
+def parse_int(text: str) -> int:
+    """A decimal integer: an optional sign and ASCII digits, with
+    surrounding whitespace.  Plain int() would also take underscores
+    and non-ASCII digits."""
+    stripped = text.strip()
+    if re.fullmatch(r"[+-]?[0-9]+", stripped) is None:
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(stripped)
 
 
 # -- polynomials -------------------------------------------------------------

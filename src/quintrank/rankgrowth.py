@@ -26,6 +26,7 @@ from .numtheory import (
     Splitting,
     is_probable_prime,
     kronecker_symbol,
+    parse_int,
     splitting_in_resolvent,
 )
 
@@ -84,9 +85,9 @@ class CurveData:
             if "^" not in tok:
                 raise ValueError(f"factor {tok!r} is not of the form p^e")
             p_str, e_str = tok.split("^", 1)
-            fact.append((int(p_str), int(e_str)))
+            fact.append((parse_int(p_str), parse_int(e_str)))
         fact.sort()
-        return CurveData(label, int(n_str), tuple(fact))
+        return CurveData(label, parse_int(n_str), tuple(fact))
 
     def reduction(self, p: int) -> str:
         for q, e in self.factorization:

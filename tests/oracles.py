@@ -455,8 +455,7 @@ def dense_h1_dimension_z4(G, module):
 
 
 def enumerate_full_box(coeff_height, disc_bound,
-                       prime_budget=DEFAULT_PRIME_BUDGET,
-                       trial_bound=DEFAULT_TRIAL_BOUND, cache=None):
+                       prime_budget=DEFAULT_PRIME_BUDGET, cache=None):
     """enumerate_quintics by the plain loop: every vector of the box, in
     lexicographic order, gets a QuinticField (and so a discriminant),
     and dedup drops the later members of each fingerprint class."""
@@ -467,7 +466,7 @@ def enumerate_full_box(coeff_height, disc_bound,
             if _has_integer_root(coeffs):
                 continue
             if cache is not None:
-                hit = cache.get(coeffs, prime_budget, trial_bound)
+                hit = cache.get(coeffs, prime_budget)
                 if hit is not None:
                     if abs(hit.disc) <= disc_bound \
                             and hit.s5_status == "Certified":
@@ -475,8 +474,7 @@ def enumerate_full_box(coeff_height, disc_bound,
                     continue
             try:
                 field = QuinticField(IntPolynomial.descending(coeffs),
-                                     prime_budget=prime_budget,
-                                     trial_bound=trial_bound)
+                                     prime_budget=prime_budget)
             except NotSeparable:
                 continue
             if abs(field.disc) > disc_bound:

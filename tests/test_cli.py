@@ -2,6 +2,8 @@
 JSON schemas, and byte-level determinism of repeated runs."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,37 @@ CERT_KEYS = {"curve", "field", "admissible", "reasons", "chi", "parity", "growth
 
 def canonical(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _readme_examples():
+    """(argv, stdout) for each `$ quintrank ...` line in the README's
+    code blocks; its output runs to the next blank line or fence."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ quintrank "):
+            out = []
+            for nxt in lines[i + 1:]:
+                if not nxt.strip() or nxt.startswith("```"):
+                    break
+                out.append(nxt + "\n")
+            examples.append((shlex.split(line)[2:], "".join(out)))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("argv, want", README_EXAMPLES,
+                         ids=[argv[0] for argv, _ in README_EXAMPLES])
+def test_readme_examples_print_what_they_show(argv, want, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_readme_has_examples():
+    assert len(README_EXAMPLES) == 3
 
 
 # -- usage errors -----------------------------------------------------------
@@ -47,11 +80,17 @@ def test_help_exits_zero(capsys):
 def test_bad_poly_shape_is_usage_error(capsys):
     assert main(["analyze-field", "--poly", "1,2,3"]) == 2
     assert main(["analyze-field", "--poly", "1,0,0,0,x,1"]) == 2
+    # int() would read these as x^5 - x - 10 and x^5 - x - 1
+    assert main(["analyze-field", "--poly", "1,0,0,0,-1,-1_0"]) == 2
+    assert main(["analyze-field", "--poly", "1,0,0,0,-1,-\u0661"]) == 2
 
 
 def test_height_out_of_range_is_usage_error(capsys):
     assert main(["scan", "--curve", CURVE37, "--buckets", "100",
                  "--height", "99"]) == 2
+    # an Arabic-Indic 1: in range, but not an ASCII decimal
+    assert main(["scan", "--curve", CURVE37, "--buckets", "100",
+                 "--height", "\u0661"]) == 2
 
 
 def test_bad_buckets_are_usage_errors(capsys):
@@ -59,6 +98,7 @@ def test_bad_buckets_are_usage_errors(capsys):
     assert main(base + ["--buckets", "5,3"]) == 2
     assert main(base + ["--buckets", "0"]) == 2
     assert main(base + ["--buckets", "ten"]) == 2
+    assert main(base + ["--buckets", "1_000,100000"]) == 2
 
 
 def test_certify_requires_exactly_one_curve_source(capsys):
@@ -122,6 +162,9 @@ def test_certify_bundled_sample(capsys):
 def test_certify_bad_curve_spec_is_data_error(capsys):
     assert main(["certify", "--curve", "37a 37", "--poly", FLAGSHIP_POLY]) == 3
     assert "error" in capsys.readouterr().err
+    assert main(["certify", "--curve", "37a 3_7 37^1",
+                 "--poly", FLAGSHIP_POLY]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_certify_missing_curve_file_is_data_error(capsys):

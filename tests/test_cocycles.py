@@ -20,9 +20,9 @@ from quintrank.groups import (FiniteGroup, Permutation, abelianization,
                               alternating_group, cyclic_group,
                               direct_product, symmetric_group)
 from quintrank import cocycles as cz
-from quintrank.cocycles import (CliffordElement, CoefficientModule, Cocycle2,
-                                Gf2Solver, TooLarge, central_extension,
-                                coboundary, coboundary_witness, h1_dimension,
+from quintrank.cocycles import (CoefficientModule, Cocycle2, Gf2Solver,
+                                TooLarge, central_extension, coboundary,
+                                coboundary_witness, h1_dimension,
                                 h2_dimension, parse_cocycle, pin_cocycle_sn,
                                 pin_lift, restrict_cocycle, serialize_cocycle,
                                 transposition_factorization, verify_cocycle)
@@ -81,35 +81,61 @@ def test_pin_table_s5_matches_matrix_oracle():
     assert (_oracle_pin_table(5) == pin_cocycle_sn(5).values).all()
 
 
-# -- blade arithmetic ------------------------------------------------------
+# -- blade arithmetic on dense vectors ------------------------------------
+
+def _vec(n, coeffs):
+    v = np.zeros(1 << n, dtype=np.int64)
+    for m, c in coeffs.items():
+        v[m] = c
+    return v
+
+
+def _mul(a, b):
+    return a @ cz._right_mul(b)
+
+
+def _reflection(n, i, j):
+    return _vec(n, {1 << i: 1, 1 << j: -1})
+
 
 def test_blade_products_by_hand():
-    e0 = CliffordElement.make(2, {1: 1}, 0)
-    e1 = CliffordElement.make(2, {2: 1}, 0)
-    e01 = CliffordElement.make(2, {3: 1}, 0)
-    assert e0 * e1 == e01
-    assert e1 * e0 == -e01
-    assert e0 * e0 == CliffordElement.scalar(2)
+    e0, e1, e01 = _vec(2, {1: 1}), _vec(2, {2: 1}), _vec(2, {3: 1})
+    assert (_mul(e0, e1) == e01).all()
+    assert (_mul(e1, e0) == -e01).all()
+    assert (_mul(e0, e0) == _vec(2, {0: 1})).all()
 
 
 def test_reflection_braid_relation_by_hand():
-    # (e0-e1)(e0-e2)(e0-e1) / 2^{3/2} = -(e1-e2)/2^{1/2}, computed by hand
-    v01 = CliffordElement.reflection_vector(3, 0, 1)
-    v02 = CliffordElement.reflection_vector(3, 0, 2)
-    v12 = CliffordElement.reflection_vector(3, 1, 2)
-    assert v01 * v02 * v01 == -v12
+    # (e0-e1)(e0-e2)(e0-e1) = -2(e1-e2), computed by hand
+    v01, v02, v12 = (_reflection(3, 0, 1), _reflection(3, 0, 2),
+                     _reflection(3, 1, 2))
+    assert (_mul(_mul(v01, v02), v01) == -2 * v12).all()
 
 
 def test_reflection_squares_to_one():
+    # (e_i - e_j)^2 = 2, so the lift (e_i - e_j) / sqrt(2) squares to 1
     for i, j in itertools.combinations(range(5), 2):
-        v = CliffordElement.reflection_vector(5, i, j)
-        assert v * v == CliffordElement.scalar(5)
+        v = _reflection(5, i, j)
+        assert (_mul(v, v) == _vec(5, {0: 2})).all()
 
 
-def test_canonical_form_strips_twos():
-    a = CliffordElement.make(3, {0: 4, 5: 8}, -3)
-    assert a == CliffordElement.make(3, {0: 1, 5: 2}, 1)
-    assert CliffordElement.make(3, {0: 0}, 5) == CliffordElement.make(3, {}, 0)
+def test_right_mul_matches_left_regular_oracle():
+    # a @ R(b) against the left-regular matrix of a built from the
+    # generator matrices: e_A = e_i1 e_i2 ... for the bits i1 < i2 < ...
+    rng = np.random.default_rng(17)
+    for n in range(1, 6):
+        gens = [_gen_matrix(n, i) for i in range(n)]
+        blade_mats = []
+        for A in range(1 << n):
+            M = np.eye(1 << n, dtype=np.int64)
+            for i in range(n):
+                if A >> i & 1:
+                    M = M @ gens[i]
+            blade_mats.append(M)
+        for _ in range(20):
+            a, b = rng.integers(-9, 10, size=(2, 1 << n))
+            left = np.tensordot(a, np.stack(blade_mats), axes=1)
+            assert (a @ cz._right_mul(b) == left @ b).all()
 
 
 def test_factorization_reconstructs_permutation():
@@ -130,9 +156,13 @@ def test_pin_lift_multiplicative_up_to_sign():
     for _ in range(60):
         a, b = rng.integers(0, G.order, size=2)
         pa, pb = G.elems[a], G.elems[b]
-        prod = pin_lift(pa) * pin_lift(pb)
-        target = pin_lift(pa * pb)
-        assert prod == target or prod == -target
+        (va, ka), (vb, kb) = pin_lift(pa), pin_lift(pb)
+        vc, kc = pin_lift(pa * pb)
+        # lift(a) lift(b) = +-lift(ab) with lift = v / 2^(k/2)
+        d = ka + kb - kc
+        assert d >= 0 and d % 2 == 0
+        prod, target = _mul(va, vb), vc * 2 ** (d // 2)
+        assert (prod == target).all() or (prod == -target).all()
 
 
 # -- cocycle core ----------------------------------------------------------
@@ -192,10 +222,13 @@ def test_pin5_table_does_not_depend_on_the_chunk_size(monkeypatch):
 
 def test_pin5_sign_check_rejects_a_wrong_last_lift(monkeypatch):
     last = symmetric_group(5).elems[119]
-    bivector = CliffordElement.make(5, {0b11: 1}, 0)
+    bivector = _vec(5, {0b11: 1})
     real = cz.pin_lift
-    monkeypatch.setattr(cz, "pin_lift", lambda p: real(p) * bivector
-                        if p == last else real(p))
+
+    def wrong_last(p):
+        v, k = real(p)
+        return (_mul(v, bivector), k) if p == last else (v, k)
+    monkeypatch.setattr(cz, "pin_lift", wrong_last)
     with pytest.raises(InternalCheckFailed, match="up to sign"):
         cz.pin_cocycle_sn.__wrapped__(5)
 

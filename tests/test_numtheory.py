@@ -28,6 +28,7 @@ from quintrank.numtheory import (
     first_primes,
     is_probable_prime,
     kronecker_symbol,
+    parse_int,
     poly_discriminant,
     quintic_patterns,
     real_root_count,
@@ -47,6 +48,18 @@ def _random_quintics(count, seed=20260819, lo=-30, hi=30):
         if c[5] != 0:
             out.append(IntPolynomial(c))
     return out
+
+
+# -- integers -----------------------------------------------------------------
+
+
+def test_parse_int_takes_only_ascii_decimals():
+    assert [parse_int(t) for t in ["7", " -12 ", "+3", "-0", "007"]] \
+        == [7, -12, 3, 0, 7]
+    for bad in ["2.5", "x", "1e3", "1_0", "\u0661", "-\u0661", "", "+",
+                "--1", "1 2", "0x10"]:
+        with pytest.raises(ValueError, match="expected an integer"):
+            parse_int(bad)
 
 
 # -- Kronecker symbol ---------------------------------------------------------

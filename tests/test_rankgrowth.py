@@ -2,7 +2,7 @@ import pytest
 
 from quintrank.fieldscan import QuinticField
 from quintrank import rankgrowth
-from quintrank.numtheory import IntPolynomial, kronecker_symbol
+from quintrank.numtheory import IntPolynomial, kronecker_symbol, resolvent
 from quintrank.rankgrowth import (
     CurveData,
     IncompleteData,
@@ -127,7 +127,8 @@ def test_reasons_accumulate_in_check_order():
 
 
 def test_incomplete_resolvent():
-    stub = field_of(1, 0, 0, 0, -1, -1, trial_bound=2)
+    stub = field_of(1, 0, 0, 0, -1, -1)
+    stub._resolvent = resolvent(stub.poly, trial_bound=2, disc=stub.disc)
     assert not stub.resolvent.complete
     with pytest.raises(IncompleteData):
         admissible(CURVE37, stub)
