@@ -165,10 +165,8 @@ def _selftest_checks() -> list[dict]:
         S4 = groups.symmetric_group(4)
         A4 = groups.alternating_group(4)
         A5 = groups.alternating_group(5)
-        triv = cocycles.CoefficientModule.trivial
-        got = (cocycles.h2_dimension(S4, triv(S4, 1)),
-               cocycles.h2_dimension(A4, triv(A4, 1)),
-               cocycles.h1_dimension(A5, triv(A5, 1)))
+        got = (cocycles.h2_dimension(S4), cocycles.h2_dimension(A4),
+               cocycles.h1_dimension(A5))
         if got != (2, 1, 0):
             return False, f"(h2 S4, h2 A4, h1 A5) = {got}, want (2, 1, 0)"
         return True, "h2(S4)=2, h2(A4)=1, h1(A5)=0"
@@ -216,12 +214,11 @@ def _cmd_h2(args) -> int:
     A4 = groups.alternating_group(4)
     S5 = groups.symmetric_group(5)
     A5 = groups.alternating_group(5)
-    triv = cocycles.CoefficientModule.trivial
     dims = {
-        "h2": {"S4": cocycles.h2_dimension(S4, triv(S4, 1)),
-               "A4": cocycles.h2_dimension(A4, triv(A4, 1))},
-        "h1": {"S5": cocycles.h1_dimension(S5, triv(S5, 1)),
-               "A5": cocycles.h1_dimension(A5, triv(A5, 1))},
+        "h2": {"S4": cocycles.h2_dimension(S4),
+               "A4": cocycles.h2_dimension(A4)},
+        "h1": {"S5": cocycles.h1_dimension(S5),
+               "A5": cocycles.h1_dimension(A5)},
     }
     pin5 = cocycles.pin_cocycle_sn(5)
     identity_ok = cocycles.verify_cocycle(pin5)

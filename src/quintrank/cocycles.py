@@ -1,13 +1,13 @@
 """Two-cocycles on finite groups and the Clifford-algebra Pin lift.
 
-Coefficients live in Z/2^r (r <= 2), optionally twisted by a sign
-action of the group.  The central construction is ``pin_cocycle_sn``:
-lift each transposition (i j) of S_n to the Clifford vector
-(e_i - e_j) / sqrt(2) with e_i^2 = +1, multiply lifts along a fixed
-deterministic transposition factorization, and read the 2-cocycle off
-the sign defect  lift(s) lift(t) = (-1)^w(s,t) lift(st).  Transposition
-lifts square to +1, so the resulting double cover of S_n is the one in
-which transpositions lift to involutions.
+Coefficients are Z/2 with trivial action (over Z/2 a sign twist acts
+trivially too, since -1 = 1).  The central construction is
+``pin_cocycle_sn``: lift each transposition (i j) of S_n to the
+Clifford vector (e_i - e_j) / sqrt(2) with e_i^2 = +1, multiply lifts
+along a fixed deterministic transposition factorization, and read the
+2-cocycle off the sign defect  lift(s) lift(t) = (-1)^w(s,t) lift(st).
+Transposition lifts square to +1, so the resulting double cover of S_n
+is the one in which transpositions lift to involutions.
 
 Everything is exact: the lift of a permutation of length k is an
 integer blade vector v, standing for v / 2^(k/2), and every product of
@@ -15,9 +15,8 @@ blade vectors goes through one right-multiplication matrix read off
 the blade sign table.
 
 Cohomology dimensions and coboundary witnesses work on sparse mod-2
-coboundary rows (Python-int bit rows read off the group table); for
-Z/4 the rows are lifted along a mod-2 kernel basis, so no dense
-coboundary matrix is ever built.
+coboundary rows (Python-int bit rows read off the group table), so no
+dense coboundary matrix is ever built.
 """
 
 from __future__ import annotations
@@ -43,59 +42,16 @@ class TooLarge(RuntimeError):
     """Group is past the cap for a full cohomology computation."""
 
 
-# -- coefficient modules -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoefficientModule:
-    """Z/2^r with a (possibly trivial) sign action of the group.
-
-    ``signs[g]`` is +1 or -1; the action of g sends m to signs[g] * m.
-    """
-
-    group: FiniteGroup
-    r: int
-    signs: np.ndarray
-
-    def __post_init__(self):
-        if self.r not in (1, 2):
-            raise ValueError("only r <= 2 coefficient modules are supported")
-        s = np.asarray(self.signs, dtype=np.int8)
-        if s.shape != (self.group.order,) or not np.isin(s, (-1, 1)).all():
-            raise ValueError("signs must be a +-1 vector over the group")
-        t = self.group.table
-        if not (s[t] == s[:, None] * s[None, :]).all():
-            raise ValueError("sign action is not a homomorphism")
-        s.flags.writeable = False
-        object.__setattr__(self, "signs", s)
-
-    @staticmethod
-    def trivial(group: FiniteGroup, r: int = 1) -> "CoefficientModule":
-        return CoefficientModule(group, r, np.ones(group.order, dtype=np.int8))
-
-    @staticmethod
-    def sign_twisted(group: FiniteGroup, r: int, signs) -> "CoefficientModule":
-        return CoefficientModule(group, r, np.asarray(signs, dtype=np.int8))
-
-    @property
-    def order(self) -> int:
-        return 1 << self.r
-
-    @property
-    def is_trivial_action(self) -> bool:
-        return bool((self.signs == 1).all())
-
-
 @dataclass(frozen=True)
 class Cocycle2:
-    """A normalized 2-cochain; run verify_cocycle for the cocycle law."""
+    """A normalized Z/2-valued 2-cochain on G (trivial action); run
+    verify_cocycle for the cocycle law."""
 
     group: FiniteGroup
-    module: CoefficientModule
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.int8) % self.module.order
+        v = np.asarray(self.values, dtype=np.int8) % 2
         n = self.group.order
         if v.shape != (n, n):
             raise ValueError("cocycle table shape mismatch")
@@ -103,19 +59,6 @@ class Cocycle2:
             raise ValueError("cocycle is not normalized")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    @property
-    def r(self) -> int:
-        return self.module.r
-
-    @staticmethod
-    def normalized(group: FiniteGroup, module: CoefficientModule,
-                   raw) -> "Cocycle2":
-        """Shift a raw cocycle by the canonical constant coboundary
-        c(g) = w(1,1), which forces w(1,.) = w(.,1) = 0."""
-        w = np.asarray(raw, dtype=np.int64)
-        shift = module.signs.astype(np.int64) * int(w[0, 0])
-        return Cocycle2(group, module, (w - shift[:, None]) % module.order)
 
 
 def _row_chunks(n: int, per_row: int) -> list[tuple[int, int]]:
@@ -125,15 +68,14 @@ def _row_chunks(n: int, per_row: int) -> list[tuple[int, int]]:
     return [(lo, min(n, lo + step)) for lo in range(0, n, step)]
 
 
-def _coboundary2(module: CoefficientModule, w: np.ndarray, lo: int,
+def _coboundary2(G: FiniteGroup, w: np.ndarray, lo: int,
                  hi: int) -> np.ndarray:
-    """delta w (g,h,k) = a_g w(h,k) - w(gh,k) + w(g,hk) - w(g,h) mod 2^r
-    for lo <= g < hi, as a (hi - lo) x n x n array.  An int8 w is wide
-    enough: each of the four terms lies in [-3, 3]."""
-    t, s = module.group.table, module.signs
+    """delta w (g,h,k) = w(h,k) + w(gh,k) + w(g,hk) + w(g,h) mod 2 for
+    lo <= g < hi, as a (hi - lo) x n x n array; w holds 0/1 entries, as
+    Cocycle2 values do."""
+    t = G.table
     g = np.arange(lo, hi)
-    return (s[g][:, None, None] * w - w[t[g]] + w[g][:, t]
-            - w[g][:, :, None]) % module.order
+    return w[None] ^ w[t[g]] ^ w[g][:, t] ^ w[g][:, :, None]
 
 
 def _defect_labels(c: Cocycle2) -> list[int]:
@@ -141,15 +83,15 @@ def _defect_labels(c: Cocycle2) -> list[int]:
     n = c.group.order
     bad = []
     for lo, hi in _row_chunks(n, n * n):
-        defect = _coboundary2(c.module, c.values, lo, hi)
+        defect = _coboundary2(c.group, c.values, lo, hi)
         bad += (lo + np.flatnonzero(defect.any(axis=(1, 2)))).tolist()
     return bad
 
 
 def verify_cocycle(c: Cocycle2) -> bool:
-    """Exhaustively check the twisted cocycle identity over all |G|^3 triples:
+    """Exhaustively check the cocycle identity over all |G|^3 triples:
 
-        a_g w(h,k) - w(gh,k) + w(g,hk) - w(g,h) = 0  (mod 2^r)
+        w(h,k) + w(gh,k) + w(g,hk) + w(g,h) = 0  (mod 2)
 
     in slices of consecutive g holding at most _CHUNK_ENTRIES (2^18)
     triples; S5 takes 7 slices with int8 temporaries near 256 KB each.
@@ -157,12 +99,10 @@ def verify_cocycle(c: Cocycle2) -> bool:
     return not _defect_labels(c)
 
 
-def coboundary(module: CoefficientModule, c) -> np.ndarray:
-    """delta c (g,h) = a_g c(h) - c(gh) + c(g), reduced mod 2^r."""
-    c = np.asarray(c, dtype=np.int64)
-    t = module.group.table
-    signs = module.signs.astype(np.int64)
-    return (signs[:, None] * c[None, :] - c[t] + c[:, None]) % module.order
+def coboundary(G: FiniteGroup, c) -> np.ndarray:
+    """delta c (g,h) = c(h) + c(gh) + c(g) mod 2."""
+    c = np.asarray(c, dtype=np.int64) % 2
+    return c[None, :] ^ c[G.table] ^ c[:, None]
 
 
 # -- the Pin lift on dense blade vectors ------------------------------------
@@ -262,7 +202,7 @@ def pin_cocycle_sn(n: int) -> Cocycle2:
             raise InternalCheckFailed(
                 "pin lift products do not match up to sign")
         w[lo:hi] = np.where(minus, 1, 0)
-    return Cocycle2(G, CoefficientModule.trivial(G, 1), w)
+    return Cocycle2(G, w)
 
 
 def restrict_cocycle(c: Cocycle2, labels) -> tuple[Cocycle2, tuple[int, ...]]:
@@ -270,9 +210,7 @@ def restrict_cocycle(c: Cocycle2, labels) -> tuple[Cocycle2, tuple[int, ...]]:
     subgroup together with the inclusion (new label -> old label)."""
     H, incl = c.group.subgroup(labels)
     sub = np.asarray(incl, dtype=np.int32)
-    mod = CoefficientModule(H, c.module.r, c.module.signs[sub])
-    vals = c.values[np.ix_(sub, sub)]
-    return Cocycle2(H, mod, vals), incl
+    return Cocycle2(H, c.values[np.ix_(sub, sub)]), incl
 
 
 # -- GF(2) linear algebra (bit-packed rows) --------------------------------
@@ -284,8 +222,7 @@ class Gf2Solver:
     Bit 0 holds the right-hand side; variable j lives at bit j + 1.
     """
 
-    def __init__(self, nvars: int):
-        self.nvars = nvars
+    def __init__(self):
         self.pivots: dict[int, int] = {}
         self.inconsistent = False
 
@@ -305,57 +242,43 @@ class Gf2Solver:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _reduce_up(self) -> None:
-        for b in sorted(self.pivots):
-            row = self.pivots[b]
-            for b2 in self.pivots:
-                if b2 > b and (self.pivots[b2] >> b) & 1:
-                    self.pivots[b2] ^= row
-
     def solve(self) -> Optional[int]:
         """A particular solution as a bitmask (bit j = variable j), with
         free variables set to 0; None if the system is inconsistent."""
         if self.inconsistent:
             return None
-        self._reduce_up()
+        for b in sorted(self.pivots):
+            row = self.pivots[b]
+            for b2 in self.pivots:
+                if b2 > b and (self.pivots[b2] >> b) & 1:
+                    self.pivots[b2] ^= row
         sol = 0
         for b, row in self.pivots.items():
             if row & 1:
                 sol |= 1 << (b - 1)
         return sol
 
-    def kernel_basis(self) -> list[int]:
-        """Basis of the homogeneous kernel, one bitmask per free variable."""
-        self._reduce_up()
-        piv_vars = {b - 1: row for b, row in self.pivots.items()}
-        basis = []
-        for f in range(self.nvars):
-            if f in piv_vars:
-                continue
-            vec = 1 << f
-            for pv, row in piv_vars.items():
-                if (row >> (f + 1)) & 1:
-                    vec |= 1 << pv
-            basis.append(vec)
-        return basis
 
-
-def _bits_to_array(mask: int, nvars: int) -> np.ndarray:
-    return np.array([(mask >> j) & 1 for j in range(nvars)], dtype=np.int64)
+def _gf2_rank_of_rows(rows) -> int:
+    """Rank over GF(2) of Python-int rows, column j at bit j."""
+    solver = Gf2Solver()
+    for row in set(rows):
+        solver.add(row << 1)  # shift into variable area, rhs 0
+    return solver.rank
 
 
 def _delta1_rows_gf2(G: FiniteGroup) -> list[int]:
-    """Rows of delta1 mod 2 in (g, h) order: row (g,h) has bits h, gh and
-    g, column x at bit x.  The sign action vanishes mod 2."""
+    """Rows of delta1 in (g, h) order: row (g,h) has bits h, gh and g,
+    column x at bit x."""
     return [(1 << h) ^ (1 << gh) ^ (1 << g)
             for g, row in enumerate(G.table.tolist())
             for h, gh in enumerate(row)]
 
 
 def _delta2_rows_gf2(G: FiniteGroup) -> list[int]:
-    """Rows of delta2 mod 2 in (g, h, k) order, read off the table: row
+    """Rows of delta2 in (g, h, k) order, read off the table: row
     (g,h,k) has bits (h,k), (gh,k), (g,hk) and (g,h), column (x,y) at
-    bit x*n + y.  The sign action vanishes mod 2."""
+    bit x*n + y."""
     n, t = G.order, G.table.astype(np.int64)
     g, h, k = np.indices((n, n, n)).reshape(3, -1)
     cols = (h * n + k, t[g, h] * n + k, g * n + t[h, k], g * n + h)
@@ -363,61 +286,19 @@ def _delta2_rows_gf2(G: FiniteGroup) -> list[int]:
             for a, b, c, d in zip(*(col.tolist() for col in cols))]
 
 
-def _lift_rows(rows: list[int], width: int, apply,
-               kernel: list[int]) -> list[int]:
-    """Append to each mod-2 row of a Z/4 operator A (columns below bit
-    width) bit j of (A k_j) / 2, for the mod-2 kernel basis k_j; apply(x)
-    is A x mod 4, flattened in row order."""
-    lifts = [0] * len(rows)
-    for j, k in enumerate(kernel):
-        image = apply(_bits_to_array(k, width))
-        if (image % 2).any():
-            raise InternalCheckFailed("kernel lift produced odd entries")
-        for i in np.flatnonzero(image // 2 % 2).tolist():
-            lifts[i] |= 1 << j
-    return [row | lift << width for row, lift in zip(rows, lifts)]
-
-
 def coboundary_witness(c: Cocycle2) -> Optional[np.ndarray]:
     """A 1-cochain with delta(witness) == c.values, or None when the class
-    of the cocycle is nonzero.  Solved over GF(2); for r = 2 the mod-2
-    solution space is lifted with a second GF(2) stage."""
+    of the cocycle is nonzero.  Solved over GF(2)."""
     n = c.group.order
-    w = c.values.astype(np.int64).ravel()
-    rows = _delta1_rows_gf2(c.group)
-    solver = Gf2Solver(n)
-    for row in {row << 1 | int(v & 1) for row, v in zip(rows, w)}:
+    solver = Gf2Solver()
+    rhs = c.values.ravel().tolist()
+    for row in {row << 1 | v for row, v in zip(_delta1_rows_gf2(c.group), rhs)}:
         solver.add(row)
-    base = solver.solve()
-    if base is None:
-        return None
-    c0 = _bits_to_array(base, n)
-    if c.module.r == 1:
-        return _checked_witness(c, c0.astype(np.int8))
-    # r = 2: parametrize all mod-2 solutions as c0 + sum k_i B_i, write the
-    # candidate as that plus 2*c1, and solve for (c1, k) over GF(2), with
-    # c1 in the first n variables and the k's after them.
-    residual = (w - coboundary(c.module, c0).ravel()) % 4
-    if (residual % 2).any():
-        raise InternalCheckFailed("mod-2 stage left an odd residual")
-    kernel = solver.kernel_basis()
-    lifted = _lift_rows(rows, n, lambda x: coboundary(c.module, x).ravel(),
-                        kernel)
-    solver2 = Gf2Solver(n + len(kernel))
-    for row in {row << 1 | int(v // 2) for row, v in zip(lifted, residual)}:
-        solver2.add(row)
-    sol = solver2.solve()
+    sol = solver.solve()
     if sol is None:
         return None
-    witness = c0 + 2 * _bits_to_array(sol, n)
-    for i, k in enumerate(kernel):
-        if (sol >> (n + i)) & 1:
-            witness += _bits_to_array(k, n)
-    return _checked_witness(c, (witness % 4).astype(np.int8))
-
-
-def _checked_witness(c: Cocycle2, witness: np.ndarray) -> np.ndarray:
-    if not (coboundary(c.module, witness) == c.values).all():
+    witness = np.array([(sol >> j) & 1 for j in range(n)], dtype=np.int8)
+    if not (coboundary(c.group, witness) == c.values).all():
         raise InternalCheckFailed(
             "coboundary witness does not reproduce the cocycle")
     return witness
@@ -426,64 +307,22 @@ def _checked_witness(c: Cocycle2, witness: np.ndarray) -> np.ndarray:
 # -- cohomology dimensions -------------------------------------------------
 
 
-def _gf2_rank_of_rows(rows) -> int:
-    solver = Gf2Solver(0)
-    for row in rows:
-        solver.add(row << 1)  # shift into variable area, rhs 0
-    return solver.rank
-
-
-def _image_log2(module: CoefficientModule, rows: list[int], width: int,
-                apply) -> int:
-    """log2 |im A| for a Z/2^r operator A given by its mod-2 rows (column
-    j at bit j) and apply(x) = A x mod 2^r in the same row order.  Over
-    Z/4, |im A| = 4^rho1 * 2^rho2 with rho1, rho2 the counts of
-    elementary divisors 1 and 2: rho1 is the rank of the rows and
-    rho1 + rho2 that of the rows lifted along a mod-2 kernel basis (the
-    lift is only defined mod 2, hence mod the image of the rows)."""
-    solver = Gf2Solver(width)
-    for row in set(rows):
-        solver.add(row << 1)
-    if module.r == 1:
-        return solver.rank
-    lifted = _lift_rows(rows, width, apply, solver.kernel_basis())
-    return solver.rank + _gf2_rank_of_rows(set(lifted))
-
-
-def _delta1_image_log2(G: FiniteGroup, module: CoefficientModule) -> int:
-    if module.group is not G and not np.array_equal(module.group.table,
-                                                    G.table):
-        raise ValueError("module is not over the given group")
-    return _image_log2(module, _delta1_rows_gf2(G), G.order,
-                       lambda x: coboundary(module, x).ravel())
-
-
-def h2_dimension(G: FiniteGroup, module: CoefficientModule) -> int:
-    """log2 of |H^2(G, M)| = |ker delta2| / |im delta1|, that is
-    r n^2 - log2 |im delta2| - log2 |im delta1|.  Both images are sized
-    from sparse mod-2 coboundary rows read off the table, lifted to Z/4
-    when r = 2; no dense operator matrix is built.  Capped at |G| <= 30."""
+def h2_dimension(G: FiniteGroup) -> int:
+    """dim H^2(G, Z/2) = n^2 - rank delta2 - rank delta1 over GF(2), from
+    sparse coboundary rows read off the table; no dense operator matrix
+    is built.  Capped at |G| <= 30."""
     if G.order > H2_GROUP_CAP:
         raise TooLarge(f"h2_dimension is capped at |G| <= {H2_GROUP_CAP}")
-    n = G.order
-    log_im1 = _delta1_image_log2(G, module)
-    # n^3 <= 27000 triples under the cap, so delta2 is applied in one go
-    log_im2 = _image_log2(
-        module, _delta2_rows_gf2(G), n * n,
-        lambda x: _coboundary2(module, x.reshape(n, n).astype(np.int8),
-                               0, n).ravel())
-    return module.r * n * n - log_im2 - log_im1
+    return (G.order ** 2 - _gf2_rank_of_rows(_delta2_rows_gf2(G))
+            - _gf2_rank_of_rows(_delta1_rows_gf2(G)))
 
 
-def h1_dimension(G: FiniteGroup, module: CoefficientModule) -> int:
-    """log2 of |H^1(G, M)| = |ker delta1| / |im delta0|, that is
-    r n - log2 |im delta1| - log2 |im delta0|.  delta0 m = (a_g m - m)_g
-    takes values in {0, -2}, so its image has two elements when r = 2 and
-    the action is not trivial, and one otherwise.  Capped at |G| <= 240."""
+def h1_dimension(G: FiniteGroup) -> int:
+    """dim H^1(G, Z/2) = n - rank delta1 over GF(2); delta0 vanishes under
+    the trivial action.  Capped at |G| <= 240."""
     if G.order > H1_GROUP_CAP:
         raise TooLarge(f"h1_dimension is capped at |G| <= {H1_GROUP_CAP}")
-    log_im0 = int(module.r == 2 and not module.is_trivial_action)
-    return module.r * G.order - _delta1_image_log2(G, module) - log_im0
+    return G.order - _gf2_rank_of_rows(_delta1_rows_gf2(G))
 
 
 # -- central extensions ----------------------------------------------------
@@ -491,10 +330,10 @@ def h1_dimension(G: FiniteGroup, module: CoefficientModule) -> int:
 
 @dataclass(frozen=True)
 class CentralExtension:
-    """The extension 1 -> Z/2^r -> E -> G -> 1 defined by a cocycle.
+    """The extension 1 -> Z/2 -> E -> G -> 1 defined by a cocycle.
 
     Elements are pairs (c, g) with label c * |G| + g and product
-    (c1, g1)(c2, g2) = (c1 + a_{g1} c2 + w(g1, g2), g1 g2).
+    (c1, g1)(c2, g2) = (c1 + c2 + w(g1, g2), g1 g2).
     """
 
     group: FiniteGroup
@@ -503,56 +342,20 @@ class CentralExtension:
     projection: np.ndarray
     central: tuple[int, ...]
 
-    def lift(self, g: int, c: int = 0) -> int:
-        return c * self.base.order + g
-
 
 def central_extension(G: FiniteGroup, c: Cocycle2) -> CentralExtension:
     if c.group is not G and not np.array_equal(c.group.table, G.table):
         raise ValueError("cocycle is not on the given group")
-    m = c.module.order
     n = G.order
-    labels = np.arange(m * n)
+    labels = np.arange(2 * n)
     c1, g1 = labels // n, labels % n
-    signs = c.module.signs.astype(np.int64)
-    w = c.values.astype(np.int64)
-    newc = (c1[:, None] + signs[g1][:, None] * c1[None, :]
-            + w[np.ix_(g1, g1)]) % m
+    newc = c1[:, None] ^ c1[None, :] ^ c.values[np.ix_(g1, g1)]
     newg = G.table[np.ix_(g1, g1)]
     table = (newc * n + newg).astype(np.int32)
     elems = [(int(cc), G.elems[int(gg)]) for cc, gg in zip(c1, g1)]
     gens = list(G.generators) + [n]  # lifts of base generators plus (1, id)
     E = FiniteGroup(elems, table, generators=gens,
-                    name=f"ext{m}({G.name})" if G.name else "ext")
-    proj = (labels % n).astype(np.int32)
+                    name=f"ext2({G.name})" if G.name else "ext")
+    proj = g1.astype(np.int32)
     proj.flags.writeable = False
-    central = tuple(int(cc) * n for cc in range(m))
-    return CentralExtension(E, G, c, proj, central)
-
-
-# -- serialization ---------------------------------------------------------
-
-
-def serialize_cocycle(c: Cocycle2) -> str:
-    """Header `group_order r`, then order^2 integers row-major."""
-    lines = [f"{c.group.order} {c.module.r}"]
-    for row in c.values:
-        lines.append(" ".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def parse_cocycle(text: str, group: FiniteGroup,
-                  module: Optional[CoefficientModule] = None) -> Cocycle2:
-    lines = [ln for ln in text.strip().split("\n") if ln.strip()]
-    order, r = (int(v) for v in lines[0].split())
-    if order != group.order:
-        raise ValueError("serialized order does not match the group")
-    if module is None:
-        module = CoefficientModule.trivial(group, r)
-    elif module.r != r:
-        raise ValueError("module r does not match the header")
-    vals = np.array([[int(v) for v in ln.split()] for ln in lines[1:]],
-                    dtype=np.int8)
-    if vals.shape != (order, order):
-        raise ValueError("serialized table has wrong shape")
-    return Cocycle2(group, module, vals)
+    return CentralExtension(E, G, c, proj, (0, n))

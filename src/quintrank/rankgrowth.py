@@ -19,7 +19,7 @@ Kodaira data.  Fields are consumed through a small protocol: .label,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 from . import InternalCheckFailed
 from .numtheory import (
@@ -41,12 +41,6 @@ REASON_INCOMPLETE = "IncompleteData"
 
 class IncompleteData(RuntimeError):
     """The field's resolvent factorization did not complete."""
-
-
-class NotAdmissible(RuntimeError):
-    def __init__(self, reasons):
-        super().__init__(f"pair not admissible: {', '.join(reasons)}")
-        self.reasons = tuple(reasons)
 
 
 @dataclass(frozen=True)
@@ -170,15 +164,17 @@ def admissible(curve: CurveData, field) -> Admissibility:
     return Admissibility(not reasons, tuple(reasons))
 
 
-def parity(curve: CurveData, field) -> ParityCertificate:
-    adm = admissible(curve, field)
+def certify_pair(curve: CurveData, field) -> ParityCertificate:
+    """The parity certificate of a pair; non-admissible pairs get a
+    certificate carrying the reasons instead of an error."""
+    try:
+        adm = admissible(curve, field)
+    except IncompleteData:
+        return ParityCertificate(curve.label, field.label, False,
+                                 (REASON_INCOMPLETE,), None, None, "Unknown")
     if not adm.ok:
-        raise NotAdmissible(adm.reasons)
-    return _admissible_certificate(curve, field)
-
-
-def _admissible_certificate(curve: CurveData, field) -> ParityCertificate:
-    """The parity certificate of a pair already found admissible."""
+        return ParityCertificate(curve.label, field.label, False,
+                                 adm.reasons, None, None, "Unknown")
     fund = field.resolvent.fundamental_disc
     chi = 1
     for p, e in curve.factorization:
@@ -193,23 +189,3 @@ def _admissible_certificate(curve: CurveData, field) -> ParityCertificate:
         curve=curve.label, field=field.label, admissible=True, reasons=(),
         chi=chi, parity="Odd" if odd else "Even",
         growth="Certified" if odd else "Unknown")
-
-
-def certify_pair(curve: CurveData, field) -> ParityCertificate:
-    """Total version: non-admissible pairs get a certificate carrying
-    the reasons instead of an error."""
-    try:
-        adm = admissible(curve, field)
-    except IncompleteData:
-        return ParityCertificate(curve.label, field.label, False,
-                                 (REASON_INCOMPLETE,), None, None, "Unknown")
-    if not adm.ok:
-        return ParityCertificate(curve.label, field.label, False,
-                                 adm.reasons, None, None, "Unknown")
-    return _admissible_certificate(curve, field)
-
-
-def batch_certify(curve: CurveData, fields: Iterable
-                  ) -> Iterator[ParityCertificate]:
-    for field in fields:
-        yield certify_pair(curve, field)

@@ -21,8 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import InternalCheckFailed
-from .cocycles import (Cocycle2, _row_chunks, central_extension,
-                       pin_cocycle_sn)
+from .cocycles import _row_chunks, central_extension, pin_cocycle_sn
 from .groups import (CosetSystem, FiniteGroup, Permutation, _bfs,
                      abelianization, coset_factorization, symmetric_group)
 
@@ -102,13 +101,6 @@ class Character:
             raise ValueError("character length mismatch")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    def is_class_function(self, tol: float = TOL_CHAR) -> bool:
-        for cls in self.group.conjugacy_classes():
-            vals = self.values[list(cls)]
-            if np.abs(vals - vals[0]).max() > tol:
-                return False
-        return True
 
     def __add__(self, other: "Character") -> "Character":
         return Character(self.group, self.values + other.values)

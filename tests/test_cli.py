@@ -13,7 +13,7 @@ from quintrank.cocycles import TooLarge
 from quintrank.groups import CapExceeded
 from quintrank.numtheory import LeadingCoeffVanishes, NotSquarefree
 from quintrank.numtheory import IntPolynomial
-from quintrank.rankgrowth import IncompleteData, NotAdmissible
+from quintrank.rankgrowth import IncompleteData
 from quintrank.reps import ClosureFailure, NonIntegral
 
 FLAGSHIP_POLY = "1,0,0,0,-1,-1"
@@ -211,7 +211,6 @@ def test_false_merge_exits_one(capsys, monkeypatch):
     (NotSquarefree("stub"), 3),
     (LeadingCoeffVanishes("stub"), 3),
     (IncompleteData("stub"), 3),
-    (NotAdmissible(["EvenConductor"]), 3),
     (TooLarge("stub"), 3),
     (CapExceeded("stub"), 3),
     (ValueError("stub"), 3),

@@ -629,9 +629,8 @@ GUARDS_UNDER_O = textwrap.dedent("""
     raises(ValueError, ParityCertificate, "c", "f", True, (), 1, "Odd",
            "Unknown")
     G = cyclic_group(2)
-    mod = cocycles.CoefficientModule.trivial(G, 1)
-    zero = cocycles.Cocycle2(G, mod, np.zeros((2, 2), dtype=np.int8))
-    cocycles.coboundary = lambda module, c: np.ones((2, 2), dtype=np.int64)
+    zero = cocycles.Cocycle2(G, np.zeros((2, 2), dtype=np.int8))
+    cocycles.coboundary = lambda group, c: np.ones((2, 2), dtype=np.int64)
     raises(RuntimeError, cocycles.coboundary_witness, zero)
 """)
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from quintrank.groups import (
-    AbelianQuotient,
     CapExceeded,
     CosetSystem,
     FiniteGroup,

@@ -9,7 +9,6 @@ from oracles import (
     count_real_roots_bisection,
     ddf_pattern_mod_p,
     factor_completely,
-    legendre_by_enumeration,
     squarefree_kernel_by_trial_division,
     sylvester_discriminant,
     sylvester_resultant,

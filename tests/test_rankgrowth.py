@@ -6,11 +6,8 @@ from quintrank.numtheory import IntPolynomial, kronecker_symbol, resolvent
 from quintrank.rankgrowth import (
     CurveData,
     IncompleteData,
-    NotAdmissible,
     admissible,
-    batch_certify,
     certify_pair,
-    parity,
 )
 
 
@@ -144,7 +141,7 @@ def test_flagship_parity_odd_via_residue_enumeration():
     assert 2869 % 37 == 20
     expected_chi = 1 if 20 in squares else -1
     assert expected_chi == -1  # 20 is a non-residue mod 37
-    cert = parity(CURVE37, FLAGSHIP)
+    cert = certify_pair(CURVE37, FLAGSHIP)
     assert cert.chi == expected_chi
     assert cert.parity == "Odd" and cert.growth == "Certified"
     assert cert.admissible and cert.reasons == ()
@@ -152,9 +149,9 @@ def test_flagship_parity_odd_via_residue_enumeration():
 
 
 def test_parity_requires_admissible():
-    with pytest.raises(NotAdmissible) as ei:
-        parity(CurveData.parse("14a 14 2^1 7^1"), FLAGSHIP)
-    assert "EvenConductor" in ei.value.reasons
+    cert = certify_pair(CurveData.parse("14a 14 2^1 7^1"), FLAGSHIP)
+    assert not cert.admissible and cert.chi is None
+    assert "EvenConductor" in cert.reasons
 
 
 def test_certify_pair_checks_admissibility_once(monkeypatch):
@@ -166,16 +163,15 @@ def test_certify_pair_checks_admissibility_once(monkeypatch):
         return real(curve, field)
 
     monkeypatch.setattr(rankgrowth, "admissible", counted)
-    certs = list(batch_certify(CURVE37, [FLAGSHIP, SOLVABLE, THREE_REAL]))
+    certs = [certify_pair(CURVE37, f) for f in (FLAGSHIP, SOLVABLE, THREE_REAL)]
     assert [c.admissible for c in certs] == [True, False, False]
     assert calls == [FLAGSHIP.label, SOLVABLE.label, THREE_REAL.label]
-    assert certs[0] == parity(CURVE37, FLAGSHIP)
 
 
 def test_empty_multiplicative_part_is_even_parity():
     # all additive primes, 3 split in the resolvent: chi is an empty product
     assert kronecker_symbol(2869, 3) == 1
-    cert = parity(CurveData.parse("a 9 3^2"), FLAGSHIP)
+    cert = certify_pair(CurveData.parse("a 9 3^2"), FLAGSHIP)
     assert cert.chi == 1
     assert cert.parity == "Even" and cert.growth == "Unknown"
 
@@ -183,13 +179,13 @@ def test_empty_multiplicative_part_is_even_parity():
 def test_two_inert_primes_cancel():
     assert kronecker_symbol(2869, 7) == -1
     assert kronecker_symbol(2869, 23) == -1
-    cert = parity(CurveData.parse("ee 161 7^1 23^1"), FLAGSHIP)
+    cert = certify_pair(CurveData.parse("ee 161 7^1 23^1"), FLAGSHIP)
     assert cert.chi == 1 and cert.parity == "Even"
 
 
 def test_chi_matches_one_shot_kronecker():
     curve = CurveData.parse("m 483 3^1 7^1 23^1")
-    cert = parity(curve, FLAGSHIP)
+    cert = certify_pair(curve, FLAGSHIP)
     assert cert.chi == kronecker_symbol(2869, 483)
     # and against the prime-by-prime product done by hand
     hand = 1
@@ -212,12 +208,8 @@ def test_certificate_invariant_under_generator_change():
 # -- batch ------------------------------------------------------------------------
 
 
-def test_batch_empty():
-    assert list(batch_certify(CURVE37, [])) == []
-
-
 def test_batch_totality_and_structural_invariants():
-    certs = list(batch_certify(CURVE37, [FLAGSHIP, SOLVABLE, THREE_REAL]))
+    certs = [certify_pair(CURVE37, f) for f in (FLAGSHIP, SOLVABLE, THREE_REAL)]
     assert len(certs) == 3
     for cert in certs:
         if cert.growth == "Certified":
@@ -231,7 +223,7 @@ def test_batch_totality_and_structural_invariants():
 
 
 def test_certificate_json_schema():
-    doc = parity(CURVE37, FLAGSHIP).to_json_dict()
+    doc = certify_pair(CURVE37, FLAGSHIP).to_json_dict()
     assert list(doc.keys()) == [
         "curve", "field", "admissible", "reasons", "chi", "parity", "growth"]
     assert doc["curve"] == "37a"

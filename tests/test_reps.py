@@ -1,8 +1,6 @@
 """Representation layer tests: quaternion groups, isomorphism search,
 tensor induction, and the index-2 reducibility criterion."""
 
-import itertools
-
 import numpy as np
 import pytest
 
