@@ -211,6 +211,7 @@ def test_false_merge_exits_one(capsys, monkeypatch):
     (NotSquarefree("stub"), 3),
     (LeadingCoeffVanishes("stub"), 3),
     (IncompleteData("stub"), 3),
+    (RuntimeError("stub"), 3),
     (TooLarge("stub"), 3),
     (CapExceeded("stub"), 3),
     (ValueError("stub"), 3),
