@@ -27,7 +27,7 @@ from . import (InternalCheckFailed, cocycles, fieldscan, groups, numtheory,
                rankgrowth, reps)
 
 
-class DataError(Exception):
+class DataError(ValueError):
     """Bad input that argparse cannot see: files, specs, domains."""
 
 
@@ -107,13 +107,6 @@ def _load_curves(token: str) -> list[rankgrowth.CurveData]:
     if not curves:
         raise DataError("curve file contains no curve specs")
     return curves
-
-
-def _build_field(poly, label, prime_budget) -> fieldscan.QuinticField:
-    try:
-        return fieldscan.QuinticField(poly, label=label, prime_budget=prime_budget)
-    except ValueError as exc:
-        raise DataError(str(exc))
 
 
 # -- selftest ---------------------------------------------------------------
@@ -268,7 +261,7 @@ def _cmd_standard_rep(args) -> int:
 # -- analyze-field ----------------------------------------------------------
 
 def _cmd_analyze_field(args) -> int:
-    field = _build_field(args.poly, args.label, args.prime_budget)
+    field = fieldscan.QuinticField(args.poly, args.label, args.prime_budget)
     rd = field.resolvent
     cert = field.certificate
     payload = {
@@ -309,13 +302,10 @@ def _cmd_analyze_field(args) -> int:
 
 def _cmd_certify(args) -> int:
     if args.curve is not None:
-        try:
-            curves = [rankgrowth.CurveData.parse(args.curve)]
-        except ValueError as exc:
-            raise DataError(str(exc))
+        curves = [rankgrowth.CurveData.parse(args.curve)]
     else:
         curves = _load_curves(args.curve_file)
-    field = _build_field(args.poly, args.label, args.prime_budget)
+    field = fieldscan.QuinticField(args.poly, args.label, args.prime_budget)
     for curve in curves:
         cert = rankgrowth.certify_pair(curve, field)
         sys.stdout.write(_canonical(cert.to_json_dict()))
@@ -325,10 +315,7 @@ def _cmd_certify(args) -> int:
 # -- scan -------------------------------------------------------------------
 
 def _cmd_scan(args) -> int:
-    try:
-        curve = rankgrowth.CurveData.parse(args.curve)
-    except ValueError as exc:
-        raise DataError(str(exc))
+    curve = rankgrowth.CurveData.parse(args.curve)
     cache = fieldscan.FieldCache(args.cache) if args.cache else None
     if args.height is not None:
         fields = fieldscan.enumerate_quintics(
@@ -426,10 +413,7 @@ def main(argv=None) -> int:
     except InternalCheckFailed as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, ValueError, RuntimeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

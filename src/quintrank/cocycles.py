@@ -337,8 +337,6 @@ class CentralExtension:
     """
 
     group: FiniteGroup
-    base: FiniteGroup
-    cocycle: Cocycle2
     projection: np.ndarray
     central: tuple[int, ...]
 
@@ -358,4 +356,4 @@ def central_extension(G: FiniteGroup, c: Cocycle2) -> CentralExtension:
                     name=f"ext2({G.name})" if G.name else "ext")
     proj = g1.astype(np.int32)
     proj.flags.writeable = False
-    return CentralExtension(E, G, c, proj, (0, n))
+    return CentralExtension(E, proj, (0, n))

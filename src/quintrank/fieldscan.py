@@ -88,23 +88,6 @@ class ChecksumMismatch(RuntimeError):
     """A cache entry failed its checksum."""
 
 
-@dataclass
-class Instrumentation:
-    disc_computations: int = 0
-
-    def reset(self):
-        self.disc_computations = 0
-
-
-INSTRUMENTATION = Instrumentation()
-
-
-def _discriminant(poly: IntPolynomial) -> int:
-    """poly_discriminant, counted in INSTRUMENTATION."""
-    INSTRUMENTATION.disc_computations += 1
-    return poly_discriminant(poly)
-
-
 class QuinticField:
     """Monic separable integer quintic with lazily derived field data."""
 
@@ -115,7 +98,7 @@ class QuinticField:
                  prime_budget: int = DEFAULT_PRIME_BUDGET):
         if poly.degree != 5 or poly.lc != 1:
             raise ValueError("expected a monic quintic")
-        disc = _discriminant(poly)
+        disc = poly_discriminant(poly)
         if disc == 0:
             raise NotSeparable(f"{poly} has a repeated root")
         self._start(poly, label, prime_budget, disc)
@@ -509,7 +492,7 @@ def _orbit_minimal_rows(h: int) -> Iterator[tuple[tuple, list[int]]]:
 
 
 def _disc_at(head: tuple[int, ...], a0: int) -> int:
-    return _discriminant(IntPolynomial.descending((1,) + head + (a0,)))
+    return poly_discriminant(IntPolynomial.descending((1,) + head + (a0,)))
 
 
 def _discs_along_a0(head: tuple[int, ...], start: int, count: int

@@ -19,11 +19,9 @@ homomorphisms (the latter into the wreath product of Q by S_n).
 from __future__ import annotations
 
 import itertools
-import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,10 +45,6 @@ class Permutation:
             raise ValueError(f"not a permutation of 0..n-1: {self.images!r}")
 
     @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(n)))
-
-    @staticmethod
     def from_cycles(n: int, *cycles: Sequence[int]) -> "Permutation":
         # cycles must be disjoint
         images = list(range(n))
@@ -67,18 +61,9 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         # right action: self first, then other
         return Permutation(tuple(other.images[i] for i in self.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, img in enumerate(self.images):
-            inv[img] = i
-        return Permutation(tuple(inv))
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen, out = set(), []
@@ -95,9 +80,6 @@ class Permutation:
 
     def cycle_type(self) -> tuple[int, ...]:
         return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
-
-    def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles()))
 
     def fixed_points(self) -> int:
         return sum(1 for i, img in enumerate(self.images) if i == img)
@@ -134,7 +116,8 @@ class FiniteGroup:
         if generators is None:
             generators = _greedy_generators(self.table, self.element_orders())
         self.generators = tuple(int(g) for g in generators)
-        self.words = self._build_words()
+        if 1 + sum(new for *_, new in _bfs(self.table, self.generators)) != n:
+            raise ValueError("declared generators do not generate the group")
         self._classes = None
 
     # -- construction -------------------------------------------------
@@ -145,16 +128,6 @@ class FiniteGroup:
         inv[rows] = cols
         inv.flags.writeable = False
         return inv
-
-    def _build_words(self):
-        """Word in generators for every label, by BFS from the identity."""
-        words = {0: ()}
-        for x, g, y, new in _bfs(self.table, self.generators):
-            if new:
-                words[y] = words[x] + (g,)
-        if len(words) != self.order:
-            raise ValueError("declared generators do not generate the group")
-        return tuple(words[a] for a in range(self.order))
 
     # -- basic queries -------------------------------------------------
 
@@ -197,13 +170,6 @@ class FiniteGroup:
     def order_census(self) -> dict[int, int]:
         vals, counts = np.unique(self.element_orders(), return_counts=True)
         return {int(v): int(c) for v, c in zip(vals, counts)}
-
-    def is_abelian(self) -> bool:
-        return bool((self.table == self.table.T).all())
-
-    def center(self) -> tuple[int, ...]:
-        mask = (self.table == self.table.T).all(axis=1)
-        return tuple(int(x) for x in np.nonzero(mask)[0])
 
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         if self._classes is None:
@@ -266,19 +232,6 @@ class FiniteGroup:
         Q = FiniteGroup(list(reps), qtable, generators=gens, name=name)
         return Q, qidx
 
-    def dump(self) -> str:
-        """Debug dump: one `label: word-in-generators` line per element,
-        then the multiplication table as whitespace-separated rows."""
-        pos = {g: i for i, g in enumerate(self.generators)}
-        lines = []
-        for a in range(self.order):
-            w = self.words[a]
-            word = "e" if not w else "*".join(f"g{pos[l]}" for l in w)
-            lines.append(f"{a}: {word}")
-        for row in self.table:
-            lines.append(" ".join(str(int(v)) for v in row))
-        return "\n".join(lines) + "\n"
-
 
 def _greedy_generators(table: np.ndarray, orders: np.ndarray) -> tuple[int, ...]:
     n = len(table)
@@ -313,17 +266,16 @@ def _bfs(table: np.ndarray, gens: Sequence[int]):
             yield x, g, y, new
 
 
-def close_generators(generators: Sequence, mul: Optional[Callable] = None,
-                     cap: int = DEFAULT_CAP, name: str = "") -> FiniteGroup:
-    """Close hashable elements under an associative product.
+def close_generators(generators: Sequence, name: str = "") -> FiniteGroup:
+    """Close hashable elements under their ``*`` product.
 
     BFS discovery order is deterministic in the given generator order;
     after closure the identity is found and moved to label 0.  Raises
-    CapExceeded if more than ``cap`` elements appear.
+    CapExceeded if more than DEFAULT_CAP elements appear; the cap is read
+    at call time.
     """
     if not generators:
         raise ValueError("need at least one generator")
-    mul = operator.mul if mul is None else mul
     elems: list = []
     index: dict = {}
     for g in generators:
@@ -333,10 +285,10 @@ def close_generators(generators: Sequence, mul: Optional[Callable] = None,
     gens = list(elems)
     for x in elems:  # grows while it is walked
         for g in gens:
-            y = mul(x, g)
+            y = x * g
             if y not in index:
-                if len(elems) >= cap:
-                    raise CapExceeded(f"closure exceeded cap={cap}")
+                if len(elems) >= DEFAULT_CAP:
+                    raise CapExceeded(f"closure exceeded cap={DEFAULT_CAP}")
                 index[y] = len(elems)
                 elems.append(y)
     n = len(elems)
@@ -345,7 +297,7 @@ def close_generators(generators: Sequence, mul: Optional[Callable] = None,
         xa = elems[a]
         row = table[a]
         for b in range(n):
-            row[b] = index[mul(xa, elems[b])]
+            row[b] = index[xa * elems[b]]
     ar = np.arange(n, dtype=np.int32)
     two_sided = (table == ar[None, :]).all(axis=1) & (table.T == ar[None, :]).all(axis=1)
     ids = np.nonzero(two_sided)[0]
@@ -359,23 +311,6 @@ def close_generators(generators: Sequence, mul: Optional[Callable] = None,
     elems2 = [elems[i] for i in order]
     gen_labels = list(dict.fromkeys(int(newlab[i]) for i in range(len(gens)) if newlab[i] != 0))
     return FiniteGroup(elems2, table2, generators=gen_labels or None, name=name)
-
-
-def direct_product(G1: FiniteGroup, G2: FiniteGroup, name: str = "") -> FiniteGroup:
-    """Direct product with labels (a, b) -> a * |G2| + b."""
-    n1, n2 = G1.order, G2.order
-    t = (G1.table[:, None, :, None].astype(np.int64) * n2
-         + G2.table[None, :, None, :]).reshape(n1 * n2, n1 * n2)
-    elems = [(G1.elems[a], G2.elems[b]) for a in range(n1) for b in range(n2)]
-    gens = [g * n2 for g in G1.generators] + list(G2.generators)
-    return FiniteGroup(elems, t, generators=gens or None, name=name)
-
-
-@lru_cache(maxsize=None)
-def cyclic_group(n: int) -> FiniteGroup:
-    table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    return FiniteGroup(list(range(n)), table, generators=[1] if n > 1 else None,
-                       name=f"C{n}")
 
 
 @lru_cache(maxsize=None)
@@ -472,8 +407,6 @@ class AbelianQuotient:
     quotient has ``factors == ()`` and projects everything to ``()``.
     """
 
-    source: FiniteGroup
-    derived: tuple[int, ...]
     factors: tuple[int, ...]
     coset_index: np.ndarray
     tuples: tuple[tuple[int, ...], ...]
@@ -481,18 +414,8 @@ class AbelianQuotient:
     def project(self, label: int) -> tuple[int, ...]:
         return self.tuples[int(self.coset_index[label])]
 
-    @property
-    def order(self) -> int:
-        out = 1
-        for d in self.factors:
-            out *= d
-        return out
-
     def add(self, t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((a + b) % d for a, b, d in zip(t1, t2, self.factors))
-
-    def neg(self, t: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((-a) % d for a, d in zip(t, self.factors))
 
     @property
     def zero(self) -> tuple[int, ...]:
@@ -541,7 +464,7 @@ def abelianization(G: FiniteGroup) -> AbelianQuotient:
         raise InternalCheckFailed(
             "cyclic decomposition does not cover the quotient")
     tuples = tuple(label_of[l] for l in range(Q.order))
-    return AbelianQuotient(G, derived, factors, qidx, tuples)
+    return AbelianQuotient(factors, qidx, tuples)
 
 
 # -- transfer -----------------------------------------------------------
@@ -553,22 +476,16 @@ class TransferMap:
     of the subgroup.  Well-definedness on the source abelianization is
     checked at construction; values are exponent tuples of target_ab."""
 
-    coset_system: CosetSystem
-    source_ab: AbelianQuotient
     target_ab: AbelianQuotient
     values: tuple[tuple[int, ...], ...]
-    ab_map: dict[tuple[int, ...], tuple[int, ...]]
-
-    def of(self, g: int) -> tuple[int, ...]:
-        return self.values[g]
 
 
-def transfer(cs: CosetSystem, source_ab: Optional[AbelianQuotient] = None) -> TransferMap:
+def transfer(cs: CosetSystem) -> TransferMap:
     G = cs.group
     Qgrp, incl = G.subgroup(cs.subgroup)
     pos = {old: new for new, old in enumerate(incl)}
     tab = abelianization(Qgrp)
-    sab = source_ab if source_ab is not None else abelianization(G)
+    sab = abelianization(G)
     values = []
     for g in range(G.order):
         _, qs = coset_factorization(cs, g)
@@ -583,4 +500,4 @@ def transfer(cs: CosetSystem, source_ab: Optional[AbelianQuotient] = None) -> Tr
             raise InternalCheckFailed(
                 "transfer is not constant on abelianization fibers")
         ab_map[key] = values[g]
-    return TransferMap(cs, sab, tab, tuple(values), ab_map)
+    return TransferMap(tab, tuple(values))

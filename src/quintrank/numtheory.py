@@ -229,16 +229,15 @@ class SquarefreeResult:
     complete: bool
 
 
-def squarefree_kernel(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND
-                      ) -> SquarefreeResult:
+def squarefree_kernel(n: int) -> SquarefreeResult:
     """Product of the primes dividing n to an odd power, with the sign
-    of n.  Trial division up to trial_bound, then the cofactor is
-    resolved when it is 1, a probable prime, a perfect square, or a
-    semiprime forced by size (< trial_bound^3); otherwise the cofactor
-    is kept in the kernel and complete=False.
+    of n.  Trial division up to the fixed bound DEFAULT_TRIAL_BOUND
+    (10^6), then the cofactor is resolved when it is 1, a probable
+    prime, a perfect square, or a semiprime forced by size (< 10^18);
+    otherwise the cofactor is kept in the kernel and complete=False.
 
-    Primes below 1000 are tried one by one; larger primes up to
-    trial_bound are taken 512 at a time as a product, whose gcd with
+    Primes below 1000 are tried one by one; larger primes up to the
+    bound are taken 512 at a time as a product, whose gcd with
     the cofactor is peeled in layers, after D. J. Bernstein, "How to
     find smooth parts of integers" (2004).  The scan stops as soon as
     the cofactor is 1 or a prime."""
@@ -247,7 +246,7 @@ def squarefree_kernel(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND
     sign = -1 if n < 0 else 1
     m = abs(n)
     kernel = 1
-    for p in _sieve(min(trial_bound, _TRIAL_BELOW - 1)):
+    for p in _sieve(_TRIAL_BELOW - 1):
         if p * p > m:
             # no prime factor below p: the cofactor is 1 or a prime
             return SquarefreeResult(sign * kernel * m, True)
@@ -259,8 +258,8 @@ def squarefree_kernel(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND
                 e += 1
             if e & 1:
                 kernel *= p
-    if trial_bound >= _TRIAL_BELOW and m >= _TRIAL_BELOW ** 2:
-        for lo, product in _prime_products(trial_bound):
+    if m >= _TRIAL_BELOW ** 2:
+        for lo, product in _prime_products():
             if lo * lo > m or m < _MR_PROVEN and is_probable_prime(m):
                 return SquarefreeResult(sign * kernel * m, True)
             # the k-th layer g holds the run's primes of exponent >= k,
@@ -282,19 +281,20 @@ def squarefree_kernel(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND
     if root * root == m:
         # a square cofactor has only even exponents, whatever its factors
         return SquarefreeResult(sign * kernel, True)
-    if m < trial_bound ** 3:
-        # all factors exceed trial_bound, so at most two of them; not a
+    if m < DEFAULT_TRIAL_BOUND ** 3:
+        # all factors exceed the bound, so at most two of them; not a
         # prime and not a square forces two distinct primes
         return SquarefreeResult(sign * kernel * m, True)
     return SquarefreeResult(sign * kernel * m, False)
 
 
 @lru_cache(maxsize=None)
-def _prime_products(trial_bound: int) -> tuple[tuple[int, int], ...]:
+def _prime_products() -> tuple[tuple[int, int], ...]:
     """(smallest prime, product) of each run of _CHUNK consecutive
-    primes from _TRIAL_BELOW to trial_bound.  The odd-only sieve is
-    streamed, so the primes themselves are never all held at once."""
-    primes = dropwhile(lambda p: p < _TRIAL_BELOW, _odd_primes(trial_bound))
+    primes from _TRIAL_BELOW to DEFAULT_TRIAL_BOUND.  The odd-only sieve
+    is streamed, so the primes themselves are never all held at once."""
+    primes = dropwhile(lambda p: p < _TRIAL_BELOW,
+                       _odd_primes(DEFAULT_TRIAL_BOUND))
     out = []
     while run := list(islice(primes, _CHUNK)):
         out.append((run[0], math.prod(run)))
@@ -587,11 +587,12 @@ def certify_s5(f: IntPolynomial, prime_budget: int = DEFAULT_PRIME_BUDGET,
     """Sound one-sided Galois test for a quintic: a prime with factor
     pattern {5} forces transitivity, one with {1,1,1,2} puts a
     transposition in the group, and a transitive degree-5 group with a
-    transposition is the full symmetric group.  Scans the first
-    prime_budget primes not dividing the discriminant; never certifies
-    falsely, but may return Inconclusive.  A caller that keeps a pattern
-    stream passes it as patterns(k, p): the pattern at p, the k-th
-    scanned prime (from 0)."""
+    transposition is the full symmetric group.  Tries the first
+    prime_budget primes and skips those dividing the discriminant or the
+    leading coefficient, so primes_scanned counts only the primes it
+    read a pattern at; never certifies falsely, but may return
+    Inconclusive.  A caller that keeps a pattern stream passes it as
+    patterns(k, p): the pattern at p, the k-th scanned prime (from 0)."""
     if f.degree != 5:
         raise ValueError("certification applies to quintics")
     if disc is None:
@@ -627,13 +628,12 @@ class ResolventData:
     degenerate: bool      # square discriminant: the resolvent collapses
 
 
-def resolvent(f: IntPolynomial, trial_bound: int = DEFAULT_TRIAL_BOUND,
-              disc: Optional[int] = None) -> ResolventData:
+def resolvent(f: IntPolynomial, disc: Optional[int] = None) -> ResolventData:
     if disc is None:
         disc = poly_discriminant(f)
     if disc == 0:
         raise NotSquarefree("zero discriminant has no resolvent")
-    sk = squarefree_kernel(disc, trial_bound)
+    sk = squarefree_kernel(disc)
     D = sk.kernel
     fund = D if D % 4 == 1 else 4 * D
     return ResolventData(disc, D, fund, sk.complete, D == 1)

@@ -83,12 +83,6 @@ class CurveData:
         fact.sort()
         return CurveData(label, parse_int(n_str), tuple(fact))
 
-    def reduction(self, p: int) -> str:
-        for q, e in self.factorization:
-            if q == p:
-                return "Multiplicative" if e == 1 else "Additive"
-        raise ValueError(f"{p} does not divide the conductor")
-
     @property
     def multiplicative_part(self) -> int:
         out = 1

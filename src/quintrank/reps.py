@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import InternalCheckFailed
-from .cocycles import _row_chunks, central_extension, pin_cocycle_sn
+from .cocycles import central_extension, pin_cocycle_sn
 from .groups import (CosetSystem, FiniteGroup, Permutation, _bfs,
                      abelianization, coset_factorization, symmetric_group)
 
@@ -55,8 +55,9 @@ class NonIntegral(InternalCheckFailed):
 @dataclass(frozen=True)
 class Representation:
     """images[g] is the matrix of group label g; images[0] must be the
-    identity and products must match the group table within TOL_ENTRY
-    (spot-checked here, fully checkable via is_homomorphism)."""
+    identity and products must match the group table within TOL_ENTRY.
+    Only the identity is checked here; the test suite checks every
+    product of the representations it builds."""
 
     group: FiniteGroup
     images: np.ndarray
@@ -70,15 +71,6 @@ class Representation:
             raise ValueError("identity does not map to the identity matrix")
         imgs.flags.writeable = False
         object.__setattr__(self, "images", imgs)
-
-    def is_homomorphism(self, tol: float = TOL_ENTRY) -> bool:
-        n = self.group.order
-        t = self.group.table
-        for lo, hi in _row_chunks(n, n * self.dim * self.dim):
-            prod = np.matmul(self.images[lo:hi, None], self.images[None, :])
-            if np.abs(prod - self.images[t[lo:hi]]).max() > tol:
-                return False
-        return True
 
     def character(self) -> "Character":
         return Character(self.group, np.trace(self.images, axis1=1, axis2=2))
@@ -101,16 +93,6 @@ class Character:
             raise ValueError("character length mismatch")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    def __add__(self, other: "Character") -> "Character":
-        return Character(self.group, self.values + other.values)
-
-    def scaled(self, k) -> "Character":
-        return Character(self.group, k * self.values)
-
-
-def trivial_character(G: FiniteGroup) -> Character:
-    return Character(G, np.ones(G.order, dtype=np.complex128))
 
 
 def inner_product(chi1: Character, chi2: Character) -> complex:
@@ -456,7 +438,6 @@ class DoubleCoverData:
     extension: object            # cocycles.CentralExtension
     coset_system: CosetSystem
     subgroup_group: FiniteGroup
-    inclusion: tuple[int, ...]
     rho: Representation          # transported tautological icosian rep
     transposition_lifts: tuple[int, ...]
 
@@ -473,7 +454,7 @@ def _double_cover(n: int) -> DoubleCoverData:
     E = ext.group
     evens = [l for l in range(E.order)
              if Sn.elems[int(ext.projection[l])].is_even()]
-    Q, incl = E.subgroup(evens, name=f"2A{n}")
+    Q, _ = E.subgroup(evens, name=f"2A{n}")
     unit_g, unit_rep = units()
     phi = find_isomorphism(Q, unit_g)
     if phi is None:
@@ -482,7 +463,7 @@ def _double_cover(n: int) -> DoubleCoverData:
     cs = CosetSystem.build(E, evens)
     lifts = tuple(l for l in range(E.order)
                   if Sn.elems[int(ext.projection[l])].is_transposition())
-    return DoubleCoverData(ext, cs, Q, incl, rho, lifts)
+    return DoubleCoverData(ext, cs, Q, rho, lifts)
 
 
 def omega5_data() -> DoubleCoverData:

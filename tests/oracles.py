@@ -11,16 +11,20 @@ float nearest-neighbour matching, cocycle defects one group element
 at a time, cohomology dimensions from the dense coboundary
 matrices (one row per triple or pair, reduced mod 2), quintic
 enumeration by deriving every vector of the coefficient box, and
-mirror/reciprocal orbits by transforming the polynomial itself.
+mirror/reciprocal orbits by transforming the polynomial itself.  It
+also holds the test-only cyclic groups, direct products and full
+homomorphism check of a representation.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb
 
 import numpy as np
 
+from quintrank.cocycles import _row_chunks
 from quintrank.fieldscan import (
     NotSeparable,
     QuinticField,
@@ -28,6 +32,7 @@ from quintrank.fieldscan import (
     _is_square,
     dedupe_stream,
 )
+from quintrank.groups import FiniteGroup
 from quintrank.numtheory import (
     DEFAULT_PRIME_BUDGET,
     DEFAULT_TRIAL_BOUND,
@@ -292,20 +297,19 @@ def factor_completely(n: int):
     return out
 
 
-def squarefree_kernel_by_trial_division(
-        n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> SquarefreeResult:
+def squarefree_kernel_by_trial_division(n: int) -> SquarefreeResult:
     """Product of the primes dividing n to an odd power, with the sign
-    of n.  Trial division up to trial_bound, then the cofactor is
-    resolved when it is 1, a probable prime, a perfect square, or a
-    semiprime forced by size (< trial_bound^3); otherwise the cofactor
-    is kept in the kernel and complete=False."""
+    of n.  Trial division up to DEFAULT_TRIAL_BOUND, then the cofactor
+    is resolved when it is 1, a probable prime, a perfect square, or a
+    semiprime forced by size (< DEFAULT_TRIAL_BOUND^3); otherwise the
+    cofactor is kept in the kernel and complete=False."""
     if n == 0:
         raise ValueError("squarefree kernel of 0 is undefined")
     sign = -1 if n < 0 else 1
     m = abs(n)
     kernel = 1
     d = 2
-    while d <= trial_bound and d * d <= m:
+    while d <= DEFAULT_TRIAL_BOUND and d * d <= m:
         if m % d == 0:
             e = 0
             while m % d == 0:
@@ -323,8 +327,8 @@ def squarefree_kernel_by_trial_division(
     if root * root == m:
         # a square cofactor has only even exponents, whatever its factors
         return SquarefreeResult(sign * kernel, True)
-    if m < trial_bound ** 3:
-        # all factors exceed trial_bound, so at most two of them; not a
+    if m < DEFAULT_TRIAL_BOUND ** 3:
+        # all factors exceed the bound, so at most two of them; not a
         # prime and not a square forces two distinct primes
         return SquarefreeResult(sign * kernel * m, True)
     return SquarefreeResult(sign * kernel * m, False)
@@ -464,3 +468,26 @@ def quintic_orbit(coeffs):
         if grown == orbit:
             return orbit
         orbit = grown
+
+
+@lru_cache(maxsize=None)
+def cyclic_group(n: int) -> FiniteGroup:
+    table = (np.arange(n)[:, None] + np.arange(n)) % n
+    return FiniteGroup(range(n), table, generators=[1] if n > 1 else None)
+
+
+def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
+    """Direct product with labels (a, b) -> a * |G2| + b."""
+    n1, n2 = G1.order, G2.order
+    t = (G1.table[:, None, :, None].astype(np.int64) * n2
+         + G2.table[None, :, None, :]).reshape(n1 * n2, n1 * n2)
+    elems = [(G1.elems[a], G2.elems[b]) for a in range(n1) for b in range(n2)]
+    gens = [g * n2 for g in G1.generators] + list(G2.generators)
+    return FiniteGroup(elems, t, generators=gens or None)
+
+
+def is_homomorphism(rep, tol: float = 1e-8) -> bool:
+    """Every product rep(a) rep(b) matches rep(ab) within tol."""
+    n, t, imgs = rep.group.order, rep.group.table, rep.images
+    return all(np.abs(imgs[lo:hi, None] @ imgs - imgs[t[lo:hi]]).max() <= tol
+               for lo, hi in _row_chunks(n, n * rep.dim * rep.dim))

@@ -161,15 +161,19 @@ def test_certify_bundled_sample(capsys):
 
 def test_certify_bad_curve_spec_is_data_error(capsys):
     assert main(["certify", "--curve", "37a 37", "--poly", FLAGSHIP_POLY]) == 3
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "error: factorization gives 1, conductor says 37\n"
     assert main(["certify", "--curve", "37a 3_7 37^1",
                  "--poly", FLAGSHIP_POLY]) == 3
-    assert capsys.readouterr().out == ""
+    assert capsys.readouterr() == ("", "error: expected an integer, got '3_7'\n")
 
 
 def test_certify_missing_curve_file_is_data_error(capsys):
     assert main(["certify", "--curve-file", "/no/such/file",
                  "--poly", FLAGSHIP_POLY]) == 3
+    assert capsys.readouterr().err == (
+        "error: cannot read curve file: [Errno 2] No such file or directory: "
+        "'/no/such/file'\n")
 
 
 def test_certify_non_admissible_still_exits_zero(capsys):
@@ -256,10 +260,12 @@ def test_analyze_field_label_flag(capsys):
 
 def test_analyze_field_repeated_root_is_data_error(capsys):
     assert main(["analyze-field", "--poly", "1,0,0,0,0,0"]) == 3
+    assert capsys.readouterr() == ("", "error: x^5 has a repeated root\n")
 
 
 def test_analyze_field_non_monic_is_data_error(capsys):
     assert main(["analyze-field", "--poly", "2,0,0,0,-1,-1"]) == 3
+    assert capsys.readouterr() == ("", "error: expected a monic quintic\n")
 
 
 # -- selftest ---------------------------------------------------------------
@@ -390,6 +396,8 @@ def test_scan_jsonl_reports_malformed_rows_and_exits_zero(tmp_path, capsys):
 def test_scan_missing_table_is_data_error(capsys):
     assert main(["scan", "--curve", CURVE37, "--fields", "/no/such.csv",
                  "--buckets", "100"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: [Errno 2] No such file or directory: '/no/such.csv'\n")
 
 
 def test_scan_with_cache_is_stable(tmp_path, capsys):

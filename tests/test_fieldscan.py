@@ -15,7 +15,6 @@ from oracles import enumerate_full_box, quintic_orbit
 import quintrank
 from quintrank import fieldscan
 from quintrank.fieldscan import (
-    INSTRUMENTATION,
     FalseMergeError,
     FieldCache,
     NotSeparable,
@@ -337,18 +336,8 @@ def test_difference_rows_match_poly_discriminant():
     assert row == _exact_row(head, -10, 21) and row[11] == 0
 
 
-def test_row_discriminants_are_exact_and_never_cost_more():
-    head = (-2, 2, -1, -1)
-    rows = ([1], [-3, 0, 2, 5, 6], [-3, -2, 0, 1, 4, 9], list(range(-7, 8)))
-    for a0s in rows:
-        INSTRUMENTATION.reset()
-        got = fieldscan._row_discriminants(head, a0s)
-        assert got == [poly_discriminant(
-            IntPolynomial.descending((1,) + head + (a0,))) for a0 in a0s]
-        assert INSTRUMENTATION.disc_computations == min(len(a0s), 5)
-
-
-def test_enumeration_counts_every_discriminant(monkeypatch):
+def _count_discriminants(monkeypatch) -> list:
+    """The polynomials fieldscan computes a discriminant of, in order."""
     calls = []
     real = fieldscan.poly_discriminant
 
@@ -356,12 +345,28 @@ def test_enumeration_counts_every_discriminant(monkeypatch):
         calls.append(f)
         return real(f)
     monkeypatch.setattr(fieldscan, "poly_discriminant", counting)
+    return calls
+
+
+def test_row_discriminants_are_exact_and_never_cost_more(monkeypatch):
+    head = (-2, 2, -1, -1)
+    rows = ([1], [-3, 0, 2, 5, 6], [-3, -2, 0, 1, 4, 9], list(range(-7, 8)))
+    calls = _count_discriminants(monkeypatch)
+    for a0s in rows:
+        calls.clear()
+        got = fieldscan._row_discriminants(head, a0s)
+        assert got == [poly_discriminant(
+            IntPolynomial.descending((1,) + head + (a0,))) for a0 in a0s]
+        assert len(calls) == min(len(a0s), 5)
+
+
+def test_enumeration_counts_every_discriminant(monkeypatch):
+    calls = _count_discriminants(monkeypatch)
     # the count does not depend on the bound; a bound of 1 certifies nothing
     for height, want in ((2, 737), (3, 4891)):
         calls.clear()
-        INSTRUMENTATION.reset()
         assert list(enumerate_quintics(height, 1)) == []
-        assert INSTRUMENTATION.disc_computations == len(calls) == want
+        assert len(calls) == want
 
 
 # sha256 of the JSON list of kept coefficient vectors of
@@ -486,18 +491,25 @@ def test_cache_detects_corruption(tmp_path):
     assert healed.get((1, 0, 0, 0, -1, -1)).disc == 2869
 
 
-def test_cache_skips_recomputation(tmp_path):
+def test_cache_skips_recomputation(tmp_path, monkeypatch):
     store = tmp_path / "cache.jsonl"
     table = tmp_path / "fields.csv"
-    # f3 is reducible but separable: still a cacheable record
-    table.write_text("f1,1,0,0,0,-1,-1\nf2,1,0,0,0,-4,2\nf3,1,0,0,0,1,-1\n")
-    cache = FieldCache(store)
-    INSTRUMENTATION.reset()
-    first = list(ingest_fields(table, "csv", cache=cache))
-    assert INSTRUMENTATION.disc_computations == 3
-    INSTRUMENTATION.reset()
-    again = list(ingest_fields(table, "csv", cache=FieldCache(store)))
-    assert INSTRUMENTATION.disc_computations == 0
+    # f3 is reducible but separable: still a cacheable record; f4 = x^5
+    # has a repeated root, so it raises before it is cached and a warm
+    # run computes its discriminant again
+    table.write_text("f1,1,0,0,0,-1,-1\nf2,1,0,0,0,-4,2\nf3,1,0,0,0,1,-1\n"
+                     "f4,1,0,0,0,0,0\n")
+    calls = _count_discriminants(monkeypatch)
+    errs, on_error = collect_errors()
+    first = list(ingest_fields(table, "csv", cache=FieldCache(store),
+                               on_error=on_error))
+    assert len(calls) == 4
+    calls.clear()
+    again = list(ingest_fields(table, "csv", cache=FieldCache(store),
+                               on_error=on_error))
+    assert len(calls) == 1
+    assert errs == [(4, "NotSeparable: zero discriminant")] * 2
+    assert len(first) == 3
     assert [f.coeffs for f in again] == [f.coeffs for f in first]
     assert [f.fingerprint for f in again] == [f.fingerprint for f in first]
 
@@ -606,7 +618,7 @@ GUARDS_UNDER_O = textwrap.dedent("""
     import numpy as np
     from quintrank import cocycles
     from quintrank.fieldscan import BucketStat, ScanReport
-    from quintrank.groups import cyclic_group
+    from quintrank.groups import symmetric_group
     from quintrank.rankgrowth import ParityCertificate
 
     if __debug__:
@@ -628,7 +640,7 @@ GUARDS_UNDER_O = textwrap.dedent("""
            "Certified")
     raises(ValueError, ParityCertificate, "c", "f", True, (), 1, "Odd",
            "Unknown")
-    G = cyclic_group(2)
+    G = symmetric_group(2)
     zero = cocycles.Cocycle2(G, np.zeros((2, 2), dtype=np.int8))
     cocycles.coboundary = lambda group, c: np.ones((2, 2), dtype=np.int64)
     raises(RuntimeError, cocycles.coboundary_witness, zero)

@@ -6,11 +6,13 @@ dict/set closures and permutation-object arithmetic, no table reuse).
 """
 
 import hashlib
+import math
 import random
 
 import numpy as np
 import pytest
 
+from oracles import cyclic_group, direct_product
 from quintrank.groups import (
     CapExceeded,
     CosetSystem,
@@ -20,8 +22,6 @@ from quintrank.groups import (
     alternating_group,
     close_generators,
     coset_factorization,
-    cyclic_group,
-    direct_product,
     symmetric_group,
     transfer,
 )
@@ -49,17 +49,17 @@ def test_permutation_composition_is_right_action():
     p = Permutation.from_cycles(4, (0, 1, 2))
     q = Permutation.transposition(4, 0, 1)
     # (p*q)(i) = q(p(i))
-    assert (p * q).images == tuple(q(p(i)) for i in range(4))
+    assert (p * q).images == tuple(q.images[p.images[i]] for i in range(4))
 
 
 def test_permutation_basics():
     p = Permutation.from_cycles(5, (0, 1, 2, 3, 4))
-    assert p.order() == 5
     assert p.cycle_type() == (5,)
-    assert (p * p.inverse()).images == Permutation.identity(5).images
+    assert p.fixed_points() == 0
     t = Permutation.transposition(5, 1, 3)
     assert t.is_transposition() and not p.is_transposition()
-    assert Permutation.from_cycles(6, (0, 1, 2), (3, 4)).order() == 6
+    assert t.cycles() == [(0,), (1, 3), (2,), (4,)]
+    assert Permutation.from_cycles(6, (0, 1, 2), (3, 4)).cycle_type() == (3, 2, 1)
     assert Permutation.from_cycles(5, (0, 1), (2, 3)).is_even()
     assert not t.is_even()
     with pytest.raises(ValueError):
@@ -75,14 +75,18 @@ def test_permutation_random_properties():
         b = list(range(n))
         rng.shuffle(b)
         p, q = Permutation(tuple(a)), Permutation(tuple(b))
-        assert (p * q).inverse().images == (q.inverse() * p.inverse()).images
-        assert p.order() == next(
-            k for k in range(1, 1000)
-            if _power(p, k).images == Permutation.identity(n).images)
+        # parity is a homomorphism, and the cycles rebuild the permutation
+        assert (p * q).is_even() == (p.is_even() == q.is_even())
+        assert Permutation.from_cycles(n, *p.cycles()) == p
+        assert p.fixed_points() == p.cycle_type().count(1)
+        # the lcm of the cycle lengths is the least k with p^k = 1
+        identity = tuple(range(n))
+        assert math.lcm(*p.cycle_type()) == next(
+            k for k in range(1, 1000) if _power(p, k).images == identity)
 
 
 def _power(p, k):
-    out = Permutation.identity(p.degree)
+    out = Permutation(tuple(range(p.degree)))
     for _ in range(k):
         out = out * p
     return out
@@ -116,18 +120,20 @@ def test_table_associativity_exhaustive_s4():
     assert (lhs == rhs).all()
 
 
-def test_cap_exceeded():
+def test_cap_exceeded(monkeypatch):
     gens = [Permutation.transposition(5, 0, 1),
             Permutation.from_cycles(5, (0, 1, 2, 3, 4))]
-    with pytest.raises(CapExceeded):
-        close_generators(gens, cap=100)
+    monkeypatch.setattr("quintrank.groups.DEFAULT_CAP", 100)
+    with pytest.raises(CapExceeded, match="cap=100"):
+        close_generators(gens)
 
 
 def test_order_census_s5_against_permutation_orders():
     S5 = symmetric_group(5)
     oracle = {}
     for p in S5.elems:
-        oracle[p.order()] = oracle.get(p.order(), 0) + 1
+        k = math.lcm(*p.cycle_type())
+        oracle[k] = oracle.get(k, 0) + 1
     assert S5.order_census() == oracle
     assert oracle == {1: 1, 2: 25, 3: 20, 4: 30, 5: 24, 6: 20}
 
@@ -147,47 +153,47 @@ def _v4_labels():
             if S4.elems[l].cycle_type() in ((2, 2), (1, 1, 1, 1))]
 
 
-# Groups built without declared generators get greedy ones, and every
-# group's words come from breadth-first discovery order; the digests of
-# dump() freeze both, so a change of either order shows here.
+def _digest(G):
+    """SHA-256 of the generator labels and the int32 table bytes."""
+    h = hashlib.sha256(repr(G.generators).encode())
+    h.update(G.table.tobytes())
+    return h.hexdigest()
+
+
+# Groups built without declared generators get greedy ones, and closures
+# label their elements in breadth-first discovery order; the digests of
+# the generators and the table freeze both, so a change of either order
+# shows here.
 @pytest.mark.parametrize("build, gens, digest", [
     pytest.param(lambda: symmetric_group(3), (1, 2),
-                 "675e40651babd6477764566bd3374f922d59c926b01f4b7094347e5dd997fd6c",
+                 "485d0e131f30142670a680556007633b4447b57705c3e3612b50fb6f5a1291ad",
                  id="S3"),
     pytest.param(lambda: icosian_group()[0], (33, 35),
-                 "ca97dd90bd431566d0c1e84dd4b058de2193eac19529785572b700f14a90f117",
+                 "8c609ef42e7e855dde6a28011b40ea52232fff96a2959469ad5b2c1fa3d9e10c",
                  id="icosian"),
     pytest.param(lambda: hurwitz_unit_group()[0], (8, 9),
-                 "ab61fc57c7278811aa81e2225f39108d731690c1ff2cf849671fc949ffb26975",
+                 "7378dcb65da219b46676894c83d0ef5f35beea2a2b73c54fa95b1b82d5529d4d",
                  id="hurwitz"),
     pytest.param(lambda: omega5_data().subgroup_group, (1, 6),
-                 "c0b0d1662924d145aad3ef153f4ecfa9fe6e44dc90f98aad1b21d82f3d91470c",
+                 "6db5062d745188ff396f20938215c160f9f8aaf4a8dc113abe0f9ed62557008a",
                  id="2A5"),
     pytest.param(lambda: symmetric_group(4).subgroup(_v4_labels())[0], (1, 2),
-                 "169b188cda0d966d993be09098ba8e46369ae1fca9818d622f9ba66c615da697",
+                 "b7b0452dfc60793389f318f02e0f56e603f4b264c7f25eef37829c2e30d85e55",
                  id="V4"),
     pytest.param(lambda: symmetric_group(4).quotient_by(_v4_labels())[0], (1, 2),
-                 "9dfd916f473a1eb89eb0bcf7ff90d3146358d33494a454db8127edf343447024",
+                 "d0b7040f74f03f098b1e7eb3acbdcad3e89bf8bad4468b69a1e86fbeaf195571",
                  id="S4_over_V4"),
 ])
 def test_dump_roundtrip(build, gens, digest):
     G = build()
     assert G.generators == gens
-    text = G.dump()
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
-    lines = text.strip().split("\n")
-    assert lines[0] == "0: e"
-    words, rows = lines[: G.order], lines[G.order:]
-    # words evaluate back to their labels
-    for line in words:
-        lab, word = line.split(": ")
-        val = 0
-        if word != "e":
-            for tok in word.split("*"):
-                val = G.mul(val, G.generators[int(tok[1:])])
-        assert val == int(lab)
-    table = np.array([[int(v) for v in r.split()] for r in rows])
-    assert (table == G.table).all()
+    assert _digest(G) == digest
+    # the generators reach every label, by a closure that never calls _bfs
+    reached = frontier = {0}
+    while frontier:
+        frontier = {G.mul(x, g) for x in frontier for g in gens} - reached
+        reached = reached | frontier
+    assert reached == set(range(G.order))
 
 
 # -- subgroups, quotients ---------------------------------------------------
@@ -199,7 +205,7 @@ def test_subgroup_closure_and_subgroup():
     assert len(v4) == 4
     assert S4.is_subgroup(v4)
     H, incl = S4.subgroup(v4)
-    assert H.order == 4 and H.is_abelian()
+    assert H.order == 4 and (H.table == H.table.T).all()
     for i in range(4):
         for j in range(4):
             assert incl[H.mul(i, j)] == S4.mul(incl[i], incl[j])
@@ -209,7 +215,7 @@ def test_quotient_s4_by_v4_is_s3():
     S4 = symmetric_group(4)
     v4 = _v4_labels()
     Q, qidx = S4.quotient_by(v4)
-    assert Q.order == 6 and not Q.is_abelian()
+    assert Q.order == 6 and not (Q.table == Q.table.T).all()
     # projection is a homomorphism
     assert (qidx[S4.table] == Q.table[qidx[:, None], qidx[None, :]]).all()
 
@@ -232,7 +238,7 @@ def test_s3_coset_triple_defining_identity():
     for g in range(6):
         pi, q = coset_factorization(cs, g)
         for i in range(cs.n):
-            assert S3.mul(cs.reps[i], g) == S3.mul(q[i], cs.reps[pi(i)])
+            assert S3.mul(cs.reps[i], g) == S3.mul(q[i], cs.reps[pi.images[i]])
             assert q[i] in cs.subgroup
 
 
@@ -249,7 +255,7 @@ def test_coset_factorization_is_wreath_homomorphism(sub_order):
             pigh, qgh = facts[S4.mul(g, h)]
             assert pigh.images == (pig * pih).images
             for i in range(cs.n):
-                assert qgh[i] == S4.mul(qg[i], qh[pig(i)])
+                assert qgh[i] == S4.mul(qg[i], qh[pig.images[i]])
 
 
 def test_coset_representative_validation():
@@ -333,7 +339,7 @@ def test_transfer_on_whole_group_is_projection():
     V = transfer(cs)
     ab = abelianization(S4)
     for g in range(24):
-        assert V.of(g) == ab.project(g)
+        assert V.values[g] == ab.project(g)
 
 
 def test_transfer_dihedral_two_ways_and_rep_independence():
@@ -352,11 +358,12 @@ def test_transfer_dihedral_two_ways_and_rep_independence():
         acc = tab.zero
         for q in qs:
             acc = tab.add(acc, tab.project(pos[q]))
-        assert V.of(g) == acc
+        assert V.values[g] == acc
     # transfer is a homomorphism
     for a in range(8):
         for b in range(8):
-            assert V.of(d4.mul(a, b)) == V.target_ab.add(V.of(a), V.of(b))
+            assert V.values[d4.mul(a, b)] == V.target_ab.add(V.values[a],
+                                                             V.values[b])
     # independence from representative choice
     rng = random.Random(3)
     for _ in range(5):
@@ -392,8 +399,13 @@ def test_direct_product():
 
 
 def test_center():
-    assert symmetric_group(4).center() == (0,)
-    assert cyclic_group(5).center() == (0, 1, 2, 3, 4)
+    # the center is the union of the one-element conjugacy classes
+    def center(G):
+        return sorted(c[0] for c in G.conjugacy_classes() if len(c) == 1)
+    assert center(symmetric_group(4)) == [0]
+    assert center(cyclic_group(5)) == [0, 1, 2, 3, 4]
+    E = omega5_data().extension
+    assert center(E.group) == sorted(E.central)
 
 
 def test_from_table_rejects_bad_identity():

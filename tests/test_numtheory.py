@@ -506,6 +506,16 @@ def test_certify_flagship_quintic():
     assert brute_pattern_mod_p(X5_X_1.coeffs, p5) == (True, (5,))
     assert brute_pattern_mod_p(X5_X_1.coeffs, p2) == (True, (1, 1, 1, 2))
     assert cert.primes_scanned <= 200
+    # the budget counts the primes tried: 19 and 151, the 8th and 36th
+    # primes, divide disc = 2869 and are tried but not scanned
+    from quintrank.fieldscan import QuinticField
+    for budget, want in ((8, ("Inconclusive", 3, None, 7)),
+                         (37, ("Inconclusive", 3, None, 35)),
+                         (38, ("Certified", 3, 163, 36))):
+        cert = certify_s5(X5_X_1, budget)
+        assert (cert.status, cert.five_cycle_witness,
+                cert.transposition_witness, cert.primes_scanned) == want
+        assert QuinticField(X5_X_1, prime_budget=budget).certificate == cert
 
 
 def test_certify_solvable_quintic_inconclusive():
@@ -580,22 +590,27 @@ def test_squarefree_kernel_against_full_factorization():
         assert quad > 0 and math.isqrt(quad) ** 2 == quad
 
 
+# primes above the trial bound 10^6; P3 ** 3 and P3 * Q3 * R3 exceed 10^18
+P3, Q3, R3 = 1000003, 1000033, 1000037
+P13 = 1000000000039
+
+
 def test_squarefree_kernel_cofactor_resolution():
-    # semiprime cofactor below bound^3 is forced
-    r = squarefree_kernel(143, trial_bound=10)
-    assert r == type(r)(143, True)
+    # semiprime cofactor below bound^3 = 10^18 is forced
+    r = squarefree_kernel(P3 * Q3)
+    assert r == type(r)(P3 * Q3, True)
     # square cofactor contributes nothing even if its root is composite
-    assert squarefree_kernel(169, trial_bound=10).kernel == 1
-    assert squarefree_kernel((11 * 13) ** 2, trial_bound=10).kernel == 1
+    assert squarefree_kernel(P3 ** 2) == type(r)(1, True)
+    assert squarefree_kernel(-(P3 * Q3) ** 2) == type(r)(-1, True)
     # prime-power cofactor beyond bound^3 stays unresolved
-    r = squarefree_kernel(1331, trial_bound=10)
+    r = squarefree_kernel(P3 ** 3)
     assert not r.complete
-    assert r.kernel == 1331
+    assert r.kernel == P3 ** 3
     # three large primes: flagged incomplete
-    assert not squarefree_kernel(11 * 13 * 17, trial_bound=10).complete
+    assert not squarefree_kernel(P3 * Q3 * R3).complete
     # prime cofactor resolved by the primality test
-    r = squarefree_kernel(4 * 7919, trial_bound=10)
-    assert r == type(r)(7919, True)
+    r = squarefree_kernel(4 * P13)
+    assert r == type(r)(P13, True)
 
 
 def _next_prime(n, step=1):
@@ -611,9 +626,11 @@ def _chunk_runs(bound):
 
 
 def _kernel_cases(bound, rng):
-    """Inputs that steer squarefree_kernel through each of its exits at
-    this trial bound: chunk edges, prime powers, square and semiprime
-    cofactors on both sides of bound^3 and of the Miller-Rabin bound."""
+    """Inputs built around `bound`: the chunk-run edges of the primes up
+    to it, prime powers, square and semiprime cofactors on both sides of
+    bound^3 and of the Miller-Rabin bound.  At bound = 10^6, the fixed
+    trial bound, they steer squarefree_kernel through each of its
+    exits."""
     lead = {1009, 999983}
     runs = _chunk_runs(bound)
     for run in runs[:2] + runs[len(runs) // 2:][:1] + runs[-1:]:
@@ -635,21 +652,21 @@ def _kernel_cases(bound, rng):
     return cases
 
 
-@pytest.mark.parametrize("bound", [1, 2, 3, 10, 999, 1000, 1009,
-                                   10 ** 4, 10 ** 6])
-def test_squarefree_kernel_matches_trial_division_oracle(bound):
-    rng = np.random.default_rng(bound)
-    for i, n in enumerate(_kernel_cases(bound, rng)):
+@pytest.mark.parametrize("around", [1, 2, 3, 10, 999, 1000, 1009,
+                                    10 ** 4, 10 ** 6])
+def test_squarefree_kernel_matches_trial_division_oracle(around):
+    # the cases built around smaller bounds hit the early chunks and
+    # small cofactors of the fixed bound
+    rng = np.random.default_rng(around)
+    for i, n in enumerate(_kernel_cases(around, rng)):
         for signed in (n, -n) if i % 5 == 0 else (n,):
-            assert squarefree_kernel(signed, bound) == \
-                squarefree_kernel_by_trial_division(signed, bound), (n, bound)
+            assert squarefree_kernel(signed) == \
+                squarefree_kernel_by_trial_division(signed), (n, around)
 
 
 def test_squarefree_kernel_prime_products_table():
-    for bound in (1009, 37 ** 2, 10 ** 4, 10 ** 5, 1009 ** 2):
-        assert numtheory._prime_products(bound) == tuple(
-            (run[0], math.prod(run)) for run in _chunk_runs(bound))
-    assert numtheory._prime_products(1000) == ()
+    assert numtheory._prime_products() == tuple(
+        (run[0], math.prod(run)) for run in _chunk_runs(10 ** 6))
 
 
 def test_squarefree_kernel_small_inputs_leave_chunk_table_unbuilt():
@@ -707,7 +724,8 @@ def test_resolvent_fundamental_disc_invariants():
 
 
 def test_resolvent_incomplete_propagates():
-    rd = resolvent(X5_X_1, trial_bound=2)
+    # a stand-in discriminant whose kernel the fixed bound cannot finish
+    rd = resolvent(X5_X_1, disc=P3 * Q3 * R3)
     assert not rd.complete
     with pytest.raises(ValueError):
         splitting_in_resolvent(3, rd)

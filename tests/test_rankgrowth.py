@@ -1,8 +1,10 @@
+import dataclasses
+
 import pytest
 
 from quintrank.fieldscan import QuinticField
 from quintrank import rankgrowth
-from quintrank.numtheory import IntPolynomial, kronecker_symbol, resolvent
+from quintrank.numtheory import IntPolynomial, kronecker_symbol
 from quintrank.rankgrowth import (
     CurveData,
     IncompleteData,
@@ -46,17 +48,13 @@ def test_parse_curve_line():
     assert c.label == "37a" and c.conductor == 37
     assert c.factorization == ((37, 1),)
     assert c.multiplicative_part == 37 and c.additive_part == 1
-    assert c.reduction(37) == "Multiplicative"
 
 
 def test_parse_mixed_reduction():
     c = CurveData.parse("e 1350 2^1 3^3 5^2")
     assert c.multiplicative_part == 2
     assert c.additive_part == 675
-    assert c.reduction(3) == "Additive"
-    assert c.reduction(5) == "Additive"
-    with pytest.raises(ValueError):
-        c.reduction(7)
+    assert c.factorization == ((2, 1), (3, 3), (5, 2))
 
 
 def test_parse_rejects_bad_lines():
@@ -125,7 +123,7 @@ def test_reasons_accumulate_in_check_order():
 
 def test_incomplete_resolvent():
     stub = field_of(1, 0, 0, 0, -1, -1)
-    stub._resolvent = resolvent(stub.poly, trial_bound=2, disc=stub.disc)
+    stub._resolvent = dataclasses.replace(stub.resolvent, complete=False)
     assert not stub.resolvent.complete
     with pytest.raises(IncompleteData):
         admissible(CURVE37, stub)
