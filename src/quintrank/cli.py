@@ -23,8 +23,9 @@ import json
 import sys
 from importlib import resources
 
-from . import (InternalCheckFailed, cocycles, fieldscan, groups, numtheory,
-               rankgrowth, reps)
+# groups, cocycles and reps pull in numpy; only the algebra commands
+# import them, so scan, certify and analyze-field start without it
+from . import InternalCheckFailed, fieldscan, numtheory, rankgrowth
 
 
 class DataError(ValueError):
@@ -112,6 +113,7 @@ def _load_curves(token: str) -> list[rankgrowth.CurveData]:
 # -- selftest ---------------------------------------------------------------
 
 def _selftest_checks() -> list[dict]:
+    from . import cocycles, groups, reps
     checks = []
 
     def add(name, fn):
@@ -203,6 +205,7 @@ def _cmd_selftest(args) -> int:
 # -- h2 ---------------------------------------------------------------------
 
 def _cmd_h2(args) -> int:
+    from . import cocycles, groups
     S4 = groups.symmetric_group(4)
     A4 = groups.alternating_group(4)
     S5 = groups.symmetric_group(5)
@@ -242,6 +245,7 @@ def _cmd_h2(args) -> int:
 # -- standard-rep -----------------------------------------------------------
 
 def _cmd_standard_rep(args) -> int:
+    from . import reps
     report = reps.verify_standard_rep()
     if args.json:
         sys.stdout.write(_canonical(report))
@@ -317,6 +321,13 @@ def _cmd_certify(args) -> int:
 def _cmd_scan(args) -> int:
     curve = rankgrowth.CurveData.parse(args.curve)
     cache = fieldscan.FieldCache(args.cache) if args.cache else None
+    if cache is not None and cache.corrupt_lines:
+        # their fields are derived afresh when the scan reaches them
+        bad = cache.corrupt_lines
+        s = "s" if len(bad) > 1 else ""
+        shown = ", ".join(map(str, bad[:5])) + (", ..." if len(bad) > 5 else "")
+        print(f"cache {args.cache}: {len(bad)} corrupt line{s} skipped "
+              f"(line{s} {shown})", file=sys.stderr)
     if args.height is not None:
         fields = fieldscan.enumerate_quintics(
             args.height, max(args.buckets),

@@ -30,12 +30,15 @@ discriminants to find takes five exactly and the rest by forward
 differences.  A QuinticField is built only once its discriminant is
 within the bound.
 
-The cache is an append-only JSONL file with a SHA-256 checksum per
-record; corrupt lines are detected at load, reported, and simply
-recomputed.  A record is served only to a request with the prime
-budget it was derived with, and only if it was derived with
-DEFAULT_TRIAL_BOUND; any other request derives the field afresh and its
-record replaces the old one.  Single writer, any number of readers.
+The cache is an append-only JSONL file, one canonical JSON line per
+record: '{"checksum":"<SHA-256 hex>",' and then the rest of the
+record's canonical text, with the digest taken over that stored text.
+Corrupt lines are detected at load, listed in corrupt_lines (which
+`scan --cache` reports on stderr), and simply recomputed.  A record is
+served only to a request with the prime budget it was derived with,
+and only if it was derived with DEFAULT_TRIAL_BOUND; any other request
+derives the field afresh and its record replaces the old one.  Single
+writer, any number of readers.
 """
 
 from __future__ import annotations
@@ -82,10 +85,6 @@ class NotSeparable(ValueError):
 
 class FalseMergeError(InternalCheckFailed):
     """Two fields shared a fingerprint but disagree at audit primes."""
-
-
-class ChecksumMismatch(RuntimeError):
-    """A cache entry failed its checksum."""
 
 
 class QuinticField:
@@ -236,7 +235,7 @@ class QuinticField:
         self._resolvent = ResolventData(*rec["resolvent"])
         self._certificate = S5Certificate(*rec["s5"])
         self._fingerprint = (rec["fingerprint"][0],
-                             tuple(tuple(p) for p in rec["fingerprint"][1]))
+                             tuple(map(tuple, rec["fingerprint"][1])))
         self._patterns = list(self._fingerprint[1])
         return self
 
@@ -248,11 +247,41 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+_CHECKSUM_OPEN = '{"checksum":"'
+_RECORD_AT = len(_CHECKSUM_OPEN) + 64 + 2    # past the digest and '",'
+_RECORD_KEYS = frozenset(("coeffs", "label", "disc", "signature", "resolvent",
+                          "s5", "fingerprint", "prime_budget", "trial_bound"))
+
+
+def _record_of(line: str) -> Optional[dict]:
+    """The record on a cache line, or None when the line is not
+    '{"checksum":"<digest>",' plus record text whose SHA-256 is that
+    digest and which holds exactly the keys of a record."""
+    if not line.startswith(_CHECKSUM_OPEN) \
+            or line[_RECORD_AT - 2:_RECORD_AT] != '",':
+        return None
+    digest = line[len(_CHECKSUM_OPEN):_RECORD_AT - 2]
+    text = "{" + line[_RECORD_AT:].rstrip("\n")
+    if hashlib.sha256(text.encode("utf-8")).hexdigest() != digest:
+        return None
+    try:
+        rec = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    return rec if rec.keys() == _RECORD_KEYS else None
+
+
 class FieldCache:
     """Append-only JSONL store of derived field records.
 
-    Every line is a record plus its SHA-256 checksum.  Lines that fail
-    to parse or to verify are skipped and listed in corrupt_lines;
+    Each line is canonical JSON (sorted keys, no spaces) of the record
+    plus its SHA-256 checksum.  "checksum" sorts before every record
+    key, so a line is '{"checksum":"<64 hex>",' followed by the rest of
+    the record's canonical text, and the digest is that of "{" + rest
+    as stored: a load hashes the characters on disk and parses them
+    once, and never re-encodes a record.  Lines in any other layout,
+    failing their checksum, or without exactly the keys of
+    QuinticField.to_record are skipped and listed in corrupt_lines;
     callers recompute and re-put, and the newest record for a key wins
     on reload.
     """
@@ -266,33 +295,18 @@ class FieldCache:
                 for lineno, line in enumerate(fh, 1):
                     if not line.strip():
                         continue
-                    try:
-                        rec = self._verify_line(line, lineno)
-                    except ChecksumMismatch:
+                    rec = _record_of(line)
+                    if rec is None:
                         self.corrupt_lines.append(lineno)
                         continue
                     self._by_coeffs[tuple(rec["coeffs"])] = rec
 
-    @staticmethod
-    def _verify_line(line: str, lineno: int) -> dict:
-        try:
-            obj = json.loads(line)
-            claimed = obj.pop("checksum")
-        except (json.JSONDecodeError, KeyError, AttributeError, TypeError):
-            raise ChecksumMismatch(f"cache line {lineno} is unreadable")
-        digest = hashlib.sha256(
-            _canonical_json(obj).encode("utf-8")).hexdigest()
-        if digest != claimed:
-            raise ChecksumMismatch(f"cache line {lineno} fails its checksum")
-        return obj
-
     def put(self, field: QuinticField):
         rec = field.to_record()
-        line = dict(rec)
-        line["checksum"] = hashlib.sha256(
-            _canonical_json(rec).encode("utf-8")).hexdigest()
+        text = _canonical_json(rec)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(_canonical_json(line) + "\n")
+            fh.write(_CHECKSUM_OPEN + digest + '",' + text[1:] + "\n")
         self._by_coeffs[tuple(rec["coeffs"])] = rec
 
     def get(self, coeffs, prime_budget: int = DEFAULT_PRIME_BUDGET

@@ -52,12 +52,15 @@ class LeadingCoeffVanishes(RuntimeError):
     """Reduction mod p killed the leading coefficient."""
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_int(text: str) -> int:
     """A decimal integer: an optional sign and ASCII digits, with
     surrounding whitespace.  Plain int() would also take underscores
     and non-ASCII digits."""
     stripped = text.strip()
-    if re.fullmatch(r"[+-]?[0-9]+", stripped) is None:
+    if _DECIMAL.fullmatch(stripped) is None:
         raise ValueError(f"expected an integer, got {text!r}")
     return int(stripped)
 

@@ -2,7 +2,10 @@
 JSON schemas, and byte-level determinism of repeated runs."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -409,3 +412,33 @@ def test_scan_with_cache_is_stable(tmp_path, capsys):
     assert cache.exists() and cache.stat().st_size > 0
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def test_scan_reports_corrupt_cache_lines_on_stderr(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    argv = ["scan", "--curve", CURVE37, "--height", "1",
+            "--buckets", "3000,100000", "--cache", str(cache), "--json"]
+    assert main(argv) == 0
+    first = capsys.readouterr()
+    assert first.err == ""
+    lines = cache.read_text(encoding="utf-8").splitlines(keepends=True)
+    for i in range(7):
+        lines[i] = lines[i].replace('"disc":', '"disc":1', 1)
+    cache.write_text("".join(lines), encoding="utf-8")
+    assert main(argv) == 0
+    again = capsys.readouterr()
+    assert again.out == first.out
+    assert again.err == (f"cache {cache}: 7 corrupt lines skipped "
+                         f"(lines 1, 2, 3, 4, 5, ...)\n")
+
+
+def test_scan_path_imports_no_numpy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, quintrank.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

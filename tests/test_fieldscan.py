@@ -539,6 +539,79 @@ def test_cache_serves_only_records_with_the_requested_parameters(tmp_path):
     assert reloaded.get(x5) is None
 
 
+# written by FieldCache.put for x^5 - x - 1 before the loader read the
+# digest off the stored text; the bytes must stay loadable and stay put's
+GOLDEN_LINE = (
+    '{"checksum":"9c85b33dbbd44ed307f6027418c9cc0a7ba10528cb9eda683eca45249e'
+    'e71a73","coeffs":[1,0,0,0,-1,-1],"disc":2869,"fingerprint":[2869,[[2,3'
+    '],[5],[5],[2,3],[5],[5],[1,1,3],[1,4],[1,4],[1,4],[2,3],[1,1,3],[1,1,3'
+    '],[1,1,3],[1,1,3],[2,3],[1,4],[1,2,2],[1,2,2],[2,3]]],"label":"x^5 - x'
+    ' - 1","prime_budget":200,"resolvent":[2869,2869,2869,true,false],"s5":'
+    '["Certified",3,163,36],"signature":[1,2],"trial_bound":1000000}\n')
+
+
+def signed_line(rec: dict) -> str:
+    """rec as a cache line with a checksum that matches it."""
+    text = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return '{"checksum":"' + digest + '",' + text[1:] + "\n"
+
+
+def test_cache_golden_line_loads_and_put_writes_it_back(tmp_path):
+    old = tmp_path / "old.jsonl"
+    old.write_text(GOLDEN_LINE, encoding="utf-8")
+    cache = FieldCache(old)
+    assert cache.corrupt_lines == [] and len(cache) == 1
+    served = cache.get((1, 0, 0, 0, -1, -1))
+    assert served.disc == 2869 and served.s5_status == "Certified"
+    for field in (served, field_of(1, 0, 0, 0, -1, -1)):
+        new = tmp_path / "new.jsonl"
+        new.unlink(missing_ok=True)
+        FieldCache(new).put(field)
+        assert new.read_text(encoding="utf-8") == GOLDEN_LINE
+
+
+def test_cache_line_is_checksum_then_the_record_text(tmp_path):
+    # "checksum" sorts before every record key, so the canonical line
+    # opens with the digest and the rest is the record's canonical text
+    rec = field_of(1, 0, 0, 0, -1, -1, label="é ✓").to_record()
+    assert all(key > "checksum" for key in rec)
+    store = tmp_path / "cache.jsonl"
+    cache = FieldCache(store)
+    cache.put(field_of(1, 0, 0, 0, -1, -1, label="é ✓"))
+    assert store.read_text(encoding="utf-8") == signed_line(rec)
+    assert FieldCache(store).get((1, 0, 0, 0, -1, -1)).label == "é ✓"
+
+
+def test_cache_line_in_another_layout_is_corrupt(tmp_path):
+    store = tmp_path / "cache.jsonl"
+    FieldCache(store).put(field_of(1, 0, 0, 0, -1, -1))
+    obj = json.loads(store.read_text(encoding="utf-8"))
+    checksum_last = dict(obj)
+    checksum_last["checksum"] = checksum_last.pop("checksum")
+    store.write_text(json.dumps(obj, sort_keys=True) + "\n"
+                     + json.dumps(checksum_last, separators=(",", ":")) + "\n",
+                     encoding="utf-8")
+    cache = FieldCache(store)
+    assert cache.corrupt_lines == [1, 2] and len(cache) == 0
+
+
+def test_cache_record_without_every_key_is_corrupt(tmp_path):
+    # a valid checksum over an incomplete or padded record is no record
+    store = tmp_path / "cache.jsonl"
+    rec = field_of(1, 0, 0, 0, -1, -1).to_record()
+    partial = {k: v for k, v in rec.items() if k != "prime_budget"}
+    without_coeffs = {k: v for k, v in rec.items() if k != "coeffs"}
+    store.write_text(signed_line({"coeffs": rec["coeffs"]})
+                     + signed_line(partial) + signed_line(without_coeffs)
+                     + signed_line(dict(rec, extra=1)), encoding="utf-8")
+    cache = FieldCache(store)
+    assert cache.corrupt_lines == [1, 2, 3, 4] and len(cache) == 0
+    assert cache.get(rec["coeffs"]) is None
+    assert field_from_coeffs(rec["coeffs"], cache=cache).disc == 2869
+    assert FieldCache(store).get(rec["coeffs"]).disc == 2869
+
+
 def test_enumeration_with_cache_is_stable(tmp_path):
     store = tmp_path / "cache.jsonl"
     cold = [f.coeffs for f in enumerate_quintics(
