@@ -10,7 +10,15 @@ Submodules:
     cli        command line interface
 """
 
+import json
+
 __version__ = "0.1.0"
+
+
+def canonical_json(obj) -> str:
+    """Sorted keys, no spaces: the record text of a cache line and every
+    --json document on stdout."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class InternalCheckFailed(RuntimeError):

@@ -19,21 +19,17 @@ invariant, reported as "internal check failed: ..."), 2 usage error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from importlib import resources
 
 # groups, cocycles and reps pull in numpy; only the algebra commands
 # import them, so scan, certify and analyze-field start without it
-from . import InternalCheckFailed, fieldscan, numtheory, rankgrowth
+from . import (InternalCheckFailed, canonical_json, fieldscan, numtheory,
+               rankgrowth)
 
 
 class DataError(ValueError):
     """Bad input that argparse cannot see: files, specs, domains."""
-
-
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # -- argument converters (failures here are usage errors, exit 2) ----------
@@ -192,7 +188,7 @@ def _cmd_selftest(args) -> int:
     checks = _selftest_checks()
     passed = all(c["passed"] for c in checks)
     if args.json:
-        sys.stdout.write(_canonical({"checks": checks, "passed": passed}))
+        print(canonical_json({"checks": checks, "passed": passed}))
     else:
         for c in checks:
             mark = "pass" if c["passed"] else "FAIL"
@@ -228,7 +224,7 @@ def _cmd_h2(args) -> int:
         "class_A5_restriction": "nontrivial" if w_sub is None else "split",
     }
     if args.json:
-        sys.stdout.write(_canonical({**dims, "double_cover": cover}))
+        print(canonical_json({**dims, "double_cover": cover}))
     else:
         print("cohomology dimensions (coefficients Z/2, trivial action)")
         for key in ("S4", "A4"):
@@ -248,7 +244,7 @@ def _cmd_standard_rep(args) -> int:
     from . import reps
     report = reps.verify_standard_rep()
     if args.json:
-        sys.stdout.write(_canonical(report))
+        print(canonical_json(report))
     else:
         for c in report["checks"]:
             mark = "pass" if c["passed"] else "FAIL"
@@ -284,7 +280,7 @@ def _cmd_analyze_field(args) -> int:
         "primes_scanned": cert.primes_scanned,
     }
     if args.json:
-        sys.stdout.write(_canonical(payload))
+        print(canonical_json(payload))
     else:
         print(f"field {field.label}")
         print(f"  polynomial: {field.poly}")
@@ -312,7 +308,7 @@ def _cmd_certify(args) -> int:
     field = fieldscan.QuinticField(args.poly, args.label, args.prime_budget)
     for curve in curves:
         cert = rankgrowth.certify_pair(curve, field)
-        sys.stdout.write(_canonical(cert.to_json_dict()))
+        print(canonical_json(cert.to_json_dict()))
     return 0
 
 
@@ -339,7 +335,7 @@ def _cmd_scan(args) -> int:
         fields = fieldscan.dedupe_stream(raw)
     report = fieldscan.scan(curve, fields, args.buckets)
     if args.json:
-        sys.stdout.write(_canonical(report.to_json_dict()))
+        print(canonical_json(report.to_json_dict()))
     else:
         print(f"scan: curve {curve.label}")
         for b in report.buckets:

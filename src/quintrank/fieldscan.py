@@ -5,9 +5,10 @@ data lazily: discriminant, signature, quadratic resolvent, S5
 certificate, and a dedupe fingerprint (squarefree discriminant kernel
 plus the factorization patterns at the first 20 primes not dividing the
 discriminant).  Fingerprint identity is a heuristic for field
-isomorphism, not a proof, so every merge is audited against 30 further
-primes and a disagreement raises instead of silently collapsing two
-fields.  The certificate, the fingerprint and the audit all read one
+isomorphism, not a proof, so a merge that _provably_same_field cannot
+prove (a move or a translation) is audited against 30 further primes,
+and a disagreement raises instead of silently collapsing two fields.
+The certificate, the fingerprint and the audit all read one
 append-only list of patterns at those primes, in increasing order, so
 no pattern is computed twice; each one comes from the root count mod p
 and (disc|p) by Stickelberger's theorem (R. G. Swan, Pacific J. Math.
@@ -30,15 +31,17 @@ discriminants to find takes five exactly and the rest by forward
 differences.  A QuinticField is built only once its discriminant is
 within the bound.
 
-The cache is an append-only JSONL file, one canonical JSON line per
-record: '{"checksum":"<SHA-256 hex>",' and then the rest of the
+The cache is a JSONL file that put appends to, one canonical JSON line
+per record: '{"checksum":"<SHA-256 hex>",' and then the rest of the
 record's canonical text, with the digest taken over that stored text.
 Corrupt lines are detected at load, listed in corrupt_lines (which
 `scan --cache` reports on stderr), and simply recomputed.  A record is
 served only to a request with the prime budget it was derived with,
 and only if it was derived with DEFAULT_TRIAL_BOUND; any other request
-derives the field afresh and its record replaces the old one.  Single
-writer, any number of readers.
+derives the field afresh and its record replaces the old one.  A load
+that finds corrupt or superseded lines rewrites the file with one line
+per record, so each is reported once.  Single writer, and a load that
+rewrites counts as one.
 """
 
 from __future__ import annotations
@@ -46,13 +49,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
-from . import InternalCheckFailed
+from . import InternalCheckFailed, canonical_json
 from .numtheory import (
     DEFAULT_PRIME_BUDGET,
     DEFAULT_TRIAL_BOUND,
@@ -88,37 +94,22 @@ class FalseMergeError(InternalCheckFailed):
 
 
 class QuinticField:
-    """Monic separable integer quintic with lazily derived field data."""
-
-    __slots__ = ("poly", "label", "prime_budget", "_disc", "_signature",
-                 "_resolvent", "_certificate", "_fingerprint", "_patterns")
+    """Monic separable integer quintic with lazily derived field data;
+    disc, when given, is the caller's own discriminant of poly."""
 
     def __init__(self, poly: IntPolynomial, label: Optional[str] = None,
-                 prime_budget: int = DEFAULT_PRIME_BUDGET):
+                 prime_budget: int = DEFAULT_PRIME_BUDGET,
+                 disc: Optional[int] = None):
         if poly.degree != 5 or poly.lc != 1:
             raise ValueError("expected a monic quintic")
-        disc = poly_discriminant(poly)
+        if disc is None:
+            disc = poly_discriminant(poly)
         if disc == 0:
             raise NotSeparable(f"{poly} has a repeated root")
-        self._start(poly, label, prime_budget, disc)
-
-    @classmethod
-    def _of_disc(cls, poly: IntPolynomial, disc: int, prime_budget: int,
-                 label: Optional[str] = None) -> "QuinticField":
-        """A field whose nonzero discriminant the caller has computed."""
-        self = object.__new__(cls)
-        self._start(poly, label, prime_budget, disc)
-        return self
-
-    def _start(self, poly, label, prime_budget, disc):
         self.poly = poly
         self.label = label if label is not None else str(poly)
         self.prime_budget = prime_budget
-        self._disc = disc
-        self._signature = None
-        self._resolvent = None
-        self._certificate = None
-        self._fingerprint = None
+        self.disc = disc
         self._patterns = []
 
     @property
@@ -126,49 +117,32 @@ class QuinticField:
         """Coefficients a5..a0, descending."""
         return tuple(reversed(self.poly.coeffs))
 
-    @property
-    def disc(self) -> int:
-        return self._disc
-
-    @property
+    @cached_property
     def signature(self) -> tuple[int, int]:
-        if self._signature is None:
-            r1 = real_root_count(self.poly)
-            self._signature = (r1, (5 - r1) // 2)
-        return self._signature
+        r1 = real_root_count(self.poly)
+        return (r1, (5 - r1) // 2)
 
-    @property
+    @cached_property
     def resolvent(self) -> ResolventData:
-        if self._resolvent is None:
-            self._resolvent = resolvent(self.poly, disc=self._disc)
-        return self._resolvent
+        return resolvent(self.poly, disc=self.disc)
 
-    @property
+    @cached_property
     def certificate(self) -> S5Certificate:
-        if self._certificate is None:
-            self._certificate = certify_s5(self.poly, self.prime_budget,
-                                           disc=self._disc,
-                                           patterns=self._pattern)
-        return self._certificate
+        return certify_s5(self.poly, self.prime_budget, disc=self.disc,
+                          patterns=self._stream)
 
     @property
     def s5_status(self) -> str:
         return self.certificate.status
 
-    def _pattern(self, k: int, p: int) -> tuple:
-        """Pattern at p, the k-th prime (from 0) not dividing the
-        discriminant.  Readers walk the primes in order, so a miss is
-        always the next entry of the stream."""
-        if k == len(self._patterns):
-            self._fill(k + 1)
-        return self._patterns[k]
-
-    def _fill(self, count: int):
-        """Extend the stream to at least `count` patterns, a block at a
-        time: up to the fingerprint, up to the audit, then doubling.  A
-        block's primes below _BLOCK_BELOW share one quintic_patterns
-        pass; larger ones go one at a time."""
-        patterns, disc = self._patterns, self._disc
+    def _stream(self, count: int) -> list:
+        """The pattern stream, extended to at least `count` entries: the
+        patterns at the primes not dividing the discriminant, in order.
+        It grows a block at a time (up to the fingerprint, up to the
+        audit, then doubling) and is returned without copying.  A block's
+        primes below _BLOCK_BELOW share one quintic_patterns pass; larger
+        ones go one at a time."""
+        patterns, disc = self._patterns, self.disc
         audited = FINGERPRINT_PRIMES + AUDIT_PRIMES
         while len(patterns) < count:
             have = len(patterns)
@@ -182,24 +156,17 @@ class QuinticField:
                          quintic_patterns(self.poly, small, disc)]
             patterns += [factor_pattern_mod_p(self.poly, p, disc).pattern
                          for p in good[len(small):]]
+        return patterns
 
-    def _stream(self, count: int) -> list:
-        """Patterns at the first `count` primes not dividing the
-        discriminant."""
-        self._fill(count)
-        return self._patterns[:count]
-
-    @property
+    @cached_property
     def fingerprint(self) -> tuple:
-        if self._fingerprint is None:
-            self._fingerprint = (self.resolvent.squarefree_kernel,
-                                 tuple(self._stream(FINGERPRINT_PRIMES)))
-        return self._fingerprint
+        return (self.resolvent.squarefree_kernel,
+                tuple(self._stream(FINGERPRINT_PRIMES)[:FINGERPRINT_PRIMES]))
 
     @property
     def extended_fingerprint(self) -> tuple:
-        return tuple(self._stream(FINGERPRINT_PRIMES
-                                  + AUDIT_PRIMES)[FINGERPRINT_PRIMES:])
+        audited = FINGERPRINT_PRIMES + AUDIT_PRIMES
+        return tuple(self._stream(audited)[FINGERPRINT_PRIMES:audited])
 
     def __repr__(self):
         return f"QuinticField({self.label!r})"
@@ -213,7 +180,7 @@ class QuinticField:
         return {
             "coeffs": list(self.coeffs),
             "label": self.label,
-            "disc": self._disc,
+            "disc": self.disc,
             "signature": list(sig),
             "resolvent": [rd.disc, rd.squarefree_kernel, rd.fundamental_disc,
                           rd.complete, rd.degenerate],
@@ -228,23 +195,18 @@ class QuinticField:
     def from_record(rec: dict) -> "QuinticField":
         """Rebuild without recomputing anything; the fingerprint patterns
         seed the pattern stream, so an audit computes only its own."""
-        self = QuinticField._of_disc(IntPolynomial.descending(rec["coeffs"]),
-                                     rec["disc"], rec["prime_budget"],
-                                     rec["label"])
-        self._signature = tuple(rec["signature"])
-        self._resolvent = ResolventData(*rec["resolvent"])
-        self._certificate = S5Certificate(*rec["s5"])
-        self._fingerprint = (rec["fingerprint"][0],
-                             tuple(map(tuple, rec["fingerprint"][1])))
-        self._patterns = list(self._fingerprint[1])
+        self = QuinticField(IntPolynomial.descending(rec["coeffs"]),
+                            rec["label"], rec["prime_budget"], rec["disc"])
+        self.signature = tuple(rec["signature"])
+        self.resolvent = ResolventData(*rec["resolvent"])
+        self.certificate = S5Certificate(*rec["s5"])
+        patterns = tuple(map(tuple, rec["fingerprint"][1]))
+        self.fingerprint = (rec["fingerprint"][0], patterns)
+        self._patterns = list(patterns)
         return self
 
 
 # -- cache ---------------------------------------------------------------------
-
-
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 _CHECKSUM_OPEN = '{"checksum":"'
@@ -271,8 +233,14 @@ def _record_of(line: str) -> Optional[dict]:
     return rec if rec.keys() == _RECORD_KEYS else None
 
 
+def _line_of(rec: dict) -> str:
+    text = canonical_json(rec)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _CHECKSUM_OPEN + digest + '",' + text[1:] + "\n"
+
+
 class FieldCache:
-    """Append-only JSONL store of derived field records.
+    """JSONL store of derived field records; put appends a line.
 
     Each line is canonical JSON (sorted keys, no spaces) of the record
     plus its SHA-256 checksum.  "checksum" sorts before every record
@@ -283,30 +251,41 @@ class FieldCache:
     failing their checksum, or without exactly the keys of
     QuinticField.to_record are skipped and listed in corrupt_lines;
     callers recompute and re-put, and the newest record for a key wins
-    on reload.
+    on reload.  A load that finds a corrupt line or a superseded record
+    rewrites the file with one line per record, the newest, in the bytes
+    put writes: into path + ".tmp", which then replaces the file.  If
+    that write fails, the file is left as it was.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self._by_coeffs: dict[tuple, dict] = {}
         self.corrupt_lines: list[int] = []
-        if self.path.exists():
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, 1):
-                    if not line.strip():
-                        continue
-                    rec = _record_of(line)
-                    if rec is None:
-                        self.corrupt_lines.append(lineno)
-                        continue
-                    self._by_coeffs[tuple(rec["coeffs"])] = rec
+        if not self.path.exists():
+            return
+        records = 0
+        with open(self.path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                rec = _record_of(line)
+                if rec is None:
+                    self.corrupt_lines.append(lineno)
+                    continue
+                records += 1
+                self._by_coeffs[tuple(rec["coeffs"])] = rec
+        if self.corrupt_lines or records > len(self._by_coeffs):
+            tmp = self.path.with_name(self.path.name + ".tmp")
+            with suppress(OSError):
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    fh.writelines(map(_line_of, self._by_coeffs.values()))
+                os.replace(tmp, self.path)
+            tmp.unlink(missing_ok=True)
 
     def put(self, field: QuinticField):
         rec = field.to_record()
-        text = _canonical_json(rec)
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(_CHECKSUM_OPEN + digest + '",' + text[1:] + "\n")
+            fh.write(_line_of(rec))
         self._by_coeffs[tuple(rec["coeffs"])] = rec
 
     def get(self, coeffs, prime_budget: int = DEFAULT_PRIME_BUDGET
@@ -583,8 +562,8 @@ def enumerate_quintics(coeff_height: int, disc_bound: int,
                 # zero: a repeated root; a square disc puts the group in A5
                 if disc == 0 or abs(disc) > disc_bound or _is_square(disc):
                     continue
-                field = QuinticField._of_disc(IntPolynomial.descending(coeffs),
-                                              disc, prime_budget)
+                field = QuinticField(IntPolynomial.descending(coeffs),
+                                     prime_budget=prime_budget, disc=disc)
                 if field.s5_status != "Certified":
                     continue
                 if cache is not None:
@@ -608,10 +587,6 @@ class BucketStat:
         if not 0 <= self.odd <= self.admissible <= self.total:
             raise ValueError("bucket counts must satisfy "
                              "0 <= odd <= admissible <= total")
-
-    @property
-    def odd_proportion(self) -> Optional[float]:
-        return self.odd / self.admissible if self.admissible else None
 
 
 @dataclass(frozen=True)

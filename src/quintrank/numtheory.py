@@ -6,8 +6,8 @@ chains with sign-corrected pseudo-remainders, and factorization
 patterns mod p.  A quintic's pattern at a prime not dividing its
 discriminant is read off the number of its roots mod p and the
 Kronecker symbol (disc|p), by Stickelberger's theorem as stated in
-R. G. Swan, Pacific J. Math. 12 (1962); only quintics are factored.
-factor_pattern_mod_p counts the roots at one prime as
+R. G. Swan, Pacific J. Math. 12 (1962); only monic quintics are
+factored.  factor_pattern_mod_p counts the roots at one prime as
 deg gcd(x^p - x, f), and quintic_patterns counts them for a whole
 block of primes in one pass, by gcds of f(x) with the product of the
 block's primes above x.  Squarefree kernels of integers come from
@@ -46,10 +46,6 @@ _CHUNK = 512
 
 class NotSquarefree(RuntimeError):
     """Sturm counting requires a squarefree polynomial."""
-
-
-class LeadingCoeffVanishes(RuntimeError):
-    """Reduction mod p killed the leading coefficient."""
 
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
@@ -105,12 +101,6 @@ class IntPolynomial:
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, x):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
 
     def __str__(self):
         if self.is_zero:
@@ -456,9 +446,9 @@ class FactorPattern:
 
 
 # Quintic patterns by Stickelberger's theorem in the form given by
-# R. G. Swan, Pacific J. Math. 12 (1962): for p not dividing lc(f)
-# disc(f), p = 2 included, (disc|p) = (-1)^(5 - number of irreducible
-# factors of f mod p).  That sign and the number r of roots mod p fix
+# R. G. Swan, Pacific J. Math. 12 (1962): for monic f and p not
+# dividing disc(f), p = 2 included, (disc|p) = (-1)^(5 - number of
+# irreducible factors of f mod p).  That sign and the number r of roots mod p fix
 # the pattern; no other (r, sign) pair can occur.
 _QUINTIC_PATTERNS = {
     (r, sign): FactorPattern(True, pattern) for r, sign, pattern in (
@@ -506,20 +496,17 @@ def _frobenius_quintic(c, p):
 
 def factor_pattern_mod_p(f: IntPolynomial, p: int,
                          disc: Optional[int] = None) -> FactorPattern:
-    """Degrees of the irreducible factors of the quintic f mod p; pattern
-    is omitted when f mod p has a repeated factor.  Read off the number
-    of roots of f mod p, deg gcd(x^p - x, f), and (disc|p), with disc
-    computed when not given; exact at every prime."""
-    if f.degree != 5:
-        raise ValueError("factor patterns are read for quintics only")
-    if f.lc % p == 0:
-        raise LeadingCoeffVanishes(f"p={p} divides the leading coefficient")
+    """Degrees of the irreducible factors of the monic quintic f mod p;
+    pattern is omitted when f mod p has a repeated factor.  Read off the
+    number of roots of f mod p, deg gcd(x^p - x, f), and (disc|p), with
+    disc computed when not given; exact at every prime."""
+    if f.degree != 5 or f.lc != 1:
+        raise ValueError("expected a monic quintic")
     if disc is None:
         disc = poly_discriminant(f)
     if disc % p == 0:
         return FactorPattern(False, None)
-    inv = pow(f.lc, -1, p)
-    c = [a * inv % p for a in f.coeffs]
+    c = [a % p for a in f.coeffs]
     w0, w1, w2, w3, w4 = _frobenius_quintic(c, p)
     roots = len(_pgcd(c, _trim([w0, (w1 - 1) % p, w2, w3, w4]), p)) - 1
     return _QUINTIC_PATTERNS[roots, kronecker_symbol(disc, p)]
@@ -585,19 +572,20 @@ class S5Certificate:
 
 def certify_s5(f: IntPolynomial, prime_budget: int = DEFAULT_PRIME_BUDGET,
                disc: Optional[int] = None,
-               patterns: Optional[Callable[[int, int], tuple]] = None
+               patterns: Optional[Callable[[int], list]] = None
                ) -> S5Certificate:
-    """Sound one-sided Galois test for a quintic: a prime with factor
-    pattern {5} forces transitivity, one with {1,1,1,2} puts a
+    """Sound one-sided Galois test for a monic quintic: a prime with
+    factor pattern {5} forces transitivity, one with {1,1,1,2} puts a
     transposition in the group, and a transitive degree-5 group with a
     transposition is the full symmetric group.  Tries the first
-    prime_budget primes and skips those dividing the discriminant or the
-    leading coefficient, so primes_scanned counts only the primes it
-    read a pattern at; never certifies falsely, but may return
-    Inconclusive.  A caller that keeps a pattern stream passes it as
-    patterns(k, p): the pattern at p, the k-th scanned prime (from 0)."""
-    if f.degree != 5:
-        raise ValueError("certification applies to quintics")
+    prime_budget primes and skips those dividing the discriminant, so
+    primes_scanned counts only the primes it read a pattern at; never
+    certifies falsely, but may return Inconclusive.  A caller that keeps
+    a pattern stream passes it as patterns(n): a list whose first n
+    entries are the patterns at the first n primes not dividing disc,
+    so the k-th scanned prime (from 0) has pattern patterns(k + 1)[k]."""
+    if f.degree != 5 or f.lc != 1:
+        raise ValueError("expected a monic quintic")
     if disc is None:
         disc = poly_discriminant(f)
     if disc == 0:
@@ -605,9 +593,9 @@ def certify_s5(f: IntPolynomial, prime_budget: int = DEFAULT_PRIME_BUDGET,
     five = transposition = None
     scanned = 0
     for p in first_primes(prime_budget):
-        if disc % p == 0 or f.lc % p == 0:
+        if disc % p == 0:
             continue
-        pat = (patterns(scanned, p) if patterns is not None
+        pat = (patterns(scanned + 1)[scanned] if patterns is not None
                else factor_pattern_mod_p(f, p, disc).pattern)
         scanned += 1
         if pat == (5,):

@@ -14,10 +14,9 @@ from quintrank import InternalCheckFailed, cli, fieldscan, rankgrowth
 from quintrank.cli import main
 from quintrank.cocycles import TooLarge
 from quintrank.groups import CapExceeded
-from quintrank.numtheory import LeadingCoeffVanishes, NotSquarefree
-from quintrank.numtheory import IntPolynomial
+from quintrank.numtheory import IntPolynomial, NotSquarefree
 from quintrank.rankgrowth import IncompleteData
-from quintrank.reps import ClosureFailure, NonIntegral
+from quintrank.reps import ClosureFailure, DimensionOverflow, NonIntegral
 
 FLAGSHIP_POLY = "1,0,0,0,-1,-1"
 CURVE37 = "37a 37 37^1"
@@ -216,7 +215,7 @@ def test_false_merge_exits_one(capsys, monkeypatch):
     (InternalCheckFailed("stub"), 1),
     (fieldscan.FalseMergeError("stub"), 1),
     (NotSquarefree("stub"), 3),
-    (LeadingCoeffVanishes("stub"), 3),
+    (DimensionOverflow("stub"), 3),
     (IncompleteData("stub"), 3),
     (RuntimeError("stub"), 3),
     (TooLarge("stub"), 3),
@@ -421,7 +420,8 @@ def test_scan_reports_corrupt_cache_lines_on_stderr(tmp_path, capsys):
     assert main(argv) == 0
     first = capsys.readouterr()
     assert first.err == ""
-    lines = cache.read_text(encoding="utf-8").splitlines(keepends=True)
+    cold = cache.read_text(encoding="utf-8")
+    lines = cold.splitlines(keepends=True)
     for i in range(7):
         lines[i] = lines[i].replace('"disc":', '"disc":1', 1)
     cache.write_text("".join(lines), encoding="utf-8")
@@ -430,6 +430,13 @@ def test_scan_reports_corrupt_cache_lines_on_stderr(tmp_path, capsys):
     assert again.out == first.out
     assert again.err == (f"cache {cache}: 7 corrupt lines skipped "
                          f"(lines 1, 2, 3, 4, 5, ...)\n")
+    # that load rewrote the file with one line per record, so the
+    # corrupt lines are reported once and re-derived records not doubled
+    assert main(argv) == 0
+    third = capsys.readouterr()
+    assert third == (first.out, "")
+    warm = cache.read_text(encoding="utf-8")
+    assert sorted(warm.splitlines()) == sorted(cold.splitlines())
 
 
 def test_scan_path_imports_no_numpy():

@@ -253,7 +253,7 @@ def test_shifted_polynomial_merges():
 def test_false_merge_is_surfaced():
     f = field_of(1, 0, 0, 0, -1, -1)
     g = field_of(1, 0, 0, 0, -4, 2)    # genuinely different field
-    g._fingerprint = f.fingerprint     # force a collision
+    g.fingerprint = f.fingerprint      # force a collision
     with pytest.raises(FalseMergeError):
         list(dedupe_stream([f, g]))
 
@@ -491,6 +491,26 @@ def test_cache_detects_corruption(tmp_path):
     assert healed.get((1, 0, 0, 0, -1, -1)).disc == 2869
 
 
+def test_failed_cache_rewrite_keeps_the_file(tmp_path, monkeypatch):
+    # a load whose rewrite fails still loads, and leaves the file and
+    # no temporary file behind
+    store = tmp_path / "cache.jsonl"
+    FieldCache(store).put(field_of(1, 0, 0, 0, -1, -1))
+    before = store.read_text() + "not json at all\n"
+    store.write_text(before)
+
+    def full_disk(rec):
+        raise OSError("no space left on device")
+    monkeypatch.setattr(fieldscan, "_line_of", full_disk)
+    cache = FieldCache(store)
+    assert cache.corrupt_lines == [2] and len(cache) == 1
+    assert store.read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
+    monkeypatch.undo()
+    FieldCache(store)
+    assert store.read_text() == before.splitlines(keepends=True)[0]
+
+
 def test_cache_skips_recomputation(tmp_path, monkeypatch):
     store = tmp_path / "cache.jsonl"
     table = tmp_path / "fields.csv"
@@ -531,12 +551,14 @@ def test_cache_serves_only_records_with_the_requested_parameters(tmp_path):
     # one with a valid checksum and it is a miss
     rec = dict(cache.get(x5).to_record(), trial_bound=10)
     line = dict(rec, checksum=hashlib.sha256(
-        fieldscan._canonical_json(rec).encode("utf-8")).hexdigest())
+        quintrank.canonical_json(rec).encode("utf-8")).hexdigest())
     with open(store, "a", encoding="utf-8") as fh:
-        fh.write(fieldscan._canonical_json(line) + "\n")
+        fh.write(quintrank.canonical_json(line) + "\n")
     reloaded = FieldCache(store)
     assert reloaded.corrupt_lines == [] and len(reloaded) == 1
     assert reloaded.get(x5) is None
+    # the load kept only the newest of the superseded lines
+    assert store.read_text() == quintrank.canonical_json(line) + "\n"
 
 
 # written by FieldCache.put for x^5 - x - 1 before the loader read the
@@ -632,7 +654,6 @@ def test_scan_toy_counts():
     b1, b2 = report.buckets
     assert (b1.X, b1.total, b1.admissible, b1.odd) == (3000, 1, 1, 1)
     assert (b2.X, b2.total, b2.admissible, b2.odd) == (300000, 2, 1, 1)
-    assert b1.odd_proportion == 1.0
 
 
 def test_scan_empty_stream():
@@ -646,7 +667,6 @@ def test_scan_uncertified_fields_count_as_total_only():
     report = scan(CURVE37, [f], [10 ** 6])
     b = report.buckets[0]
     assert (b.total, b.admissible, b.odd) == (1, 0, 0)
-    assert b.odd_proportion is None
 
 
 def test_scan_bucket_edges_validated():

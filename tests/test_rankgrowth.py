@@ -123,7 +123,7 @@ def test_reasons_accumulate_in_check_order():
 
 def test_incomplete_resolvent():
     stub = field_of(1, 0, 0, 0, -1, -1)
-    stub._resolvent = dataclasses.replace(stub.resolvent, complete=False)
+    stub.resolvent = dataclasses.replace(stub.resolvent, complete=False)
     assert not stub.resolvent.complete
     with pytest.raises(IncompleteData):
         admissible(CURVE37, stub)
