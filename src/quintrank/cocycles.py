@@ -15,8 +15,10 @@ blade vectors goes through one right-multiplication matrix read off
 the blade sign table.
 
 Cohomology dimensions and coboundary witnesses work on sparse mod-2
-coboundary rows (Python-int bit rows read off the group table), so no
-dense coboundary matrix is ever built.
+coboundary rows (Python-int bit rows) taken only at (g, s) and
+(g, h, s) for the generators s, so no dense coboundary matrix is ever
+built.  These rows have the kernel, and so the rank, of the full
+operators (see ``_delta1_rows_gf2`` and ``_delta2_rows_gf2``).
 """
 
 from __future__ import annotations
@@ -267,40 +269,81 @@ def _gf2_rank_of_rows(rows) -> int:
     return solver.rank
 
 
+def _row_generators(G: FiniteGroup) -> tuple[int, ...]:
+    """The generators s that index the coboundary rows; the trivial
+    group, which has none, is generated by its identity."""
+    return G.generators or (0,)
+
+
 def _delta1_rows_gf2(G: FiniteGroup) -> list[int]:
-    """Rows of delta1 in (g, h) order: row (g,h) has bits h, gh and g,
-    column x at bit x."""
-    return [(1 << h) ^ (1 << gh) ^ (1 << g)
-            for g, row in enumerate(G.table.tolist())
-            for h, gh in enumerate(row)]
+    """Rows of delta1 at (g, s) for every g and generator s, in that
+    order: row (g, s) has bits s, gs and g, column x at bit x.
+
+    They have the kernel of the full operator.  If dc(g, s) = 0 for all
+    g and s, then c(e) = dc(e, s) = 0 and c(us) = c(u) + c(s) for every
+    u, so c(gh) = c(g) + c(h) by induction on the word length of h:
+    c is a homomorphism, i.e. dc = 0.
+    """
+    gens = list(_row_generators(G))
+    return [(1 << s) ^ (1 << gs) ^ (1 << g)
+            for g, row in enumerate(G.table[:, gens].tolist())
+            for s, gs in zip(gens, row)]
 
 
 def _delta2_rows_gf2(G: FiniteGroup) -> list[int]:
-    """Rows of delta2 in (g, h, k) order, read off the table: row
-    (g,h,k) has bits (h,k), (gh,k), (g,hk) and (g,h), column (x,y) at
-    bit x*n + y."""
+    """Rows of delta2 at (g, h, s) for all g, h and generators s, in
+    that order: row (g,h,s) has bits (h,s), (gh,s), (g,hs) and (g,h),
+    column (x,y) at bit x*n + y.
+
+    They have the kernel of the full operator.  Let dw vanish at every
+    (g, h, s).  The cocycle identity of dw at (g, h, u, s),
+
+        dw(h,u,s) + dw(gh,u,s) + dw(g,hu,s) + dw(g,h,us) + dw(g,h,u) = 0,
+
+    gives dw(g,h,us) = dw(g,h,u) for every u.  At u = e,
+    dw(g,h,e) = w(h,e) + w(gh,e), and w(g,e) = w(e,s) for every g
+    because dw(g,e,s) = w(e,s) + w(g,e) = 0; so dw(g,h,e) = 0, and
+    dw = 0 at every (g, h, u) by induction on the word length of u.
+    """
     n, t = G.order, G.table.astype(np.int64)
-    g, h, k = np.indices((n, n, n)).reshape(3, -1)
-    cols = (h * n + k, t[g, h] * n + k, g * n + t[h, k], g * n + h)
+    gens = np.asarray(_row_generators(G), dtype=np.int64)
+    g, h, s = (a.ravel() for a in np.meshgrid(
+        np.arange(n), np.arange(n), gens, indexing="ij"))
+    cols = (h * n + s, t[g, h] * n + s, g * n + t[h, s], g * n + h)
     return [(1 << a) ^ (1 << b) ^ (1 << c) ^ (1 << d)
             for a, b, c, d in zip(*(col.tolist() for col in cols))]
 
 
 def coboundary_witness(c: Cocycle2) -> Optional[np.ndarray]:
-    """A 1-cochain with delta(witness) == c.values, or None when the class
-    of the cocycle is nonzero.  Solved over GF(2)."""
-    n = c.group.order
+    """A 1-cochain with delta(witness) == c.values, or None when there is
+    none: the class of the cocycle is nonzero, or c is not a cocycle.
+
+    Solved over GF(2) on the equations at (g, s) for generators s only,
+    then checked on all n^2 entries.  Two solutions of the generator
+    equations differ by a homomorphism (see ``_delta1_rows_gf2``), which
+    has zero coboundary, so if one of them misses an entry off the
+    generator columns, every 1-cochain does.  For a cocycle c that
+    cannot happen: z = delta(witness) - c is a normalized cocycle that
+    vanishes at every (g, s), its cocycle identity at (g, u, s) gives
+    z(g, us) = z(g, u), and so z = 0 by induction from z(g, e) = 0.
+    """
+    G = c.group
+    gens = list(_row_generators(G))
     solver = Gf2Solver()
-    rhs = c.values.ravel().tolist()
-    for row in {row << 1 | v for row, v in zip(_delta1_rows_gf2(c.group), rhs)}:
+    rhs = c.values[:, gens].ravel().tolist()
+    for row in {row << 1 | v for row, v in zip(_delta1_rows_gf2(G), rhs)}:
         solver.add(row)
     sol = solver.solve()
     if sol is None:
         return None
-    witness = np.array([(sol >> j) & 1 for j in range(n)], dtype=np.int8)
-    if not (coboundary(c.group, witness) == c.values).all():
+    witness = np.array([(sol >> j) & 1 for j in range(G.order)],
+                       dtype=np.int8)
+    image = coboundary(G, witness)
+    if not (image[:, gens] == c.values[:, gens]).all():
         raise InternalCheckFailed(
-            "coboundary witness does not reproduce the cocycle")
+            "coboundary witness does not solve the generator equations")
+    if not (image == c.values).all():
+        return None
     return witness
 
 
@@ -309,8 +352,9 @@ def coboundary_witness(c: Cocycle2) -> Optional[np.ndarray]:
 
 def h2_dimension(G: FiniteGroup) -> int:
     """dim H^2(G, Z/2) = n^2 - rank delta2 - rank delta1 over GF(2), from
-    sparse coboundary rows read off the table; no dense operator matrix
-    is built.  Capped at |G| <= 30."""
+    the sparse coboundary rows at the generators, which have the ranks
+    of the full operators; no dense operator matrix is built.  Capped
+    at |G| <= 30."""
     if G.order > H2_GROUP_CAP:
         raise TooLarge(f"h2_dimension is capped at |G| <= {H2_GROUP_CAP}")
     return (G.order ** 2 - _gf2_rank_of_rows(_delta2_rows_gf2(G))
@@ -318,8 +362,9 @@ def h2_dimension(G: FiniteGroup) -> int:
 
 
 def h1_dimension(G: FiniteGroup) -> int:
-    """dim H^1(G, Z/2) = n - rank delta1 over GF(2); delta0 vanishes under
-    the trivial action.  Capped at |G| <= 240."""
+    """dim H^1(G, Z/2) = n - rank delta1 over GF(2), from the rows at the
+    generators; delta0 vanishes under the trivial action.  Capped at
+    |G| <= 240."""
     if G.order > H1_GROUP_CAP:
         raise TooLarge(f"h1_dimension is capped at |G| <= {H1_GROUP_CAP}")
     return G.order - _gf2_rank_of_rows(_delta1_rows_gf2(G))

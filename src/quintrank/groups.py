@@ -168,8 +168,8 @@ class FiniteGroup:
         return self._orders
 
     def order_census(self) -> dict[int, int]:
-        vals, counts = np.unique(self.element_orders(), return_counts=True)
-        return {int(v): int(c) for v, c in zip(vals, counts)}
+        orders = self.element_orders().tolist()
+        return {v: orders.count(v) for v in sorted(set(orders))}
 
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         if self._classes is None:
@@ -181,9 +181,9 @@ class FiniteGroup:
                 if seen[x]:
                     continue
                 t1 = self.table[self.inv, x]
-                orb = np.unique(self.table[t1, allg])
+                orb = sorted(set(self.table[t1, allg].tolist()))
                 seen[orb] = True
-                classes.append(tuple(int(v) for v in orb))
+                classes.append(tuple(orb))
             self._classes = tuple(classes)
         return self._classes
 
@@ -203,8 +203,8 @@ class FiniteGroup:
         ia = self.inv
         left = self.table[np.ix_(ia, ia)]  # a^-1 b^-1
         right = self.table  # a b
-        comms = np.unique(self.table[left, right])
-        return self.subgroup_closure(comms)
+        return self.subgroup_closure(
+            set(self.table[left, right].ravel().tolist()))
 
     def subgroup(self, labels, name: str = ""):
         """Return (H, inclusion) where inclusion[i] is the parent label of i."""
@@ -273,6 +273,11 @@ def close_generators(generators: Sequence, name: str = "") -> FiniteGroup:
     after closure the identity is found and moved to label 0.  Raises
     CapExceeded if more than DEFAULT_CAP elements appear; the cap is read
     at call time.
+
+    Only the products x * g_j by the generators are formed.  They are
+    the generators' columns of the table, and every other element y was
+    first reached as y = x * g_j, so its column follows by associativity:
+    a * y = (a * x) * g_j, i.e. ``table[:, y] = table[:, g_j][table[:, x]]``.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -283,21 +288,25 @@ def close_generators(generators: Sequence, name: str = "") -> FiniteGroup:
             index[g] = len(elems)
             elems.append(g)
     gens = list(elems)
-    for x in elems:  # grows while it is walked
-        for g in gens:
-            y = x * g
+    right = [[] for _ in gens]  # right[j][x] = label of x * g_j
+    parent = []  # (x, j) with elems[y] = elems[x] * g_j, for y >= len(gens)
+    for x, xe in enumerate(elems):  # grows while it is walked
+        for j, g in enumerate(gens):
+            y = xe * g
             if y not in index:
                 if len(elems) >= DEFAULT_CAP:
                     raise CapExceeded(f"closure exceeded cap={DEFAULT_CAP}")
                 index[y] = len(elems)
                 elems.append(y)
+                parent.append((x, j))
+            right[j].append(index[y])
     n = len(elems)
-    table = np.empty((n, n), dtype=np.int32)
-    for a in range(n):
-        xa = elems[a]
-        row = table[a]
-        for b in range(n):
-            row[b] = index[xa * elems[b]]
+    right = np.array(right, dtype=np.int32)
+    cols = np.empty((n, n), dtype=np.int32)  # cols[y] = table[:, y]
+    cols[:len(gens)] = right
+    for y, (x, j) in enumerate(parent, start=len(gens)):
+        cols[y] = right[j][cols[x]]
+    table = cols.T
     ar = np.arange(n, dtype=np.int32)
     two_sided = (table == ar[None, :]).all(axis=1) & (table.T == ar[None, :]).all(axis=1)
     ids = np.nonzero(two_sided)[0]
@@ -361,12 +370,13 @@ class CosetSystem:
         n = group.order
         Sarr = np.asarray(S, dtype=np.int32)
         coset_min = group.table[np.ix_(Sarr, np.arange(n))].min(axis=0)
-        canon = np.unique(coset_min)  # ascending, so identity coset (min 0) first
-        pos = {int(r): i for i, r in enumerate(canon)}
+        # ascending, so the identity coset (min 0) comes first
+        canon = sorted(set(coset_min.tolist()))
+        pos = {r: i for i, r in enumerate(canon)}
         coset_of = np.vectorize(pos.__getitem__, otypes=[np.int32])(coset_min)
         coset_of.flags.writeable = False
         if reps is None:
-            chosen = tuple(int(r) for r in canon)
+            chosen = tuple(canon)
         else:
             chosen = tuple(int(r) for r in reps)
             if len(chosen) != len(canon):

@@ -9,11 +9,14 @@ distinct-degree splitting, squarefree kernels by trial division by
 every odd number up to the trial bound, quaternion group tables by
 float nearest-neighbour matching, cocycle defects one group element
 at a time, cohomology dimensions from the dense coboundary
-matrices (one row per triple or pair, reduced mod 2), quintic
+matrices (one row per triple or pair, reduced mod 2) and from the
+full sparse coboundary rows, coboundary witnesses from all n^2
+equations, group tables from every pairwise product, quintic
 enumeration by deriving every vector of the coefficient box, and
 mirror/reciprocal orbits by transforming the polynomial itself.  It
 also holds the test-only cyclic groups, direct products and full
-homomorphism check of a representation.
+homomorphism check of a representation, and the modular group of
+order 16 as a non-permutation closure input.
 """
 
 import math
@@ -24,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from quintrank.cocycles import _row_chunks
+from quintrank.cocycles import Gf2Solver, _row_chunks
 from quintrank.fieldscan import (
     NotSeparable,
     QuinticField,
@@ -409,6 +412,38 @@ def delta1_matrix(G):
     return A % 2
 
 
+def delta1_rows(G):
+    """Rows of delta1 in (g, h) order, one per pair, as Python ints:
+    row (g,h) has bits h, gh and g, column x at bit x."""
+    return [(1 << h) ^ (1 << gh) ^ (1 << g)
+            for g, row in enumerate(G.table.tolist())
+            for h, gh in enumerate(row)]
+
+
+def delta2_rows(G):
+    """Rows of delta2 in (g, h, k) order, one per triple, as Python ints:
+    row (g,h,k) has bits (h,k), (gh,k), (g,hk) and (g,h), column (x,y)
+    at bit x*n + y."""
+    n, t = G.order, G.table.astype(np.int64)
+    g, h, k = np.indices((n, n, n)).reshape(3, -1)
+    cols = (h * n + k, t[g, h] * n + k, g * n + t[h, k], g * n + h)
+    return [(1 << a) ^ (1 << b) ^ (1 << c) ^ (1 << d)
+            for a, b, c, d in zip(*(col.tolist() for col in cols))]
+
+
+def coboundary_witness_full(G, values):
+    """A 1-cochain c with delta c = values, solved over GF(2) on all n^2
+    equations (one per pair); None when that system is inconsistent."""
+    solver = Gf2Solver()
+    rhs = np.asarray(values).ravel().tolist()
+    for row, v in zip(delta1_rows(G), rhs):
+        solver.add(row << 1 | int(v) % 2)
+    sol = solver.solve()
+    if sol is None:
+        return None
+    return np.array([(sol >> j) & 1 for j in range(G.order)], dtype=np.int8)
+
+
 def pack_rows_gf2(A):
     """The nonzero rows of A mod 2 as ints, column j at bit j."""
     packed = np.packbits(np.asarray(A) % 2, axis=1, bitorder="little")
@@ -491,3 +526,31 @@ def is_homomorphism(rep, tol: float = 1e-8) -> bool:
     n, t, imgs = rep.group.order, rep.group.table, rep.images
     return all(np.abs(imgs[lo:hi, None] @ imgs - imgs[t[lo:hi]]).max() <= tol
                for lo, hi in _row_chunks(n, n * rep.dim * rep.dim))
+
+
+def pairwise_product_table(elems):
+    """The table of a closed list of elements by all n^2 products, each
+    looked up by equality."""
+    index = {e: i for i, e in enumerate(elems)}
+    return np.array([[index[a * b] for b in elems] for a in elems],
+                    dtype=np.int32)
+
+
+def closure_by_saturation(generators):
+    """The set of all products of the generators, grown by multiplying
+    every pair of members until nothing new appears."""
+    members = set(generators)
+    while True:
+        grown = members | {a * b for a in members for b in members}
+        if grown == members:
+            return members
+        members = grown
+
+
+class M16(tuple):
+    """The modular group of order 16, <a, b | a^8 = b^2 = 1,
+    b a b = a^5>, as pairs (i, j) standing for a^i b^j."""
+
+    def __mul__(self, y):
+        return M16(((self[0] + y[0] * pow(5, self[1], 8)) % 8,
+                    (self[1] + y[1]) % 2))

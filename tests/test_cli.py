@@ -279,15 +279,30 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
 
 
+SELFTEST_JSON = (
+    '{"checks":['
+    '{"detail":"65 symbols against residue enumeration",'
+    '"name":"kronecker symbols","passed":true},'
+    '{"detail":"x^5 - x - 1 and 3 trinomials match closed forms",'
+    '"name":"quintic discriminants","passed":true},'
+    '{"detail":"identity holds on 24^3 triples, class nontrivial",'
+    '"name":"degree-4 double cover cocycle","passed":true},'
+    '{"detail":"h2(S4)=2, h2(A4)=1, h1(A5)=0",'
+    '"name":"cohomology dimensions","passed":true},'
+    '{"detail":"4/4 checks",'
+    '"name":"tensor-induced standard representation","passed":true},'
+    '{"detail":"conductor-37 curve certified over x^5 - x - 1",'
+    '"name":"flagship parity certificate","passed":true}],'
+    '"passed":true}\n'
+)
+
+
 def test_selftest_json_two_runs_byte_identical(capsys):
     assert main(["selftest", "--json"]) == 0
     first = capsys.readouterr().out
     assert main(["selftest", "--json"]) == 0
     second = capsys.readouterr().out
-    assert first == second
-    payload = json.loads(first)
-    assert payload["passed"] is True
-    assert len(payload["checks"]) == 6
+    assert first == second == SELFTEST_JSON
 
 
 def test_selftest_failure_exits_one(capsys, monkeypatch):
@@ -325,15 +340,16 @@ def test_standard_rep_failure_exits_one(capsys, monkeypatch):
 
 # -- h2 ---------------------------------------------------------------------
 
+H2_JSON = (
+    '{"double_cover":{"class_A5_restriction":"nontrivial",'
+    '"class_S5":"nontrivial","cocycle_identity":true},'
+    '"h1":{"A5":0,"S5":1},"h2":{"A4":1,"S4":2}}\n'
+)
+
+
 def test_h2_reports_dimensions_and_classes(capsys):
     assert main(["h2", "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["h2"] == {"S4": 2, "A4": 1}
-    assert report["h1"] == {"S5": 1, "A5": 0}
-    assert report["double_cover"] == {
-        "cocycle_identity": True,
-        "class_S5": "nontrivial",
-        "class_A5_restriction": "nontrivial"}
+    assert capsys.readouterr().out == H2_JSON
 
 
 # -- scan -------------------------------------------------------------------
@@ -449,3 +465,22 @@ def test_scan_path_imports_no_numpy():
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_standard_rep_leaves_numpy_ma_unimported():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def loads_numpy_ma(code):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys; {code}; print('numpy.ma' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1] == "True"
+
+    if loads_numpy_ma("import numpy"):
+        pytest.skip("this numpy imports numpy.ma on import")
+    assert not loads_numpy_ma("from quintrank.cli import main; "
+                              "main(['standard-rep', '--json'])")

@@ -12,11 +12,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import (cocycle_defect_labels, cyclic_group, delta1_matrix,
-                     delta2_matrix, direct_product, pack_rows_gf2)
+from oracles import (cocycle_defect_labels, coboundary_witness_full,
+                     cyclic_group, delta1_matrix, delta1_rows, delta2_matrix,
+                     delta2_rows, direct_product, pack_rows_gf2)
 from quintrank import InternalCheckFailed
 from quintrank.groups import (FiniteGroup, Permutation, abelianization,
-                              alternating_group, symmetric_group)
+                              alternating_group, close_generators,
+                              symmetric_group)
 from quintrank import cocycles as cz
 from quintrank.cocycles import (Cocycle2, Gf2Solver, TooLarge,
                                 central_extension, coboundary,
@@ -305,6 +307,70 @@ def test_pin5_splits_on_a_transposition_subgroup():
     assert (coboundary(csub.group, w) == csub.values).all()
 
 
+def _random_cochains(G, rng, cocycles):
+    """Normalized 2-cochains on G: random coboundaries added to each of
+    the given cocycles, the same coboundaries with one entry flipped,
+    and random tables."""
+    n = G.order
+    out = []
+    for _ in range(6):
+        c = rng.integers(0, 2, size=n)
+        c[0] = 0
+        d = coboundary(G, c)
+        out += [d ^ w for w in cocycles]
+        flipped = d.copy()
+        g, h = rng.integers(1, n, size=2)
+        flipped[g, h] ^= 1
+        out.append(flipped)
+        noise = rng.integers(0, 2, size=(n, n))
+        noise[0] = noise[:, 0] = 0
+        out.append(noise)
+    return [Cocycle2(G, v) for v in out]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_witness_agrees_with_the_full_row_solve(n):
+    G = symmetric_group(n)
+    cocycles = [np.zeros((G.order, G.order), dtype=np.int64)]
+    if n == 4:
+        cocycles.append(pin_cocycle_sn(4).values)  # a nonzero class
+    kinds = set()
+    for c in _random_cochains(G, np.random.default_rng(40 + n), cocycles):
+        kinds.add(verify_cocycle(c))
+        w = coboundary_witness(c)
+        assert (w is None) == (coboundary_witness_full(G, c.values) is None)
+        if w is not None:
+            assert (coboundary(G, w) == c.values).all()
+    assert kinds == {True, False}
+
+
+def test_witness_rejects_a_table_that_solves_only_the_generator_equations(
+        monkeypatch):
+    # delta c with one entry flipped off the generator columns: the
+    # generator equations are solved by c, the full table by nothing
+    G = symmetric_group(4)
+    c = np.arange(G.order) % 2
+    c[0] = 0
+    values = coboundary(G, c)
+    h = next(h for h in range(1, G.order) if h not in G.generators)
+    values[1, h] ^= 1
+    cochain = Cocycle2(G, values)
+    assert not verify_cocycle(cochain)
+    assert coboundary_witness_full(G, values) is None
+    # the solver finds a solution, so the full-table check runs and fails
+    solutions = []
+
+    def spy(group, w):
+        solutions.append(w)
+        return coboundary(group, w)
+
+    monkeypatch.setattr(cz, "coboundary", spy)
+    assert coboundary_witness(cochain) is None
+    assert len(solutions) == 1
+    gens = list(G.generators)
+    assert (coboundary(G, solutions[0])[:, gens] == values[:, gens]).all()
+
+
 # -- GF(2) solver ----------------------------------------------------------
 
 def test_gf2_solver_against_random_systems():
@@ -335,6 +401,32 @@ def test_gf2_solver_detects_inconsistency():
 
 
 # -- cohomology dimensions -------------------------------------------------
+
+class _Quaternion(tuple):
+    """An integer quaternion (a, b, c, d) under the Hamilton product."""
+
+    def __mul__(self, q):
+        a1, b1, c1, d1 = self
+        a2, b2, c2, d2 = q
+        return _Quaternion((a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2))
+
+
+def _dihedral8():
+    return close_generators([Permutation.from_cycles(4, (0, 1, 2, 3)),
+                             Permutation.from_cycles(4, (0, 2))])
+
+
+def _quaternion8():
+    return close_generators([_Quaternion((0, 1, 0, 0)),
+                             _Quaternion((0, 0, 1, 0))])
+
+
+def _klein4():
+    return direct_product(cyclic_group(2), cyclic_group(2))
+
 
 def _enum_h2(G):
     # direct enumeration over normalized 2-cochains; independent oracle
@@ -369,6 +461,12 @@ def test_h2_classical_values():
     assert h2_dimension(S4) == 2
     assert h2_dimension(A4) == 1
     assert h2_dimension(C2) == 1
+    assert h2_dimension(_klein4()) == 3
+    assert h2_dimension(_dihedral8()) == 3
+    assert h2_dimension(_quaternion8()) == 2
+    # the trivial group has no generators; its rows sit at the identity
+    assert cyclic_group(1).generators == ()
+    assert h2_dimension(cyclic_group(1)) == 0
 
 
 def test_h2_invariant_under_relabeling():
@@ -390,25 +488,39 @@ def test_h1_values():
     assert h1_dimension(A5) == 0
     assert h1_dimension(A4) == 0
     assert h1_dimension(C2) == 1
+    for G in (_klein4(), _dihedral8(), _quaternion8()):
+        assert h1_dimension(G) == 2
+    assert h1_dimension(cyclic_group(1)) == 0
+
+
+def _assert_generator_rows_span(rows, full):
+    """The generator rows are among the full rows and have their GF(2)
+    rank."""
+    assert set(rows) - {0} <= full
+    assert cz._gf2_rank_of_rows(rows) == cz._gf2_rank_of_rows(full)
 
 
 @pytest.mark.parametrize("build", [lambda: symmetric_group(3),
                                    lambda: alternating_group(4),
-                                   lambda: symmetric_group(4)],
-                         ids=["S3", "A4", "S4"])
+                                   lambda: symmetric_group(4),
+                                   _klein4, _dihedral8, _quaternion8],
+                         ids=["S3", "A4", "S4", "C2xC2", "D4", "Q8"])
 def test_sparse_coboundary_rows_match_dense_matrices(build):
     G = build()
-    n = G.order
-    d2, d1 = cz._delta2_rows_gf2(G), cz._delta1_rows_gf2(G)
-    assert (len(d2), len(d1)) == (n ** 3, n ** 2)
-    assert set(d2) - {0} == pack_rows_gf2(delta2_matrix(G))
-    assert set(d1) - {0} == pack_rows_gf2(delta1_matrix(G))
+    full2 = pack_rows_gf2(delta2_matrix(G))
+    full1 = pack_rows_gf2(delta1_matrix(G))
+    # the full-row oracles are the dense matrices, row for row
+    assert set(delta2_rows(G)) - {0} == full2
+    assert set(delta1_rows(G)) - {0} == full1
+    _assert_generator_rows_span(cz._delta2_rows_gf2(G), full2)
+    _assert_generator_rows_span(cz._delta1_rows_gf2(G), full1)
 
 
 def test_h1_sparse_rows_match_dense_rank():
     for G in (symmetric_group(5), alternating_group(5)):
-        dense = pack_rows_gf2(delta1_matrix(G))
-        assert h1_dimension(G) == G.order - cz._gf2_rank_of_rows(dense)
+        full = pack_rows_gf2(delta1_matrix(G))
+        _assert_generator_rows_span(cz._delta1_rows_gf2(G), full)
+        assert h1_dimension(G) == G.order - cz._gf2_rank_of_rows(full)
 
 
 def test_pack_rows_gf2_matches_bit_loop():

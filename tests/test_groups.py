@@ -12,7 +12,8 @@ import random
 import numpy as np
 import pytest
 
-from oracles import cyclic_group, direct_product
+from oracles import (M16, closure_by_saturation, cyclic_group, direct_product,
+                     pairwise_product_table)
 from quintrank.groups import (
     CapExceeded,
     CosetSystem,
@@ -126,6 +127,37 @@ def test_cap_exceeded(monkeypatch):
     monkeypatch.setattr("quintrank.groups.DEFAULT_CAP", 100)
     with pytest.raises(CapExceeded, match="cap=100"):
         close_generators(gens)
+
+
+def _cycle(n, *cycles):
+    return Permutation.from_cycles(n, *cycles)
+
+
+CLOSURE_INPUTS = {
+    "S3": [Permutation.transposition(3, 0, 1), _cycle(3, (0, 1, 2))],
+    "S4": [Permutation.transposition(4, 0, 1), _cycle(4, (0, 1, 2, 3))],
+    "S5": [Permutation.transposition(5, 0, 1), _cycle(5, (0, 1, 2, 3, 4))],
+    "A4": [_cycle(4, (0, 1, 2)), _cycle(4, (0, 1), (2, 3))],
+    "A5": [_cycle(5, (0, 1, 2)), _cycle(5, (0, 1, 2, 3, 4))],
+    "D4": [_cycle(4, (0, 1, 2, 3)), _cycle(4, (0, 2))],
+    "M16": [M16((1, 0)), M16((0, 1))],
+    "duplicate": [_cycle(4, (0, 1, 2)), _cycle(4, (0, 1, 2)),
+                  Permutation.transposition(4, 2, 3)],
+    "identity": [_cycle(4, (0, 1, 2, 3)), Permutation((0, 1, 2, 3)),
+                 Permutation.transposition(4, 0, 1)],
+}
+
+
+@pytest.mark.parametrize("name", list(CLOSURE_INPUTS))
+def test_close_generators_matches_pairwise_products(name):
+    gens = CLOSURE_INPUTS[name]
+    G = close_generators(gens)
+    assert set(G.elems) == closure_by_saturation(gens)
+    assert len(set(G.elems)) == G.order
+    assert (G.table == pairwise_product_table(G.elems)).all()
+    # the distinct non-identity generators, in their given order
+    distinct = list(dict.fromkeys(g for g in gens if g * g != g))
+    assert [G.elems[g] for g in G.generators] == distinct
 
 
 def test_order_census_s5_against_permutation_orders():

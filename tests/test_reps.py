@@ -4,7 +4,7 @@ tensor induction, and the index-2 reducibility criterion."""
 import numpy as np
 import pytest
 
-from oracles import (cyclic_group, direct_product, is_homomorphism,
+from oracles import (M16, cyclic_group, direct_product, is_homomorphism,
                      quaternion_table_by_nearest_neighbour)
 from test_cocycles import PEAK_BOUND_MB, _traced_peak_mb
 from quintrank.groups import (CosetSystem, Permutation, abelianization,
@@ -133,11 +133,6 @@ def test_find_isomorphism_cyclic_product():
 def test_find_isomorphism_same_census_different_groups():
     # modular group of order 16 vs C8 x C2: identical order censuses,
     # not isomorphic (one is abelian), so the search must exhaust
-    class M16(tuple):
-        def __mul__(self, y):
-            return M16(((self[0] + y[0] * pow(5, self[1], 8)) % 8,
-                        (self[1] + y[1]) % 2))
-
     m16 = close_generators([M16((1, 0)), M16((0, 1))], name="m16")
     c8xc2 = direct_product(cyclic_group(8), cyclic_group(2))
     assert m16.order == 16 and not (m16.table == m16.table.T).all()
