@@ -129,23 +129,19 @@ def test_cap_exceeded(monkeypatch):
         close_generators(gens)
 
 
-def _cycle(n, *cycles):
-    return Permutation.from_cycles(n, *cycles)
-
-
-CLOSURE_INPUTS = {
-    "S3": [Permutation.transposition(3, 0, 1), _cycle(3, (0, 1, 2))],
-    "S4": [Permutation.transposition(4, 0, 1), _cycle(4, (0, 1, 2, 3))],
-    "S5": [Permutation.transposition(5, 0, 1), _cycle(5, (0, 1, 2, 3, 4))],
-    "A4": [_cycle(4, (0, 1, 2)), _cycle(4, (0, 1), (2, 3))],
-    "A5": [_cycle(5, (0, 1, 2)), _cycle(5, (0, 1, 2, 3, 4))],
-    "D4": [_cycle(4, (0, 1, 2, 3)), _cycle(4, (0, 2))],
-    "M16": [M16((1, 0)), M16((0, 1))],
-    "duplicate": [_cycle(4, (0, 1, 2)), _cycle(4, (0, 1, 2)),
-                  Permutation.transposition(4, 2, 3)],
-    "identity": [_cycle(4, (0, 1, 2, 3)), Permutation((0, 1, 2, 3)),
-                 Permutation.transposition(4, 0, 1)],
+CLOSURE_SPECS = {
+    "S3": [(3, (0, 1)), (3, (0, 1, 2))],
+    "S4": [(4, (0, 1)), (4, (0, 1, 2, 3))],
+    "S5": [(5, (0, 1)), (5, (0, 1, 2, 3, 4))],
+    "A4": [(4, (0, 1, 2)), (4, (0, 1), (2, 3))],
+    "A5": [(5, (0, 1, 2)), (5, (0, 1, 2, 3, 4))],
+    "D4": [(4, (0, 1, 2, 3)), (4, (0, 2))],
+    "duplicate": [(4, (0, 1, 2)), (4, (0, 1, 2)), (4, (2, 3))],
+    "identity": [(4, (0, 1, 2, 3)), (4,), (4, (0, 1))],
 }
+CLOSURE_INPUTS = {name: [Permutation.from_cycles(*spec) for spec in specs]
+                  for name, specs in CLOSURE_SPECS.items()}
+CLOSURE_INPUTS["M16"] = [M16((1, 0)), M16((0, 1))]
 
 
 @pytest.mark.parametrize("name", list(CLOSURE_INPUTS))
