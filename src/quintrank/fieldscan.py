@@ -12,12 +12,13 @@ The certificate, the fingerprint and the audit all read one
 append-only list of patterns at those primes, in increasing order, so
 no pattern is computed twice; each one comes from the root count mod p
 and (disc|p) by Stickelberger's theorem (R. G. Swan, Pacific J. Math.
-12 (1962)).  The list is filled a block of primes at a time (up to the
-fingerprint, up to the audit, then doubling), with the roots of a whole
-block counted by gcds of f(x) with products of its primes; primes from
-_BLOCK_BELOW up go one at a time.  A square discriminant puts the
-Galois group in A5, so the enumeration does not try to certify such a
-polynomial.
+12 (1962)).  The certificate of a quintic with an integer root reads
+the list only up to its first transposition prime.  The list is filled
+a block of primes at a time (up to the fingerprint, up to the audit,
+then doubling), with the roots of a whole block counted by gcds of f(x)
+with products of its primes; primes from _BLOCK_BELOW up go one at a
+time.  A square discriminant puts the Galois group in A5, so the
+enumeration does not try to certify such a polynomial.
 
 Enumeration iterates coefficient vectors in lexicographic order, which
 makes the kept representative of each fingerprint class the
@@ -444,8 +445,11 @@ def dedupe_stream(fields: Iterable[QuinticField]) -> Iterator[QuinticField]:
 
 
 def _has_integer_root(coeffs_desc: tuple[int, ...]) -> bool:
-    # a rational root of a monic integer polynomial is an integer
-    # dividing the constant term
+    """A rational root of a monic integer polynomial is an integer
+    dividing a0, so try the divisors up to sqrt|a0|: the enumeration's
+    filter, cheap for |a0| <= MAX_ENUM_HEIGHT and needing no
+    discriminant.  numtheory.has_integer_root lifts roots mod p instead,
+    for input of any size."""
     a0 = coeffs_desc[-1]
     if a0 == 0:
         return True

@@ -25,7 +25,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress, dropwhile, islice
 from typing import Callable, Iterator, Optional
 
@@ -570,6 +570,29 @@ class S5Certificate:
     primes_scanned: int
 
 
+def has_integer_root(f: IntPolynomial, p: int) -> bool:
+    """Whether the monic f has a root in Z, for a prime p not dividing
+    disc f.  Each root mod p is simple and lifts by Newton steps mod
+    p^(2^k); an integer root r has |r| <= 1 + max|a_i| (Cauchy), so once
+    the modulus exceeds twice that, r is the lift's symmetric residue,
+    and f(r) = 0 is checked exactly.  The work grows with the length of
+    the coefficients, not with |a0|, so this serves input of any size;
+    fieldscan._has_integer_root tries the divisors of a0 in bounded boxes."""
+    def at(coeffs, x):
+        return reduce(lambda acc, a: acc * x + a, reversed(coeffs), 0)
+
+    c, dc = f.coeffs, f.derivative().coeffs
+    bound = 2 * (1 + max(map(abs, c[:-1])))
+    for r in (x for x in range(p) if at(c, x) % p == 0):
+        q = p
+        while q <= bound:
+            q *= q
+            r = (r - at(c, r) * pow(at(dc, r), -1, q)) % q
+        if at(c, r - q if 2 * r > q else r) == 0:
+            return True
+    return False
+
+
 def certify_s5(f: IntPolynomial, prime_budget: int = DEFAULT_PRIME_BUDGET,
                disc: Optional[int] = None,
                patterns: Optional[Callable[[int], list]] = None
@@ -578,33 +601,40 @@ def certify_s5(f: IntPolynomial, prime_budget: int = DEFAULT_PRIME_BUDGET,
     factor pattern {5} forces transitivity, one with {1,1,1,2} puts a
     transposition in the group, and a transitive degree-5 group with a
     transposition is the full symmetric group.  Tries the first
-    prime_budget primes and skips those dividing the discriminant, so
-    primes_scanned counts only the primes it read a pattern at; never
-    certifies falsely, but may return Inconclusive.  A caller that keeps
-    a pattern stream passes it as patterns(n): a list whose first n
-    entries are the patterns at the first n primes not dividing disc,
-    so the k-th scanned prime (from 0) has pattern patterns(k + 1)[k]."""
+    prime_budget primes and skips those dividing the discriminant; never
+    certifies falsely, but may return Inconclusive.  primes_scanned
+    counts the primes read up to certification, or else every budget
+    prime not dividing disc.  A quintic with an integer root has a root
+    mod every such prime (Dedekind), so no pattern is {5}: once every
+    pattern so far has a linear factor and one is {1,1,1,2}, a single
+    has_integer_root test may end the scan with the full scan's answer.
+    A caller that keeps a pattern stream passes it as patterns(n): a
+    list whose first n entries are the patterns at the first n primes
+    not dividing disc, so the k-th scanned prime (from 0) has pattern
+    patterns(k + 1)[k]."""
     if f.degree != 5 or f.lc != 1:
         raise ValueError("expected a monic quintic")
     if disc is None:
         disc = poly_discriminant(f)
     if disc == 0:
         raise ValueError("discriminant vanishes")
+    good = [p for p in first_primes(prime_budget) if disc % p]
     five = transposition = None
-    scanned = 0
-    for p in first_primes(prime_budget):
-        if disc % p == 0:
-            continue
+    linear = True       # every pattern read so far has a root mod p
+    for scanned, p in enumerate(good):
         pat = (patterns(scanned + 1)[scanned] if patterns is not None
                else factor_pattern_mod_p(f, p, disc).pattern)
-        scanned += 1
+        linear = linear and pat[0] == 1
         if pat == (5,):
             five = five if five is not None else p
-        elif pat == (1, 1, 1, 2):
-            transposition = transposition if transposition is not None else p
+        elif pat == (1, 1, 1, 2) and transposition is None:
+            transposition = p
+            if linear and has_integer_root(f, good[0]):
+                return S5Certificate("Inconclusive", None, p, len(good))
         if five is not None and transposition is not None:
-            return S5Certificate("Certified", five, transposition, scanned)
-    return S5Certificate("Inconclusive", five, transposition, scanned)
+            return S5Certificate("Certified", five, transposition,
+                                 scanned + 1)
+    return S5Certificate("Inconclusive", five, transposition, len(good))
 
 
 # -- quadratic resolvent -----------------------------------------------------------

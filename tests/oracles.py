@@ -5,7 +5,8 @@ the package uses: Legendre symbols by squaring residues, resultants by
 Sylvester matrices with Bareiss elimination, real root counts by
 Descartes bisection over exact rationals, mod-p factor patterns by
 exhaustive trial division and, for any degree and prime, by
-distinct-degree splitting, squarefree kernels by trial division by
+distinct-degree splitting, S5 certificates by reading the pattern at
+every budget prime, squarefree kernels by trial division by
 every odd number up to the trial bound, quaternion group tables by
 float nearest-neighbour matching, cocycle defects one group element
 at a time, cohomology dimensions from the dense coboundary
@@ -41,8 +42,11 @@ from quintrank.numtheory import (
     DEFAULT_TRIAL_BOUND,
     FactorPattern,
     IntPolynomial,
+    S5Certificate,
     SquarefreeResult,
+    first_primes,
     is_probable_prime,
+    poly_discriminant,
 )
 
 
@@ -282,6 +286,30 @@ def ddf_pattern_mod_p(f: IntPolynomial, p: int) -> FactorPattern:
             v = _poly_divmod_p(v, g, p)[0]
             w = _poly_divmod_p(w, v, p)[1]
     return FactorPattern(True, tuple(sorted(pattern)))
+
+
+def certify_s5_full_scan(f: IntPolynomial, budget: int,
+                         pattern=None) -> S5Certificate:
+    """certify_s5 without its stop at the first transposition of a
+    quintic with an integer root: the pattern at every one of the first
+    budget primes not dividing disc f is read, by ddf_pattern_mod_p
+    unless pattern(p) gives it, until both witnesses are found."""
+    disc = poly_discriminant(f)
+    five = transposition = None
+    scanned = 0
+    for p in first_primes(budget):
+        if disc % p == 0:
+            continue
+        pat = (ddf_pattern_mod_p(f, p) if pattern is None
+               else pattern(p)).pattern
+        scanned += 1
+        if pat == (5,) and five is None:
+            five = p
+        elif pat == (1, 1, 1, 2) and transposition is None:
+            transposition = p
+        if five is not None and transposition is not None:
+            return S5Certificate("Certified", five, transposition, scanned)
+    return S5Certificate("Inconclusive", five, transposition, scanned)
 
 
 def factor_completely(n: int):

@@ -254,6 +254,27 @@ def test_analyze_field_flagship_json(capsys):
     assert report["transposition_witness"] is not None
 
 
+@pytest.mark.parametrize("poly, out", [
+    # x (x^4 + 1) never shows a transposition, so every prime is read
+    ("1,0,0,0,1,0",
+     '{"coeffs":[1,0,0,0,1,0],"disc":256,"five_cycle_witness":null,'
+     '"fundamental_disc":1,"galois_status":"Inconclusive","label":"x^5 + x",'
+     '"polynomial":"x^5 + x","primes_scanned":199,"resolvent_complete":true,'
+     '"resolvent_degenerate":true,"signature":{"complex_pairs":2,"real":1},'
+     '"transposition_witness":null}\n'),
+    # the integer roots stop the scan at 3, but the count covers the budget
+    ("1,0,0,0,-1,0",
+     '{"coeffs":[1,0,0,0,-1,0],"disc":-256,"five_cycle_witness":null,'
+     '"fundamental_disc":-4,"galois_status":"Inconclusive","label":"x^5 - x",'
+     '"polynomial":"x^5 - x","primes_scanned":199,"resolvent_complete":true,'
+     '"resolvent_degenerate":false,"signature":{"complex_pairs":1,"real":3},'
+     '"transposition_witness":3}\n'),
+])
+def test_analyze_field_rooted_quintic_json_is_pinned(poly, out, capsys):
+    assert main(["analyze-field", "--poly", poly, "--json"]) == 0
+    assert capsys.readouterr() == (out, "")
+
+
 def test_analyze_field_label_flag(capsys):
     assert main(["analyze-field", "--poly", FLAGSHIP_POLY,
                  "--label", "f37", "--json"]) == 0

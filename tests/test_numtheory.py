@@ -1,11 +1,14 @@
 import math
 import random
+import time
+from itertools import product
 
 import numpy as np
 import pytest
 
 from oracles import (
     brute_pattern_mod_p,
+    certify_s5_full_scan,
     count_real_roots_bisection,
     ddf_pattern_mod_p,
     factor_completely,
@@ -14,6 +17,7 @@ from oracles import (
     sylvester_resultant,
 )
 from quintrank import numtheory
+from quintrank.fieldscan import QuinticField, _has_integer_root
 from quintrank.numtheory import (
     FactorPattern,
     IntPolynomial,
@@ -24,6 +28,7 @@ from quintrank.numtheory import (
     certify_s5,
     factor_pattern_mod_p,
     first_primes,
+    has_integer_root,
     is_probable_prime,
     kronecker_symbol,
     parse_int,
@@ -523,6 +528,128 @@ def test_certify_reducible_inconclusive():
 def test_certify_degree_precondition():
     with pytest.raises(ValueError):
         certify_s5(IntPolynomial([1, 0, 0, 0, 1]))
+
+
+def _times_linear(r, g_desc):
+    """Descending coefficients of (x - r) g(x)."""
+    out = list(g_desc) + [0]
+    for i, a in enumerate(g_desc):
+        out[i + 1] -= r * a
+    return out
+
+
+def _first_good_prime(f):
+    disc = poly_discriminant(f)
+    return next(p for p in first_primes(disc.bit_length() + 2) if disc % p)
+
+
+def _counting_integer_root_tests(monkeypatch):
+    calls = []
+
+    def counted(f, p):
+        calls.append(f)
+        return has_integer_root(f, p)
+    monkeypatch.setattr(numtheory, "has_integer_root", counted)
+    return calls
+
+
+def test_certify_rooted_height_two_box_matches_full_scan(monkeypatch):
+    # the full scan reads patterns from one quintic_patterns pass per
+    # vector (checked against ddf_pattern_mod_p at the first 200 primes
+    # above); ddf at every prime would take about a minute here
+    calls = _counting_integer_root_tests(monkeypatch)
+    rooted = transpositions = 0
+    for tail in product(range(-2, 3), repeat=5):
+        coeffs = (1,) + tail
+        if not _has_integer_root(coeffs):
+            continue
+        f = IntPolynomial.descending(coeffs)
+        disc = poly_discriminant(f)
+        if disc == 0:
+            continue
+        rooted += 1
+        good = [p for p in first_primes(200) if disc % p]
+        at = dict(zip(good, quintic_patterns(f, good, disc)))
+        for budget in (7, 40, 200):
+            want = certify_s5_full_scan(f, budget, pattern=at.__getitem__)
+            assert want.status == "Inconclusive"
+            transpositions += want.transposition_witness is not None
+            assert certify_s5(f, budget) == want, (coeffs, budget)
+            field = QuinticField(f, prime_budget=budget)
+            assert field.certificate == want, (coeffs, budget)
+    assert rooted == 990
+    # every pattern of a rooted quintic has a linear factor, so each of
+    # the two paths tests for an integer root exactly at the first
+    # transposition, when there is one
+    assert len(calls) == 2 * transpositions > 2 * rooted
+
+
+def test_certify_x5_plus_x_never_sees_a_transposition(monkeypatch):
+    # x^5 + x = x (x^4 + 1): x^4 + 1 is never (1, 1, 2) mod p
+    calls = _counting_integer_root_tests(monkeypatch)
+    f = IntPolynomial([0, 1, 0, 0, 0, 1])
+    for budget in (7, 40, 200):
+        want = certify_s5_full_scan(f, budget)
+        assert want.transposition_witness is None
+        assert certify_s5(f, budget) == want
+        assert QuinticField(f, prime_budget=budget).certificate == want
+    assert want == numtheory.S5Certificate("Inconclusive", None, None, 199)
+    assert calls == []
+
+
+def test_certify_planted_integer_roots_match_full_scan():
+    rng = random.Random(17)
+    for _ in range(4):
+        r = rng.choice((-1, 1)) * rng.randint(1, 10 ** 12)
+        g = [1] + [rng.randint(-10 ** 40, 10 ** 40) for _ in range(4)]
+        f = IntPolynomial.descending(_times_linear(r, g))
+        for budget in (7, 40, 200):
+            want = certify_s5_full_scan(f, budget)
+            assert certify_s5(f, budget) == want
+            assert QuinticField(f, prime_budget=budget).certificate == want
+
+
+def test_has_integer_root_matches_divisor_test_on_height_three_box():
+    checked = 0
+    for tail in product(range(-3, 4), repeat=5):
+        coeffs = (1,) + tail
+        f = IntPolynomial.descending(coeffs)
+        if poly_discriminant(f) == 0:
+            continue
+        checked += 1
+        assert has_integer_root(f, _first_good_prime(f)) \
+            == _has_integer_root(coeffs), coeffs
+    assert checked > 15000
+
+
+@pytest.mark.parametrize("coeffs, p, rooted", [
+    ((1, 0, 0, 0, 1, 0), 3, True),      # x^5 + x: root 0
+    ((1, -1, 0, -1, 0, 1), 2, True),    # (x - 1)(x^4 - x - 1), disc -283
+    ((1, 0, 0, 0, -1, 0), 3, True),     # x^5 - x, disc -256
+    ((1, 0, 0, 0, 1, -2), 5, True),     # x^5 + x - 2, disc 50256 = 2^4 3^2 349
+    ((1, 0, 0, 0, 0, -2), 3, False),    # x^5 - 2: 2 is a root mod 3
+    ((1, 0, 0, 0, -1, -1), 2, False),   # x^5 - x - 1
+])
+def test_has_integer_root_fixed_cases(coeffs, p, rooted):
+    f = IntPolynomial.descending(coeffs)
+    assert _first_good_prime(f) == p
+    assert has_integer_root(f, p) is rooted
+
+
+def test_has_integer_root_planted_roots_near_10_to_the_12():
+    rng = random.Random(12)
+    t0 = time.perf_counter()
+    for _ in range(20):
+        r = rng.choice((-1, 1)) * (10 ** 12 + rng.randint(-50, 50))
+        g = [1] + [rng.randint(-10 ** 40, 10 ** 40) for _ in range(4)]
+        desc = _times_linear(r, g)
+        f = IntPolynomial.descending(desc)
+        assert has_integer_root(f, _first_good_prime(f))
+        desc[-1] += 1    # moves every root off the integers here
+        f = IntPolynomial.descending(desc)
+        assert not has_integer_root(f, _first_good_prime(f))
+    # Newton lifting takes a few steps; a divisor search of a0 never ends
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_five_cycle_density_flagship():
