@@ -555,8 +555,9 @@ def _counting_integer_root_tests(monkeypatch):
 
 def test_certify_rooted_height_two_box_matches_full_scan(monkeypatch):
     # the full scan reads patterns from one quintic_patterns pass per
-    # vector (checked against ddf_pattern_mod_p at the first 200 primes
-    # above); ddf at every prime would take about a minute here
+    # vector (the tests above check it against the per-prime patterns,
+    # and those against ddf_pattern_mod_p at the first 200 primes); ddf
+    # at every prime would take about a minute here
     calls = _counting_integer_root_tests(monkeypatch)
     rooted = transpositions = 0
     for tail in product(range(-2, 3), repeat=5):
