@@ -1,13 +1,15 @@
 """Quintic field supply: ingestion, enumeration, dedup, scan, cache.
 
 A QuinticField wraps a monic separable integer quintic and derives its
-data lazily: discriminant, signature, quadratic resolvent, S5
-certificate, and a dedupe fingerprint (squarefree discriminant kernel
-plus the factorization patterns at the first 20 primes not dividing the
+data lazily: discriminant, signature (a Sturm count only when the
+discriminant is positive), quadratic resolvent, S5 certificate, and a
+dedupe fingerprint (squarefree discriminant kernel plus the
+factorization patterns at the first 20 primes not dividing the
 discriminant).  Fingerprint identity is a heuristic for field
 isomorphism, not a proof, so a merge that _provably_same_field cannot
-prove (a move or a translation) is audited against 30 further primes,
-and a disagreement raises instead of silently collapsing two fields.
+prove (a translation between a mirror or reciprocal image of each side)
+is audited against 30 further primes, and a disagreement raises
+instead of silently collapsing two fields.
 The certificate, the fingerprint and the audit all read one
 append-only list of patterns at those primes, in increasing order, so
 no pattern is computed twice; each one comes from the root count mod p
@@ -27,10 +29,9 @@ It visits only the smallest vector of each orbit under the mirror
 f(x) -> -f(-x) and, for a unit constant term, the reciprocal
 f(x) -> +-x^5 f(1/x); the others always share their minimum's field and
 fingerprint, so dedup would drop them anyway.  For fixed (a4, ..., a1)
-the discriminant is a quartic in a0, so a row with more than five
-discriminants to find takes five exactly and the rest by forward
-differences.  A QuinticField is built only once its discriminant is
-within the bound.
+the discriminant is a quartic in a0, so each row computes its five
+coefficients once and each entry's discriminant by one Horner step.  A
+QuinticField is built only once its discriminant is within the bound.
 
 The cache is a JSONL file that put appends to, one canonical JSON line
 per record: '{"checksum":"<SHA-256 hex>",' and then the rest of the
@@ -67,6 +68,7 @@ from .numtheory import (
     ResolventData,
     S5Certificate,
     certify_s5,
+    disc_coeffs_in_a0,
     factor_pattern_mod_p,
     first_primes,
     parse_int,
@@ -120,7 +122,9 @@ class QuinticField:
 
     @cached_property
     def signature(self) -> tuple[int, int]:
-        r1 = real_root_count(self.poly)
+        """(r1, r2) with r1 + 2 r2 = 5.  sign(disc) = (-1)^r2, so a
+        negative disc is (3, 1); Sturm decides (5, 0) from (1, 2)."""
+        r1 = 3 if self.disc < 0 else real_root_count(self.poly)
         return (r1, (5 - r1) // 2)
 
     @cached_property
@@ -414,13 +418,14 @@ def _moves(coeffs: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def _provably_same_field(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """True when the monic quintics a and b are related by one of
-    _moves, a translation x -> x - c, or both.  False only means "not
-    proven here"."""
-    for v in [b] + _moves(b):
-        delta = v[1] - a[1]
-        if delta % 5 == 0 and _shift_desc(a, delta // 5) == v:
-            return True
+    """True when a translation x -> x - c takes a or one of its _moves
+    to b or one of its _moves, so shift(reciprocal(a)) is caught as
+    well as reciprocal(shift(a)).  False only means "not proven here"."""
+    for u in [a] + _moves(a):
+        for v in [b] + _moves(b):
+            delta = v[1] - u[1]
+            if delta % 5 == 0 and _shift_desc(u, delta // 5) == v:
+                return True
     return False
 
 
@@ -488,38 +493,6 @@ def _orbit_minimal_rows(h: int) -> Iterator[tuple[tuple, list[int]]]:
             yield head, a0s
 
 
-def _disc_at(head: tuple[int, ...], a0: int) -> int:
-    return poly_discriminant(IntPolynomial.descending((1,) + head + (a0,)))
-
-
-def _discs_along_a0(head: tuple[int, ...], start: int, count: int
-                    ) -> list[int]:
-    """disc(x^5 + a4 x^4 + a3 x^3 + a2 x^2 + a1 x + a0) for a0 = start,
-    ..., start + count - 1.  For a fixed head it is an integer quartic
-    in a0, so five exact values fix its forward-difference table and
-    additions give the rest exactly."""
-    diffs = [_disc_at(head, start + i) for i in range(5)]
-    for k in range(1, 5):
-        for i in range(4, k - 1, -1):
-            diffs[i] -= diffs[i - 1]
-    out = []
-    for _ in range(count):
-        out.append(diffs[0])
-        for k in range(4):
-            diffs[k] += diffs[k + 1]
-    return out
-
-
-def _row_discriminants(head: tuple[int, ...], a0s: list[int]) -> list[int]:
-    """Discriminants at the ascending a0s of one row: exact when there
-    are at most five, else from five exact seeds by differences, so a
-    row never costs more poly_discriminant calls than it has entries."""
-    if len(a0s) <= 5:
-        return [_disc_at(head, a0) for a0 in a0s]
-    row = _discs_along_a0(head, a0s[0], a0s[-1] - a0s[0] + 1)
-    return [row[a0 - a0s[0]] for a0 in a0s]
-
-
 def enumerate_quintics(coeff_height: int, disc_bound: int,
                        prime_budget: int = DEFAULT_PRIME_BUDGET,
                        cache: Optional[FieldCache] = None
@@ -539,30 +512,28 @@ def enumerate_quintics(coeff_height: int, disc_bound: int,
     the two agree at every prime not dividing their common disc.  A
     skipped vector is thus exactly one that dedup dropped.
 
-    The box is walked lazily, a row of a0 at a time (see
-    _row_discriminants), and a QuinticField is built only once its
-    discriminant passes the bound."""
+    The box is walked lazily, a row of a0 at a time: the row's head
+    gives the discriminant's coefficients in a0 once (disc_coeffs_in_a0),
+    each entry takes one Horner step, and a QuinticField is built only
+    once its discriminant passes the bound."""
     if not 0 <= coeff_height <= MAX_ENUM_HEIGHT:
         raise ValueError(f"coefficient height must be in [0, {MAX_ENUM_HEIGHT}]")
 
     def raw() -> Iterator[QuinticField]:
         for head, a0s in _orbit_minimal_rows(coeff_height):
-            row = []    # (coeffs, cache hit or None) for root-free entries
+            c4, c3, c2, c1, c0 = disc_coeffs_in_a0(*head)
             for a0 in a0s:
                 coeffs = (1,) + head + (a0,)
                 if _has_integer_root(coeffs):
                     continue  # reducible, can never certify
-                row.append((coeffs, None if cache is None else
-                            cache.get(coeffs, prime_budget)))
-            discs = iter(_row_discriminants(
-                head, [coeffs[-1] for coeffs, hit in row if hit is None]))
-            for coeffs, hit in row:
+                hit = (None if cache is None
+                       else cache.get(coeffs, prime_budget))
                 if hit is not None:
                     if abs(hit.disc) <= disc_bound \
                             and hit.s5_status == "Certified":
                         yield hit
                     continue
-                disc = next(discs)
+                disc = (((c4 * a0 + c3) * a0 + c2) * a0 + c1) * a0 + c0
                 # zero: a repeated root; a square disc puts the group in A5
                 if disc == 0 or abs(disc) > disc_bound or _is_square(disc):
                     continue

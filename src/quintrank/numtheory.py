@@ -1,8 +1,9 @@
 """Exact integer and polynomial arithmetic for quintic field screening.
 
-Everything here is exact: Kronecker symbols by reciprocity, resultants
-by the subresultant remainder sequence, real root counts by Sturm
-chains with sign-corrected pseudo-remainders, and factorization
+Everything here is exact: Kronecker symbols by reciprocity, the
+discriminant of a monic quintic from its closed form (a quartic in a0
+whose five coefficients are polynomials in a4..a1), real root counts by
+Sturm chains with sign-corrected pseudo-remainders, and factorization
 patterns mod p.  A quintic's pattern at a prime not dividing its
 discriminant is read off the number of its roots mod p and the
 Kronecker symbol (disc|p), by Stickelberger's theorem as stated in
@@ -13,10 +14,10 @@ block of primes in one pass, by gcds of f(x) with the product of the
 block's primes above x.  Squarefree kernels of integers come from
 trial division by the primes below 1000, then gcds with products of
 runs of larger primes up to the trial bound (D. J. Bernstein, "How to
-find smooth parts of integers", 2004), then Miller-Rabin,
-deterministic below the bound proven by Sorenson and Webster (2017);
-whenever a cofactor cannot be resolved the result carries
-complete=False rather than a guess.
+find smooth parts of integers", 2004), then Miller-Rabin, once per
+distinct cofactor and deterministic below the bound proven by Sorenson
+and Webster (2017); whenever a cofactor cannot be resolved the result
+carries complete=False rather than a guess.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from enum import Enum
 from functools import lru_cache, reduce
 from itertools import compress, dropwhile, islice
 from typing import Callable, Iterator, Optional
-
-from . import InternalCheckFailed
 
 DEFAULT_TRIAL_BOUND = 10 ** 6
 DEFAULT_PRIME_BUDGET = 200
@@ -233,7 +232,8 @@ def squarefree_kernel(n: int) -> SquarefreeResult:
     bound are taken 512 at a time as a product, whose gcd with
     the cofactor is peeled in layers, after D. J. Bernstein, "How to
     find smooth parts of integers" (2004).  The scan stops as soon as
-    the cofactor is 1 or a prime."""
+    the cofactor is 1 or a prime; Miller-Rabin runs once per distinct
+    cofactor, since most runs leave it as it was."""
     if n == 0:
         raise ValueError("squarefree kernel of 0 is undefined")
     sign = -1 if n < 0 else 1
@@ -251,9 +251,10 @@ def squarefree_kernel(n: int) -> SquarefreeResult:
                 e += 1
             if e & 1:
                 kernel *= p
+    prime = lru_cache(maxsize=1)(is_probable_prime)
     if m >= _TRIAL_BELOW ** 2:
         for lo, product in _prime_products():
-            if lo * lo > m or m < _MR_PROVEN and is_probable_prime(m):
+            if lo * lo > m or m < _MR_PROVEN and prime(m):
                 return SquarefreeResult(sign * kernel * m, True)
             # the k-th layer g holds the run's primes of exponent >= k,
             # and g // h those of exponent exactly k
@@ -267,7 +268,7 @@ def squarefree_kernel(n: int) -> SquarefreeResult:
                 g, odd = h, not odd
     if m == 1:
         return SquarefreeResult(sign * kernel, True)
-    if is_probable_prime(m):
+    if prime(m):
         # cofactor is prime (exactly, or with MR confidence)
         return SquarefreeResult(sign * kernel * m, True)
     root = math.isqrt(m)
@@ -294,7 +295,7 @@ def _prime_products() -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-# -- resultants and discriminants ---------------------------------------------
+# -- discriminants and real root counts ---------------------------------------
 
 
 def _content(coeffs) -> int:
@@ -326,61 +327,54 @@ def _prem(A: tuple, B: tuple) -> tuple:
     return tuple(R)
 
 
-def _resultant(A: tuple, B: tuple) -> int:
-    """Exact resultant by the subresultant remainder sequence."""
-    if not A or not B:
-        return 0
-    dA, dB = len(A) - 1, len(B) - 1
-    if dA == 0 and dB == 0:
-        return 1
-    s = 1
-    if dA < dB:
-        if (dA & 1) and (dB & 1):
-            s = -s
-        A, B, dA, dB = B, A, dB, dA
-    if dB == 0:
-        return s * B[0] ** dA
-    ca, cb = _content(A), _content(B)
-    A = tuple(c // ca for c in A)
-    B = tuple(c // cb for c in B)
-    t = ca ** dB * cb ** dA
-    g = h = 1
-    while True:
-        dA, dB = len(A) - 1, len(B) - 1
-        delta = dA - dB
-        if (dA & 1) and (dB & 1):
-            s = -s
-        R = _prem(A, B)
-        A = B
-        denom = g * h ** delta
-        B = tuple(c // denom for c in R)
-        if not B:
-            return 0  # nonconstant common factor
-        g = A[-1]
-        if delta > 0:
-            h = g ** delta // h ** (delta - 1)
-        if len(B) == 1:
-            break
-    dA = len(A) - 1
-    h = B[0] ** dA // h ** (dA - 1)
-    return s * t * h
+def disc_coeffs_in_a0(a4: int, a3: int, a2: int, a1: int
+                      ) -> tuple[int, int, int, int, int]:
+    """(c4, c3, c2, c1, c0) with disc(x^5 + a4 x^4 + a3 x^3 + a2 x^2 +
+    a1 x + a0) = c4 a0^4 + c3 a0^3 + c2 a0^2 + c1 a0 + c0: the 1, 6, 16,
+    20 and 16 monomials of the discriminant grouped by powers of a0, in
+    Horner form in a1, then a2, a3 and a4.  c4 = 5^5, and c0 is a1^2
+    times the discriminant of x^4 + a4 x^3 + a3 x^2 + a2 x + a1."""
+    c3 = (-2500 * a1 * a4 + a2 * (2000 * a4 ** 2 - 3750 * a3)
+          + a3 * (2250 * a3 * a4 - 1600 * a4 ** 3) + 256 * a4 ** 5)
+    c2 = (a1 * (a1 * (2000 * a3 - 50 * a4 ** 2)
+                + a2 * (2250 * a2 - 2050 * a3 * a4 + 160 * a4 ** 3)
+                + a3 * (a3 * (1020 * a4 ** 2 - 900 * a3) - 192 * a4 ** 4))
+          + a2 * (a2 * (a3 * (825 * a3 + 560 * a4 ** 2) - 900 * a2 * a4
+                        - 128 * a4 ** 4)
+                  + a3 ** 2 * (144 * a4 ** 3 - 630 * a3 * a4))
+          + a3 ** 4 * (108 * a3 - 27 * a4 ** 2))
+    c1 = (a1 * (a1 * (a1 * (160 * a3 * a4 - 1600 * a2 - 36 * a4 ** 3)
+                      + a2 * (1020 * a2 * a4 + a3 * (560 * a3 - 746 * a4 ** 2)
+                              + 144 * a4 ** 4)
+                      + a3 ** 2 * (24 * a3 * a4 - 6 * a4 ** 3))
+                + a2 * (a2 * (a2 * (24 * a4 ** 2 - 630 * a3)
+                              + a3 * (356 * a3 * a4 - 80 * a4 ** 3))
+                        + a3 ** 3 * (18 * a4 ** 2 - 72 * a3)))
+          + a2 ** 3 * (a2 * (108 * a2 - 72 * a3 * a4 + 16 * a4 ** 3)
+                       + a3 ** 2 * (16 * a3 - 4 * a4 ** 2)))
+    c0 = a1 ** 2 * (
+        a1 * (a1 * (256 * a1 - 192 * a2 * a4 + a3 * (144 * a4 ** 2 - 128 * a3)
+                    - 27 * a4 ** 4)
+              + a2 * (a2 * (144 * a3 - 6 * a4 ** 2)
+                      + a3 * (18 * a4 ** 3 - 80 * a3 * a4))
+              + a3 ** 3 * (16 * a3 - 4 * a4 ** 2))
+        + a2 ** 2 * (a2 * (18 * a3 * a4 - 27 * a2 - 4 * a4 ** 3)
+                     + a3 ** 2 * (a4 ** 2 - 4 * a3)))
+    return 3125, c3, c2, c1, c0
 
 
 def poly_discriminant(f: IntPolynomial) -> int:
-    """(-1)^(d(d-1)/2) Res(f, f') / lc(f), exact."""
-    d = f.degree
-    if d < 2:
-        raise ValueError("discriminant needs degree >= 2")
-    res = _resultant(f.coeffs, f.derivative().coeffs)
-    sign = -1 if (d * (d - 1) // 2) & 1 else 1
-    q, r = divmod(sign * res, f.lc)
-    if r:
-        raise InternalCheckFailed(
-            "resultant is not divisible by the leading coeff")
-    return q
-
-
-# -- real root counting --------------------------------------------------------
+    """Discriminant of the quintic f, exact: disc_coeffs_in_a0 and one
+    Horner step per power of a0.  For lc(f) = a != 1 this is applied to
+    the monic a^4 f(y/a), whose discriminant is a^12 disc f."""
+    if f.degree != 5:
+        raise ValueError("expected a quintic")
+    a0, a1, a2, a3, a4, a = f.coeffs
+    if a != 1:
+        a0, a1, a2, a3 = a0 * a ** 4, a1 * a ** 3, a2 * a ** 2, a3 * a
+    disc = reduce(lambda acc, c: acc * a0 + c,
+                  disc_coeffs_in_a0(a4, a3, a2, a1), 0)
+    return disc if a == 1 else disc // a ** 12
 
 
 def _sturm_chain(f: IntPolynomial) -> list[tuple]:

@@ -2,7 +2,9 @@
 
 Each routine here recomputes a quantity by a different algorithm than
 the package uses: Legendre symbols by squaring residues, resultants by
-Sylvester matrices with Bareiss elimination, real root counts by
+Sylvester matrices with Bareiss elimination and by the subresultant
+remainder sequence (any degree, any leading coefficient; the package's
+quintic discriminants come from a closed form), real root counts by
 Descartes bisection over exact rationals, mod-p factor patterns by
 exhaustive trial division and, for any degree and prime, by
 distinct-degree splitting, S5 certificates by reading the pattern at
@@ -44,6 +46,8 @@ from quintrank.numtheory import (
     IntPolynomial,
     S5Certificate,
     SquarefreeResult,
+    _content,
+    _prem,
     first_primes,
     is_probable_prime,
     poly_discriminant,
@@ -103,6 +107,61 @@ def sylvester_discriminant(coeffs) -> int:
     d = len(coeffs) - 1
     deriv = [i * c for i, c in enumerate(coeffs)][1:]
     res = sylvester_resultant(coeffs, deriv)
+    sign = -1 if (d * (d - 1) // 2) & 1 else 1
+    q, r = divmod(sign * res, coeffs[-1])
+    assert r == 0
+    return q
+
+
+def subresultant_resultant(A: tuple, B: tuple) -> int:
+    """Res(A, B) by the subresultant remainder sequence; coefficients
+    low to high.  This was the package's route to every discriminant
+    before the quintic closed form."""
+    if not A or not B:
+        return 0
+    dA, dB = len(A) - 1, len(B) - 1
+    if dA == 0 and dB == 0:
+        return 1
+    s = 1
+    if dA < dB:
+        if (dA & 1) and (dB & 1):
+            s = -s
+        A, B, dA, dB = B, A, dB, dA
+    if dB == 0:
+        return s * B[0] ** dA
+    ca, cb = _content(A), _content(B)
+    A = tuple(c // ca for c in A)
+    B = tuple(c // cb for c in B)
+    t = ca ** dB * cb ** dA
+    g = h = 1
+    while True:
+        dA, dB = len(A) - 1, len(B) - 1
+        delta = dA - dB
+        if (dA & 1) and (dB & 1):
+            s = -s
+        R = _prem(A, B)
+        A = B
+        denom = g * h ** delta
+        B = tuple(c // denom for c in R)
+        if not B:
+            return 0  # nonconstant common factor
+        g = A[-1]
+        if delta > 0:
+            h = g ** delta // h ** (delta - 1)
+        if len(B) == 1:
+            break
+    dA = len(A) - 1
+    h = B[0] ** dA // h ** (dA - 1)
+    return s * t * h
+
+
+def subresultant_discriminant(coeffs) -> int:
+    """(-1)^(d(d-1)/2) Res(f, f') / lc(f) by subresultant_resultant, for
+    any degree d >= 2; coefficients low to high."""
+    d = len(coeffs) - 1
+    assert d >= 2
+    deriv = tuple(i * c for i, c in enumerate(coeffs))[1:]
+    res = subresultant_resultant(tuple(coeffs), deriv)
     sign = -1 if (d * (d - 1) // 2) & 1 else 1
     q, r = divmod(sign * res, coeffs[-1])
     assert r == 0

@@ -10,7 +10,12 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from oracles import enumerate_full_box, quintic_orbit
+from oracles import (
+    count_real_roots_bisection,
+    enumerate_full_box,
+    quintic_orbit,
+    subresultant_discriminant,
+)
 
 import quintrank
 from quintrank import fieldscan
@@ -30,6 +35,7 @@ from quintrank.numtheory import (
     certify_s5,
     factor_pattern_mod_p,
     poly_discriminant,
+    real_root_count,
 )
 from quintrank.rankgrowth import CurveData
 
@@ -92,6 +98,51 @@ def test_signature_invariants_on_enumeration():
     assert rep.disc == 2869
     assert rep.coeffs == (1, -1, 0, 0, 0, 1)
     assert rep.coeffs <= flagship.coeffs
+
+
+# x^5 - 3x^3 + 2x and x^5 - 5x^3 + 4x + 1: five real roots, disc > 0
+FIVE_REAL = [(1, 0, -3, 0, 2, 0), (1, 0, -5, 0, 4, 1)]
+
+
+def test_signature_matches_sturm_on_the_height_three_box():
+    # Sturm is the exact route that a negative disc now skips
+    seen = Counter()
+    for tail in product(range(-3, 4), repeat=5):
+        poly = IntPolynomial.descending((1,) + tail)
+        if poly_discriminant(poly) == 0:
+            continue
+        f = QuinticField(poly)
+        r1 = real_root_count(poly)
+        assert f.signature == (r1, (5 - r1) // 2), tail
+        seen[f.signature, f.disc > 0] += 1
+    assert set(seen) == {((5, 0), True), ((1, 2), True), ((3, 1), False)}
+
+
+def test_signature_matches_bisection_on_seeded_rows():
+    rng = random.Random(1801)
+    rows = [(1,) + tuple(rng.randint(-h, h) for _ in range(5))
+            for h, n in ((3, 300), (12, 40), (50, 40), (10 ** 4, 40))
+            for _ in range(n)] + FIVE_REAL
+    seen = set()
+    for coeffs in rows:
+        poly = IntPolynomial.descending(coeffs)
+        if poly_discriminant(poly) == 0:
+            continue
+        f = QuinticField(poly)
+        r1 = count_real_roots_bisection(poly.coeffs)
+        assert f.signature == (r1, (5 - r1) // 2), coeffs
+        seen.add(f.signature)
+    assert seen == {(5, 0), (1, 2), (3, 1)}
+
+
+def test_negative_disc_signature_needs_no_root_count(monkeypatch):
+    def refuse(poly):
+        raise AssertionError("Sturm chain for a negative discriminant")
+    monkeypatch.setattr(fieldscan, "real_root_count", refuse)
+    f = field_of(1, 0, -4, 0, 2, -1)
+    assert f.disc == -16075 and f.signature == (3, 1)
+    with pytest.raises(AssertionError):
+        field_of(*FIVE_REAL[1]).signature
 
 
 # -- pattern stream ---------------------------------------------------------------
@@ -250,6 +301,19 @@ def test_shifted_polynomial_merges():
     assert kept == [f]
 
 
+def test_reciprocal_then_shift_merges_without_audit(monkeypatch):
+    def no_audit(self):
+        raise AssertionError("audited a merge that a move proves")
+    monkeypatch.setattr(QuinticField, "extended_fingerprint",
+                        property(no_audit))
+    f = field_of(1, -2, 3, -2, -3, 1)
+    # x^5 f(1/x), then x -> x - 1
+    g = field_of(1, -8, 20, -19, 3, 4)
+    assert f.fingerprint == g.fingerprint
+    assert list(dedupe_stream([f, g])) == [f]
+    assert list(dedupe_stream([g, f])) == [g]
+
+
 def test_false_merge_is_surfaced():
     f = field_of(1, 0, 0, 0, -1, -1)
     g = field_of(1, 0, 0, 0, -4, 2)    # genuinely different field
@@ -315,25 +379,25 @@ def test_skipped_vectors_are_their_orbit_minimum_field():
     assert skipped == 1962 - 737
 
 
-def _exact_row(head, start, count):
-    return [poly_discriminant(IntPolynomial.descending((1,) + head + (a0,)))
-            for a0 in range(start, start + count)]
+def test_enumeration_rows_match_the_discriminant_oracle(monkeypatch):
+    # every field the walk builds carries the subresultant discriminant,
+    # and every root-free vector with a nonzero, non-square one is built
+    built = []
 
-
-def test_difference_rows_match_poly_discriminant():
-    for head in product(range(-3, 4), repeat=4):
-        assert fieldscan._discs_along_a0(head, -3, 7) \
-            == _exact_row(head, -3, 7)
-    rng = random.Random(20181)
-    for h in (10, 50):
-        for _ in range(40):
-            head = tuple(rng.randint(-h, h) for _ in range(4))
-            assert fieldscan._discs_along_a0(head, -h, 2 * h + 1) \
-                == _exact_row(head, -h, 2 * h + 1)
-    # (x - 1)^2 (x^3 + x + 1): a repeated root at a0 = 1 of its row
-    head = (-2, 2, -1, -1)
-    row = fieldscan._discs_along_a0(head, -10, 21)
-    assert row == _exact_row(head, -10, 21) and row[11] == 0
+    class Recorded(QuinticField):
+        def __init__(self, poly, *args, **kw):
+            super().__init__(poly, *args, **kw)
+            built.append((self.coeffs, self.disc))
+    monkeypatch.setattr(fieldscan, "QuinticField", Recorded)
+    list(enumerate_quintics(2, 10 ** 12, prime_budget=7))
+    want = []
+    for coeffs in _orbit_walk(2):
+        coeffs = (1,) + coeffs
+        disc = subresultant_discriminant(coeffs[::-1])
+        if not fieldscan._has_integer_root(coeffs) \
+                and disc != 0 and not fieldscan._is_square(disc):
+            want.append((coeffs, disc))
+    assert built == want and len(want) > 600
 
 
 def _count_discriminants(monkeypatch) -> list:
@@ -348,25 +412,20 @@ def _count_discriminants(monkeypatch) -> list:
     return calls
 
 
-def test_row_discriminants_are_exact_and_never_cost_more(monkeypatch):
-    head = (-2, 2, -1, -1)
-    rows = ([1], [-3, 0, 2, 5, 6], [-3, -2, 0, 1, 4, 9], list(range(-7, 8)))
-    calls = _count_discriminants(monkeypatch)
-    for a0s in rows:
-        calls.clear()
-        got = fieldscan._row_discriminants(head, a0s)
-        assert got == [poly_discriminant(
-            IntPolynomial.descending((1,) + head + (a0,))) for a0 in a0s]
-        assert len(calls) == min(len(a0s), 5)
-
-
 def test_enumeration_counts_every_discriminant(monkeypatch):
-    calls = _count_discriminants(monkeypatch)
-    # the count does not depend on the bound; a bound of 1 certifies nothing
-    for height, want in ((2, 737), (3, 4891)):
-        calls.clear()
+    # one set of coefficients in a0 per row of the walk, one Horner step
+    # per entry, and no poly_discriminant call; the count does not depend
+    # on the bound, and a bound of 1 certifies nothing
+    heads = []
+    real = fieldscan.disc_coeffs_in_a0
+    monkeypatch.setattr(fieldscan, "disc_coeffs_in_a0",
+                        lambda *head: heads.append(head) or real(*head))
+    full = _count_discriminants(monkeypatch)
+    for height, rows in ((2, 325), (3, 1225)):
+        heads.clear()
         assert list(enumerate_quintics(height, 1)) == []
-        assert len(calls) == want
+        assert heads == [h for h, _ in fieldscan._orbit_minimal_rows(height)]
+        assert len(heads) == rows and full == []
 
 
 # sha256 of the JSON list of kept coefficient vectors of
@@ -641,6 +700,51 @@ def test_enumeration_with_cache_is_stable(tmp_path):
     warm = [f.coeffs for f in enumerate_quintics(
         1, 10 ** 5, prime_budget=60, cache=FieldCache(store))]
     assert cold == warm and cold
+
+
+# Inconclusive with an integer root: (x - 3)(x^4 + x + 1), disc > 0, and
+# (x + 1)(x^4 - x^3 - 3x^2 + 3x - 1), disc < 0, and one root near 10^6;
+# without one: (x^2 + 1)(x^3 + 2x^2 + 2x - 1) and x^5 - 5x + 12, whose
+# group is in A5
+PINNED_ROWS = [(1, -3, 0, 1, -2, -3), (1, 0, -4, 0, 2, -1),
+               (1, -1000003, 0, 1, -1000002, -1000003),
+               (1, 2, 3, 1, 2, -1), (1, 0, 0, 0, -5, 12)] + FIVE_REAL
+
+
+def _write_pinned_records(path) -> list[dict]:
+    """Cold-cache records of the height-2 enumeration (budget 40), then
+    of seeded rows at heights 12, 50 and 10^4 and PINNED_ROWS (budget
+    200), all in one cache file; the records, in file order."""
+    cache = FieldCache(path)
+    list(enumerate_quintics(2, 10 ** 6, prime_budget=40, cache=cache))
+    rng = random.Random(1802)
+    rows = [(1,) + tuple(rng.randint(-h, h) for _ in range(5))
+            for h in (12, 50, 10 ** 4) for _ in range(10)]
+    for coeffs in rows + PINNED_ROWS:
+        field_from_coeffs(coeffs, cache=cache)
+    return [json.loads(line) for line in Path(path).read_text().splitlines()]
+
+
+# sha256 of the file _write_pinned_records writes, recorded while every
+# discriminant came from subresultants, every signature from a Sturm
+# chain and Miller-Rabin ran once per run of primes
+PINNED_RECORDS_SHA256 = \
+    "ecc8cbd87a5d1cc4049a8d11d55714b2405e9136198817ee20217e362c582f2f"
+
+
+def test_cold_cache_records_are_pinned(tmp_path):
+    store = tmp_path / "cache.jsonl"
+    records = _write_pinned_records(store)
+    assert hashlib.sha256(store.read_bytes()).hexdigest() \
+        == PINNED_RECORDS_SHA256
+    # what the set is meant to cover
+    rows = records[-len(PINNED_ROWS) - 30:]
+    assert {rec["disc"] > 0 for rec in rows} == {True, False}
+    assert {tuple(rec["signature"]) for rec in rows} \
+        == {(5, 0), (3, 1), (1, 2)}
+    assert not all(rec["resolvent"][3] for rec in rows)
+    status = {(tuple(rec["coeffs"]), rec["s5"][0]) for rec in rows}
+    assert all((c, "Inconclusive") in status for c in PINNED_ROWS[:5])
 
 
 # -- scan ---------------------------------------------------------------------------

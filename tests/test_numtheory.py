@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -13,6 +14,8 @@ from oracles import (
     ddf_pattern_mod_p,
     factor_completely,
     squarefree_kernel_by_trial_division,
+    subresultant_discriminant,
+    subresultant_resultant,
     sylvester_discriminant,
     sylvester_resultant,
 )
@@ -24,8 +27,9 @@ from quintrank.numtheory import (
     NotSquarefree,
     ResolventData,
     Splitting,
-    _resultant,
+    SquarefreeResult,
     certify_s5,
+    disc_coeffs_in_a0,
     factor_pattern_mod_p,
     first_primes,
     has_integer_root,
@@ -180,14 +184,14 @@ def test_discriminant_fixed_values():
 
 
 def test_discriminant_quadratic_and_cubic_closed_forms():
+    # the subresultant oracle, which serves every degree
     rng = np.random.default_rng(11)
     for _ in range(200):
         b, c = (int(v) for v in rng.integers(-40, 41, size=2))
-        f = IntPolynomial([c, b, 1])
-        assert poly_discriminant(f) == b * b - 4 * c
+        assert subresultant_discriminant((c, b, 1)) == b * b - 4 * c
         p, q = (int(v) for v in rng.integers(-20, 21, size=2))
-        g = IntPolynomial([q, p, 0, 1])
-        assert poly_discriminant(g) == -4 * p ** 3 - 27 * q ** 2
+        assert subresultant_discriminant((q, p, 0, 1)) \
+            == -4 * p ** 3 - 27 * q ** 2
 
 
 def test_discriminant_trinomial_quintics():
@@ -200,6 +204,7 @@ def test_discriminant_trinomial_quintics():
 
 
 def test_discriminant_against_sylvester_on_random_quintics():
+    # mostly not monic: the closed form runs on a^4 f(y / a)
     for f in _random_quintics(1000):
         assert poly_discriminant(f) == sylvester_discriminant(f.coeffs)
 
@@ -211,8 +216,78 @@ def test_discriminant_other_degrees_against_sylvester():
             c = [int(v) for v in rng.integers(-25, 26, size=deg + 1)]
             if c[deg] == 0:
                 c[deg] = 1
-            f = IntPolynomial(c)
-            assert poly_discriminant(f) == sylvester_discriminant(f.coeffs)
+            assert subresultant_discriminant(tuple(c)) \
+                == sylvester_discriminant(c)
+
+
+def test_closed_form_discriminant_on_the_height_three_box():
+    # every monic quintic with |a_i| <= 3, one head's coefficients at a
+    # time as the enumeration takes them
+    for a4, a3, a2, a1 in product(range(-3, 4), repeat=4):
+        cs = disc_coeffs_in_a0(a4, a3, a2, a1)
+        for a0 in range(-3, 4):
+            want = subresultant_discriminant((a0, a1, a2, a3, a4, 1))
+            assert poly_discriminant(
+                IntPolynomial([a0, a1, a2, a3, a4, 1])) == want
+            assert (((cs[0] * a0 + cs[1]) * a0 + cs[2]) * a0 + cs[3]) * a0 \
+                + cs[4] == want
+
+
+def test_closed_form_discriminant_on_seeded_random_vectors():
+    rng = random.Random(18)
+    for h in (10, 50, 10 ** 4, 10 ** 9):
+        for _ in range(150):
+            c = [rng.randint(-h, h) for _ in range(5)] + [1]
+            assert poly_discriminant(IntPolynomial(c)) \
+                == sylvester_discriminant(c), (h, c)
+
+
+def _inverse_vandermonde(nodes):
+    """(M, D) with M / D the inverse of V[j][i] = nodes[j] ** i, M
+    integer: M / D takes values at the nodes to monomial coefficients."""
+    n = len(nodes)
+    rows = [[Fraction(x) ** i for i in range(n)]
+            + [Fraction(int(i == j)) for i in range(n)]
+            for j, x in enumerate(nodes)]
+    for k in range(n):
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for j in range(n):
+            if j != k and rows[j][k]:
+                c = rows[j][k]
+                rows[j] = [a - c * b for a, b in zip(rows[j], rows[k])]
+    inv = [row[n:] for row in rows]
+    D = math.lcm(*(v.denominator for row in inv for v in row))
+    return [[int(v * D) for v in row] for row in inv], D
+
+
+def test_disc_coeffs_in_a0_by_interpolation():
+    """disc f has degree <= 4 in a0 (a0 sits in four rows of the
+    Sylvester matrix of f and f') and total degree 8, so each of its
+    coefficients in a0 has degree <= 8 in each of a4..a1.  Its values on
+    the head grid {-4..4}^4, interpolated from the Sylvester
+    discriminants at a0 = -2..2, therefore fix all five polynomials:
+    agreeing with disc_coeffs_in_a0 there proves the closed form, and
+    the interpolated monomials are the 1, 6, 16, 20 and 16 terms."""
+    a0s, nodes = range(-2, 3), range(-4, 5)
+    M0, D0 = _inverse_vandermonde(a0s)
+    grid = np.empty((5,) + (len(nodes),) * 4, dtype=object)
+    for idx in product(range(len(nodes)), repeat=4):
+        a4, a3, a2, a1 = (nodes[i] for i in idx)
+        values = [sylvester_discriminant([a0, a1, a2, a3, a4, 1])
+                  for a0 in a0s]
+        low_to_high = [sum(m * v for m, v in zip(row, values)) for row in M0]
+        assert all(c % D0 == 0 for c in low_to_high)
+        cs = tuple(c // D0 for c in reversed(low_to_high))
+        assert cs == disc_coeffs_in_a0(a4, a3, a2, a1), (a4, a3, a2, a1)
+        grid[(slice(None),) + idx] = cs
+    M, D = _inverse_vandermonde(nodes)
+    M = np.array(M, dtype=object)
+    for axis in range(1, 5):
+        grid = np.moveaxis(np.tensordot(M, grid, axes=([1], [axis])), 0, axis)
+    monomials = [[c // D ** 4 for c in grid[k].ravel() if c] for k in range(5)]
+    assert all(c % D ** 4 == 0 for c in grid.ravel())
+    assert [len(m) for m in monomials] == [1, 6, 16, 20, 16]
+    assert monomials[0] == [3125]
 
 
 def test_resultant_random_pairs_against_sylvester():
@@ -226,23 +301,24 @@ def test_resultant_random_pairs_against_sylvester():
             fc[df] = 3
         if gc[dg] == 0:
             gc[dg] = -2
-        assert _resultant(tuple(fc), tuple(gc)) == \
+        assert subresultant_resultant(tuple(fc), tuple(gc)) == \
             sylvester_resultant(fc, gc)
 
 
 def test_resultant_constant_and_shared_factor_cases():
     f = (2, 0, 1)       # x^2 + 2
-    assert _resultant(f, (7,)) == 49
-    assert _resultant((7,), f) == 49
+    assert subresultant_resultant(f, (7,)) == 49
+    assert subresultant_resultant((7,), f) == 49
     # common factor (x - 1): resultant vanishes
     a = (-1, 0, 1)      # (x-1)(x+1)
     b = (1, -2, 1)      # (x-1)^2
-    assert _resultant(a, b) == 0
+    assert subresultant_resultant(a, b) == 0
 
 
 def test_discriminant_degree_precondition():
-    with pytest.raises(ValueError):
-        poly_discriminant(IntPolynomial([3, 2]))
+    for coeffs in ([3, 2], [1, 0, 0, 1], [1, 0, 0, 0, 0, 0, 1]):
+        with pytest.raises(ValueError):
+            poly_discriminant(IntPolynomial(coeffs))
 
 
 # -- real root counts ---------------------------------------------------------------
@@ -280,10 +356,10 @@ def test_root_count_against_bisection_other_degrees():
             c = [int(v) for v in rng.integers(-15, 16, size=deg + 1)]
             if c[deg] == 0:
                 c[deg] = 1
-            f = IntPolynomial(c)
-            if poly_discriminant(f) == 0:
+            if subresultant_discriminant(tuple(c)) == 0:
                 continue
-            assert real_root_count(f) == count_real_roots_bisection(f.coeffs)
+            assert real_root_count(IntPolynomial(c)) \
+                == count_real_roots_bisection(c)
 
 
 def test_root_count_determines_discriminant_sign():
@@ -724,6 +800,40 @@ def test_squarefree_kernel_cofactor_resolution():
     # prime cofactor resolved by the primality test
     r = squarefree_kernel(4 * P13)
     assert r == type(r)(P13, True)
+
+
+# primes just above the bound; the last three rows leave cofactors of
+# 10^18 and more that are neither prime nor square, so incomplete
+LARGE_PRIME_PRODUCTS = [
+    P3 * Q3 * 7 ** 3 * 11, P3 ** 2 * Q3, (P3 * Q3) ** 2 * 5,
+    2 ** 5 * Q3 * R3 ** 2, P3 ** 4 * R3, P3 * Q3 * R3 * 3 ** 2 * 13,
+    P3 ** 3 * Q3 ** 2 * 7]
+
+
+def test_squarefree_kernel_of_primes_just_above_the_bound():
+    got = []
+    for i, n in enumerate(LARGE_PRIME_PRODUCTS):
+        for signed in (n, -n) if i % 2 else (n,):
+            got.append(squarefree_kernel(signed))
+            assert got[-1] == squarefree_kernel_by_trial_division(signed), n
+    assert got[0] == SquarefreeResult(7 * 11 * P3 * Q3, True)
+    assert not any(r.complete for r in got[-4:])
+
+
+def test_squarefree_kernel_tests_each_cofactor_once(monkeypatch):
+    # a cofactor that no run of primes changes is tested once, where each
+    # of the 153 runs used to test it again
+    calls = []
+    real = numtheory.is_probable_prime
+    monkeypatch.setattr(numtheory, "is_probable_prime",
+                        lambda n: calls.append(n) or real(n))
+    squarefree_kernel(P3 * Q3 * 7 ** 3 * 11)
+    assert calls == [P3 * Q3]
+    for n in LARGE_PRIME_PRODUCTS + [1009 ** 3 * P3 * Q3, P13 * 999983]:
+        calls.clear()
+        result = squarefree_kernel(n)
+        assert calls and len(calls) == len(set(calls)), n
+        assert result == squarefree_kernel_by_trial_division(n)
 
 
 def _next_prime(n, step=1):
