@@ -14,7 +14,8 @@ block of primes in one pass, by gcds of f(x) with the product of the
 block's primes above x.  Squarefree kernels of integers come from
 trial division by the primes below 1000, then gcds with products of
 runs of larger primes up to the trial bound (D. J. Bernstein, "How to
-find smooth parts of integers", 2004), then Miller-Rabin, once per
+find smooth parts of integers", 2004), stopping once the cofactor is
+below the cube of the next untried prime, then Miller-Rabin, once per
 distinct cofactor and deterministic below the bound proven by Sorenson
 and Webster (2017); whenever a cofactor cannot be resolved the result
 carries complete=False rather than a guess.
@@ -225,15 +226,18 @@ def squarefree_kernel(n: int) -> SquarefreeResult:
     """Product of the primes dividing n to an odd power, with the sign
     of n.  Trial division up to the fixed bound DEFAULT_TRIAL_BOUND
     (10^6), then the cofactor is resolved when it is 1, a probable
-    prime, a perfect square, or a semiprime forced by size (< 10^18);
-    otherwise the cofactor is kept in the kernel and complete=False.
+    prime, a perfect square, or a semiprime forced by size (below the
+    cube of the smallest prime not yet tried, at most 10^18); otherwise
+    the cofactor is kept in the kernel and complete=False.
 
     Primes below 1000 are tried one by one; larger primes up to the
     bound are taken 512 at a time as a product, whose gcd with
     the cofactor is peeled in layers, after D. J. Bernstein, "How to
     find smooth parts of integers" (2004).  The scan stops as soon as
-    the cofactor is 1 or a prime; Miller-Rabin runs once per distinct
-    cofactor, since most runs leave it as it was."""
+    the cofactor is a prime or below the cube of the next run's
+    smallest prime, so that it has at most two prime factors; the
+    kernel is then the same whichever they are.  Miller-Rabin runs once
+    per distinct cofactor, since most runs leave it as it was."""
     if n == 0:
         raise ValueError("squarefree kernel of 0 is undefined")
     sign = -1 if n < 0 else 1
@@ -251,11 +255,13 @@ def squarefree_kernel(n: int) -> SquarefreeResult:
                 e += 1
             if e & 1:
                 kernel *= p
-    prime = lru_cache(maxsize=1)(is_probable_prime)
+    prime = is_probable_prime
+    below = _TRIAL_BELOW        # no prime below it divides m
     if m >= _TRIAL_BELOW ** 2:
-        for lo, product in _prime_products():
-            if lo * lo > m or m < _MR_PROVEN and prime(m):
-                return SquarefreeResult(sign * kernel * m, True)
+        prime = lru_cache(maxsize=1)(is_probable_prime)
+        for below, product in _prime_products():
+            if below ** 3 > m or m < _MR_PROVEN and prime(m):
+                break
             # the k-th layer g holds the run's primes of exponent >= k,
             # and g // h those of exponent exactly k
             g = math.gcd(m, product % m)
@@ -266,6 +272,8 @@ def squarefree_kernel(n: int) -> SquarefreeResult:
                 if odd:
                     kernel *= g // h
                 g, odd = h, not odd
+        else:
+            below = DEFAULT_TRIAL_BOUND
     if m == 1:
         return SquarefreeResult(sign * kernel, True)
     if prime(m):
@@ -275,9 +283,9 @@ def squarefree_kernel(n: int) -> SquarefreeResult:
     if root * root == m:
         # a square cofactor has only even exponents, whatever its factors
         return SquarefreeResult(sign * kernel, True)
-    if m < DEFAULT_TRIAL_BOUND ** 3:
-        # all factors exceed the bound, so at most two of them; not a
-        # prime and not a square forces two distinct primes
+    if m < below ** 3:
+        # all factors are at least `below`, so at most two of them; not
+        # a prime and not a square forces two distinct primes
         return SquarefreeResult(sign * kernel * m, True)
     return SquarefreeResult(sign * kernel * m, False)
 

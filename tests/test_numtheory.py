@@ -822,13 +822,19 @@ def test_squarefree_kernel_of_primes_just_above_the_bound():
 
 def test_squarefree_kernel_tests_each_cofactor_once(monkeypatch):
     # a cofactor that no run of primes changes is tested once, where each
-    # of the 153 runs used to test it again
-    calls = []
+    # of the 153 runs used to test it again; and P3 * Q3 has at most two
+    # prime factors once a run's smallest prime p has p^3 > P3 * Q3, so
+    # the scan stops at the first run above 10^4
+    calls, runs = [], []
     real = numtheory.is_probable_prime
     monkeypatch.setattr(numtheory, "is_probable_prime",
                         lambda n: calls.append(n) or real(n))
+    table = numtheory._prime_products()
+    monkeypatch.setattr(numtheory, "_prime_products",
+                        lambda: (runs.append(run[0]) or run for run in table))
     squarefree_kernel(P3 * Q3 * 7 ** 3 * 11)
     assert calls == [P3 * Q3]
+    assert runs[-1] ** 3 > P3 * Q3 > runs[-2] ** 3 and len(runs) < 10
     for n in LARGE_PRIME_PRODUCTS + [1009 ** 3 * P3 * Q3, P13 * 999983]:
         calls.clear()
         result = squarefree_kernel(n)
