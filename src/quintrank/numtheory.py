@@ -1,24 +1,23 @@
 """Exact integer and polynomial arithmetic for quintic field screening.
 
-Everything here is exact: Kronecker symbols by reciprocity, the
-discriminant of a monic quintic from its closed form (a quartic in a0
-whose five coefficients are polynomials in a4..a1), real root counts by
-Sturm chains with sign-corrected pseudo-remainders, and factorization
-patterns mod p.  A quintic's pattern at a prime not dividing its
-discriminant is read off the number of its roots mod p and the
-Kronecker symbol (disc|p), by Stickelberger's theorem as stated in
-R. G. Swan, Pacific J. Math. 12 (1962); only monic quintics are
-factored.  factor_pattern_mod_p counts the roots at one prime as
-deg gcd(x^p - x, f), and quintic_patterns counts them for a whole
-block of primes in one pass, by gcds of f(x) with the product of the
-block's primes above x.  Squarefree kernels of integers come from
-trial division by the primes below 1000, then gcds with products of
-runs of larger primes up to the trial bound (D. J. Bernstein, "How to
-find smooth parts of integers", 2004), stopping once the cofactor is
-below the cube of the next untried prime, then Miller-Rabin, once per
-distinct cofactor and deterministic below the bound proven by Sorenson
-and Webster (2017); whenever a cofactor cannot be resolved the result
-carries complete=False rather than a guess.
+Everything here is exact: Kronecker symbols by reciprocity, quintic
+discriminants from one closed form (a quartic in a0 with coefficients in
+a4..a1), real root counts by Sturm chains with sign-corrected
+pseudo-remainders, and factorization patterns mod p.  A quintic's
+pattern at a prime not dividing its discriminant is read off the number
+of its roots mod p and the Kronecker symbol (disc|p), by Stickelberger's
+theorem as stated in R. G. Swan, Pacific J. Math. 12 (1962); only monic
+quintics are factored.  factor_pattern_mod_p counts the roots at one
+prime as deg gcd(x^p - x, f), and quintic_patterns counts them for a
+whole block of primes in one pass, by gcds of f(x) with the product of
+the block's primes above x.  Squarefree kernels of integers come from
+trial division by the primes below 1000, then gcds with products of runs
+of larger primes up to the trial bound (D. J. Bernstein, "How to find
+smooth parts of integers", 2004) until the cofactor is below the cube of
+the next untried prime, then Miller-Rabin, once per cofactor and
+deterministic below the bound proven by Sorenson and Webster (2017);
+whenever a cofactor cannot be resolved the result carries complete=False
+rather than a guess.
 """
 
 from __future__ import annotations
@@ -226,18 +225,16 @@ def squarefree_kernel(n: int) -> SquarefreeResult:
     """Product of the primes dividing n to an odd power, with the sign
     of n.  Trial division up to the fixed bound DEFAULT_TRIAL_BOUND
     (10^6), then the cofactor is resolved when it is 1, a probable
-    prime, a perfect square, or a semiprime forced by size (below the
-    cube of the smallest prime not yet tried, at most 10^18); otherwise
-    the cofactor is kept in the kernel and complete=False.
+    prime, a perfect square, or a semiprime forced by size (below p^3,
+    p the smallest prime not tried); otherwise the cofactor is kept in
+    the kernel and complete=False.
 
     Primes below 1000 are tried one by one; larger primes up to the
-    bound are taken 512 at a time as a product, whose gcd with
-    the cofactor is peeled in layers, after D. J. Bernstein, "How to
-    find smooth parts of integers" (2004).  The scan stops as soon as
-    the cofactor is a prime or below the cube of the next run's
-    smallest prime, so that it has at most two prime factors; the
-    kernel is then the same whichever they are.  Miller-Rabin runs once
-    per distinct cofactor, since most runs leave it as it was."""
+    bound are taken 512 at a time as a product, whose gcd with the
+    cofactor is peeled in layers, after D. J. Bernstein, "How to find
+    smooth parts of integers" (2004).  The scan stops once the cofactor
+    is a prime or below p^3, and Miller-Rabin runs once per distinct
+    cofactor, as most runs leave it as it was."""
     if n == 0:
         raise ValueError("squarefree kernel of 0 is undefined")
     sign = -1 if n < 0 else 1

@@ -207,6 +207,12 @@ def test_discriminant_against_sylvester_on_random_quintics():
     # mostly not monic: the closed form runs on a^4 f(y / a)
     for f in _random_quintics(1000):
         assert poly_discriminant(f) == sylvester_discriminant(f.coeffs)
+    rng = random.Random(18)
+    for h in (10, 50, 10 ** 4, 10 ** 9):
+        for _ in range(150):
+            c = [rng.randint(-h, h) for _ in range(5)] + [1]
+            assert poly_discriminant(IntPolynomial(c)) \
+                == sylvester_discriminant(c), (h, c)
 
 
 def test_discriminant_other_degrees_against_sylvester():
@@ -231,15 +237,6 @@ def test_closed_form_discriminant_on_the_height_three_box():
                 IntPolynomial([a0, a1, a2, a3, a4, 1])) == want
             assert (((cs[0] * a0 + cs[1]) * a0 + cs[2]) * a0 + cs[3]) * a0 \
                 + cs[4] == want
-
-
-def test_closed_form_discriminant_on_seeded_random_vectors():
-    rng = random.Random(18)
-    for h in (10, 50, 10 ** 4, 10 ** 9):
-        for _ in range(150):
-            c = [rng.randint(-h, h) for _ in range(5)] + [1]
-            assert poly_discriminant(IntPolynomial(c)) \
-                == sylvester_discriminant(c), (h, c)
 
 
 def _inverse_vandermonde(nodes):
