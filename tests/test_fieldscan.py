@@ -428,6 +428,41 @@ def test_enumeration_counts_every_discriminant(monkeypatch):
         assert len(heads) == rows and full == []
 
 
+def test_row_discriminants_are_exact_and_never_cost_more(monkeypatch):
+    # rows of one head fed to the enumeration: each entry it builds a
+    # field for carries the subresultant discriminant, and a row of any
+    # length costs one set of coefficients in a0 and no poly_discriminant
+    head = (-2, 2, -1, -1)
+    rows = ([1], [-3, 0, 2, 5, 6], [-3, -2, 0, 1, 4, 9], list(range(-7, 8)))
+    built, heads = [], []
+
+    class Recorded(QuinticField):
+        def __init__(self, poly, *args, **kw):
+            super().__init__(poly, *args, **kw)
+            built.append((self.coeffs, self.disc))
+    monkeypatch.setattr(fieldscan, "QuinticField", Recorded)
+    real = fieldscan.disc_coeffs_in_a0
+    monkeypatch.setattr(fieldscan, "disc_coeffs_in_a0",
+                        lambda *h: heads.append(h) or real(*h))
+    full = _count_discriminants(monkeypatch)
+    for a0s in rows:
+        built.clear()
+        heads.clear()
+        monkeypatch.setattr(fieldscan, "_orbit_minimal_rows",
+                            lambda h, a0s=a0s: iter([(head, a0s)]))
+        list(enumerate_quintics(1, 10 ** 30, prime_budget=7))
+        want = []
+        for a0 in a0s:
+            coeffs = (1,) + head + (a0,)
+            disc = subresultant_discriminant(coeffs[::-1])
+            if not fieldscan._has_integer_root(coeffs) \
+                    and disc != 0 and not fieldscan._is_square(disc):
+                want.append((coeffs, disc))
+        assert built == want
+        assert heads == [head] and full == []
+    assert len(want) > 10
+
+
 # sha256 of the JSON list of kept coefficient vectors of
 # enumerate_quintics(height, 10**6, prime_budget=40), as the full-box
 # enumeration produced them
