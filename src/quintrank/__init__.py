@@ -4,7 +4,7 @@ Submodules:
     groups     finite groups on dense tables, cosets, abelianization, transfer
     cocycles   2-cocycles, Clifford/Pin lifts of symmetric groups, extensions
     reps       complex representations, tensor induction, reducibility tests
-    numtheory  Kronecker symbols, discriminants, Sturm chains, S5 certification
+    numtheory  Kronecker symbols, discriminants, root counts, S5 certification
     rankgrowth parity certificates for rank growth of elliptic curves
     fieldscan  quintic field enumeration, dedup, scanning, caching
     cli        command line interface

@@ -1,10 +1,10 @@
 """Quintic field supply: ingestion, enumeration, dedup, scan, cache.
 
 A QuinticField wraps a monic separable integer quintic and derives its
-data lazily: discriminant, signature (a Sturm count only when the
-discriminant is positive), quadratic resolvent, S5 certificate, and a
-dedupe fingerprint (squarefree discriminant kernel plus the
-factorization patterns at the first 20 primes not dividing the
+data lazily: discriminant, signature (from the sign of the discriminant
+and, when it is positive, Hermite's form), quadratic resolvent, S5
+certificate, and a dedupe fingerprint (squarefree discriminant kernel
+plus the factorization patterns at the first 20 primes not dividing the
 discriminant).  Fingerprint identity is a heuristic for field
 isomorphism, not a proof, so a merge that _provably_same_field cannot
 prove (a translation between a mirror or reciprocal image of each side)
@@ -14,13 +14,14 @@ The certificate, the fingerprint and the audit all read one
 append-only list of patterns at those primes, in increasing order, so
 no pattern is computed twice; each one comes from the root count mod p
 and (disc|p) by Stickelberger's theorem (R. G. Swan, Pacific J. Math.
-12 (1962)).  The certificate of a quintic with an integer root reads
-the list only up to its first transposition prime.  The list is filled
-a block of primes at a time (up to the fingerprint, up to the audit,
-then doubling), with the roots of a whole block counted by gcds of f(x)
-with products of its primes; primes from _BLOCK_BELOW up go one at a
-time.  A square discriminant puts the Galois group in A5, so the
-enumeration does not try to certify such a polynomial.
+12 (1962)).  The certificate reads the list in place, and that of a
+quintic with an integer root only up to its first transposition prime.
+The list is filled a block of primes at a time (up to the fingerprint,
+up to the audit, then doubling), never past the primes the certificate's
+budget can read unless asked, with the roots of a whole block counted by
+gcds of f(x) with products of its primes; primes from _BLOCK_BELOW up go
+one at a time.  A square discriminant puts the Galois group in A5, so
+the enumeration does not try to certify such a polynomial.
 
 Enumeration iterates coefficient vectors in lexicographic order, which
 makes the kept representative of each fingerprint class the
@@ -123,8 +124,9 @@ class QuinticField:
     @cached_property
     def signature(self) -> tuple[int, int]:
         """(r1, r2) with r1 + 2 r2 = 5.  sign(disc) = (-1)^r2, so a
-        negative disc is (3, 1); Sturm decides (5, 0) from (1, 2)."""
-        r1 = 3 if self.disc < 0 else real_root_count(self.poly)
+        negative disc is (3, 1); Hermite's form decides (5, 0) from
+        (1, 2)."""
+        r1 = 3 if self.disc < 0 else real_root_count(self.poly, self.disc)
         return (r1, (5 - r1) // 2)
 
     @cached_property
@@ -140,19 +142,29 @@ class QuinticField:
     def s5_status(self) -> str:
         return self.certificate.status
 
+    @cached_property
+    def _budget_good(self) -> int:
+        """How many of the first prime_budget primes do not divide disc:
+        the most patterns a certificate can read."""
+        return sum(1 for p in first_primes(self.prime_budget) if self.disc % p)
+
     def _stream(self, count: int) -> list:
         """The pattern stream, extended to at least `count` entries: the
         patterns at the primes not dividing the discriminant, in order.
-        It grows a block at a time (up to the fingerprint, up to the
-        audit, then doubling) and is returned without copying.  A block's
-        primes below _BLOCK_BELOW share one quintic_patterns pass; larger
-        ones go one at a time."""
+        It grows a block at a time and is returned without copying.  The
+        first block is the fingerprint's 20 patterns, whatever the
+        budget; later blocks end at the audit's 50, then double, but
+        never past the _budget_good patterns a certificate can read,
+        unless `count` asks for more (as the audit does at small
+        budgets).  A block's primes below _BLOCK_BELOW share one
+        quintic_patterns pass; larger ones go one at a time."""
         patterns, disc = self._patterns, self.disc
         audited = FINGERPRINT_PRIMES + AUDIT_PRIMES
         while len(patterns) < count:
             have = len(patterns)
             end = (FINGERPRINT_PRIMES if have < FINGERPRINT_PRIMES
-                   else audited if have < audited else 2 * have)
+                   else max(count, min(audited if have < audited
+                                       else 2 * have, self._budget_good)))
             # a nonzero disc has fewer prime factors than bits
             good = [p for p in first_primes(end + abs(disc).bit_length())
                     if disc % p][have:end]
@@ -587,8 +599,10 @@ class ScanReport:
 def scan(curve: CurveData, fields: Iterable[QuinticField],
          bucket_edges: Iterable[int]) -> ScanReport:
     """Cumulative counts per discriminant bound X: fields seen,
-    admissible pairs, and odd-parity pairs (the certified lower bound
-    for the number of fields with rank growth)."""
+    admissible pairs, and odd-parity pairs, one per fingerprint class
+    of the stream.  Two polynomials of different index can define the
+    same field under two fingerprints, so the odd count is not yet a
+    lower bound for the number of fields with rank growth."""
     edges = [int(x) for x in bucket_edges]
     if not edges or any(a >= b for a, b in zip(edges, edges[1:])):
         raise ValueError("bucket edges must be strictly ascending, nonempty")

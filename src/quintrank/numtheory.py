@@ -2,12 +2,13 @@
 
 Everything here is exact: Kronecker symbols by reciprocity, quintic
 discriminants from one closed form (a quartic in a0 with coefficients in
-a4..a1), real root counts by Sturm chains with sign-corrected
-pseudo-remainders, and factorization patterns mod p.  A quintic's
-pattern at a prime not dividing its discriminant is read off the number
-of its roots mod p and the Kronecker symbol (disc|p), by Stickelberger's
-theorem as stated in R. G. Swan, Pacific J. Math. 12 (1962); only monic
-quintics are factored.  factor_pattern_mod_p counts the roots at one
+a4..a1), real root counts of quintics from the sign of the discriminant
+and, when it is positive, the leading minors of Hermite's power-sum
+form, and factorization patterns mod p.  A quintic's pattern at a prime
+not dividing its discriminant is read off the number of its roots mod p
+and the Kronecker symbol (disc|p), by Stickelberger's theorem as stated
+in R. G. Swan, Pacific J. Math. 12 (1962); only monic quintics are
+factored.  factor_pattern_mod_p counts the roots at one
 prime as deg gcd(x^p - x, f), and quintic_patterns counts them for a
 whole block of primes in one pass, by gcds of f(x) with the product of
 the block's primes above x.  Squarefree kernels of integers come from
@@ -44,7 +45,8 @@ _CHUNK = 512
 
 
 class NotSquarefree(RuntimeError):
-    """Sturm counting requires a squarefree polynomial."""
+    """A zero discriminant: real_root_count and resolvent need a
+    squarefree quintic."""
 
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
@@ -303,35 +305,6 @@ def _prime_products() -> tuple[tuple[int, int], ...]:
 # -- discriminants and real root counts ---------------------------------------
 
 
-def _content(coeffs) -> int:
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    return max(g, 1)
-
-
-def _prem(A: tuple, B: tuple) -> tuple:
-    """Pseudo-remainder: lc(B)^(deg A - deg B + 1) * A modulo B."""
-    R = list(A)
-    dB = len(B) - 1
-    c = B[-1]
-    steps = len(A) - len(B) + 1
-    while len(R) - 1 >= dB and R:
-        lead = R[-1]
-        k = len(R) - 1 - dB
-        R = [c * x for x in R]
-        for i, b in enumerate(B):
-            R[i + k] -= lead * b
-        R = list(_trim(R))
-        steps -= 1
-    if steps > 0 and R:
-        f = c ** steps
-        R = [f * x for x in R]
-    return tuple(R)
-
-
 def disc_coeffs_in_a0(a4: int, a3: int, a2: int, a1: int
                       ) -> tuple[int, int, int, int, int]:
     """(c4, c3, c2, c1, c0) with disc(x^5 + a4 x^4 + a3 x^3 + a2 x^2 +
@@ -382,39 +355,45 @@ def poly_discriminant(f: IntPolynomial) -> int:
     return disc if a == 1 else disc // a ** 12
 
 
-def _sturm_chain(f: IntPolynomial) -> list[tuple]:
-    chain = [f.coeffs, f.derivative().coeffs]
-    while chain[-1]:
-        A, B = chain[-2], chain[-1]
-        if len(B) - 1 == 0:
-            break
-        R = _prem(A, B)
-        # pseudo-division scales by lc(B)^k; flip so the chain keeps the
-        # signs of the true remainders, then shrink by the content
-        scale = B[-1] ** (len(A) - len(B) + 1)
-        R = tuple(-c for c in R) if scale > 0 else R
-        cont = _content(R)
-        chain.append(tuple(c // cont for c in R))
-    return chain
-
-
-def _variations(signs: list[int]) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-
-def real_root_count(f: IntPolynomial) -> int:
-    """Number of distinct real roots by Sturm's theorem."""
-    if f.degree < 1:
-        return 0
-    chain = _sturm_chain(f)
-    if len(chain[-1]) == 0:
-        chain.pop()
-    if len(chain[-1]) > 1:
-        raise NotSquarefree("polynomial has a repeated factor")
-    at_plus = [p[-1] for p in chain]
-    at_minus = [p[-1] * (-1 if (len(p) - 1) & 1 else 1) for p in chain]
-    return _variations(at_minus) - _variations(at_plus)
+def real_root_count(f: IntPolynomial, disc: Optional[int] = None) -> int:
+    """Number r1 of real roots of the squarefree quintic f, with disc =
+    disc(f) computed when not given.  sign(disc) = (-1)^r2 gives 3 when
+    disc < 0, and r1 is 5 or 1 when disc > 0.  Then take the monic
+    g = a^4 f(y/a) (a = lc f), with the same number of real roots, and
+    its Hermite form [s_(i+j)], s_k the k-th power sum of g's roots: its
+    signature is r1 and its determinant is disc g > 0 (Hermite), so
+    r1 = 5 exactly when it is positive definite, that is when its
+    leading minors D2, D3, D4 are positive (Sylvester).  The s_k come
+    from Newton's identities and the minors from a fraction-free
+    Bareiss elimination that stops at the first pivot <= 0."""
+    if f.degree != 5:
+        raise ValueError("expected a quintic")
+    if disc is None:
+        disc = poly_discriminant(f)
+    if disc == 0:
+        raise NotSquarefree("polynomial has a repeated root")
+    if disc < 0:
+        return 3
+    a0, a1, a2, a3, a4, a = f.coeffs
+    c1, c2, c3, c4, c5 = a4, a3 * a, a2 * a ** 2, a1 * a ** 3, a0 * a ** 4
+    s1 = -c1
+    s2 = -c1 * s1 - 2 * c2
+    s3 = -c1 * s2 - c2 * s1 - 3 * c3
+    s4 = -c1 * s3 - c2 * s2 - c3 * s1 - 4 * c4
+    s5 = -c1 * s4 - c2 * s3 - c3 * s2 - c4 * s1 - 5 * c5
+    s6 = -c1 * s5 - c2 * s4 - c3 * s3 - c4 * s2 - c5 * s1
+    # Bareiss on the symmetric [s_(i+j)], 0 <= i, j <= 3, with s0 = 5:
+    # each step's first pivot is the next leading minor
+    d2, u12, u13 = 5 * s2 - s1 * s1, 5 * s3 - s1 * s2, 5 * s4 - s1 * s3
+    if d2 <= 0:
+        return 1
+    u22, u23, u33 = 5 * s4 - s2 * s2, 5 * s5 - s2 * s3, 5 * s6 - s3 * s3
+    d3 = (u22 * d2 - u12 * u12) // 5
+    if d3 <= 0:
+        return 1
+    v23 = (u23 * d2 - u12 * u13) // 5
+    v33 = (u33 * d2 - u13 * u13) // 5
+    return 5 if (v33 * d3 - v23 * v23) // d2 > 0 else 1
 
 
 # -- arithmetic mod p ----------------------------------------------------------
@@ -608,9 +587,10 @@ def certify_s5(f: IntPolynomial, prime_budget: int = DEFAULT_PRIME_BUDGET,
     pattern so far has a linear factor and one is {1,1,1,2}, a single
     has_integer_root test may end the scan with the full scan's answer.
     A caller that keeps a pattern stream passes it as patterns(n): a
-    list whose first n entries are the patterns at the first n primes
-    not dividing disc, so the k-th scanned prime (from 0) has pattern
-    patterns(k + 1)[k]."""
+    list of at least n entries, the patterns at the first primes not
+    dividing disc, in order.  The list is read in place, and patterns is
+    called again, with one more than the entries read, only once every
+    entry of the last list has been read."""
     if f.degree != 5 or f.lc != 1:
         raise ValueError("expected a monic quintic")
     if disc is None:
@@ -620,9 +600,14 @@ def certify_s5(f: IntPolynomial, prime_budget: int = DEFAULT_PRIME_BUDGET,
     good = [p for p in first_primes(prime_budget) if disc % p]
     five = transposition = None
     linear = True       # every pattern read so far has a root mod p
+    stream = []
     for scanned, p in enumerate(good):
-        pat = (patterns(scanned + 1)[scanned] if patterns is not None
-               else factor_pattern_mod_p(f, p, disc).pattern)
+        if patterns is None:
+            pat = factor_pattern_mod_p(f, p, disc).pattern
+        else:
+            if scanned == len(stream):
+                stream = patterns(scanned + 1)
+            pat = stream[scanned]
         linear = linear and pat[0] == 1
         if pat == (5,):
             five = five if five is not None else p

@@ -5,7 +5,8 @@ the package uses: Legendre symbols by squaring residues, resultants by
 Sylvester matrices with Bareiss elimination and by the subresultant
 remainder sequence (any degree, any leading coefficient; the package's
 quintic discriminants come from a closed form), real root counts by
-Descartes bisection over exact rationals, mod-p factor patterns by
+Sturm chains and by Descartes bisection over exact rationals (the
+package reads a quintic's from Hermite's form), mod-p factor patterns by
 exhaustive trial division and, for any degree and prime, by
 distinct-degree splitting, S5 certificates by reading the pattern at
 every budget prime, squarefree kernels by trial division by
@@ -46,8 +47,7 @@ from quintrank.numtheory import (
     IntPolynomial,
     S5Certificate,
     SquarefreeResult,
-    _content,
-    _prem,
+    _trim,
     first_primes,
     is_probable_prime,
     poly_discriminant,
@@ -113,6 +113,35 @@ def sylvester_discriminant(coeffs) -> int:
     return q
 
 
+def _content(coeffs) -> int:
+    g = 0
+    for c in coeffs:
+        g = math.gcd(g, c)
+        if g == 1:
+            break
+    return max(g, 1)
+
+
+def _prem(A: tuple, B: tuple) -> tuple:
+    """Pseudo-remainder: lc(B)^(deg A - deg B + 1) * A modulo B."""
+    R = list(A)
+    dB = len(B) - 1
+    c = B[-1]
+    steps = len(A) - len(B) + 1
+    while len(R) - 1 >= dB and R:
+        lead = R[-1]
+        k = len(R) - 1 - dB
+        R = [c * x for x in R]
+        for i, b in enumerate(B):
+            R[i + k] -= lead * b
+        R = list(_trim(R))
+        steps -= 1
+    if steps > 0 and R:
+        f = c ** steps
+        R = [f * x for x in R]
+    return tuple(R)
+
+
 def subresultant_resultant(A: tuple, B: tuple) -> int:
     """Res(A, B) by the subresultant remainder sequence; coefficients
     low to high.  This was the package's route to every discriminant
@@ -166,6 +195,41 @@ def subresultant_discriminant(coeffs) -> int:
     q, r = divmod(sign * res, coeffs[-1])
     assert r == 0
     return q
+
+
+def _sturm_chain(coeffs) -> list[tuple]:
+    chain = [tuple(coeffs), tuple(i * c for i, c in enumerate(coeffs))[1:]]
+    while chain[-1]:
+        A, B = chain[-2], chain[-1]
+        if len(B) - 1 == 0:
+            break
+        R = _prem(A, B)
+        # pseudo-division scales by lc(B)^k; flip so the chain keeps the
+        # signs of the true remainders, then shrink by the content
+        scale = B[-1] ** (len(A) - len(B) + 1)
+        R = tuple(-c for c in R) if scale > 0 else R
+        cont = _content(R)
+        chain.append(tuple(c // cont for c in R))
+    return chain
+
+
+def _variations(signs: list[int]) -> int:
+    signs = [s for s in signs if s != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+
+
+def sturm_root_count(coeffs) -> int:
+    """Distinct real roots of a squarefree integer polynomial of any
+    degree >= 1 by Sturm's theorem, with sign-corrected
+    pseudo-remainders; coefficients low to high.  This was the
+    package's signature route before the Hermite form."""
+    chain = _sturm_chain(coeffs)
+    if len(chain[-1]) == 0:
+        chain.pop()
+    assert len(chain[-1]) == 1, "not squarefree"
+    at_plus = [p[-1] for p in chain]
+    at_minus = [p[-1] * (-1 if (len(p) - 1) & 1 else 1) for p in chain]
+    return _variations(at_minus) - _variations(at_plus)
 
 
 def _eval_frac(coeffs, x: Fraction) -> Fraction:

@@ -14,6 +14,7 @@ from oracles import (
     count_real_roots_bisection,
     enumerate_full_box,
     quintic_orbit,
+    sturm_root_count,
     subresultant_discriminant,
 )
 
@@ -34,8 +35,8 @@ from quintrank.numtheory import (
     IntPolynomial,
     certify_s5,
     factor_pattern_mod_p,
+    first_primes,
     poly_discriminant,
-    real_root_count,
 )
 from quintrank.rankgrowth import CurveData
 
@@ -105,14 +106,15 @@ FIVE_REAL = [(1, 0, -3, 0, 2, 0), (1, 0, -5, 0, 4, 1)]
 
 
 def test_signature_matches_sturm_on_the_height_three_box():
-    # Sturm is the exact route that a negative disc now skips
+    # against the Sturm oracle, the route before the disc sign and
+    # Hermite's form
     seen = Counter()
     for tail in product(range(-3, 4), repeat=5):
         poly = IntPolynomial.descending((1,) + tail)
         if poly_discriminant(poly) == 0:
             continue
         f = QuinticField(poly)
-        r1 = real_root_count(poly)
+        r1 = sturm_root_count(poly.coeffs)
         assert f.signature == (r1, (5 - r1) // 2), tail
         seen[f.signature, f.disc > 0] += 1
     assert set(seen) == {((5, 0), True), ((1, 2), True), ((3, 1), False)}
@@ -136,8 +138,8 @@ def test_signature_matches_bisection_on_seeded_rows():
 
 
 def test_negative_disc_signature_needs_no_root_count(monkeypatch):
-    def refuse(poly):
-        raise AssertionError("Sturm chain for a negative discriminant")
+    def refuse(poly, disc=None):
+        raise AssertionError("root count for a negative discriminant")
     monkeypatch.setattr(fieldscan, "real_root_count", refuse)
     f = field_of(1, 0, -4, 0, 2, -1)
     assert f.disc == -16075 and f.signature == (3, 1)
@@ -190,26 +192,69 @@ def test_pattern_stream_computes_each_pattern_once(monkeypatch):
                for desc in STREAM_SAMPLES]
     assert scanned == [11, 36, 54, 198]
     # the stream grows in blocks ending at 20, 50, 100 and 200 patterns,
-    # so each field computes the first block end covering both its
-    # certificate and the 50 fingerprint and audit primes
+    # capped at the 198 good primes of x^5 - 2's budget, so each field
+    # computes the first block end covering both its certificate and the
+    # 50 fingerprint and audit primes
     assert [per_field[IntPolynomial.descending(d).coeffs]
-            for d in STREAM_SAMPLES] == [50, 50, 100, 200]
+            for d in STREAM_SAMPLES] == [50, 50, 100, 198]
 
 
 def test_stream_past_the_block_crossover(monkeypatch):
     # x^5 - 2 never certifies, so a budget of 600 primes fills blocks up
-    # to 800 patterns, whose primes run past the kernel's crossover
+    # to its 598 good budget primes (disc = 2^4 5^5), which run past the
+    # kernel's crossover, and no further
     one_at_a_time = []
     calls = _count_patterns(monkeypatch, one_at_a_time)
     poly = IntPolynomial.descending((1, 0, 0, 0, 0, -2))
     f = QuinticField(poly, prime_budget=600)
     assert f.certificate == certify_s5(poly, 600, f.disc)
-    assert len(calls) == 800 and max(calls.values()) == 1
+    assert len(calls) == 598 and max(calls.values()) == 1
     primes = sorted(p for _, p in calls)
+    assert primes == [p for p in first_primes(600) if f.disc % p]
     assert one_at_a_time == [p for p in primes if p >= fieldscan._BLOCK_BELOW]
     assert primes[0] < fieldscan._BLOCK_BELOW < primes[-1]
-    assert f._stream(800) == [factor_pattern_mod_p(poly, p, f.disc).pattern
+    assert f._stream(598) == [factor_pattern_mod_p(poly, p, f.disc).pattern
                               for p in primes]
+
+
+def test_first_block_is_the_fingerprint_at_small_budgets(monkeypatch):
+    # at budget 3 the certificate reads at most 3 patterns, but the first
+    # block is still the fingerprint's 20, and nothing more is computed
+    calls = _count_patterns(monkeypatch)
+    for desc in STREAM_SAMPLES:
+        f = field_of(*desc, prime_budget=3)
+        assert f.certificate.primes_scanned <= 3
+        assert len(f._patterns) == 20
+        assert len(f.fingerprint[1]) == 20
+    assert len(calls) == 20 * len(STREAM_SAMPLES)
+
+
+def test_certificate_reads_each_block_in_place(monkeypatch):
+    # certify_s5 calls the stream only when it has read every pattern it
+    # was given, so each call computes a new block
+    for budget in (3, 40, 200):
+        for desc in STREAM_SAMPLES:
+            f = field_of(*desc, prime_budget=budget)
+            grown = []
+
+            def patterns(n, stream=f._stream):
+                before = len(f._patterns)
+                out = stream(n)
+                grown.append(before < n <= len(out))
+                return out
+            monkeypatch.setattr(f, "_stream", patterns)
+            cert = f.certificate
+            assert grown and all(grown), (desc, budget)
+            assert cert == certify_s5(f.poly, budget, f.disc)
+    # x^5 - 2 at budget 200 reads the blocks ending at 20, 50, 100, 198
+    f = field_of(1, 0, 0, 0, 0, -2)
+    sizes = []
+    stream = f._stream
+    monkeypatch.setattr(f, "_stream",
+                        lambda n: sizes.append(n) or stream(n))
+    f.certificate
+    assert sizes == [1, 21, 51, 101]
+    assert len(f._patterns) == 198
 
 
 def test_stream_fed_certificate_matches_standalone():

@@ -14,6 +14,7 @@ from oracles import (
     ddf_pattern_mod_p,
     factor_completely,
     squarefree_kernel_by_trial_division,
+    sturm_root_count,
     subresultant_discriminant,
     subresultant_resultant,
     sylvester_discriminant,
@@ -323,17 +324,26 @@ def test_discriminant_degree_precondition():
 
 def test_root_count_fixed_values():
     assert real_root_count(X5_X_1) == 1
-    assert real_root_count(IntPolynomial([1, 0, 1])) == 0       # x^2 + 1
+    assert sturm_root_count((1, 0, 1)) == 0                    # x^2 + 1
     assert real_root_count(IntPolynomial([0, -4, 0, 0, 0, 1])) == 3
     # five real roots: x(x-1)(x+1)(x-2)(x+2)
     full = IntPolynomial([0, 4, 0, -5, 0, 1])
     assert real_root_count(full) == 5
+    assert real_root_count(full, poly_discriminant(full)) == 5
 
 
 def test_root_count_not_squarefree():
-    f = IntPolynomial([2, -3, 0, 1])  # (x - 1)^2 (x + 2)
+    f = IntPolynomial.descending([1, 0, -3, -2, 0, 0])  # x^2 (x+1)^2 (x-2)
     with pytest.raises(NotSquarefree):
         real_root_count(f)
+    with pytest.raises(NotSquarefree):
+        real_root_count(X5_X_1, disc=0)
+
+
+def test_root_count_is_quintic_only():
+    for coeffs in ([1, 0, 1], [2, -3, 0, 1], [1, 0, 0, 0, 0, 0, 1], [7]):
+        with pytest.raises(ValueError):
+            real_root_count(IntPolynomial(coeffs))
 
 
 def test_root_count_against_bisection_on_random_quintics():
@@ -346,7 +356,67 @@ def test_root_count_against_bisection_on_random_quintics():
     assert skipped < 20
 
 
+def test_root_count_against_bisection_on_seeded_large_quintics():
+    # monic and not, up to height 2^70: the minors run to ~ 2^1000
+    rng = random.Random(1901)
+    seen = set()
+    for h in (10 ** 3, 10 ** 9, 2 ** 40, 2 ** 70):
+        for monic in (True, False):
+            for _ in range(12):
+                c = [rng.randint(-h, h) for _ in range(5)]
+                c.append(1 if monic else rng.choice([-1, 1]) * rng.randint(2, h))
+                f = IntPolynomial(c)
+                disc = poly_discriminant(f)
+                if disc == 0:
+                    continue
+                r = real_root_count(f, disc)
+                assert r == count_real_roots_bisection(c), c
+                seen.add(r)
+    assert seen == {1, 3, 5}
+
+
+def test_root_count_against_sturm_on_the_height_three_box():
+    seen = set()
+    for tail in product(range(-3, 4), repeat=5):
+        f = IntPolynomial.descending((1,) + tail)
+        disc = poly_discriminant(f)
+        if disc == 0:
+            continue
+        r = real_root_count(f, disc)
+        assert r == sturm_root_count(f.coeffs), tail
+        seen.add((r, disc > 0))
+    assert seen == {(1, True), (3, False), (5, True)}
+
+
+def test_root_count_of_x5_plus_a0_has_a_zero_hankel_pivot():
+    # s1 = .. = s4 = 0, so the leading 2x2 minor 5 s2 - s1^2 vanishes;
+    # disc = 5^5 a^4 a0^4 > 0 and there is one real root
+    for a in (1, -1, 3):
+        for a0 in (-7, -2, -1, 1, 2, 10 ** 4, 2 ** 70):
+            f = IntPolynomial([a0, 0, 0, 0, 0, a])
+            assert poly_discriminant(f) > 0
+            assert real_root_count(f) == 1 == sturm_root_count(f.coeffs)
+
+
+def test_root_count_of_five_distinct_linear_factors():
+    rng = random.Random(1902)
+    for h in (3, 50, 10 ** 6):
+        for _ in range(40):
+            f = (1,)
+            roots = set()
+            while len(roots) < 5:
+                b, c = rng.randint(1, 4), rng.randint(-h, h)
+                if Fraction(c, b) in roots:
+                    continue
+                roots.add(Fraction(c, b))
+                # times (b x - c), coefficients low to high
+                f = tuple(b * u - c * v
+                          for u, v in zip((0,) + f, f + (0,)))
+            assert real_root_count(IntPolynomial(f)) == 5
+
+
 def test_root_count_against_bisection_other_degrees():
+    # the Sturm oracle that the quintic Hermite route replaced
     rng = np.random.default_rng(15)
     for deg in (2, 3, 4, 6):
         for _ in range(80):
@@ -355,17 +425,17 @@ def test_root_count_against_bisection_other_degrees():
                 c[deg] = 1
             if subresultant_discriminant(tuple(c)) == 0:
                 continue
-            assert real_root_count(IntPolynomial(c)) \
-                == count_real_roots_bisection(c)
+            assert sturm_root_count(c) == count_real_roots_bisection(c)
 
 
 def test_root_count_determines_discriminant_sign():
-    # five distinct roots of which r are real: sign(disc) = (-1)^((5-r)/2)
+    # five distinct roots of which r are real: sign(disc) = (-1)^((5-r)/2),
+    # the rule behind real_root_count's disc < 0 shortcut, on the oracle
     for f in _random_quintics(300, seed=16):
         disc = poly_discriminant(f)
         if disc == 0:
             continue
-        r = real_root_count(f)
+        r = sturm_root_count(f.coeffs)
         pairs = (5 - r) // 2
         assert (disc > 0) == (pairs % 2 == 0)
 
