@@ -219,7 +219,8 @@ def test_stream_past_the_block_crossover(monkeypatch):
 
 def test_first_block_is_the_fingerprint_at_small_budgets(monkeypatch):
     # at budget 3 the certificate reads at most 3 patterns, but the first
-    # block is still the fingerprint's 20, and nothing more is computed
+    # block is still the fingerprint's 20, and nothing more is computed;
+    # the audit then asks past the budget for its 30 patterns
     calls = _count_patterns(monkeypatch)
     for desc in STREAM_SAMPLES:
         f = field_of(*desc, prime_budget=3)
@@ -227,6 +228,11 @@ def test_first_block_is_the_fingerprint_at_small_budgets(monkeypatch):
         assert len(f._patterns) == 20
         assert len(f.fingerprint[1]) == 20
     assert len(calls) == 20 * len(STREAM_SAMPLES)
+    for budget in (3, 40):
+        f = field_of(1, 0, 0, 0, 0, -2, prime_budget=budget)
+        f.certificate
+        assert len(f.extended_fingerprint) == 30
+        assert len(f._patterns) == 50
 
 
 def test_certificate_reads_each_block_in_place(monkeypatch):
