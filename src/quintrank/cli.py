@@ -314,16 +314,23 @@ def _cmd_certify(args) -> int:
 
 # -- scan -------------------------------------------------------------------
 
+def _report_skipped(path, kind: str, lines: list[int]):
+    """One stderr line for the cache lines of one kind that a load
+    skipped; their fields are derived afresh when the scan reaches them."""
+    if lines:
+        s = "s" if len(lines) > 1 else ""
+        shown = ", ".join(map(str, lines[:5])) + (", ..." if len(lines) > 5
+                                                  else "")
+        print(f"cache {path}: {len(lines)} {kind} line{s} skipped "
+              f"(line{s} {shown})", file=sys.stderr)
+
+
 def _cmd_scan(args) -> int:
     curve = rankgrowth.CurveData.parse(args.curve)
     cache = fieldscan.FieldCache(args.cache) if args.cache else None
-    if cache is not None and cache.corrupt_lines:
-        # their fields are derived afresh when the scan reaches them
-        bad = cache.corrupt_lines
-        s = "s" if len(bad) > 1 else ""
-        shown = ", ".join(map(str, bad[:5])) + (", ..." if len(bad) > 5 else "")
-        print(f"cache {args.cache}: {len(bad)} corrupt line{s} skipped "
-              f"(line{s} {shown})", file=sys.stderr)
+    if cache is not None:
+        _report_skipped(args.cache, "corrupt", cache.corrupt_lines)
+        _report_skipped(args.cache, "stale", cache.stale_lines)
     if args.height is not None:
         fields = fieldscan.enumerate_quintics(
             args.height, max(args.buckets),

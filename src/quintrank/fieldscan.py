@@ -5,10 +5,11 @@ data lazily: discriminant, signature (from the sign of the discriminant
 and, when it is positive, Hermite's form), quadratic resolvent, S5
 certificate, and a dedupe fingerprint (squarefree discriminant kernel
 plus the factorization patterns at the first 20 primes not dividing the
-discriminant).  Fingerprint identity is a heuristic for field
-isomorphism, not a proof, so a merge that _provably_same_field cannot
-prove (a translation between a mirror or reciprocal image of each side)
-is audited against 30 further primes, and a disagreement raises
+discriminant, as one string of codes, "23 5 5 113 ...", each the digits
+of a pattern's factor degrees).  Fingerprint identity is a heuristic
+for field isomorphism, not a proof, so a merge that _provably_same_field
+cannot prove (a translation between a mirror or reciprocal image of each
+side) is audited against 30 further primes, and a disagreement raises
 instead of silently collapsing two fields.
 The certificate, the fingerprint and the audit all read one
 append-only list of patterns at those primes, in increasing order, so
@@ -34,17 +35,16 @@ the discriminant is a quartic in a0, so each row computes its five
 coefficients once and each entry's discriminant by one Horner step.  A
 QuinticField is built only once its discriminant is within the bound.
 
-The cache is a JSONL file that put appends to, one canonical JSON line
-per record: '{"checksum":"<SHA-256 hex>",' and then the rest of the
-record's canonical text, with the digest taken over that stored text.
-Corrupt lines are detected at load, listed in corrupt_lines (which
-`scan --cache` reports on stderr), and simply recomputed.  A record is
-served only to a request with the prime budget it was derived with,
-and only if it was derived with DEFAULT_TRIAL_BOUND; any other request
-derives the field afresh and its record replaces the old one.  A load
-that finds corrupt or superseded lines rewrites the file with one line
-per record, so each is reported once.  Single writer, and a load that
-rewrites counts as one.
+The cache is a JSONL file of checksummed records, laid out as FieldCache
+says; a record carries "version" and its fingerprint's code string,
+which a rebuilt field decodes into its pattern stream only when an audit
+grows the stream.  Corrupt lines and stale ones (records of another
+version) are listed at load, reported by `scan --cache` on stderr, never
+served, and recomputed.  A record is served only to a request with the
+prime budget it was derived with, and only if it was derived with
+DEFAULT_TRIAL_BOUND; any other request derives the field afresh and its
+record replaces the old one.  Single writer, and a load that rewrites
+the file counts as one.
 """
 
 from __future__ import annotations
@@ -87,6 +87,10 @@ AUDIT_PRIMES = 30
 # than one factor_pattern_mod_p call per prime; both cost about the same
 # between 3000 and 5000 on the stream's 400th to 800th primes
 _BLOCK_BELOW = 4000
+# each factor pattern of a squarefree quintic, as the digits of its degrees
+_CODE = {pattern: "".join(map(str, pattern)) for pattern in (
+    (5,), (2, 3), (1, 4), (1, 2, 2), (1, 1, 3), (1, 1, 1, 2), (1, 1, 1, 1, 1))}
+_PATTERN_OF = {code: pattern for pattern, code in _CODE.items()}
 
 
 class NotSeparable(ValueError):
@@ -114,7 +118,7 @@ class QuinticField:
         self.label = label if label is not None else str(poly)
         self.prime_budget = prime_budget
         self.disc = disc
-        self._patterns = []
+        self._patterns = []     # None on a rebuilt field until it grows
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -157,7 +161,11 @@ class QuinticField:
         never past the _budget_good patterns a certificate can read,
         unless `count` asks for more (as the audit does at small
         budgets).  A block's primes below _BLOCK_BELOW share one
-        quintic_patterns pass; larger ones go one at a time."""
+        quintic_patterns pass; larger ones go one at a time.  A field
+        rebuilt from a record starts from its fingerprint's codes."""
+        if self._patterns is None:
+            self._patterns = [_PATTERN_OF[code]
+                              for code in self.fingerprint[1].split()]
         patterns, disc = self._patterns, self.disc
         audited = FINGERPRINT_PRIMES + AUDIT_PRIMES
         while len(patterns) < count:
@@ -176,9 +184,11 @@ class QuinticField:
         return patterns
 
     @cached_property
-    def fingerprint(self) -> tuple:
+    def fingerprint(self) -> tuple[int, str]:
+        """(squarefree kernel, the first 20 stream patterns' codes)."""
+        first = self._stream(FINGERPRINT_PRIMES)[:FINGERPRINT_PRIMES]
         return (self.resolvent.squarefree_kernel,
-                tuple(self._stream(FINGERPRINT_PRIMES)[:FINGERPRINT_PRIMES]))
+                " ".join(map(_CODE.__getitem__, first)))
 
     @property
     def extended_fingerprint(self) -> tuple:
@@ -193,7 +203,6 @@ class QuinticField:
         sig = self.signature
         rd = self.resolvent
         cert = self.certificate
-        fp = self.fingerprint
         return {
             "coeffs": list(self.coeffs),
             "label": self.label,
@@ -203,39 +212,44 @@ class QuinticField:
                           rd.complete, rd.degenerate],
             "s5": [cert.status, cert.five_cycle_witness,
                    cert.transposition_witness, cert.primes_scanned],
-            "fingerprint": [fp[0], [list(p) for p in fp[1]]],
+            "fingerprint": list(self.fingerprint),
             "prime_budget": self.prime_budget,
             "trial_bound": DEFAULT_TRIAL_BOUND,
+            "version": CACHE_VERSION,
         }
 
     @staticmethod
     def from_record(rec: dict) -> "QuinticField":
-        """Rebuild without recomputing anything; the fingerprint patterns
-        seed the pattern stream, so an audit computes only its own."""
+        """Rebuild without recomputing anything; the stream is decoded
+        from the fingerprint's codes only when it must grow, so an audit
+        computes only its own patterns."""
         self = QuinticField(IntPolynomial.descending(rec["coeffs"]),
                             rec["label"], rec["prime_budget"], rec["disc"])
         self.signature = tuple(rec["signature"])
         self.resolvent = ResolventData(*rec["resolvent"])
         self.certificate = S5Certificate(*rec["s5"])
-        patterns = tuple(map(tuple, rec["fingerprint"][1]))
-        self.fingerprint = (rec["fingerprint"][0], patterns)
-        self._patterns = list(patterns)
+        self.fingerprint = tuple(rec["fingerprint"])
+        self._patterns = None
         return self
 
 
 # -- cache ---------------------------------------------------------------------
 
 
+CACHE_VERSION = 2           # records without a "version" key were 1
 _CHECKSUM_OPEN = '{"checksum":"'
 _RECORD_AT = len(_CHECKSUM_OPEN) + 64 + 2    # past the digest and '",'
-_RECORD_KEYS = frozenset(("coeffs", "label", "disc", "signature", "resolvent",
-                          "s5", "fingerprint", "prime_budget", "trial_bound"))
+_UNVERSIONED_KEYS = frozenset(("coeffs", "label", "disc", "signature",
+                               "resolvent", "s5", "fingerprint",
+                               "prime_budget", "trial_bound"))
+_RECORD_KEYS = _UNVERSIONED_KEYS | {"version"}
+_STALE: dict = {}           # _record_of's answer for a stale line
 
 
 def _record_of(line: str) -> Optional[dict]:
-    """The record on a cache line, or None when the line is not
-    '{"checksum":"<digest>",' plus record text whose SHA-256 is that
-    digest and which holds exactly the keys of a record."""
+    """The record on a cache line; _STALE for a checksummed record of
+    another version, and None unless the line is '{"checksum":"<digest>",'
+    plus record text of that SHA-256 with exactly the keys of a record."""
     if not line.startswith(_CHECKSUM_OPEN) \
             or line[_RECORD_AT - 2:_RECORD_AT] != '",':
         return None
@@ -247,7 +261,10 @@ def _record_of(line: str) -> Optional[dict]:
         rec = json.loads(text)
     except json.JSONDecodeError:
         return None
-    return rec if rec.keys() == _RECORD_KEYS else None
+    if rec.get("version") == CACHE_VERSION:
+        return rec if rec.keys() == _RECORD_KEYS else None
+    return _STALE if "version" in rec or rec.keys() == _UNVERSIONED_KEYS \
+        else None
 
 
 def _line_of(rec: dict) -> str:
@@ -261,23 +278,26 @@ class FieldCache:
 
     Each line is canonical JSON (sorted keys, no spaces) of the record
     plus its SHA-256 checksum.  "checksum" sorts before every record
-    key, so a line is '{"checksum":"<64 hex>",' followed by the rest of
-    the record's canonical text, and the digest is that of "{" + rest
-    as stored: a load hashes the characters on disk and parses them
-    once, and never re-encodes a record.  Lines in any other layout,
-    failing their checksum, or without exactly the keys of
-    QuinticField.to_record are skipped and listed in corrupt_lines;
-    callers recompute and re-put, and the newest record for a key wins
-    on reload.  A load that finds a corrupt line or a superseded record
-    rewrites the file with one line per record, the newest, in the bytes
-    put writes: into path + ".tmp", which then replaces the file.  If
-    that write fails, the file is left as it was.
+    key, "version" included, so a line is '{"checksum":"<64 hex>",' and
+    the rest of the record's canonical text, whose digest is that of
+    "{" + rest as stored: a load hashes and parses the characters on
+    disk once, and never re-encodes a record.  A line in another layout,
+    failing its checksum, or of this version without exactly the keys
+    of QuinticField.to_record is corrupt (corrupt_lines); a checksummed
+    record of another version, or in the unversioned layout, is stale
+    (stale_lines).  Neither is served; callers recompute and re-put, and
+    the newest record for a key wins on reload.  A load that finds such
+    a line or a superseded record rewrites the file with one line per
+    record, the newest, in the bytes put writes: into path + ".tmp",
+    which then replaces the file.  If that write fails, the file is left
+    as it was.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self._by_coeffs: dict[tuple, dict] = {}
         self.corrupt_lines: list[int] = []
+        self.stale_lines: list[int] = []
         if not self.path.exists():
             return
         records = 0
@@ -288,10 +308,13 @@ class FieldCache:
                 rec = _record_of(line)
                 if rec is None:
                     self.corrupt_lines.append(lineno)
-                    continue
-                records += 1
-                self._by_coeffs[tuple(rec["coeffs"])] = rec
-        if self.corrupt_lines or records > len(self._by_coeffs):
+                elif rec is _STALE:
+                    self.stale_lines.append(lineno)
+                else:
+                    records += 1
+                    self._by_coeffs[tuple(rec["coeffs"])] = rec
+        if self.corrupt_lines or self.stale_lines \
+                or records > len(self._by_coeffs):
             tmp = self.path.with_name(self.path.name + ".tmp")
             with suppress(OSError):
                 with open(tmp, "w", encoding="utf-8") as fh:

@@ -17,12 +17,15 @@ matrices (one row per triple or pair, reduced mod 2) and from the
 full sparse coboundary rows, coboundary witnesses from all n^2
 equations, group tables from every pairwise product, quintic
 enumeration by deriving every vector of the coefficient box, and
-mirror/reciprocal orbits by transforming the polynomial itself.  It
+mirror/reciprocal orbits by transforming the polynomial itself, and
+cache lines in the unversioned layout by re-signing a record.  It
 also holds the test-only cyclic groups, direct products and full
 homomorphism check of a representation, and the modular group of
 order 16 as a non-permutation closure input.
 """
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -705,3 +708,17 @@ class M16(tuple):
     def __mul__(self, y):
         return M16(((self[0] + y[0] * pow(5, self[1], 8)) % 8,
                     (self[1] + y[1]) % 2))
+
+
+def unversioned_cache_line(rec: dict) -> str:
+    """The cache line of rec in the layout before records carried a
+    version: no "version" key, the fingerprint patterns as lists of
+    factor degrees, and the SHA-256 of the canonical record text after
+    '{"checksum":"<digest>",'.  rec may hold its own line's checksum."""
+    old = {key: value for key, value in rec.items()
+           if key not in ("checksum", "version")}
+    kernel, codes = rec["fingerprint"]
+    old["fingerprint"] = [kernel, [list(map(int, c)) for c in codes.split()]]
+    text = json.dumps(old, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return '{"checksum":"' + digest + '",' + text[1:] + "\n"

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from oracles import unversioned_cache_line
 
 from quintrank import InternalCheckFailed, cli, fieldscan, rankgrowth
 from quintrank.cli import main
@@ -474,6 +475,34 @@ def test_scan_reports_corrupt_cache_lines_on_stderr(tmp_path, capsys):
     assert third == (first.out, "")
     warm = cache.read_text(encoding="utf-8")
     assert sorted(warm.splitlines()) == sorted(cold.splitlines())
+
+
+def test_scan_reads_a_cache_in_the_unversioned_layout(tmp_path, capsys):
+    # every line of the layout before the version key is stale: stdout is
+    # that of a scan without a cache, stderr names the lines, and the
+    # load leaves only lines of this version in the file
+    cache = tmp_path / "cache.jsonl"
+    argv = ["scan", "--curve", CURVE37, "--height", "1",
+            "--buckets", "3000,100000", "--json"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--cache", str(cache)]) == 0
+    assert capsys.readouterr() == plain
+    current = cache.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in current]
+    cache.write_text("".join(map(unversioned_cache_line, records)),
+                     encoding="utf-8")
+    assert main(argv + ["--cache", str(cache)]) == 0
+    stale = capsys.readouterr()
+    assert stale.out == plain.out and len(records) > 5
+    assert stale.err == (f"cache {cache}: {len(records)} stale lines skipped "
+                         f"(lines 1, 2, 3, 4, 5, ...)\n")
+    after = cache.read_text(encoding="utf-8").splitlines()
+    assert {json.loads(line)["version"] for line in after} \
+        == {fieldscan.CACHE_VERSION}
+    assert sorted(after) == sorted(current)
+    assert main(argv + ["--cache", str(cache)]) == 0
+    assert capsys.readouterr() == plain
 
 
 def test_scan_path_imports_no_numpy():

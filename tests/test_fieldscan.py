@@ -16,6 +16,7 @@ from oracles import (
     quintic_orbit,
     sturm_root_count,
     subresultant_discriminant,
+    unversioned_cache_line,
 )
 
 import quintrank
@@ -47,6 +48,12 @@ def field_of(*desc, **kw):
     return QuinticField(IntPolynomial.descending(desc), **kw)
 
 
+def decode(codes: str) -> list[tuple[int, ...]]:
+    """The patterns of a fingerprint's codes: each code is the digits of
+    one pattern's factor degrees."""
+    return [tuple(map(int, code)) for code in codes.split()]
+
+
 def collect_errors():
     errs = []
     return errs, lambda lineno, msg: errs.append((lineno, msg))
@@ -63,10 +70,12 @@ def test_flagship_field_derivations():
     assert f.signature == (1, 2)
     assert f.resolvent.fundamental_disc == 2869
     assert f.s5_status == "Certified"
-    kernel, patterns = f.fingerprint
+    kernel, codes = f.fingerprint
     assert kernel == 2869
-    assert len(patterns) == 20
-    assert all(sum(p) == 5 for p in patterns)
+    assert isinstance(codes, str)
+    good = [p for p in first_primes(40) if f.disc % p][:20]
+    assert decode(codes) == f._stream(20)[:20] == [
+        factor_pattern_mod_p(f.poly, p, f.disc).pattern for p in good]
     assert len(f.extended_fingerprint) == 30
 
 
@@ -226,7 +235,7 @@ def test_first_block_is_the_fingerprint_at_small_budgets(monkeypatch):
         f = field_of(*desc, prime_budget=3)
         assert f.certificate.primes_scanned <= 3
         assert len(f._patterns) == 20
-        assert len(f.fingerprint[1]) == 20
+        assert decode(f.fingerprint[1]) == f._patterns
     assert len(calls) == 20 * len(STREAM_SAMPLES)
     for budget in (3, 40):
         f = field_of(1, 0, 0, 0, 0, -2, prime_budget=budget)
@@ -363,6 +372,32 @@ def test_reciprocal_then_shift_merges_without_audit(monkeypatch):
     assert f.fingerprint == g.fingerprint
     assert list(dedupe_stream([f, g])) == [f]
     assert list(dedupe_stream([g, f])) == [g]
+
+
+def test_served_and_derived_fields_of_one_class_merge(tmp_path, monkeypatch):
+    # one field from the cache and its shift derived afresh: the merge
+    # audits them (the shift proof is switched off), and the served
+    # field's stream starts from its decoded codes when the audit grows it
+    store = tmp_path / "cache.jsonl"
+    FieldCache(store).put(field_of(1, 0, 0, 0, -1, -1))
+    monkeypatch.setattr(fieldscan, "_provably_same_field", lambda a, b: False)
+    for served_first in (True, False):
+        served = FieldCache(store).get((1, 0, 0, 0, -1, -1))
+        fresh = field_of(1, -5, 10, -10, 4, -1)
+        assert served.fingerprint == fresh.fingerprint
+        audits = []
+        real = QuinticField._stream
+
+        def stream(self, n):
+            audits.append((self is served, len(self._patterns or ())))
+            return real(self, n)
+        monkeypatch.setattr(QuinticField, "_stream", stream)
+        pair = [served, fresh] if served_first else [fresh, served]
+        assert list(dedupe_stream(pair)) == pair[:1]
+        monkeypatch.setattr(QuinticField, "_stream", real)
+        assert sorted(audits) == [(False, 20), (True, 0)]
+        assert served._patterns == fresh._patterns
+        assert len(served._patterns) == 50
 
 
 def test_false_merge_is_surfaced():
@@ -706,15 +741,25 @@ def test_cache_serves_only_records_with_the_requested_parameters(tmp_path):
     assert store.read_text() == quintrank.canonical_json(line) + "\n"
 
 
-# written by FieldCache.put for x^5 - x - 1 before the loader read the
-# digest off the stored text; the bytes must stay loadable and stay put's
-GOLDEN_LINE = (
+# written by FieldCache.put for x^5 - x - 1 before records carried a
+# version and their fingerprint as codes: a stale line now
+UNVERSIONED_LINE = (
     '{"checksum":"9c85b33dbbd44ed307f6027418c9cc0a7ba10528cb9eda683eca45249e'
     'e71a73","coeffs":[1,0,0,0,-1,-1],"disc":2869,"fingerprint":[2869,[[2,3'
     '],[5],[5],[2,3],[5],[5],[1,1,3],[1,4],[1,4],[1,4],[2,3],[1,1,3],[1,1,3'
     '],[1,1,3],[1,1,3],[2,3],[1,4],[1,2,2],[1,2,2],[2,3]]],"label":"x^5 - x'
     ' - 1","prime_budget":200,"resolvent":[2869,2869,2869,true,false],"s5":'
     '["Certified",3,163,36],"signature":[1,2],"trial_bound":1000000}\n')
+
+# written by FieldCache.put for x^5 - x - 1 in the versioned layout; the
+# bytes must stay loadable and stay put's
+GOLDEN_LINE = (
+    '{"checksum":"3ed936f4afe0e8a4cfc08ea7519ecced7da9135ae0bfbcf27cca4cfd45'
+    'ef8ea6","coeffs":[1,0,0,0,-1,-1],"disc":2869,"fingerprint":[2869,"23 5 5'
+    ' 23 5 5 113 14 14 14 23 113 113 113 113 23 14 122 122 23"],"label":"x^5'
+    ' - x - 1","prime_budget":200,"resolvent":[2869,2869,2869,true,false],"s5'
+    '":["Certified",3,163,36],"signature":[1,2],"trial_bound":1000000,"versi'
+    'on":2}\n')
 
 
 def signed_line(rec: dict) -> str:
@@ -725,10 +770,21 @@ def signed_line(rec: dict) -> str:
 
 
 def test_cache_golden_line_loads_and_put_writes_it_back(tmp_path):
+    # the unversioned line is stale: never served, and dropped by the
+    # load's rewrite, which keeps the versioned line after it
     old = tmp_path / "old.jsonl"
-    old.write_text(GOLDEN_LINE, encoding="utf-8")
+    old.write_text(UNVERSIONED_LINE, encoding="utf-8")
     cache = FieldCache(old)
-    assert cache.corrupt_lines == [] and len(cache) == 1
+    assert cache.stale_lines == [1] and cache.corrupt_lines == []
+    assert len(cache) == 0 and cache.get((1, 0, 0, 0, -1, -1)) is None
+    assert old.read_text(encoding="utf-8") == ""
+    assert unversioned_cache_line(json.loads(GOLDEN_LINE)) == UNVERSIONED_LINE
+    old.write_text(UNVERSIONED_LINE + GOLDEN_LINE, encoding="utf-8")
+    cache = FieldCache(old)
+    assert cache.stale_lines == [1] and cache.corrupt_lines == []
+    assert len(cache) == 1 and old.read_text(encoding="utf-8") == GOLDEN_LINE
+    cache = FieldCache(old)
+    assert cache.stale_lines == cache.corrupt_lines == [] and len(cache) == 1
     served = cache.get((1, 0, 0, 0, -1, -1))
     assert served.disc == 2869 and served.s5_status == "Certified"
     for field in (served, field_of(1, 0, 0, 0, -1, -1)):
@@ -748,6 +804,35 @@ def test_cache_line_is_checksum_then_the_record_text(tmp_path):
     cache.put(field_of(1, 0, 0, 0, -1, -1, label="é ✓"))
     assert store.read_text(encoding="utf-8") == signed_line(rec)
     assert FieldCache(store).get((1, 0, 0, 0, -1, -1)).label == "é ✓"
+
+
+def test_record_keys_carry_the_version_after_the_checksum():
+    rec = field_of(1, 0, 0, 0, -1, -1).to_record()
+    assert "version" in fieldscan._RECORD_KEYS and rec.keys() \
+        == fieldscan._RECORD_KEYS
+    assert rec["version"] == fieldscan.CACHE_VERSION
+    assert sorted(fieldscan._RECORD_KEYS | {"checksum"})[0] == "checksum"
+
+
+def test_records_of_another_version_are_stale(tmp_path):
+    # a checksummed record of another version, or in the unversioned
+    # layout, is stale: not served, dropped at load, derived again; a
+    # record of this version without every key is corrupt
+    store = tmp_path / "cache.jsonl"
+    rec = field_of(1, 0, 0, 0, -1, -1).to_record()
+    other = field_of(1, 0, 0, 0, -4, 2).to_record()
+    partial = {k: v for k, v in other.items() if k != "label"}
+    store.write_text(
+        signed_line(dict(rec, version=3)) + signed_line(dict(rec, version=1))
+        + unversioned_cache_line(rec) + signed_line({"version": 0})
+        + signed_line(partial) + signed_line(other), encoding="utf-8")
+    cache = FieldCache(store)
+    assert cache.stale_lines == [1, 2, 3, 4] and cache.corrupt_lines == [5]
+    assert cache.get(rec["coeffs"]) is None and len(cache) == 1
+    assert store.read_text(encoding="utf-8") == signed_line(other)
+    assert field_from_coeffs(rec["coeffs"], cache=cache).to_record() == rec
+    again = FieldCache(store)
+    assert again.stale_lines == again.corrupt_lines == [] and len(again) == 2
 
 
 def test_cache_line_in_another_layout_is_corrupt(tmp_path):
@@ -811,10 +896,13 @@ def _write_pinned_records(path) -> list[dict]:
     return [json.loads(line) for line in Path(path).read_text().splitlines()]
 
 
-# sha256 of the file _write_pinned_records writes, recorded while every
+# sha256 of the file _write_pinned_records writes, and of the same
+# records in the unversioned layout; the second was recorded while every
 # discriminant came from subresultants, every signature from a Sturm
 # chain and Miller-Rabin ran once per run of primes
 PINNED_RECORDS_SHA256 = \
+    "ac1ff91823d7fa3a798737aaac985c51b3972edbbb54a06e140820a47f59218a"
+UNVERSIONED_RECORDS_SHA256 = \
     "ecc8cbd87a5d1cc4049a8d11d55714b2405e9136198817ee20217e362c582f2f"
 
 
@@ -823,6 +911,11 @@ def test_cold_cache_records_are_pinned(tmp_path):
     records = _write_pinned_records(store)
     assert hashlib.sha256(store.read_bytes()).hexdigest() \
         == PINNED_RECORDS_SHA256
+    # each record, its codes decoded and its version removed, is the
+    # record the unversioned layout wrote
+    unversioned = "".join(map(unversioned_cache_line, records))
+    assert hashlib.sha256(unversioned.encode("utf-8")).hexdigest() \
+        == UNVERSIONED_RECORDS_SHA256
     # what the set is meant to cover
     rows = records[-len(PINNED_ROWS) - 30:]
     assert {rec["disc"] > 0 for rec in rows} == {True, False}
