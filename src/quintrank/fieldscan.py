@@ -135,12 +135,12 @@ class QuinticField:
 
     @cached_property
     def resolvent(self) -> ResolventData:
-        return resolvent(self.poly, disc=self.disc)
+        return resolvent(self.disc)
 
     @cached_property
     def certificate(self) -> S5Certificate:
-        return certify_s5(self.poly, self.prime_budget, disc=self.disc,
-                          patterns=self._stream)
+        return certify_s5(self.poly, self.prime_budget, self.disc,
+                          self._stream)
 
     @property
     def s5_status(self) -> str:

@@ -16,17 +16,17 @@ trial division by the primes below 1000, then gcds with products of runs
 of larger primes up to the trial bound (D. J. Bernstein, "How to find
 smooth parts of integers", 2004) until the cofactor is below the cube of
 the next untried prime, then Miller-Rabin, once per cofactor and
-deterministic below the bound proven by Sorenson and Webster (2017);
-whenever a cofactor cannot be resolved the result carries complete=False
-rather than a guess.
+deterministic below the bound proven by Sorenson and Webster (2017).
+A cofactor that none of these resolves leaves complete=False.  One that
+Miller-Rabin calls prime above that bound is taken as prime with
+complete=True, so such a kernel rests on a probable prime (see
+"Miller-Rabin range" in ROADMAP.md).
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache, reduce
 from itertools import compress, dropwhile, islice
 from typing import Callable, Iterator, Optional
@@ -44,20 +44,13 @@ _TRIAL_BELOW = 1000
 _CHUNK = 512
 
 
-class NotSquarefree(RuntimeError):
-    """A zero discriminant: real_root_count and resolvent need a
-    squarefree quintic."""
-
-
-_DECIMAL = re.compile(r"[+-]?[0-9]+")
-
-
 def parse_int(text: str) -> int:
     """A decimal integer: an optional sign and ASCII digits, with
     surrounding whitespace.  Plain int() would also take underscores
     and non-ASCII digits."""
     stripped = text.strip()
-    if _DECIMAL.fullmatch(stripped) is None:
+    digits = stripped[1:] if stripped[:1] in ("+", "-") else stripped
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"expected an integer, got {text!r}")
     return int(stripped)
 
@@ -229,7 +222,9 @@ def squarefree_kernel(n: int) -> SquarefreeResult:
     (10^6), then the cofactor is resolved when it is 1, a probable
     prime, a perfect square, or a semiprime forced by size (below p^3,
     p the smallest prime not tried); otherwise the cofactor is kept in
-    the kernel and complete=False.
+    the kernel and complete=False.  Above _MR_PROVEN a probable prime
+    is not proven prime, yet it still gives complete=True (see
+    "Miller-Rabin range" in ROADMAP.md).
 
     Primes below 1000 are tried one by one; larger primes up to the
     bound are taken 512 at a time as a product, whose gcd with the
@@ -371,7 +366,7 @@ def real_root_count(f: IntPolynomial, disc: Optional[int] = None) -> int:
     if disc is None:
         disc = poly_discriminant(f)
     if disc == 0:
-        raise NotSquarefree("polynomial has a repeated root")
+        raise ValueError("polynomial has a repeated root")
     if disc < 0:
         return 3
     a0, a1, a2, a3, a4, a = f.coeffs
@@ -472,16 +467,14 @@ def _frobenius_quintic(c, p):
     return (u0, u1, u2, u3, u4)
 
 
-def factor_pattern_mod_p(f: IntPolynomial, p: int,
-                         disc: Optional[int] = None) -> FactorPattern:
+def factor_pattern_mod_p(f: IntPolynomial, p: int, disc: int
+                         ) -> FactorPattern:
     """Degrees of the irreducible factors of the monic quintic f mod p;
     pattern is omitted when f mod p has a repeated factor.  Read off the
     number of roots of f mod p, deg gcd(x^p - x, f), and (disc|p), with
-    disc computed when not given; exact at every prime."""
+    disc = disc(f); exact at every prime."""
     if f.degree != 5 or f.lc != 1:
         raise ValueError("expected a monic quintic")
-    if disc is None:
-        disc = poly_discriminant(f)
     if disc % p == 0:
         return FactorPattern(False, None)
     c = [a % p for a in f.coeffs]
@@ -571,10 +564,8 @@ def has_integer_root(f: IntPolynomial, p: int) -> bool:
     return False
 
 
-def certify_s5(f: IntPolynomial, prime_budget: int = DEFAULT_PRIME_BUDGET,
-               disc: Optional[int] = None,
-               patterns: Optional[Callable[[int], list]] = None
-               ) -> S5Certificate:
+def certify_s5(f: IntPolynomial, prime_budget: int, disc: int,
+               patterns: Callable[[int], list]) -> S5Certificate:
     """Sound one-sided Galois test for a monic quintic: a prime with
     factor pattern {5} forces transitivity, one with {1,1,1,2} puts a
     transposition in the group, and a transitive degree-5 group with a
@@ -586,15 +577,13 @@ def certify_s5(f: IntPolynomial, prime_budget: int = DEFAULT_PRIME_BUDGET,
     mod every such prime (Dedekind), so no pattern is {5}: once every
     pattern so far has a linear factor and one is {1,1,1,2}, a single
     has_integer_root test may end the scan with the full scan's answer.
-    A caller that keeps a pattern stream passes it as patterns(n): a
+    disc = disc(f), and the caller's pattern stream is patterns(n): a
     list of at least n entries, the patterns at the first primes not
     dividing disc, in order.  The list is read in place, and patterns is
     called again, with one more than the entries read, only once every
     entry of the last list has been read."""
     if f.degree != 5 or f.lc != 1:
         raise ValueError("expected a monic quintic")
-    if disc is None:
-        disc = poly_discriminant(f)
     if disc == 0:
         raise ValueError("discriminant vanishes")
     good = [p for p in first_primes(prime_budget) if disc % p]
@@ -602,12 +591,9 @@ def certify_s5(f: IntPolynomial, prime_budget: int = DEFAULT_PRIME_BUDGET,
     linear = True       # every pattern read so far has a root mod p
     stream = []
     for scanned, p in enumerate(good):
-        if patterns is None:
-            pat = factor_pattern_mod_p(f, p, disc).pattern
-        else:
-            if scanned == len(stream):
-                stream = patterns(scanned + 1)
-            pat = stream[scanned]
+        if scanned == len(stream):
+            stream = patterns(scanned + 1)
+        pat = stream[scanned]
         linear = linear and pat[0] == 1
         if pat == (5,):
             five = five if five is not None else p
@@ -633,26 +619,10 @@ class ResolventData:
     degenerate: bool      # square discriminant: the resolvent collapses
 
 
-def resolvent(f: IntPolynomial, disc: Optional[int] = None) -> ResolventData:
-    if disc is None:
-        disc = poly_discriminant(f)
-    if disc == 0:
-        raise NotSquarefree("zero discriminant has no resolvent")
+def resolvent(disc: int) -> ResolventData:
+    """The quadratic resolvent Q(sqrt disc) of a quintic of discriminant
+    disc; squarefree_kernel raises ValueError on disc = 0."""
     sk = squarefree_kernel(disc)
     D = sk.kernel
     fund = D if D % 4 == 1 else 4 * D
     return ResolventData(disc, D, fund, sk.complete, D == 1)
-
-
-class Splitting(Enum):
-    SPLIT = "Split"
-    INERT = "Inert"
-    RAMIFIED = "Ramified"
-
-
-def splitting_in_resolvent(p: int, rd: ResolventData) -> Splitting:
-    if not rd.complete:
-        raise ValueError("resolvent factorization is incomplete")
-    s = kronecker_symbol(rd.fundamental_disc, p)
-    return Splitting.SPLIT if s == 1 else (
-        Splitting.INERT if s == -1 else Splitting.RAMIFIED)

@@ -10,6 +10,14 @@ N- equals -1.  Odd order forces extra vanishing, so parity Odd yields
 growth Certified; parity Even proves nothing (order 0 and order 2 look
 alike), so those certificates carry growth Unknown, never "no growth".
 
+Both the split test and chi are Kronecker symbols (disc f|p) of the
+polynomial discriminant.  They are read only at primes p not dividing
+disc f, where they equal the symbols of the fundamental discriminant D:
+disc f = D m^2, and disc f = 0 or 1 mod 4 (Stickelberger), so an odd
+disc f has D = 1 mod 4, p = 2 included.  A resolvent whose squarefree
+kernel is incomplete makes the pair inadmissible with the reason
+IncompleteData; it is a reason, not an error.
+
 Reduction type is read off the conductor exponent alone (e = 1
 multiplicative, e >= 2 additive); nothing here needs Tamagawa or
 Kodaira data.  Fields are consumed through a small protocol: .label,
@@ -22,13 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import InternalCheckFailed
-from .numtheory import (
-    Splitting,
-    is_probable_prime,
-    kronecker_symbol,
-    parse_int,
-    splitting_in_resolvent,
-)
+from .numtheory import is_probable_prime, kronecker_symbol, parse_int
 
 # admissibility reason codes, in check order
 REASON_NOT_S5 = "NotCertifiedS5"
@@ -37,10 +39,6 @@ REASON_SIGNATURE = "WrongSignature"
 REASON_RAMIFIED = "RamifiedPrime"
 REASON_NONSPLIT = "NonSplitPrime"
 REASON_INCOMPLETE = "IncompleteData"
-
-
-class IncompleteData(RuntimeError):
-    """The field's resolvent factorization did not complete."""
 
 
 @dataclass(frozen=True)
@@ -135,10 +133,10 @@ class ParityCertificate:
 def admissible(curve: CurveData, field) -> Admissibility:
     """Hypothesis checks, in order: certified S5 field, odd conductor,
     one real embedding, no conductor prime ramified in the field, every
-    additive prime split in the resolvent."""
+    additive prime split in the resolvent.  An incomplete resolvent
+    kernel is the only reason given when it occurs."""
     if not field.resolvent.complete:
-        raise IncompleteData(
-            f"resolvent of {field.label} has an unresolved cofactor")
+        return Admissibility(False, (REASON_INCOMPLETE,))
     reasons = []
     if field.s5_status != "Certified":
         reasons.append(REASON_NOT_S5)
@@ -149,10 +147,9 @@ def admissible(curve: CurveData, field) -> Admissibility:
     if any(field.disc % p == 0 for p, _ in curve.factorization):
         reasons.append(REASON_RAMIFIED)
     for p, e in curve.factorization:
-        # the splitting test only makes sense at unramified primes;
-        # ramified ones are already reported above
-        if e >= 2 and field.disc % p != 0 and \
-                splitting_in_resolvent(p, field.resolvent) is not Splitting.SPLIT:
+        # an additive prime splits when (disc f|p) = 1; ramified ones,
+        # where the symbol is 0, are already reported above
+        if e >= 2 and kronecker_symbol(field.disc, p) == -1:
             reasons.append(REASON_NONSPLIT)
             break
     return Admissibility(not reasons, tuple(reasons))
@@ -161,22 +158,17 @@ def admissible(curve: CurveData, field) -> Admissibility:
 def certify_pair(curve: CurveData, field) -> ParityCertificate:
     """The parity certificate of a pair; non-admissible pairs get a
     certificate carrying the reasons instead of an error."""
-    try:
-        adm = admissible(curve, field)
-    except IncompleteData:
-        return ParityCertificate(curve.label, field.label, False,
-                                 (REASON_INCOMPLETE,), None, None, "Unknown")
+    adm = admissible(curve, field)
     if not adm.ok:
         return ParityCertificate(curve.label, field.label, False,
                                  adm.reasons, None, None, "Unknown")
-    fund = field.resolvent.fundamental_disc
     chi = 1
     for p, e in curve.factorization:
         if e == 1:
-            chi *= kronecker_symbol(fund, p)
+            chi *= kronecker_symbol(field.disc, p)
     # the bottom argument is completely multiplicative: the prime-by-prime
     # product must equal the one-shot symbol over N-
-    if chi != kronecker_symbol(fund, curve.multiplicative_part):
+    if chi != kronecker_symbol(field.disc, curve.multiplicative_part):
         raise InternalCheckFailed("parity cross-check failed: routes disagree")
     odd = chi == -1
     return ParityCertificate(

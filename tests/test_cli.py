@@ -15,9 +15,13 @@ from quintrank import InternalCheckFailed, cli, fieldscan, rankgrowth
 from quintrank.cli import main
 from quintrank.cocycles import TooLarge
 from quintrank.groups import CapExceeded
-from quintrank.numtheory import IntPolynomial, NotSquarefree
-from quintrank.rankgrowth import IncompleteData
-from quintrank.reps import ClosureFailure, DimensionOverflow, NonIntegral
+from quintrank.numtheory import IntPolynomial
+from quintrank.reps import (
+    ClosureFailure,
+    DimensionOverflow,
+    NonIntegral,
+    PreconditionViolated,
+)
 
 FLAGSHIP_POLY = "1,0,0,0,-1,-1"
 CURVE37 = "37a 37 37^1"
@@ -215,9 +219,9 @@ def test_false_merge_exits_one(capsys, monkeypatch):
 @pytest.mark.parametrize("error, code", [
     (InternalCheckFailed("stub"), 1),
     (fieldscan.FalseMergeError("stub"), 1),
-    (NotSquarefree("stub"), 3),
+    (PreconditionViolated("stub"), 3),
     (DimensionOverflow("stub"), 3),
-    (IncompleteData("stub"), 3),
+    (fieldscan.NotSeparable("stub"), 3),
     (RuntimeError("stub"), 3),
     (TooLarge("stub"), 3),
     (CapExceeded("stub"), 3),

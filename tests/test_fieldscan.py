@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from oracles import (
+    certify_s5_full_scan,
     count_real_roots_bisection,
     enumerate_full_box,
     quintic_orbit,
@@ -34,7 +35,6 @@ from quintrank.fieldscan import (
 )
 from quintrank.numtheory import (
     IntPolynomial,
-    certify_s5,
     factor_pattern_mod_p,
     first_primes,
     poly_discriminant,
@@ -52,6 +52,12 @@ def decode(codes: str) -> list[tuple[int, ...]]:
     """The patterns of a fingerprint's codes: each code is the digits of
     one pattern's factor degrees."""
     return [tuple(map(int, code)) for code in codes.split()]
+
+
+def full_scan(poly, budget, disc):
+    """The full scan's certificate, its patterns one prime at a time."""
+    return certify_s5_full_scan(
+        poly, budget, pattern=lambda p: factor_pattern_mod_p(poly, p, disc))
 
 
 def collect_errors():
@@ -177,7 +183,7 @@ def _count_patterns(monkeypatch, one_at_a_time=None) -> Counter:
         calls.update((f.coeffs, p) for p in primes)
         return real_block(f, primes, disc)
 
-    def one(f, p, disc=None):
+    def one(f, p, disc):
         calls[f.coeffs, p] += 1
         if one_at_a_time is not None:
             one_at_a_time.append(p)
@@ -216,7 +222,7 @@ def test_stream_past_the_block_crossover(monkeypatch):
     calls = _count_patterns(monkeypatch, one_at_a_time)
     poly = IntPolynomial.descending((1, 0, 0, 0, 0, -2))
     f = QuinticField(poly, prime_budget=600)
-    assert f.certificate == certify_s5(poly, 600, f.disc)
+    assert f.certificate == full_scan(poly, 600, f.disc)
     assert len(calls) == 598 and max(calls.values()) == 1
     primes = sorted(p for _, p in calls)
     assert primes == [p for p in first_primes(600) if f.disc % p]
@@ -260,7 +266,7 @@ def test_certificate_reads_each_block_in_place(monkeypatch):
             monkeypatch.setattr(f, "_stream", patterns)
             cert = f.certificate
             assert grown and all(grown), (desc, budget)
-            assert cert == certify_s5(f.poly, budget, f.disc)
+            assert cert == full_scan(f.poly, budget, f.disc)
     # x^5 - 2 at budget 200 reads the blocks ending at 20, 50, 100, 198
     f = field_of(1, 0, 0, 0, 0, -2)
     sizes = []
@@ -284,7 +290,7 @@ def test_stream_fed_certificate_matches_standalone():
             f = QuinticField(poly, prime_budget=budget)
             if i % 2:
                 f.fingerprint        # stream filled before the certificate
-            assert f.certificate == certify_s5(poly, budget, disc)
+            assert f.certificate == full_scan(poly, budget, disc)
 
 
 def test_rebuilt_field_audits_only_the_audit_primes(monkeypatch):
@@ -337,7 +343,8 @@ def test_enumeration_skips_certifying_square_discriminants(monkeypatch):
             squares.append(poly)
     assert len(squares) == 22
     for poly in squares:
-        assert certify_s5(poly, 200).status == "Inconclusive"
+        assert full_scan(poly, 200, poly_discriminant(poly)).status == \
+            "Inconclusive"
         assert QuinticField(poly, prime_budget=40).s5_status == "Inconclusive"
     certified = []
     real = fieldscan.certify_s5

@@ -23,11 +23,9 @@ from oracles import (
 from quintrank import numtheory
 from quintrank.fieldscan import QuinticField, _has_integer_root
 from quintrank.numtheory import (
+    DEFAULT_PRIME_BUDGET,
     FactorPattern,
     IntPolynomial,
-    NotSquarefree,
-    ResolventData,
-    Splitting,
     SquarefreeResult,
     certify_s5,
     disc_coeffs_in_a0,
@@ -41,11 +39,23 @@ from quintrank.numtheory import (
     quintic_patterns,
     real_root_count,
     resolvent,
-    splitting_in_resolvent,
     squarefree_kernel,
 )
 
 X5_X_1 = IntPolynomial.descending([1, 0, 0, 0, -1, -1])  # x^5 - x - 1
+
+
+def _pattern(f, p):
+    return factor_pattern_mod_p(f, p, poly_discriminant(f))
+
+
+def _certify(f, budget=DEFAULT_PRIME_BUDGET):
+    """certify_s5 fed, as one list, the patterns at every budget prime
+    not dividing disc f."""
+    disc = poly_discriminant(f)
+    patterns = [factor_pattern_mod_p(f, p, disc).pattern
+                for p in first_primes(budget) if disc % p]
+    return certify_s5(f, budget, disc, lambda n: patterns)
 
 
 def _random_quintics(count, seed=20260819, lo=-30, hi=30):
@@ -65,7 +75,7 @@ def test_parse_int_takes_only_ascii_decimals():
     assert [parse_int(t) for t in ["7", " -12 ", "+3", "-0", "007"]] \
         == [7, -12, 3, 0, 7]
     for bad in ["2.5", "x", "1e3", "1_0", "\u0661", "-\u0661", "", "+",
-                "--1", "1 2", "0x10"]:
+                "--1", "+-1", "\u00b2", "1 2", "0x10"]:
         with pytest.raises(ValueError, match="expected an integer"):
             parse_int(bad)
 
@@ -334,9 +344,9 @@ def test_root_count_fixed_values():
 
 def test_root_count_not_squarefree():
     f = IntPolynomial.descending([1, 0, -3, -2, 0, 0])  # x^2 (x+1)^2 (x-2)
-    with pytest.raises(NotSquarefree):
+    with pytest.raises(ValueError, match="repeated root"):
         real_root_count(f)
-    with pytest.raises(NotSquarefree):
+    with pytest.raises(ValueError, match="repeated root"):
         real_root_count(X5_X_1, disc=0)
 
 
@@ -444,15 +454,15 @@ def test_root_count_determines_discriminant_sign():
 
 
 def test_pattern_fixed_values():
-    assert factor_pattern_mod_p(X5_X_1, 2) == FactorPattern(True, (2, 3))
+    assert _pattern(X5_X_1, 2) == FactorPattern(True, (2, 3))
     x5_x = IntPolynomial([0, -1, 0, 0, 0, 1])
-    assert factor_pattern_mod_p(x5_x, 3) == FactorPattern(True, (1, 1, 1, 2))
+    assert _pattern(x5_x, 3) == FactorPattern(True, (1, 1, 1, 2))
 
 
 def test_pattern_ramified_primes_not_squarefree():
     # 2869 = 19 * 151; both primes see a repeated factor
     for p in (19, 151):
-        assert factor_pattern_mod_p(X5_X_1, p) == FactorPattern(False, None)
+        assert _pattern(X5_X_1, p) == FactorPattern(False, None)
 
 
 def test_pattern_against_brute_factorization():
@@ -463,7 +473,7 @@ def test_pattern_against_brute_factorization():
         f = IntPolynomial(c)
         for p in (2, 3, 5, 7, 11):
             sf, pattern = brute_pattern_mod_p(f.coeffs, p)
-            got = factor_pattern_mod_p(f, p)
+            got = _pattern(f, p)
             assert got.squarefree == sf
             if sf:
                 assert got.pattern == pattern
@@ -476,7 +486,7 @@ def test_pattern_fast_path_matches_general_ddf():
         c[5] = 1
         f = IntPolynomial(c)
         for p in (2, 3, 5, 7, 101, 1223):
-            assert factor_pattern_mod_p(f, p) == ddf_pattern_mod_p(f, p)
+            assert _pattern(f, p) == ddf_pattern_mod_p(f, p)
 
 
 def test_root_count_rule_matches_ddf_for_every_monic_quintic_mod_small_p():
@@ -485,11 +495,10 @@ def test_root_count_rule_matches_ddf_for_every_monic_quintic_mod_small_p():
     for p in (2, 3, 5, 7):
         for tail in product(range(p), repeat=5):
             f = IntPolynomial(list(tail) + [1])
-            assert factor_pattern_mod_p(f, p) == ddf_pattern_mod_p(f, p)
+            assert _pattern(f, p) == ddf_pattern_mod_p(f, p)
 
 
 def test_root_count_rule_matches_ddf_at_first_200_primes():
-    # with and without a given discriminant
     primes = first_primes(200)
     rng = np.random.default_rng(29)
     for _ in range(40):
@@ -500,7 +509,6 @@ def test_root_count_rule_matches_ddf_at_first_200_primes():
         for p in primes:
             expect = ddf_pattern_mod_p(f, p)
             assert factor_pattern_mod_p(f, p, disc) == expect
-            assert factor_pattern_mod_p(f, p) == expect
 
 
 @pytest.mark.parametrize("floor", [2 ** 20, 2 ** 31, 10 ** 12, 2 ** 61])
@@ -513,7 +521,6 @@ def test_root_count_rule_matches_ddf_at_large_primes(floor):
         disc = poly_discriminant(f)
         expect = ddf_pattern_mod_p(f, p)
         assert factor_pattern_mod_p(f, p, disc) == expect
-        assert factor_pattern_mod_p(f, p) == expect
         seen.add(expect.pattern)
     assert len(seen) >= 4
 
@@ -523,9 +530,9 @@ def test_pattern_rejects_non_quintics():
     for coeffs in ([1, 0, 0, 0, 1], [1, 1, 0, 0, 0, 0, 1], [-1, 1],
                    [1, 1, 0, 0, 0, 3]):
         with pytest.raises(ValueError):
-            factor_pattern_mod_p(IntPolynomial(coeffs), 7)
+            factor_pattern_mod_p(IntPolynomial(coeffs), 7, 1)
         with pytest.raises(ValueError):
-            certify_s5(IntPolynomial(coeffs))
+            certify_s5(IntPolynomial(coeffs), 200, 1, lambda n: [])
 
 
 def _good_primes(disc, count):
@@ -621,7 +628,7 @@ def test_pattern_degrees_sum_to_degree():
         c[5] = 1
         f = IntPolynomial(c)
         for p in (2, 3, 5, 13, 101):
-            got = factor_pattern_mod_p(f, p)
+            got = _pattern(f, p)
             if got.squarefree:
                 assert sum(got.pattern) == 5
 
@@ -630,11 +637,11 @@ def test_pattern_degrees_sum_to_degree():
 
 
 def test_certify_flagship_quintic():
-    cert = certify_s5(X5_X_1)
+    cert = _certify(X5_X_1)
     assert cert.status == "Certified"
     p5, p2 = cert.five_cycle_witness, cert.transposition_witness
-    assert factor_pattern_mod_p(X5_X_1, p5).pattern == (5,)
-    assert factor_pattern_mod_p(X5_X_1, p2).pattern == (1, 1, 1, 2)
+    assert _pattern(X5_X_1, p5).pattern == (5,)
+    assert _pattern(X5_X_1, p2).pattern == (1, 1, 1, 2)
     # re-check both witnesses with the exhaustive factorizer
     assert brute_pattern_mod_p(X5_X_1.coeffs, p5) == (True, (5,))
     assert brute_pattern_mod_p(X5_X_1.coeffs, p2) == (True, (1, 1, 1, 2))
@@ -645,7 +652,7 @@ def test_certify_flagship_quintic():
     for budget, want in ((8, ("Inconclusive", 3, None, 7)),
                          (37, ("Inconclusive", 3, None, 35)),
                          (38, ("Certified", 3, 163, 36))):
-        cert = certify_s5(X5_X_1, budget)
+        cert = _certify(X5_X_1, budget)
         assert (cert.status, cert.five_cycle_witness,
                 cert.transposition_witness, cert.primes_scanned) == want
         assert QuinticField(X5_X_1, prime_budget=budget).certificate == cert
@@ -654,7 +661,7 @@ def test_certify_flagship_quintic():
 def test_certify_solvable_quintic_inconclusive():
     # x^5 - 2 has a solvable splitting field: no transposition pattern
     f = IntPolynomial([-2, 0, 0, 0, 0, 1])
-    cert = certify_s5(f)
+    cert = _certify(f)
     assert cert.status == "Inconclusive"
     assert cert.transposition_witness is None
     assert cert.five_cycle_witness is not None
@@ -663,14 +670,16 @@ def test_certify_solvable_quintic_inconclusive():
 def test_certify_reducible_inconclusive():
     # (x^2 + 1)(x^3 - 2): never irreducible mod p
     f = IntPolynomial([-2, 0, -2, 1, 0, 1])
-    cert = certify_s5(f)
+    cert = _certify(f)
     assert cert.status == "Inconclusive"
     assert cert.five_cycle_witness is None
 
 
 def test_certify_degree_precondition():
     with pytest.raises(ValueError):
-        certify_s5(IntPolynomial([1, 0, 0, 0, 1]))
+        certify_s5(IntPolynomial([1, 0, 0, 0, 1]), 200, 1, lambda n: [])
+    with pytest.raises(ValueError, match="discriminant vanishes"):
+        certify_s5(IntPolynomial([0, 0, 0, 0, 0, 1]), 200, 0, lambda n: [])
 
 
 def _times_linear(r, g_desc):
@@ -714,11 +723,13 @@ def test_certify_rooted_height_two_box_matches_full_scan(monkeypatch):
         rooted += 1
         good = [p for p in first_primes(200) if disc % p]
         at = dict(zip(good, quintic_patterns(f, good, disc)))
+        patterns = [at[p].pattern for p in good]
         for budget in (7, 40, 200):
             want = certify_s5_full_scan(f, budget, pattern=at.__getitem__)
             assert want.status == "Inconclusive"
             transpositions += want.transposition_witness is not None
-            assert certify_s5(f, budget) == want, (coeffs, budget)
+            cert = certify_s5(f, budget, disc, lambda n: patterns)
+            assert cert == want, (coeffs, budget)
             field = QuinticField(f, prime_budget=budget)
             assert field.certificate == want, (coeffs, budget)
     assert rooted == 990
@@ -735,7 +746,7 @@ def test_certify_x5_plus_x_never_sees_a_transposition(monkeypatch):
     for budget in (7, 40, 200):
         want = certify_s5_full_scan(f, budget)
         assert want.transposition_witness is None
-        assert certify_s5(f, budget) == want
+        assert _certify(f, budget) == want
         assert QuinticField(f, prime_budget=budget).certificate == want
     assert want == numtheory.S5Certificate("Inconclusive", None, None, 199)
     assert calls == []
@@ -749,7 +760,7 @@ def test_certify_planted_integer_roots_match_full_scan():
         f = IntPolynomial.descending(_times_linear(r, g))
         for budget in (7, 40, 200):
             want = certify_s5_full_scan(f, budget)
-            assert certify_s5(f, budget) == want
+            assert _certify(f, budget) == want
             assert QuinticField(f, prime_budget=budget).certificate == want
 
 
@@ -806,7 +817,7 @@ def test_five_cycle_density_flagship():
         if good == 500:
             break
         good += 1
-        if factor_pattern_mod_p(X5_X_1, p).pattern == (5,):
+        if factor_pattern_mod_p(X5_X_1, p, disc).pattern == (5,):
             hits += 1
     assert good == 500
     assert 0.1 <= hits / good <= 0.3
@@ -982,7 +993,7 @@ def test_squarefree_kernel_small_inputs_leave_chunk_table_unbuilt():
 
 
 def test_resolvent_flagship():
-    rd = resolvent(X5_X_1)
+    rd = resolvent(poly_discriminant(X5_X_1))
     assert rd.disc == 2869
     assert rd.squarefree_kernel == 2869
     assert rd.fundamental_disc == 2869  # 2869 = 4*717 + 1
@@ -991,7 +1002,7 @@ def test_resolvent_flagship():
 
 def test_resolvent_negative_discriminant():
     f = IntPolynomial([0, -4, 0, 0, 0, 1])  # three real roots
-    rd = resolvent(f)
+    rd = resolvent(poly_discriminant(f))
     assert rd.disc < 0 and rd.fundamental_disc < 0
     assert rd.fundamental_disc % 4 in (0, 1)
 
@@ -1001,7 +1012,7 @@ def test_resolvent_degenerate_square_discriminant():
     f = IntPolynomial.descending([1, 1, -4, -3, 3, 1])
     d = poly_discriminant(f)
     assert math.isqrt(d) ** 2 == d
-    rd = resolvent(f)
+    rd = resolvent(d)
     assert rd.degenerate and rd.squarefree_kernel == 1
 
 
@@ -1010,43 +1021,53 @@ def test_resolvent_fundamental_disc_invariants():
         disc = poly_discriminant(f)
         if disc == 0:
             continue
-        rd = resolvent(f)
+        rd = resolvent(disc)
         assert rd.fundamental_disc % 4 in (0, 1)
         if rd.complete:
             quad = disc // rd.squarefree_kernel
             assert quad > 0 and math.isqrt(quad) ** 2 == quad
             for p, e in factor_completely(rd.squarefree_kernel).items():
                 assert e == 1
+    with pytest.raises(ValueError):
+        resolvent(0)
 
 
 def test_resolvent_incomplete_propagates():
-    # a stand-in discriminant whose kernel the fixed bound cannot finish
-    rd = resolvent(X5_X_1, disc=P3 * Q3 * R3)
+    # a stand-in discriminant whose kernel the fixed bound cannot finish;
+    # the unresolved cofactor stays in the kernel, so kernel times a
+    # square is still disc and the symbols at odd p are unchanged (at
+    # p = 2 only a disc = 0 or 1 mod 4, as of a quintic, keeps them)
+    rd = resolvent(P3 * Q3 * R3)
     assert not rd.complete
-    with pytest.raises(ValueError):
-        splitting_in_resolvent(3, rd)
+    quad = rd.disc // rd.squarefree_kernel
+    assert quad * rd.squarefree_kernel == rd.disc
+    assert math.isqrt(quad) ** 2 == quad
+    for p in first_primes(40)[1:]:
+        assert kronecker_symbol(rd.disc, p) == \
+            kronecker_symbol(rd.fundamental_disc, p)
 
 
 def test_splitting_fixed_values():
-    rd = resolvent(X5_X_1)
-    assert splitting_in_resolvent(3, rd) is Splitting.SPLIT
-    assert splitting_in_resolvent(19, rd) is Splitting.RAMIFIED
-    assert splitting_in_resolvent(151, rd) is Splitting.RAMIFIED
-    toy = ResolventData(5, 5, 5, True, False)
-    assert splitting_in_resolvent(2, toy) is Splitting.INERT
+    # the split test of rankgrowth.admissible: (disc f|p) is 1 at split
+    # primes, 0 at ramified ones and -1 at inert ones
+    rd = resolvent(2869)
+    for p, want in ((3, 1), (19, 0), (151, 0), (7, -1), (2, -1)):
+        assert kronecker_symbol(rd.disc, p) == want
+        assert kronecker_symbol(rd.fundamental_disc, p) == want
+    assert kronecker_symbol(5, 2) == -1         # 2 is inert in Q(sqrt 5)
 
 
 def test_splitting_matches_pattern_counts():
     # split primes give the resolvent quadratic two roots mod p
-    rd = resolvent(X5_X_1)
+    rd = resolvent(2869)
     for p in first_primes(60):
         if p == 2 or rd.fundamental_disc % p == 0:
             continue
-        kind = splitting_in_resolvent(p, rd)
+        symbol = kronecker_symbol(rd.disc, p)
         roots = sum(1 for x in range(p)
                     if (x * x - rd.fundamental_disc) % p == 0)
-        assert (kind is Splitting.SPLIT) == (roots == 2)
-        assert (kind is Splitting.INERT) == (roots == 0)
+        assert (symbol == 1) == (roots == 2)
+        assert (symbol == -1) == (roots == 0)
 
 
 # -- polynomial plumbing -----------------------------------------------------------

@@ -1,13 +1,16 @@
 import dataclasses
+from functools import lru_cache
 
 import pytest
+from oracles import ddf_pattern_mod_p
 
-from quintrank.fieldscan import QuinticField
+from quintrank.cli import _load_curves
+from quintrank.fieldscan import QuinticField, enumerate_quintics
 from quintrank import rankgrowth
-from quintrank.numtheory import IntPolynomial, kronecker_symbol
+from quintrank.numtheory import IntPolynomial, first_primes, kronecker_symbol
 from quintrank.rankgrowth import (
+    Admissibility,
     CurveData,
-    IncompleteData,
     admissible,
     certify_pair,
 )
@@ -122,13 +125,15 @@ def test_reasons_accumulate_in_check_order():
 
 
 def test_incomplete_resolvent():
+    # an incomplete kernel is a reason, given alone, not an error
     stub = field_of(1, 0, 0, 0, -1, -1)
     stub.resolvent = dataclasses.replace(stub.resolvent, complete=False)
     assert not stub.resolvent.complete
-    with pytest.raises(IncompleteData):
-        admissible(CURVE37, stub)
+    assert admissible(CURVE37, stub) == Admissibility(False,
+                                                      ("IncompleteData",))
     cert = certify_pair(CURVE37, stub)
     assert cert.reasons == ("IncompleteData",)
+    assert (cert.admissible, cert.chi, cert.growth) == (False, None, "Unknown")
 
 
 # -- parity ---------------------------------------------------------------------
@@ -201,6 +206,45 @@ def test_certificate_invariant_under_generator_change():
         cert = certify_pair(CURVE37, other)
         assert (cert.admissible, cert.chi, cert.parity, cert.growth) == \
             (base.admissible, base.chi, base.parity, base.growth)
+
+
+@lru_cache(maxsize=None)
+def _height_two_box():
+    return tuple(enumerate_quintics(2, 10 ** 6, prime_budget=40))
+
+
+def test_chi_is_the_frobenius_sign_of_the_ddf_oracle():
+    # chi is the product over p || N of (-1)^(5 - number of factors of f
+    # mod p) (Stickelberger), the factors from the ddf oracle, which
+    # never reads the discriminant's kernel or (disc|p)
+    chis = []
+    for curve in _load_curves("sample"):
+        for field in _height_two_box():
+            cert = certify_pair(curve, field)
+            if not cert.admissible:
+                continue
+            sign = 1
+            for p, e in curve.factorization:
+                if e == 1:
+                    factors = ddf_pattern_mod_p(field.poly, p).pattern
+                    sign *= (-1) ** (5 - len(factors))
+            assert cert.chi == sign, (curve.label, field.label)
+            chis.append(sign)
+    assert len(chis) > 1000 and set(chis) == {1, -1}
+
+
+def test_kronecker_of_disc_f_equals_that_of_the_fundamental_disc():
+    # disc f = D m^2 and disc f = 0 or 1 mod 4, so an odd disc f has
+    # D = 1 mod 4: the symbols agree at every p not dividing disc f
+    checked = 0
+    for field in _height_two_box():
+        fund = field.resolvent.fundamental_disc
+        for p in first_primes(46):              # the primes below 200
+            if field.disc % p:
+                assert kronecker_symbol(field.disc, p) == \
+                    kronecker_symbol(fund, p), (field.label, p)
+                checked += p == 2
+    assert checked > 0
 
 
 # -- batch ------------------------------------------------------------------------
