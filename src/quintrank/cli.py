@@ -20,12 +20,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import resources
+from contextlib import nullcontext
+from typing import TYPE_CHECKING
 
-# groups, cocycles and reps pull in numpy; only the algebra commands
-# import them, so scan, certify and analyze-field start without it
-from . import (InternalCheckFailed, canonical_json, fieldscan, numtheory,
-               rankgrowth)
+# Each converter and handler imports the modules it runs, so a command
+# starts with only those: groups, cocycles and reps pull in numpy, which
+# scan, certify and analyze-field never load, and fieldscan, numtheory
+# and rankgrowth are the scan stack, which h2 and standard-rep never load.
+from . import InternalCheckFailed, canonical_json
+
+if TYPE_CHECKING:
+    from . import numtheory, rankgrowth
 
 
 class DataError(ValueError):
@@ -35,6 +40,7 @@ class DataError(ValueError):
 # -- argument converters (failures here are usage errors, exit 2) ----------
 
 def _poly_arg(text: str) -> numtheory.IntPolynomial:
+    from . import numtheory
     parts = text.split(",")
     if len(parts) != 6:
         raise argparse.ArgumentTypeError(
@@ -47,8 +53,9 @@ def _poly_arg(text: str) -> numtheory.IntPolynomial:
 
 
 def _buckets_arg(text: str) -> list[int]:
+    from .numtheory import parse_int
     try:
-        edges = [numtheory.parse_int(p) for p in text.split(",")]
+        edges = [parse_int(p) for p in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-integer bucket edge in {text!r}")
     if not edges or edges[0] <= 0 or any(b <= a for a, b in zip(edges, edges[1:])):
@@ -58,8 +65,9 @@ def _buckets_arg(text: str) -> list[int]:
 
 
 def _int_arg(text: str) -> int:
+    from .numtheory import parse_int
     try:
-        return numtheory.parse_int(text)
+        return parse_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
 
@@ -72,11 +80,19 @@ def _positive_int(text: str) -> int:
 
 
 def _height_arg(text: str) -> int:
+    from .fieldscan import MAX_ENUM_HEIGHT
     n = _int_arg(text)
-    if not 0 <= n <= fieldscan.MAX_ENUM_HEIGHT:
+    if not 0 <= n <= MAX_ENUM_HEIGHT:
         raise argparse.ArgumentTypeError(
-            f"height must be between 0 and {fieldscan.MAX_ENUM_HEIGHT}")
+            f"height must be between 0 and {MAX_ENUM_HEIGHT}")
     return n
+
+
+def _prime_budget(args) -> int:
+    """--prime-budget, or numtheory's default when it was not given."""
+    from .numtheory import DEFAULT_PRIME_BUDGET
+    return DEFAULT_PRIME_BUDGET if args.prime_budget is None \
+        else args.prime_budget
 
 
 # -- shared loaders ---------------------------------------------------------
@@ -84,7 +100,9 @@ def _height_arg(text: str) -> int:
 def _load_curves(token: str) -> list[rankgrowth.CurveData]:
     """Curve specs from a file, one per line; 'sample' names the bundled
     table of odd-conductor curves."""
+    from . import rankgrowth
     if token == "sample":
+        from importlib import resources
         text = resources.files("quintrank").joinpath("data/curves.txt").read_text()
     else:
         try:
@@ -109,7 +127,7 @@ def _load_curves(token: str) -> list[rankgrowth.CurveData]:
 # -- selftest ---------------------------------------------------------------
 
 def _selftest_checks() -> list[dict]:
-    from . import cocycles, groups, reps
+    from . import cocycles, fieldscan, groups, numtheory, rankgrowth, reps
     checks = []
 
     def add(name, fn):
@@ -261,7 +279,8 @@ def _cmd_standard_rep(args) -> int:
 # -- analyze-field ----------------------------------------------------------
 
 def _cmd_analyze_field(args) -> int:
-    field = fieldscan.QuinticField(args.poly, args.label, args.prime_budget)
+    from . import fieldscan
+    field = fieldscan.QuinticField(args.poly, args.label, _prime_budget(args))
     rd = field.resolvent
     cert = field.certificate
     payload = {
@@ -301,11 +320,12 @@ def _cmd_analyze_field(args) -> int:
 # -- certify ----------------------------------------------------------------
 
 def _cmd_certify(args) -> int:
+    from . import fieldscan, rankgrowth
     if args.curve is not None:
         curves = [rankgrowth.CurveData.parse(args.curve)]
     else:
         curves = _load_curves(args.curve_file)
-    field = fieldscan.QuinticField(args.poly, args.label, args.prime_budget)
+    field = fieldscan.QuinticField(args.poly, args.label, _prime_budget(args))
     for curve in curves:
         cert = rankgrowth.certify_pair(curve, field)
         print(canonical_json(cert.to_json_dict()))
@@ -326,21 +346,23 @@ def _report_skipped(path, kind: str, lines: list[int]):
 
 
 def _cmd_scan(args) -> int:
+    from . import fieldscan, rankgrowth
     curve = rankgrowth.CurveData.parse(args.curve)
-    cache = fieldscan.FieldCache(args.cache) if args.cache else None
-    if cache is not None:
-        _report_skipped(args.cache, "corrupt", cache.corrupt_lines)
-        _report_skipped(args.cache, "stale", cache.stale_lines)
-    if args.height is not None:
-        fields = fieldscan.enumerate_quintics(
-            args.height, max(args.buckets),
-            prime_budget=args.prime_budget, cache=cache)
-    else:
-        raw = fieldscan.ingest_fields(args.fields, fmt=args.format,
-                                      cache=cache,
-                                      prime_budget=args.prime_budget)
-        fields = fieldscan.dedupe_stream(raw)
-    report = fieldscan.scan(curve, fields, args.buckets)
+    budget = _prime_budget(args)
+    with (fieldscan.FieldCache(args.cache) if args.cache
+          else nullcontext()) as cache:
+        if cache is not None:
+            _report_skipped(args.cache, "corrupt", cache.corrupt_lines)
+            _report_skipped(args.cache, "stale", cache.stale_lines)
+        if args.height is not None:
+            fields = fieldscan.enumerate_quintics(
+                args.height, max(args.buckets),
+                prime_budget=budget, cache=cache)
+        else:
+            raw = fieldscan.ingest_fields(args.fields, fmt=args.format,
+                                          cache=cache, prime_budget=budget)
+            fields = fieldscan.dedupe_stream(raw)
+        report = fieldscan.scan(curve, fields, args.buckets)
     if args.json:
         print(canonical_json(report.to_json_dict()))
     else:
@@ -363,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="emit canonical JSON on stdout")
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--prime-budget", type=_positive_int,
-                        default=numtheory.DEFAULT_PRIME_BUDGET, metavar="B",
+                        default=None, metavar="B",
                         help="primes scanned by the Galois test")
     field = argparse.ArgumentParser(add_help=False)
     field.add_argument("--poly", type=_poly_arg, required=True,

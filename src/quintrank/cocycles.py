@@ -30,13 +30,13 @@ from typing import Optional
 import numpy as np
 
 from . import InternalCheckFailed
-from .groups import FiniteGroup, Permutation, symmetric_group
+from .groups import FiniteGroup, Permutation, _bfs, symmetric_group
 
 H2_GROUP_CAP = 30
 H1_GROUP_CAP = 240
 
-# Entry budget for every n^3-sized temporary: checks over triples and
-# products of lift tables run in slices of at most this many entries.
+# Entry budget for every n^3-sized temporary: checks over triples run
+# in slices of at most this many entries.
 _CHUNK_ENTRIES = 1 << 18
 
 
@@ -173,38 +173,53 @@ def pin_lift(p: Permutation) -> tuple[np.ndarray, int]:
     return v, len(fac)
 
 
+def _clifford_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[i, j] is the Clifford product a[i] * b[j] of dense blade
+    vectors, for stacks a and b of them."""
+    return np.einsum("ai,bik->abk", a, _right_mul(b))
+
+
 @lru_cache(maxsize=None)
 def pin_cocycle_sn(n: int) -> Cocycle2:
     """The 2-cocycle of the Pin double cover of S_n (n in {4, 5}) over
-    Z/2 with trivial action, on the shared symmetric_group(n) labels."""
+    Z/2 with trivial action, on the shared symmetric_group(n) labels.
+
+    Lift products are formed only at the generator columns (g, s), 240
+    of them for S5, each checked for its scale and sign.  Every other
+    column follows along ``groups._bfs``: lift(x) lift(s) = +-lift(xs)
+    for all x gives, by associativity,
+
+        w(g, xs) = w(g, x) + w(gx, s) + w(x, s),
+
+    so, by induction on the word length of x, every product of lifts is
+    +-lift of the product and the table is the one all n!^2 products
+    would give."""
     if n not in (4, 5):
         raise ValueError("pin cocycle is provided for n in {4, 5}")
     G = symmetric_group(n)
     lifts = [pin_lift(p) for p in G.elems]
     L = np.stack([v for v, _ in lifts])
     scale = -np.array([k for _, k in lifts], dtype=np.int64)
-    # (L[a] @ B2[b])[k] is the dense product of lifts a and b
-    B2 = _right_mul(L)
+    gens = list(G.generators)
     t = G.table
-    order = G.order
-    w = np.zeros((order, order), dtype=np.int8)
-    for lo, hi in _row_chunks(order, order * L.shape[1]):
-        prod = np.einsum("ai,bik->abk", L[lo:hi], B2)
-        c = t[lo:hi]
-        target = L[c]
-        # the raw product has scale sa+sb; lengths are subadditive and
-        # keep parity, so d = ka+kb-kc is even and >= 0
-        d = scale[c] - scale[lo:hi, None] - scale[None, :]
-        if (d < 0).any() or (d % 2).any():
-            raise InternalCheckFailed("pin lift scale mismatch")
-        target = target * (1 << (d // 2))[:, :, None]
-        plus = (prod == target).all(axis=2)
-        minus = (prod == -target).all(axis=2)
-        if not (plus ^ minus).all():
-            raise InternalCheckFailed(
-                "pin lift products do not match up to sign")
-        w[lo:hi] = np.where(minus, 1, 0)
-    return Cocycle2(G, w)
+    prod = _clifford_products(L, L[gens])
+    c = t[:, gens]
+    # the raw product has scale sa+sb; lengths are subadditive and keep
+    # parity, so d = ka+kb-kc is even and >= 0
+    d = scale[c] - scale[:, None] - scale[None, gens]
+    if (d < 0).any() or (d % 2).any():
+        raise InternalCheckFailed("pin lift scale mismatch")
+    target = L[c] * (1 << (d // 2))[:, :, None]
+    plus = (prod == target).all(axis=2)
+    minus = (prod == -target).all(axis=2)
+    if not (plus ^ minus).all():
+        raise InternalCheckFailed("pin lift products do not match up to sign")
+    cols = np.zeros((G.order, G.order), dtype=np.int8)  # cols[y] = w[:, y]
+    cols[gens] = minus.T
+    for x, s, y, new in _bfs(t, gens):
+        if new:
+            cols[y] = cols[x] ^ cols[s][t[:, x]] ^ cols[s][x]
+    return Cocycle2(G, cols.T)
 
 
 def restrict_cocycle(c: Cocycle2, labels) -> tuple[Cocycle2, tuple[int, ...]]:

@@ -43,8 +43,9 @@ version) are listed at load, reported by `scan --cache` on stderr, never
 served, and recomputed.  A record is served only to a request with the
 prime budget it was derived with, and only if it was derived with
 DEFAULT_TRIAL_BOUND; any other request derives the field afresh and its
-record replaces the old one.  Single writer, and a load that rewrites
-the file counts as one.
+record replaces the old one.  Single writer: a FieldCache that has put
+a record holds its append handle until it is closed, and a load that
+rewrites the file counts as a writer too.
 """
 
 from __future__ import annotations
@@ -276,6 +277,10 @@ def _line_of(rec: dict) -> str:
 class FieldCache:
     """JSONL store of derived field records; put appends a line.
 
+    The first put opens one append handle, and each put writes and
+    flushes its line through it; close() (or leaving a with block)
+    closes it.
+
     Each line is canonical JSON (sorted keys, no spaces) of the record
     plus its SHA-256 checksum.  "checksum" sorts before every record
     key, "version" included, so a line is '{"checksum":"<64 hex>",' and
@@ -298,6 +303,7 @@ class FieldCache:
         self._by_coeffs: dict[tuple, dict] = {}
         self.corrupt_lines: list[int] = []
         self.stale_lines: list[int] = []
+        self._out = None
         if not self.path.exists():
             return
         records = 0
@@ -324,9 +330,22 @@ class FieldCache:
 
     def put(self, field: QuinticField):
         rec = field.to_record()
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(_line_of(rec))
+        if self._out is None:
+            self._out = open(self.path, "a", encoding="utf-8")
+        self._out.write(_line_of(rec))
+        self._out.flush()
         self._by_coeffs[tuple(rec["coeffs"])] = rec
+
+    def close(self):
+        if self._out is not None:
+            self._out.close()
+            self._out = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
     def get(self, coeffs, prime_budget: int = DEFAULT_PRIME_BUDGET
             ) -> Optional[QuinticField]:

@@ -184,11 +184,18 @@ def _quaternion_group(quats: np.ndarray, name: str
 
     Each coordinate is snapped to an exact pair (a + b*phi)/2 in
     (1/2)Z[phi], where icosian and Hurwitz coordinates lie, and each
-    snapped quaternion must have norm exactly 1.  The table comes from
-    exact Hamilton products (denominator 4) looked up among the members,
-    so ClosureFailure means a coordinate does not snap, two members
-    coincide, or a product is not in the set.  The floats stay the
-    element values, with the identity moved to label 0."""
+    snapped quaternion must have norm exactly 1.  Exact Hamilton
+    products (denominator 4) are taken only by generators, picked
+    greedily: the smallest label not yet reached becomes the next one
+    until a breadth-first walk from the identity reaches every member.
+    Each product is looked up among the members, so ClosureFailure
+    means a coordinate does not snap, two members coincide, or a
+    product is not in the set.  The set is then closed under right
+    multiplication by generators of it, hence a group, and the other
+    columns of the table follow by associativity, as in
+    ``groups.close_generators``: a * y = (a * x) * g when y = x * g was
+    first reached.  The floats stay the element values, with the
+    identity moved to label 0."""
     exact = _snap_golden(quats)
     if not (_golden_mul(exact, exact).sum(axis=1) == (4, 0)).all():
         raise ClosureFailure("a member is not an exact unit quaternion")
@@ -200,13 +207,42 @@ def _quaternion_group(quats: np.ndarray, name: str
     order = [i0] + [i for i in range(len(keys)) if i != i0]
     label = {keys[i]: lab for lab, i in enumerate(order)}
     exact = exact[order]
-    prods = _golden_hamilton(exact[:, None], exact[None, :])
-    flat = [label.get(tuple(k)) for k in prods.reshape(-1, 8).tolist()]
-    if None in flat:
-        raise ClosureFailure("a product is not in the set")
-    table = np.array(flat, dtype=np.int32).reshape(len(order), len(order))
+    n = len(order)
+    gens: list[int] = []
+    right: list[np.ndarray] = []  # right[j][x] = label of x * gens[j]
+    done: list[int] = []  # right[j] holds the products of found[:done[j]]
+    parent = {0: None}  # y -> (x, j) with y = x * gens[j] first reached
+    found = [0]  # labels in the order they were reached
+    while len(found) < n:
+        gens.append(next(y for y in range(n) if y not in parent))
+        right.append(np.empty(n, dtype=np.int32))
+        done.append(0)
+        grew = True
+        while grew:
+            grew = False
+            for j, g in enumerate(gens):
+                xs = found[done[j]:]
+                done[j] = len(found)
+                if not xs:
+                    continue
+                prods = _golden_hamilton(exact[xs], exact[g])
+                ys = [label.get(tuple(k))
+                      for k in prods.reshape(-1, 8).tolist()]
+                if None in ys:
+                    raise ClosureFailure("a product is not in the set")
+                right[j][xs] = ys
+                for x, y in zip(xs, ys):
+                    if y not in parent:
+                        parent[y] = (x, j)
+                        found.append(y)
+                        grew = True
+    cols = np.empty((n, n), dtype=np.int32)  # cols[y] = table[:, y]
+    cols[0] = np.arange(n)
+    for y in found[1:]:
+        x, j = parent[y]
+        cols[y] = right[j][cols[x]]
     quats = np.asarray(quats)[order]
-    G = FiniteGroup([tuple(q) for q in quats], table, name=name)
+    G = FiniteGroup([tuple(q) for q in quats], cols.T, name=name)
     images = np.stack([_tautological_matrix(q) for q in quats])
     return G, Representation(G, images, 2)
 
@@ -337,7 +373,11 @@ def _factor_permutation_matrix(pi: Permutation, dim: int) -> np.ndarray:
 def tensor_induction(cs: CosetSystem, rho: Representation) -> Representation:
     """Induce a representation of the subgroup of cs up to the full group
     on the n-fold tensor power: g maps to
-    (rho(q_1(g)) x .. x rho(q_n(g))) . psi(pi(g))."""
+    (rho(q_1(g)) x .. x rho(q_n(g))) . psi(pi(g)).
+
+    The Kronecker products of all images are formed together, one
+    broadcast multiply per factor, in np.kron's left-to-right order, so
+    every entry is the same float product np.kron gives."""
     if rho.group.order != len(cs.subgroup):
         raise ValueError("representation does not match the coset subgroup")
     n = cs.n
@@ -346,18 +386,25 @@ def tensor_induction(cs: CosetSystem, rho: Representation) -> Representation:
         raise DimensionOverflow(f"tensor power dimension {D} > {MAX_TENSOR_DIM}")
     pos = {lab: i for i, lab in enumerate(cs.subgroup)}
     G = cs.group
-    psis: dict[tuple, np.ndarray] = {}
-    images = np.empty((G.order, D, D), dtype=np.complex128)
+    perms, labels = [], []
     for g in range(G.order):
         pi, q = coset_factorization(cs, g)
-        M = rho.images[pos[q[0]]]
-        for qi in q[1:]:
-            M = np.kron(M, rho.images[pos[qi]])
+        perms.append(pi)
+        labels.append([pos[qi] for qi in q])
+    factors = rho.images[np.array(labels)]  # (order, n, dim, dim)
+    M = factors[:, 0]
+    for k in range(1, n):
+        d = M.shape[-1]
+        M = (M[:, :, None, :, None] * factors[:, k, None, :, None, :]
+             ).reshape(G.order, d * rho.dim, d * rho.dim)
+    psis: dict[tuple, np.ndarray] = {}
+    images = np.empty((G.order, D, D), dtype=np.complex128)
+    for g, pi in enumerate(perms):
         psi = psis.get(pi.images)
         if psi is None:
             psi = psis.setdefault(pi.images,
                                   _factor_permutation_matrix(pi, rho.dim))
-        images[g] = M @ psi
+        images[g] = M[g] @ psi
     return Representation(G, images, D)
 
 

@@ -11,7 +11,9 @@ exhaustive trial division and, for any degree and prime, by
 distinct-degree splitting, S5 certificates by reading the pattern at
 every budget prime, squarefree kernels by trial division by
 every odd number up to the trial bound, quaternion group tables by
-float nearest-neighbour matching, cocycle defects one group element
+float nearest-neighbour matching and by looking up every pairwise exact
+Hamilton product, tensor inductions by one np.kron chain per group
+element, cocycle defects one group element
 at a time, cohomology dimensions from the dense coboundary
 matrices (one row per triple or pair, reduced mod 2) and from the
 full sparse coboundary rows, coboundary witnesses from all n^2
@@ -42,7 +44,7 @@ from quintrank.fieldscan import (
     _is_square,
     dedupe_stream,
 )
-from quintrank.groups import FiniteGroup
+from quintrank.groups import FiniteGroup, coset_factorization
 from quintrank.numtheory import (
     DEFAULT_PRIME_BUDGET,
     DEFAULT_TRIAL_BOUND,
@@ -55,6 +57,8 @@ from quintrank.numtheory import (
     is_probable_prime,
     poly_discriminant,
 )
+from quintrank.reps import (_factor_permutation_matrix, _golden_hamilton,
+                            _snap_golden)
 
 
 def legendre_by_enumeration(a: int, p: int) -> int:
@@ -519,6 +523,36 @@ def quaternion_table_by_nearest_neighbour(quats):
     dist = np.linalg.norm(prods[:, :, None] - quats[None, None, :], axis=-1)
     assert dist.min(axis=-1).max() < 1e-6
     return order, dist.argmin(axis=-1)
+
+
+def quaternion_table_by_all_products(quats):
+    """(order, table) for a finite set of unit quaternions in
+    (1/2)Z[phi]: the identity is moved to the front, and all n^2 exact
+    Hamilton products of the snapped members are looked up among them."""
+    exact = _snap_golden(quats)
+    keys = [tuple(k) for k in (2 * exact).reshape(-1, 8).tolist()]
+    ident = keys.index((4, 0, 0, 0, 0, 0, 0, 0))
+    order = [ident] + [i for i in range(len(keys)) if i != ident]
+    label = {keys[i]: lab for lab, i in enumerate(order)}
+    exact = exact[order]
+    prods = _golden_hamilton(exact[:, None], exact[None, :])
+    flat = [label[tuple(k)] for k in prods.reshape(-1, 8).tolist()]
+    return order, np.array(flat, dtype=np.int32).reshape(len(order), -1)
+
+
+def tensor_induction_by_kron(cs, rho):
+    """The images of the tensor induction of rho along cs, one group
+    element at a time: the np.kron chain of rho(q_1(g)), .., rho(q_n(g))
+    times psi(pi(g))."""
+    pos = {lab: i for i, lab in enumerate(cs.subgroup)}
+    images = []
+    for g in range(cs.group.order):
+        pi, q = coset_factorization(cs, g)
+        M = rho.images[pos[q[0]]]
+        for qi in q[1:]:
+            M = np.kron(M, rho.images[pos[qi]])
+        images.append(M @ _factor_permutation_matrix(pi, rho.dim))
+    return np.stack(images)
 
 
 def cocycle_defect_labels(G, values):

@@ -521,6 +521,38 @@ def test_scan_path_imports_no_numpy():
     assert proc.stdout == "False\n"
 
 
+SCAN_STACK = {"quintrank.fieldscan", "quintrank.rankgrowth",
+              "quintrank.numtheory"}
+
+
+def _modules_after(code: str) -> set[str]:
+    """The names in sys.modules once `code` has run in a fresh
+    interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import json, sys; {code}; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_neither_the_scan_stack_nor_numpy():
+    loaded = _modules_after("import quintrank.cli")
+    assert "quintrank.cli" in loaded
+    assert not loaded & (SCAN_STACK | {"hashlib", "numpy"})
+
+
+@pytest.mark.parametrize("command", ["h2", "standard-rep"])
+def test_algebra_commands_load_no_scan_module(command):
+    loaded = _modules_after(
+        f"from quintrank.cli import main; main([{command!r}, '--json'])")
+    assert "quintrank.cocycles" in loaded
+    assert not loaded & SCAN_STACK
+
+
 def test_standard_rep_leaves_numpy_ma_unimported():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

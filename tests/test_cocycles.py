@@ -81,6 +81,23 @@ def test_pin_table_s5_matches_matrix_oracle():
     assert (_oracle_pin_table(5) == pin_cocycle_sn(5).values).all()
 
 
+@pytest.mark.parametrize("n, products", [(4, 48), (5, 240)])
+def test_pin_table_forms_products_at_generator_columns_only(n, products,
+                                                            monkeypatch):
+    formed = []
+    real = cz._clifford_products
+
+    def counting(a, b):
+        formed.append(len(a) * len(b))
+        return real(a, b)
+    monkeypatch.setattr(cz, "_clifford_products", counting)
+    # past the lru_cache, so the products are formed in this call
+    c = pin_cocycle_sn.__wrapped__(n)
+    assert sum(formed) == products == len(c.group.generators) * c.group.order
+    assert (c.values == _oracle_pin_table(n)).all()
+    assert verify_cocycle(c)
+
+
 # -- blade arithmetic on dense vectors ------------------------------------
 
 def _vec(n, coeffs):
@@ -212,8 +229,8 @@ def test_verify_rejects_flips_at_chunk_edges(where):
 
 
 def test_pin5_table_does_not_depend_on_the_chunk_size(monkeypatch):
-    # 7-row slices end inside the default ones, so a row dropped or
-    # written twice at a slice edge changes the table
+    # the table is formed at the generator columns, not in slices of
+    # lift products; 7-row slices of the n^3 checks must not change it
     want = pin_cocycle_sn(5).values
     monkeypatch.setattr(cz, "_CHUNK_ENTRIES", 7 * 120 * 32)
     assert len(cz._row_chunks(120, 120 * 32)) == 18

@@ -721,6 +721,31 @@ def test_cache_skips_recomputation(tmp_path, monkeypatch):
     assert [f.fingerprint for f in again] == [f.fingerprint for f in first]
 
 
+def test_cold_ingest_opens_the_cache_file_once(tmp_path, monkeypatch):
+    store = tmp_path / "cache.jsonl"
+    table = tmp_path / "fields.csv"
+    rows = [(1, 0, 0, 0, -1, -1), (1, 0, 0, 0, -4, 2), (1, 0, 0, 0, 1, -1),
+            (1, 0, 0, 0, -1, 1), (1, 0, 0, 0, 2, 3)]
+    table.write_text("".join(f"f{i}," + ",".join(map(str, c)) + "\n"
+                             for i, c in enumerate(rows)))
+    appends = []
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        if mode == "a":
+            appends.append((Path(file), fh))
+        return fh
+    monkeypatch.setattr(fieldscan, "open", counting_open, raising=False)
+    with FieldCache(store) as cache:
+        fields = list(ingest_fields(table, "csv", cache=cache))
+        # each line is flushed as it is put
+        assert len(store.read_text().splitlines()) == len(rows)
+    assert [f.coeffs for f in fields] == rows
+    assert [path for path, _ in appends] == [store]
+    assert appends[0][1].closed
+    assert len(FieldCache(store)) == len(rows)
+
+
 def test_cache_serves_only_records_with_the_requested_parameters(tmp_path):
     store = tmp_path / "cache.jsonl"
     x5 = (1, 0, 0, 0, -1, -1)

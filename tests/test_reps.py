@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from oracles import (M16, cyclic_group, direct_product, is_homomorphism,
-                     quaternion_table_by_nearest_neighbour)
+                     quaternion_table_by_all_products,
+                     quaternion_table_by_nearest_neighbour,
+                     tensor_induction_by_kron)
 from test_cocycles import PEAK_BOUND_MB, _traced_peak_mb
 from quintrank.groups import (CosetSystem, Permutation, abelianization,
                               close_generators, coset_factorization,
@@ -89,6 +91,27 @@ def test_exact_table_matches_nearest_neighbour_oracle(quats):
     order, table = quaternion_table_by_nearest_neighbour(floats)
     assert (G.table == table).all()
     assert list(G.elems) == [tuple(q) for q in floats[order]]
+
+
+@pytest.mark.parametrize("quats", [reps._hurwitz_quaternions,
+                                   reps._icosian_quaternions],
+                         ids=["hurwitz", "icosian"])
+def test_table_from_generator_columns_matches_all_products(quats):
+    floats = quats()
+    G, _ = reps._quaternion_group(floats, "x")
+    order, table = quaternion_table_by_all_products(floats)
+    assert (G.table == table).all()
+    assert list(G.elems) == [tuple(q) for q in floats[order]]
+
+
+@pytest.mark.parametrize("quats", [reps._hurwitz_quaternions,
+                                   reps._icosian_quaternions],
+                         ids=["hurwitz", "icosian"])
+def test_closure_failure_on_a_dropped_member(quats):
+    floats = quats()
+    for drop in (1, 2, len(floats) // 2, len(floats) - 1):
+        with pytest.raises(ClosureFailure, match="not in the set"):
+            reps._quaternion_group(np.delete(floats, drop, axis=0), "broken")
 
 
 def test_closure_failure_on_repeat_and_non_unit():
@@ -263,6 +286,16 @@ def test_tensor_induction_index_four():
     induced = tensor_induction(cs, rho)
     assert induced.dim == 16
     assert is_homomorphism(induced)
+    want = tensor_induction_by_kron(cs, rho)
+    assert induced.images.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("data_fn", [binary_octahedral_data, omega5_data])
+def test_tensor_induction_bytes_match_kron_oracle(data_fn):
+    data = data_fn()
+    induced = tensor_induction(data.coset_system, data.rho)
+    want = tensor_induction_by_kron(data.coset_system, data.rho)
+    assert induced.images.tobytes() == want.tobytes()
 
 
 def test_tensor_induction_dimension_overflow():
