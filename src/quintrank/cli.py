@@ -13,12 +13,14 @@ Results go to stdout (canonical JSON with --json; certify and scan
 reports are JSON regardless); diagnostics go to stderr.  Exit codes:
 0 success, 1 a check failed (a failed self-check, or an internal
 invariant, reported as "internal check failed: ..."), 2 usage error,
-3 bad input or data.
+3 bad input or data.  Unless the environment sets OPENBLAS_NUM_THREADS,
+main sets it to 1, so numpy starts no BLAS worker threads.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 from typing import TYPE_CHECKING
@@ -439,6 +441,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # No command multiplies a float matrix larger than 4x4, so an OpenBLAS
+    # worker pool would never run; set before a handler imports numpy.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -45,12 +45,14 @@ prime budget it was derived with, and only if it was derived with
 DEFAULT_TRIAL_BOUND; any other request derives the field afresh and its
 record replaces the old one.  Single writer: a FieldCache that has put
 a record holds its append handle until it is closed, and a load that
-rewrites the file counts as a writer too.
+rewrites the file counts as a writer too.  Only the checksums need
+hashlib, which maps OpenSSL's libcrypto, so the module imports it when
+the process constructs its first FieldCache: a scan, certificate or
+analysis without a cache never loads it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -245,6 +247,7 @@ _UNVERSIONED_KEYS = frozenset(("coeffs", "label", "disc", "signature",
                                "prime_budget", "trial_bound"))
 _RECORD_KEYS = _UNVERSIONED_KEYS | {"version"}
 _STALE: dict = {}           # _record_of's answer for a stale line
+_sha256 = None              # hashlib.sha256, bound by the first FieldCache
 
 
 def _record_of(line: str) -> Optional[dict]:
@@ -256,7 +259,7 @@ def _record_of(line: str) -> Optional[dict]:
         return None
     digest = line[len(_CHECKSUM_OPEN):_RECORD_AT - 2]
     text = "{" + line[_RECORD_AT:].rstrip("\n")
-    if hashlib.sha256(text.encode("utf-8")).hexdigest() != digest:
+    if _sha256(text.encode("utf-8")).hexdigest() != digest:
         return None
     try:
         rec = json.loads(text)
@@ -270,7 +273,7 @@ def _record_of(line: str) -> Optional[dict]:
 
 def _line_of(rec: dict) -> str:
     text = canonical_json(rec)
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    digest = _sha256(text.encode("utf-8")).hexdigest()
     return _CHECKSUM_OPEN + digest + '",' + text[1:] + "\n"
 
 
@@ -279,7 +282,9 @@ class FieldCache:
 
     The first put opens one append handle, and each put writes and
     flushes its line through it; close() (or leaving a with block)
-    closes it.
+    closes it.  The first FieldCache of a process, loaded or empty,
+    imports hashlib and binds its sha256 once for every line that
+    later loads check and puts write.
 
     Each line is canonical JSON (sorted keys, no spaces) of the record
     plus its SHA-256 checksum.  "checksum" sorts before every record
@@ -299,6 +304,9 @@ class FieldCache:
     """
 
     def __init__(self, path):
+        global _sha256
+        if _sha256 is None:
+            from hashlib import sha256 as _sha256
         self.path = Path(path)
         self._by_coeffs: dict[tuple, dict] = {}
         self.corrupt_lines: list[int] = []

@@ -509,40 +509,45 @@ def test_scan_reads_a_cache_in_the_unversioned_layout(tmp_path, capsys):
     assert capsys.readouterr() == plain
 
 
-def test_scan_path_imports_no_numpy():
+def _python(code: str, **env) -> str:
+    """Stdout of `code` run in a fresh interpreter on this source tree;
+    env sets variables, and a value of None unsets one."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    full = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, quintrank.cli; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120)
+    for name, value in env.items():
+        if value is None:
+            full.pop(name, None)
+        else:
+            full[name] = value
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=full, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    return proc.stdout
+
+
+def test_scan_path_imports_no_numpy():
+    assert _python("import sys, quintrank.cli; "
+                   "print('numpy' in sys.modules)") == "False\n"
 
 
 SCAN_STACK = {"quintrank.fieldscan", "quintrank.rankgrowth",
               "quintrank.numtheory"}
+OPENSSL = {"hashlib", "_hashlib"}
 
 
 def _modules_after(code: str) -> set[str]:
     """The names in sys.modules once `code` has run in a fresh
     interpreter."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import json, sys; {code}; print(json.dumps(sorted(sys.modules)))"],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    out = _python(f"import json, sys; {code}; "
+                  "print(json.dumps(sorted(sys.modules)))")
+    return set(json.loads(out.splitlines()[-1]))
 
 
 def test_cli_import_loads_neither_the_scan_stack_nor_numpy():
     loaded = _modules_after("import quintrank.cli")
     assert "quintrank.cli" in loaded
-    assert not loaded & (SCAN_STACK | {"hashlib", "numpy"})
+    assert not loaded & (SCAN_STACK | OPENSSL | {"numpy"})
 
 
 @pytest.mark.parametrize("command", ["h2", "standard-rep"])
@@ -553,18 +558,56 @@ def test_algebra_commands_load_no_scan_module(command):
     assert not loaded & SCAN_STACK
 
 
-def test_standard_rep_leaves_numpy_ma_unimported():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+@pytest.mark.parametrize("argv", [
+    ["scan", "--curve", CURVE37, "--height", "1", "--buckets", "3000,100000"],
+    ["certify", "--curve", CURVE37, "--poly", FLAGSHIP_POLY],
+    ["analyze-field", "--poly", FLAGSHIP_POLY],
+    ["selftest"],
+], ids=lambda argv: argv[0])
+def test_commands_without_a_cache_leave_openssl_unloaded(argv):
+    loaded = _modules_after(f"from quintrank.cli import main; main({argv!r})")
+    assert "quintrank.fieldscan" in loaded
+    assert not loaded & OPENSSL
 
+
+def test_scan_with_a_cache_loads_hashlib(tmp_path):
+    argv = ["scan", "--curve", CURVE37, "--height", "1",
+            "--buckets", "3000,100000", "--cache", str(tmp_path / "c.jsonl")]
+    loaded = _modules_after(f"from quintrank.cli import main; main({argv!r})")
+    assert "hashlib" in loaded
+
+
+# the threads of this process once h2 has imported numpy (1 where the
+# platform cannot list them), then OPENBLAS_NUM_THREADS as main left it
+H2_THEN_BLAS_SETTING = (
+    "import os; from quintrank.cli import main; main(['h2', '--json']); "
+    "tasks = '/proc/self/task'; "
+    "print(len(os.listdir(tasks)) if os.path.isdir(tasks) else 1, "
+    "os.environ['OPENBLAS_NUM_THREADS'])")
+
+
+def test_cli_starts_numpy_with_one_openblas_thread():
+    out = _python(H2_THEN_BLAS_SETTING, OPENBLAS_NUM_THREADS=None)
+    assert out.splitlines()[-1] == "1 1"
+
+
+def test_cli_keeps_an_openblas_thread_count_the_user_set():
+    out = _python(H2_THEN_BLAS_SETTING, OPENBLAS_NUM_THREADS="3")
+    assert out.splitlines()[-1].split()[1] == "3"
+
+
+@pytest.mark.parametrize("command", ["selftest", "h2", "standard-rep"])
+def test_algebra_json_does_not_depend_on_the_openblas_threads(command):
+    code = ("import sys; from quintrank.cli import main; "
+            f"sys.exit(main([{command!r}, '--json']))")
+    assert _python(code, OPENBLAS_NUM_THREADS=None) \
+        == _python(code, OPENBLAS_NUM_THREADS="2")
+
+
+def test_standard_rep_leaves_numpy_ma_unimported():
     def loads_numpy_ma(code):
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             f"import sys; {code}; print('numpy.ma' in sys.modules)"],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.splitlines()[-1] == "True"
+        out = _python(f"import sys; {code}; print('numpy.ma' in sys.modules)")
+        return out.splitlines()[-1] == "True"
 
     if loads_numpy_ma("import numpy"):
         pytest.skip("this numpy imports numpy.ma on import")

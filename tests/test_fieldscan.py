@@ -386,7 +386,8 @@ def test_served_and_derived_fields_of_one_class_merge(tmp_path, monkeypatch):
     # audits them (the shift proof is switched off), and the served
     # field's stream starts from its decoded codes when the audit grows it
     store = tmp_path / "cache.jsonl"
-    FieldCache(store).put(field_of(1, 0, 0, 0, -1, -1))
+    with FieldCache(store) as cache:
+        cache.put(field_of(1, 0, 0, 0, -1, -1))
     monkeypatch.setattr(fieldscan, "_provably_same_field", lambda a, b: False)
     for served_first in (True, False):
         served = FieldCache(store).get((1, 0, 0, 0, -1, -1))
@@ -429,10 +430,10 @@ def test_enumeration_matches_full_box_oracle(tmp_path, height):
     assert want
     assert _field_data(enumerate_quintics(height, 10 ** 6, **kw)) == want
     store = tmp_path / "cache.jsonl"
-    cold = enumerate_quintics(height, 10 ** 6, cache=FieldCache(store), **kw)
-    assert _field_data(cold) == want
-    warm = enumerate_quintics(height, 10 ** 6, cache=FieldCache(store), **kw)
-    assert _field_data(warm) == want
+    for _ in ("cold", "warm"):
+        with FieldCache(store) as cache:
+            fields = enumerate_quintics(height, 10 ** 6, cache=cache, **kw)
+            assert _field_data(fields) == want
 
 
 def _orbit_walk(height):
@@ -643,9 +644,9 @@ def test_ingest_empty_and_bad_format(tmp_path):
 
 def test_cache_roundtrip(tmp_path):
     store = tmp_path / "cache.jsonl"
-    cache = FieldCache(store)
     f = field_of(1, 0, 0, 0, -1, -1)
-    cache.put(f)
+    with FieldCache(store) as cache:
+        cache.put(f)
     fresh = FieldCache(store)
     assert len(fresh) == 1 and fresh.corrupt_lines == []
     g = fresh.get((1, 0, 0, 0, -1, -1))
@@ -660,19 +661,19 @@ def test_cache_roundtrip(tmp_path):
 
 def test_cache_detects_corruption(tmp_path):
     store = tmp_path / "cache.jsonl"
-    cache = FieldCache(store)
-    cache.put(field_of(1, 0, 0, 0, -1, -1))
-    cache.put(field_of(1, 0, 0, 0, -4, 2))
+    with FieldCache(store) as cache:
+        cache.put(field_of(1, 0, 0, 0, -1, -1))
+        cache.put(field_of(1, 0, 0, 0, -4, 2))
     lines = store.read_text().splitlines()
     lines[0] = lines[0].replace("2869", "2868", 1)
     lines.append("not json at all")
     store.write_text("\n".join(lines) + "\n")
-    reloaded = FieldCache(store)
-    assert reloaded.corrupt_lines == [1, 3]
-    assert reloaded.get((1, 0, 0, 0, -1, -1)) is None
-    assert reloaded.get((1, 0, 0, 0, -4, 2)) is not None
-    # recompute and re-store the lost entry
-    f = field_from_coeffs((1, 0, 0, 0, -1, -1), cache=reloaded)
+    with FieldCache(store) as reloaded:
+        assert reloaded.corrupt_lines == [1, 3]
+        assert reloaded.get((1, 0, 0, 0, -1, -1)) is None
+        assert reloaded.get((1, 0, 0, 0, -4, 2)) is not None
+        # recompute and re-store the lost entry
+        f = field_from_coeffs((1, 0, 0, 0, -1, -1), cache=reloaded)
     assert f.disc == 2869
     healed = FieldCache(store)
     assert healed.get((1, 0, 0, 0, -1, -1)).disc == 2869
@@ -682,7 +683,8 @@ def test_failed_cache_rewrite_keeps_the_file(tmp_path, monkeypatch):
     # a load whose rewrite fails still loads, and leaves the file and
     # no temporary file behind
     store = tmp_path / "cache.jsonl"
-    FieldCache(store).put(field_of(1, 0, 0, 0, -1, -1))
+    with FieldCache(store) as cache:
+        cache.put(field_of(1, 0, 0, 0, -1, -1))
     before = store.read_text() + "not json at all\n"
     store.write_text(before)
 
@@ -708,12 +710,14 @@ def test_cache_skips_recomputation(tmp_path, monkeypatch):
                      "f4,1,0,0,0,0,0\n")
     calls = _count_discriminants(monkeypatch)
     errs, on_error = collect_errors()
-    first = list(ingest_fields(table, "csv", cache=FieldCache(store),
-                               on_error=on_error))
+    with FieldCache(store) as cache:
+        first = list(ingest_fields(table, "csv", cache=cache,
+                                   on_error=on_error))
     assert len(calls) == 4
     calls.clear()
-    again = list(ingest_fields(table, "csv", cache=FieldCache(store),
-                               on_error=on_error))
+    with FieldCache(store) as cache:
+        again = list(ingest_fields(table, "csv", cache=cache,
+                                   on_error=on_error))
     assert len(calls) == 1
     assert errs == [(4, "NotSeparable: zero discriminant")] * 2
     assert len(first) == 3
@@ -749,10 +753,11 @@ def test_cold_ingest_opens_the_cache_file_once(tmp_path, monkeypatch):
 def test_cache_serves_only_records_with_the_requested_parameters(tmp_path):
     store = tmp_path / "cache.jsonl"
     x5 = (1, 0, 0, 0, -1, -1)
-    stale = field_from_coeffs(x5, cache=FieldCache(store), prime_budget=3)
+    with FieldCache(store) as cache:
+        stale = field_from_coeffs(x5, cache=cache, prime_budget=3)
     assert stale.s5_status == "Inconclusive"
-    cache = FieldCache(store)
-    fresh = field_from_coeffs(x5, cache=cache, prime_budget=200)
+    with FieldCache(store) as cache:
+        fresh = field_from_coeffs(x5, cache=cache, prime_budget=200)
     assert fresh.s5_status == "Certified"
     assert fresh.prime_budget == 200
     # the newest record wins, in memory and on reload
@@ -822,7 +827,8 @@ def test_cache_golden_line_loads_and_put_writes_it_back(tmp_path):
     for field in (served, field_of(1, 0, 0, 0, -1, -1)):
         new = tmp_path / "new.jsonl"
         new.unlink(missing_ok=True)
-        FieldCache(new).put(field)
+        with FieldCache(new) as cache:
+            cache.put(field)
         assert new.read_text(encoding="utf-8") == GOLDEN_LINE
 
 
@@ -832,8 +838,8 @@ def test_cache_line_is_checksum_then_the_record_text(tmp_path):
     rec = field_of(1, 0, 0, 0, -1, -1, label="é ✓").to_record()
     assert all(key > "checksum" for key in rec)
     store = tmp_path / "cache.jsonl"
-    cache = FieldCache(store)
-    cache.put(field_of(1, 0, 0, 0, -1, -1, label="é ✓"))
+    with FieldCache(store) as cache:
+        cache.put(field_of(1, 0, 0, 0, -1, -1, label="é ✓"))
     assert store.read_text(encoding="utf-8") == signed_line(rec)
     assert FieldCache(store).get((1, 0, 0, 0, -1, -1)).label == "é ✓"
 
@@ -858,18 +864,20 @@ def test_records_of_another_version_are_stale(tmp_path):
         signed_line(dict(rec, version=3)) + signed_line(dict(rec, version=1))
         + unversioned_cache_line(rec) + signed_line({"version": 0})
         + signed_line(partial) + signed_line(other), encoding="utf-8")
-    cache = FieldCache(store)
-    assert cache.stale_lines == [1, 2, 3, 4] and cache.corrupt_lines == [5]
-    assert cache.get(rec["coeffs"]) is None and len(cache) == 1
-    assert store.read_text(encoding="utf-8") == signed_line(other)
-    assert field_from_coeffs(rec["coeffs"], cache=cache).to_record() == rec
+    with FieldCache(store) as cache:
+        assert cache.stale_lines == [1, 2, 3, 4] and cache.corrupt_lines == [5]
+        assert cache.get(rec["coeffs"]) is None and len(cache) == 1
+        assert store.read_text(encoding="utf-8") == signed_line(other)
+        assert field_from_coeffs(rec["coeffs"], cache=cache).to_record() \
+            == rec
     again = FieldCache(store)
     assert again.stale_lines == again.corrupt_lines == [] and len(again) == 2
 
 
 def test_cache_line_in_another_layout_is_corrupt(tmp_path):
     store = tmp_path / "cache.jsonl"
-    FieldCache(store).put(field_of(1, 0, 0, 0, -1, -1))
+    with FieldCache(store) as cache:
+        cache.put(field_of(1, 0, 0, 0, -1, -1))
     obj = json.loads(store.read_text(encoding="utf-8"))
     checksum_last = dict(obj)
     checksum_last["checksum"] = checksum_last.pop("checksum")
@@ -889,20 +897,21 @@ def test_cache_record_without_every_key_is_corrupt(tmp_path):
     store.write_text(signed_line({"coeffs": rec["coeffs"]})
                      + signed_line(partial) + signed_line(without_coeffs)
                      + signed_line(dict(rec, extra=1)), encoding="utf-8")
-    cache = FieldCache(store)
-    assert cache.corrupt_lines == [1, 2, 3, 4] and len(cache) == 0
-    assert cache.get(rec["coeffs"]) is None
-    assert field_from_coeffs(rec["coeffs"], cache=cache).disc == 2869
+    with FieldCache(store) as cache:
+        assert cache.corrupt_lines == [1, 2, 3, 4] and len(cache) == 0
+        assert cache.get(rec["coeffs"]) is None
+        assert field_from_coeffs(rec["coeffs"], cache=cache).disc == 2869
     assert FieldCache(store).get(rec["coeffs"]).disc == 2869
 
 
 def test_enumeration_with_cache_is_stable(tmp_path):
     store = tmp_path / "cache.jsonl"
-    cold = [f.coeffs for f in enumerate_quintics(
-        1, 10 ** 5, prime_budget=60, cache=FieldCache(store))]
-    warm = [f.coeffs for f in enumerate_quintics(
-        1, 10 ** 5, prime_budget=60, cache=FieldCache(store))]
-    assert cold == warm and cold
+    runs = []
+    for _ in ("cold", "warm"):
+        with FieldCache(store) as cache:
+            runs.append([f.coeffs for f in enumerate_quintics(
+                1, 10 ** 5, prime_budget=60, cache=cache)])
+    assert runs[0] == runs[1] and runs[0]
 
 
 # Inconclusive with an integer root: (x - 3)(x^4 + x + 1), disc > 0, and
@@ -918,13 +927,13 @@ def _write_pinned_records(path) -> list[dict]:
     """Cold-cache records of the height-2 enumeration (budget 40), then
     of seeded rows at heights 12, 50 and 10^4 and PINNED_ROWS (budget
     200), all in one cache file; the records, in file order."""
-    cache = FieldCache(path)
-    list(enumerate_quintics(2, 10 ** 6, prime_budget=40, cache=cache))
     rng = random.Random(1802)
     rows = [(1,) + tuple(rng.randint(-h, h) for _ in range(5))
             for h in (12, 50, 10 ** 4) for _ in range(10)]
-    for coeffs in rows + PINNED_ROWS:
-        field_from_coeffs(coeffs, cache=cache)
+    with FieldCache(path) as cache:
+        list(enumerate_quintics(2, 10 ** 6, prime_budget=40, cache=cache))
+        for coeffs in rows + PINNED_ROWS:
+            field_from_coeffs(coeffs, cache=cache)
     return [json.loads(line) for line in Path(path).read_text().splitlines()]
 
 
