@@ -14,7 +14,8 @@ reports are JSON regardless); diagnostics go to stderr.  Exit codes:
 0 success, 1 a check failed (a failed self-check, or an internal
 invariant, reported as "internal check failed: ..."), 2 usage error,
 3 bad input or data.  Unless the environment sets OPENBLAS_NUM_THREADS,
-main sets it to 1, so numpy starts no BLAS worker threads.
+main sets it to 1 while a command runs, so numpy starts no BLAS worker
+threads, and unsets it again on return.
 """
 
 from __future__ import annotations
@@ -442,21 +443,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # No command multiplies a float matrix larger than 4x4, so an OpenBLAS
-    # worker pool would never run; set before a handler imports numpy.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = _build_parser()
+    # worker pool would never run; set before a handler imports numpy,
+    # and unset on return, so that a caller's later subprocesses do not
+    # inherit it.
+    unset = "OPENBLAS_NUM_THREADS" not in os.environ
+    if unset:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.handler(args)
-    except InternalCheckFailed as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
+        try:
+            return args.handler(args)
+        except InternalCheckFailed as exc:
+            print(f"internal check failed: {exc}", file=sys.stderr)
+            return 1
+        except (OSError, ValueError, RuntimeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+    finally:
+        if unset:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
 
 
 if __name__ == "__main__":

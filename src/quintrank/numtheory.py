@@ -12,11 +12,12 @@ factored.  factor_pattern_mod_p counts the roots at one
 prime as deg gcd(x^p - x, f), and quintic_patterns counts them for a
 whole block of primes in one pass, by gcds of f(x) with the product of
 the block's primes above x.  Squarefree kernels of integers come from
-trial division by the primes below 1000, then gcds with products of runs
-of larger primes up to the trial bound (D. J. Bernstein, "How to find
-smooth parts of integers", 2004) until the cofactor is below the cube of
-the next untried prime, then Miller-Rabin, once per cofactor and
-deterministic below the bound proven by Sorenson and Webster (2017).
+one gcd with the product of the primes below 1000, then gcds with
+products of runs of larger primes up to the trial bound (D. J.
+Bernstein, "How to find smooth parts of integers", 2004) until the
+cofactor is below the cube of the next untried prime, then Miller-Rabin,
+once per cofactor and deterministic below the bound proven by Sorenson
+and Webster (2017).
 A cofactor that none of these resolves leaves complete=False.  One that
 Miller-Rabin calls prime above that bound is taken as prime with
 complete=True, so such a kernel rests on a probable prime (see
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import compress, dropwhile, islice
+from itertools import chain, compress, islice
 from typing import Callable, Iterator, Optional
 
 DEFAULT_TRIAL_BOUND = 10 ** 6
@@ -38,10 +39,12 @@ DEFAULT_PRIME_BUDGET = 200
 # psi_13 = _MR_PROVEN (Sorenson and Webster, Math. Comp. 86, 2017)
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN = 3317044064679887385961981
-# squarefree_kernel trial-divides by the primes below _TRIAL_BELOW and
-# takes gcds with products of _CHUNK consecutive primes above it
+# squarefree_kernel takes one gcd with the product of the primes below
+# _TRIAL_BELOW and then gcds with products of _CHUNK consecutive primes
+# above it, which are sieved _SEGMENT odd numbers at a time
 _TRIAL_BELOW = 1000
 _CHUNK = 512
+_SEGMENT = 1 << 15
 
 
 def parse_int(text: str) -> int:
@@ -196,18 +199,22 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 
 def first_primes(count: int) -> tuple[int, ...]:
-    limit = 16
-    while True:
-        # n-th prime is below n (ln n + ln ln n) for n >= 6
-        bound = max(limit, int(count * (math.log(count + 6)
-                                        + math.log(math.log(count + 6)))) + 10)
-        ps = _sieve(bound)
-        if len(ps) >= count:
-            return ps[:count]
-        limit = bound * 2
+    """The first count primes, a prefix of the primes up to a power of
+    two, so that all counts share a handful of cached sieves."""
+    # n-th prime is below n (ln n + ln ln n) for n >= 6
+    bound = int(count * (math.log(count + 6)
+                         + math.log(math.log(count + 6)))) + 10
+    limit = 1 << bound.bit_length()
+    while len(ps := _sieve(limit)) < count:
+        limit *= 2
+    return ps[:count]
 
 
 # -- integer squarefree kernel -------------------------------------------------
+
+
+_SMALL_PRIMES = _sieve(_TRIAL_BELOW - 1)
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 
 
 @dataclass(frozen=True)
@@ -226,22 +233,25 @@ def squarefree_kernel(n: int) -> SquarefreeResult:
     is not proven prime, yet it still gives complete=True (see
     "Miller-Rabin range" in ROADMAP.md).
 
-    Primes below 1000 are tried one by one; larger primes up to the
-    bound are taken 512 at a time as a product, whose gcd with the
-    cofactor is peeled in layers, after D. J. Bernstein, "How to find
-    smooth parts of integers" (2004).  The scan stops once the cofactor
-    is a prime or below p^3, and Miller-Rabin runs once per distinct
-    cofactor, as most runs leave it as it was."""
+    The primes below 1000 that divide n are those of one gcd with their
+    product, and only they are divided out; a cofactor below 1000^2 is
+    then 1 or a prime.  Larger primes up to the bound are taken 512 at a
+    time as a product, whose gcd with the cofactor is peeled in layers,
+    after D. J. Bernstein, "How to find smooth parts of integers"
+    (2004).  The scan stops once the cofactor is a prime or below p^3,
+    and Miller-Rabin runs once per distinct cofactor, as most runs leave
+    it as it was."""
     if n == 0:
         raise ValueError("squarefree kernel of 0 is undefined")
     sign = -1 if n < 0 else 1
     m = abs(n)
     kernel = 1
-    for p in _sieve(_TRIAL_BELOW - 1):
-        if p * p > m:
-            # no prime factor below p: the cofactor is 1 or a prime
-            return SquarefreeResult(sign * kernel * m, True)
-        if m % p == 0:
+    g = math.gcd(m, _SMALL_PRODUCT)
+    for p in _SMALL_PRIMES:
+        if g == 1:
+            break
+        if g % p == 0:
+            g //= p
             m //= p
             e = 1
             while m % p == 0:
@@ -249,25 +259,25 @@ def squarefree_kernel(n: int) -> SquarefreeResult:
                 e += 1
             if e & 1:
                 kernel *= p
-    prime = is_probable_prime
-    below = _TRIAL_BELOW        # no prime below it divides m
-    if m >= _TRIAL_BELOW ** 2:
-        prime = lru_cache(maxsize=1)(is_probable_prime)
-        for below, product in _prime_products():
-            if below ** 3 > m or m < _MR_PROVEN and prime(m):
-                break
-            # the k-th layer g holds the run's primes of exponent >= k,
-            # and g // h those of exponent exactly k
-            g = math.gcd(m, product % m)
-            odd = True
-            while g > 1:
-                m //= g
-                h = math.gcd(m, g)
-                if odd:
-                    kernel *= g // h
-                g, odd = h, not odd
-        else:
-            below = DEFAULT_TRIAL_BOUND
+    if m < _TRIAL_BELOW ** 2:
+        # no prime factor below 1000: the cofactor is 1 or a prime
+        return SquarefreeResult(sign * kernel * m, True)
+    prime = lru_cache(maxsize=1)(is_probable_prime)
+    for below, product in _prime_products():
+        if below ** 3 > m or m < _MR_PROVEN and prime(m):
+            break
+        # the k-th layer g holds the run's primes of exponent >= k,
+        # and g // h those of exponent exactly k
+        g = math.gcd(m, product % m)
+        odd = True
+        while g > 1:
+            m //= g
+            h = math.gcd(m, g)
+            if odd:
+                kernel *= g // h
+            g, odd = h, not odd
+    else:
+        below = DEFAULT_TRIAL_BOUND     # no prime below it divides m
     if m == 1:
         return SquarefreeResult(sign * kernel, True)
     if prime(m):
@@ -284,16 +294,37 @@ def squarefree_kernel(n: int) -> SquarefreeResult:
     return SquarefreeResult(sign * kernel * m, False)
 
 
+def _prime_segments(lo: int, limit: int) -> Iterator[Iterator[int]]:
+    """The primes from lo to limit, in order, one iterator per segment
+    of _SEGMENT odd numbers, for _TRIAL_BELOW <= lo and limit <=
+    _TRIAL_BELOW^2, where every composite has a prime factor below
+    _TRIAL_BELOW.  Each segment is an odd-only sieve by those primes,
+    and its flags are dropped when the next one is sieved."""
+    for start in range(lo | 1, limit + 1, 2 * _SEGMENT):
+        size = min(_SEGMENT, (limit - start) // 2 + 1)
+        flags = bytearray([1]) * size          # flags[i] stands for start + 2i
+        for p in _SMALL_PRIMES[1:]:
+            # start + 2i is the least odd multiple of p from start on;
+            # it is not p itself, as p < start
+            i = -start * ((p + 1) // 2) % p
+            flags[i::p] = bytes(len(range(i, size, p)))
+        yield compress(range(start, start + 2 * size, 2), flags)
+
+
 @lru_cache(maxsize=None)
 def _prime_products() -> tuple[tuple[int, int], ...]:
     """(smallest prime, product) of each run of _CHUNK consecutive
-    primes from _TRIAL_BELOW to DEFAULT_TRIAL_BOUND.  The odd-only sieve
-    is streamed, so the primes themselves are never all held at once."""
-    primes = dropwhile(lambda p: p < _TRIAL_BELOW,
-                       _odd_primes(DEFAULT_TRIAL_BOUND))
+    primes from _TRIAL_BELOW to DEFAULT_TRIAL_BOUND.  The primes are
+    streamed from a segmented sieve, so neither they nor a sieve of the
+    whole range are ever held at once."""
+    primes = chain.from_iterable(
+        _prime_segments(_TRIAL_BELOW, DEFAULT_TRIAL_BOUND))
     out = []
     while run := list(islice(primes, _CHUNK)):
-        out.append((run[0], math.prod(run)))
+        # the product of two half products is a balanced multiplication,
+        # cheaper than finishing one running product
+        half = len(run) // 2
+        out.append((run[0], math.prod(run[:half]) * math.prod(run[half:])))
     return tuple(out)
 
 

@@ -583,17 +583,36 @@ H2_THEN_BLAS_SETTING = (
     "import os; from quintrank.cli import main; main(['h2', '--json']); "
     "tasks = '/proc/self/task'; "
     "print(len(os.listdir(tasks)) if os.path.isdir(tasks) else 1, "
-    "os.environ['OPENBLAS_NUM_THREADS'])")
+    "os.environ.get('OPENBLAS_NUM_THREADS'))")
 
 
 def test_cli_starts_numpy_with_one_openblas_thread():
     out = _python(H2_THEN_BLAS_SETTING, OPENBLAS_NUM_THREADS=None)
-    assert out.splitlines()[-1] == "1 1"
+    assert out.splitlines()[-1] == "1 None"
 
 
 def test_cli_keeps_an_openblas_thread_count_the_user_set():
     out = _python(H2_THEN_BLAS_SETTING, OPENBLAS_NUM_THREADS="3")
     assert out.splitlines()[-1].split()[1] == "3"
+
+
+@pytest.mark.parametrize("setting", [None, "3"])
+@pytest.mark.parametrize("argv, code", [
+    (["analyze-field", "--poly", FLAGSHIP_POLY], 0),
+    (["analyze-field", "--poly", "1,0,0,0,0,0"], 3),
+    (["no-such-command"], 2),
+], ids=["ok", "bad-input", "usage"])
+def test_main_leaves_the_environment_as_it_found_it(monkeypatch, capsys,
+                                                    argv, code, setting):
+    # in-process calls, as the suite makes, must not hand one BLAS
+    # thread to the subprocesses of later tests
+    if setting is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", setting)
+    before = dict(os.environ)
+    assert main(argv) == code
+    assert dict(os.environ) == before
 
 
 @pytest.mark.parametrize("command", ["selftest", "h2", "standard-rep"])

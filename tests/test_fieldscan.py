@@ -21,7 +21,7 @@ from oracles import (
 )
 
 import quintrank
-from quintrank import fieldscan
+from quintrank import fieldscan, numtheory
 from quintrank.fieldscan import (
     FalseMergeError,
     FieldCache,
@@ -212,6 +212,20 @@ def test_pattern_stream_computes_each_pattern_once(monkeypatch):
     # 50 fingerprint and audit primes
     assert [per_field[IntPolynomial.descending(d).coeffs]
             for d in STREAM_SAMPLES] == [50, 50, 100, 198]
+
+
+def test_cold_pass_shares_a_few_cached_sieves():
+    # each field asks first_primes for (block end + bits of disc) primes;
+    # rounded up to powers of two, these counts share a handful of sieves
+    # where one sieve per count held ~0.24 MB after a cold table pass
+    numtheory._sieve.cache_clear()
+    rng = random.Random(26)
+    for k in range(80):
+        height = 10 ** (1 + k % 5)
+        f = field_of(1, *(rng.randint(-height, height) for _ in range(5)))
+        assert f.disc and f.fingerprint and f.certificate
+        f.extended_fingerprint
+    assert numtheory._sieve.cache_info().currsize <= 8
 
 
 def test_stream_past_the_block_crossover(monkeypatch):

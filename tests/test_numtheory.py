@@ -1,8 +1,9 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 import pytest
@@ -148,6 +149,12 @@ def test_first_primes():
     assert len(ps) == 200
     assert ps[-1] == 1223
     assert all(is_probable_prime(p) for p in ps)
+
+
+def test_first_primes_are_prefixes_of_one_another():
+    longest = first_primes(700)
+    for n in (0, 1, 5, 6, 7, 37, 168, 169, 300, 699):
+        assert first_primes(n) == longest[:n]
 
 
 def test_probable_prime_against_sieve():
@@ -974,6 +981,50 @@ def test_squarefree_kernel_matches_trial_division_oracle(around):
 def test_squarefree_kernel_prime_products_table():
     assert numtheory._prime_products() == tuple(
         (run[0], math.prod(run)) for run in _chunk_runs(10 ** 6))
+
+
+SEGMENT_END = 999 + 2 * numtheory._SEGMENT      # the first segment's last
+
+
+@pytest.mark.parametrize("lo, limit", [
+    (1000, 1000), (1000, 1009), (1000, SEGMENT_END),
+    (1000, SEGMENT_END + 2), (SEGMENT_END - 100, SEGMENT_END + 100),
+    (999_000, 10 ** 6)])
+def test_prime_segments_match_the_whole_sieve(lo, limit):
+    want = [p for p in numtheory._sieve.__wrapped__(limit) if p >= lo]
+    got = chain.from_iterable(numtheory._prime_segments(lo, limit))
+    assert list(got) == want
+
+
+def test_prime_products_build_holds_one_segment_at_a_time():
+    # sieving all of [1, 10^6) at once peaked ~770 KiB above the ~200 KiB
+    # table it kept
+    numtheory._prime_products.cache_clear()
+    tracemalloc.start()
+    try:
+        table = numtheory._prime_products()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 153
+    assert peak - kept < 200 * 1024
+
+
+def test_squarefree_kernel_small_parts_near_1000_around_10_to_the_6():
+    # the primes below 1000 come from one gcd, and a cofactor below 1000^2
+    # is taken as 1 or a prime: parts built from the largest primes below
+    # 1000, times cofactors just below and just above 10^6
+    rng = random.Random(2026)
+    parts = [1, 2, 12, 991, 997, 991 ** 2, 997 ** 2, 991 ** 3, 997 ** 3,
+             991 * 997 ** 2, 4 * 991 ** 2 * 997 ** 3]
+    cofactors = [999_983, 10 ** 6, 1_000_003, 1009 ** 2, 1009 * 1013,
+                 997 * 1009, 991 * 997 * 1009]
+    cofactors += [rng.randrange(10 ** 6 - 5000, 10 ** 6) for _ in range(30)]
+    cofactors += [rng.randrange(10 ** 6, 10 ** 6 + 5000) for _ in range(30)]
+    for part, cofactor in product(parts, cofactors):
+        for n in (part * cofactor, -part * cofactor):
+            assert squarefree_kernel(n) == \
+                squarefree_kernel_by_trial_division(n), n
 
 
 def test_squarefree_kernel_small_inputs_leave_chunk_table_unbuilt():
