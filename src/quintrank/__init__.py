@@ -21,6 +21,26 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+class CheckedRecord:
+    """Base for a record whose fields a collections.namedtuple holds:
+    listed before that namedtuple among a subclass's bases, it runs the
+    subclass's _check, which raises ValueError on inconsistent fields,
+    whenever a record is made, by _make and _replace too.  (A
+    typing.NamedTuple would do as well, but it compiles each string
+    annotation of its fields when the class is made.)"""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class InternalCheckFailed(RuntimeError):
     """An internal invariant failed: a bug or a broken assumption, never
     bad input.  The command line exits 1 on it, not 3."""

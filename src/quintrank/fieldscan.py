@@ -57,14 +57,14 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
-from . import InternalCheckFailed, canonical_json
+from . import CheckedRecord, InternalCheckFailed, canonical_json
 from .numtheory import (
     DEFAULT_PRIME_BUDGET,
     DEFAULT_TRIAL_BOUND,
@@ -118,10 +118,17 @@ class QuinticField:
         if disc == 0:
             raise NotSeparable(f"{poly} has a repeated root")
         self.poly = poly
-        self.label = label if label is not None else str(poly)
+        if label is not None:
+            self.label = label
         self.prime_budget = prime_budget
         self.disc = disc
         self._patterns = []     # None on a rebuilt field until it grows
+
+    @cached_property
+    def label(self) -> str:
+        """The caller's label, or else str(poly), built when first read,
+        so the candidates that an enumeration drops never build one."""
+        return str(self.poly)
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -202,19 +209,16 @@ class QuinticField:
         return f"QuinticField({self.label!r})"
 
     def to_record(self) -> dict:
-        """Complete derived data, JSON-ready; forces all computations."""
-        sig = self.signature
-        rd = self.resolvent
-        cert = self.certificate
+        """Complete derived data, JSON-ready; forces all computations.
+        The resolvent and the certificate are stored as the lists of
+        their fields, in order, which from_record passes back."""
         return {
             "coeffs": list(self.coeffs),
             "label": self.label,
             "disc": self.disc,
-            "signature": list(sig),
-            "resolvent": [rd.disc, rd.squarefree_kernel, rd.fundamental_disc,
-                          rd.complete, rd.degenerate],
-            "s5": [cert.status, cert.five_cycle_witness,
-                   cert.transposition_witness, cert.primes_scanned],
+            "signature": list(self.signature),
+            "resolvent": list(self.resolvent),
+            "s5": list(self.certificate),
             "fingerprint": list(self.fingerprint),
             "prime_budget": self.prime_budget,
             "trial_bound": DEFAULT_TRIAL_BOUND,
@@ -613,25 +617,25 @@ def enumerate_quintics(coeff_height: int, disc_bound: int,
 # -- scan -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BucketStat:
-    X: int
-    total: int
-    admissible: int
-    odd: int
+_BucketFields = namedtuple("_BucketFields", "X total admissible odd")
 
-    def __post_init__(self):
+
+class BucketStat(CheckedRecord, _BucketFields):
+    __slots__ = ()
+
+    def _check(self):
         if not 0 <= self.odd <= self.admissible <= self.total:
             raise ValueError("bucket counts must satisfy "
                              "0 <= odd <= admissible <= total")
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    curve: str
-    buckets: tuple[BucketStat, ...]
+_ScanFields = namedtuple("_ScanFields", "curve buckets")
 
-    def __post_init__(self):
+
+class ScanReport(CheckedRecord, _ScanFields):
+    __slots__ = ()
+
+    def _check(self):
         for a, b in zip(self.buckets, self.buckets[1:]):
             if not a.X < b.X:
                 raise ValueError("bucket bounds must be strictly ascending")
@@ -641,9 +645,7 @@ class ScanReport:
 
     def to_json_dict(self) -> dict:
         return {"curve": self.curve,
-                "buckets": [{"X": b.X, "total": b.total,
-                             "admissible": b.admissible, "odd": b.odd}
-                            for b in self.buckets]}
+                "buckets": [b._asdict() for b in self.buckets]}
 
 
 def scan(curve: CurveData, fields: Iterable[QuinticField],

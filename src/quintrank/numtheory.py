@@ -27,10 +27,9 @@ complete=True, so such a kernel rests on a probable prime (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, compress, islice
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 DEFAULT_TRIAL_BOUND = 10 ** 6
 DEFAULT_PRIME_BUDGET = 200
@@ -68,15 +67,29 @@ def _trim(coeffs: list) -> tuple:
     return tuple(coeffs[:n])
 
 
-@dataclass(frozen=True)
 class IntPolynomial:
-    """Integer polynomial, coefficients low to high; the zero polynomial
-    has an empty coefficient tuple."""
+    """Immutable integer polynomial, coefficients low to high; the zero
+    polynomial has an empty coefficient tuple."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
         object.__setattr__(self, "coeffs", _trim([int(c) for c in coeffs]))
+
+    def __setattr__(self, *_):
+        raise AttributeError("IntPolynomial is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return (self.coeffs == other.coeffs if type(other) is IntPolynomial
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"IntPolynomial(coeffs={self.coeffs!r})"
 
     @staticmethod
     def descending(coeffs) -> "IntPolynomial":
@@ -217,8 +230,7 @@ _SMALL_PRIMES = _sieve(_TRIAL_BELOW - 1)
 _SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 
 
-@dataclass(frozen=True)
-class SquarefreeResult:
+class SquarefreeResult(NamedTuple):
     kernel: int
     complete: bool
 
@@ -443,8 +455,7 @@ def _pgcd(a, b, p):
     return tuple(c * inv % p for c in a)
 
 
-@dataclass(frozen=True)
-class FactorPattern:
+class FactorPattern(NamedTuple):
     squarefree: bool
     pattern: Optional[tuple[int, ...]]  # sorted factor degrees, or None
 
@@ -564,8 +575,7 @@ def quintic_patterns(f: IntPolynomial, primes, disc: int
 # -- Galois certification --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class S5Certificate:
+class S5Certificate(NamedTuple):
     status: str                       # "Certified" or "Inconclusive"
     five_cycle_witness: Optional[int]
     transposition_witness: Optional[int]
@@ -641,8 +651,7 @@ def certify_s5(f: IntPolynomial, prime_budget: int, disc: int,
 # -- quadratic resolvent -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResolventData:
+class ResolventData(NamedTuple):
     disc: int
     squarefree_kernel: int
     fundamental_disc: int

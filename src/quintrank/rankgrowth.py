@@ -26,10 +26,10 @@ Kodaira data.  Fields are consumed through a small protocol: .label,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
+from typing import NamedTuple
 
-from . import InternalCheckFailed
+from . import CheckedRecord, InternalCheckFailed
 from .numtheory import is_probable_prime, kronecker_symbol, parse_int
 
 # admissibility reason codes, in check order
@@ -41,15 +41,16 @@ REASON_NONSPLIT = "NonSplitPrime"
 REASON_INCOMPLETE = "IncompleteData"
 
 
-@dataclass(frozen=True)
-class CurveData:
-    """Elliptic curve identified by its label and factored conductor."""
+_CurveFields = namedtuple("_CurveFields", "label conductor factorization")
 
-    label: str
-    conductor: int
-    factorization: tuple[tuple[int, int], ...]  # (prime, exponent), ascending
 
-    def __post_init__(self):
+class CurveData(CheckedRecord, _CurveFields):
+    """Elliptic curve identified by its label and factored conductor:
+    factorization holds (prime, exponent) pairs, primes ascending."""
+
+    __slots__ = ()
+
+    def _check(self):
         prod = 1
         last = 1
         for p, e in self.factorization:
@@ -94,23 +95,24 @@ class CurveData:
         return self.conductor // self.multiplicative_part
 
 
-@dataclass(frozen=True)
-class Admissibility:
+class Admissibility(NamedTuple):
     ok: bool
     reasons: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ParityCertificate:
-    curve: str
-    field: str
-    admissible: bool
-    reasons: tuple[str, ...]
-    chi: Optional[int]      # None when the criterion does not apply
-    parity: Optional[str]   # "Odd" | "Even" | None
-    growth: str             # "Certified" | "Unknown"
+_ParityFields = namedtuple(
+    "_ParityFields", "curve field admissible reasons chi parity growth")
 
-    def __post_init__(self):
+
+class ParityCertificate(CheckedRecord, _ParityFields):
+    """The curve's and the field's labels, whether the pair is admissible
+    and the reasons it is not, then chi (None when the criterion does
+    not apply), parity ("Odd", "Even" or None) and growth ("Certified"
+    or "Unknown")."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.growth == "Certified" and not (
                 self.admissible and self.parity == "Odd" and self.chi == -1):
             raise ValueError("certified growth needs an admissible pair "
@@ -119,15 +121,7 @@ class ParityCertificate:
             raise ValueError("parity must be odd exactly when chi = -1")
 
     def to_json_dict(self) -> dict:
-        return {
-            "curve": self.curve,
-            "field": self.field,
-            "admissible": self.admissible,
-            "reasons": list(self.reasons),
-            "chi": self.chi,
-            "parity": self.parity,
-            "growth": self.growth,
-        }
+        return {**self._asdict(), "reasons": list(self.reasons)}
 
 
 def admissible(curve: CurveData, field) -> Admissibility:

@@ -563,11 +563,18 @@ def test_algebra_commands_load_no_scan_module(command):
     ["certify", "--curve", CURVE37, "--poly", FLAGSHIP_POLY],
     ["analyze-field", "--poly", FLAGSHIP_POLY],
     ["selftest"],
-], ids=lambda argv: argv[0])
+    None,
+], ids=lambda argv: argv[0] if argv else "import-fieldscan")
 def test_commands_without_a_cache_leave_openssl_unloaded(argv):
-    loaded = _modules_after(f"from quintrank.cli import main; main({argv!r})")
+    # None stands for a bare import of the scan stack
+    loaded = _modules_after("import quintrank.fieldscan" if argv is None else
+                            f"from quintrank.cli import main; main({argv!r})")
     assert "quintrank.fieldscan" in loaded
     assert not loaded & OPENSSL
+    # the scan stack's records are tuples, not dataclasses; selftest
+    # runs numpy, which imports inspect itself
+    if argv != ["selftest"]:
+        assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_scan_with_a_cache_loads_hashlib(tmp_path):

@@ -21,8 +21,9 @@ from oracles import (
 )
 
 import quintrank
-from quintrank import fieldscan, numtheory
+from quintrank import fieldscan, numtheory, rankgrowth
 from quintrank.fieldscan import (
+    BucketStat,
     FalseMergeError,
     FieldCache,
     NotSeparable,
@@ -32,6 +33,7 @@ from quintrank.fieldscan import (
     field_from_coeffs,
     ingest_fields,
     scan,
+    ScanReport,
 )
 from quintrank.numtheory import (
     IntPolynomial,
@@ -426,7 +428,8 @@ def test_false_merge_is_surfaced():
     f = field_of(1, 0, 0, 0, -1, -1)
     g = field_of(1, 0, 0, 0, -4, 2)    # genuinely different field
     g.fingerprint = f.fingerprint      # force a collision
-    with pytest.raises(FalseMergeError):
+    with pytest.raises(FalseMergeError, match=r"^x\^5 - x - 1 and "
+                       r"x\^5 - 4\*x \+ 2 share a fingerprint"):
         list(dedupe_stream([f, g]))
 
 
@@ -1040,6 +1043,68 @@ def test_scan_height_two_monotone():
     # a second pass over a fresh enumeration gives the identical report
     fields2 = enumerate_quintics(2, 10 ** 6, prime_budget=40)
     assert scan(CURVE37, fields2, [10 ** 4, 10 ** 5, 10 ** 6]) == report
+
+
+def test_enumeration_builds_labels_only_for_the_fields_scan_reads(
+        monkeypatch):
+    # a candidate's label, str(poly), is built only when it is read, so
+    # the candidates that fail the certificate or dedup never build one
+    to_str, init = IntPolynomial.__str__, QuinticField.__init__
+    labelled, built = Counter(), Counter()
+
+    def counted_str(self):
+        labelled[self.coeffs] += 1
+        return to_str(self)
+
+    def counted_init(self, *args, **kwargs):
+        built["fields"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IntPolynomial, "__str__", counted_str)
+    monkeypatch.setattr(QuinticField, "__init__", counted_init)
+    report = scan(CURVE37, enumerate_quintics(2, 10 ** 6, prime_budget=40),
+                  [100_000, 400_000, 1_000_000])
+    assert len(labelled) == report.buckets[-1].total == 569
+    assert set(labelled.values()) == {1}
+    assert built["fields"] > len(labelled)
+
+
+# -- records --------------------------------------------------------------------------
+
+
+RECORDS = [
+    numtheory.SquarefreeResult(-6, True),
+    numtheory.FactorPattern(True, (5,)),
+    numtheory.S5Certificate("Certified", 3, 7, 4),
+    numtheory.resolvent(2869),
+    CURVE37,
+    rankgrowth.Admissibility(True, ()),
+    rankgrowth.certify_pair(CURVE37, field_of(1, 0, 0, 0, -1, -1)),
+    BucketStat(10, 2, 2, 1),
+    ScanReport("37a", (BucketStat(10, 2, 2, 1),)),
+    IntPolynomial([-1, -1, 0, 0, 0, 1]),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_immutable(record):
+    first = getattr(record, "_fields", ("coeffs",))[0]
+    with pytest.raises(AttributeError):
+        setattr(record, first, getattr(record, first))
+    with pytest.raises(AttributeError):
+        record.note = "not a field"
+
+
+def test_int_polynomial_trims_and_compares_by_coefficients():
+    f = IntPolynomial([1, 2.0, 0, 0])
+    assert f.coeffs == (1, 2) and all(type(c) is int for c in f.coeffs)
+    g = IntPolynomial.descending([0, 2, 1])
+    assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+    assert f != IntPolynomial([1, 2, 1]) and f != (1, 2)
+    assert IntPolynomial([0, 0]).is_zero and IntPolynomial([0, 0]).degree == -1
+    assert repr(f) == "IntPolynomial(coeffs=(1, 2))"
+    with pytest.raises(AttributeError):
+        del f.coeffs
 
 
 # -- guards that python -O keeps ------------------------------------------------------

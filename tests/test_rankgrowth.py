@@ -1,4 +1,3 @@
-import dataclasses
 from functools import lru_cache
 
 import pytest
@@ -75,6 +74,17 @@ def test_parse_rejects_bad_lines():
         CurveData.parse("only-label")
 
 
+def test_curve_data_checks_every_construction():
+    # parse sorts the factors; the constructor must still refuse them
+    # out of order, and _replace goes through the same checks
+    assert CurveData(label="x", conductor=6, factorization=((2, 1), (3, 1)))
+    with pytest.raises(ValueError):
+        CurveData(label="x", conductor=6, factorization=((3, 1), (2, 1)))
+    with pytest.raises(ValueError):
+        CURVE37._replace(conductor=74)
+    assert CURVE37._replace(label="37b").label == "37b"
+
+
 # -- admissibility -------------------------------------------------------------
 
 
@@ -127,7 +137,7 @@ def test_reasons_accumulate_in_check_order():
 def test_incomplete_resolvent():
     # an incomplete kernel is a reason, given alone, not an error
     stub = field_of(1, 0, 0, 0, -1, -1)
-    stub.resolvent = dataclasses.replace(stub.resolvent, complete=False)
+    stub.resolvent = stub.resolvent._replace(complete=False)
     assert not stub.resolvent.complete
     assert admissible(CURVE37, stub) == Admissibility(False,
                                                       ("IncompleteData",))
