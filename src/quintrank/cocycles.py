@@ -9,102 +9,99 @@ along a fixed deterministic transposition factorization, and read the
 Transposition lifts square to +1, so the resulting double cover of S_n
 is the one in which transpositions lift to involutions.
 
-Everything is exact: the lift of a permutation of length k is an
-integer blade vector v, standing for v / 2^(k/2), and every product of
-blade vectors goes through one right-multiplication matrix read off
-the blade sign table.
+Everything is exact and in Python ints, laid out as in ``groups``: a
+cochain table is a tuple of rows, ``values[g][h]`` = w(g, h) in {0, 1},
+and a 1-cochain is a tuple indexed by label.  The lift of a permutation
+of length k is a list of 2^n integer blade coefficients v, standing for
+v / 2^(k/2).
 
-Cohomology dimensions and coboundary witnesses work on sparse mod-2
-coboundary rows (Python-int bit rows) taken only at (g, s) and
-(g, h, s) for the generators s, so no dense coboundary matrix is ever
-built.  These rows have the kernel, and so the rank, of the full
-operators (see ``_delta1_rows_gf2`` and ``_delta2_rows_gf2``).
+Only the generators s of the group index the checks and equations:
+
+* the Pin table is formed from lift products at the columns (g, s) and
+  filled in along ``groups._bfs`` (see ``pin_cocycle_sn``);
+* ``verify_cocycle`` checks the cocycle identity at (g, h, s), which for
+  a normalized cochain is the identity at all |G|^3 triples (the
+  induction in ``_delta2_rows_gf2``);
+* cohomology dimensions and coboundary witnesses work on sparse mod-2
+  coboundary rows (Python-int bit rows) taken at (g, s) and (g, h, s),
+  which have the kernel, and so the rank, of the full operators (see
+  ``_delta1_rows_gf2`` and ``_delta2_rows_gf2``); no dense coboundary
+  matrix is ever built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
+from operator import xor
 from typing import Optional
 
-import numpy as np
-
-from . import InternalCheckFailed
-from .groups import FiniteGroup, Permutation, _bfs, symmetric_group
+from . import CheckedRecord, InternalCheckFailed
+from .groups import (FiniteGroup, Permutation, _bfs, _int_rows, _picker,
+                     symmetric_group)
 
 H2_GROUP_CAP = 30
 H1_GROUP_CAP = 240
-
-# Entry budget for every n^3-sized temporary: checks over triples run
-# in slices of at most this many entries.
-_CHUNK_ENTRIES = 1 << 18
 
 
 class TooLarge(RuntimeError):
     """Group is past the cap for a full cohomology computation."""
 
 
-@dataclass(frozen=True)
-class Cocycle2:
+_Cocycle2Fields = namedtuple("_Cocycle2Fields", "group values")
+_BITS = frozenset((0, 1))
+
+
+class Cocycle2(CheckedRecord, _Cocycle2Fields):
     """A normalized Z/2-valued 2-cochain on G (trivial action); run
-    verify_cocycle for the cocycle law."""
+    verify_cocycle for the cocycle law.  ``values`` may be given as rows
+    of ints or as an integer array; it is kept reduced mod 2."""
 
-    group: FiniteGroup
-    values: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.int8) % 2
+    def __new__(cls, group: FiniteGroup, values):
+        rows = tuple(row if _BITS.issuperset(row)
+                     else tuple([v & 1 for v in row])
+                     for row in _int_rows(values))
+        return super().__new__(cls, group, rows)
+
+    def _check(self):
         n = self.group.order
-        if v.shape != (n, n):
+        if len(self.values) != n or any(len(row) != n for row in self.values):
             raise ValueError("cocycle table shape mismatch")
-        if v[0].any() or v[:, 0].any():
+        if any(self.values[0]) or any(row[0] for row in self.values):
             raise ValueError("cocycle is not normalized")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-
-def _row_chunks(n: int, per_row: int) -> list[tuple[int, int]]:
-    """[lo, hi) slices of range(n), each holding at most _CHUNK_ENTRIES
-    entries of a per_row-wide temporary (but one row at least)."""
-    step = max(1, _CHUNK_ENTRIES // max(1, per_row))
-    return [(lo, min(n, lo + step)) for lo in range(0, n, step)]
-
-
-def _coboundary2(G: FiniteGroup, w: np.ndarray, lo: int,
-                 hi: int) -> np.ndarray:
-    """delta w (g,h,k) = w(h,k) + w(gh,k) + w(g,hk) + w(g,h) mod 2 for
-    lo <= g < hi, as a (hi - lo) x n x n array; w holds 0/1 entries, as
-    Cocycle2 values do."""
-    t = G.table
-    g = np.arange(lo, hi)
-    return w[None] ^ w[t[g]] ^ w[g][:, t] ^ w[g][:, :, None]
-
-
-def _defect_labels(c: Cocycle2) -> list[int]:
-    """Labels g at which the cocycle identity fails for some (h, k)."""
-    n = c.group.order
-    bad = []
-    for lo, hi in _row_chunks(n, n * n):
-        defect = _coboundary2(c.group, c.values, lo, hi)
-        bad += (lo + np.flatnonzero(defect.any(axis=(1, 2)))).tolist()
-    return bad
 
 
 def verify_cocycle(c: Cocycle2) -> bool:
-    """Exhaustively check the cocycle identity over all |G|^3 triples:
+    """Check the cocycle identity
 
         w(h,k) + w(gh,k) + w(g,hk) + w(g,h) = 0  (mod 2)
 
-    in slices of consecutive g holding at most _CHUNK_ENTRIES (2^18)
-    triples; S5 takes 7 slices with int8 temporaries near 256 KB each.
-    """
-    return not _defect_labels(c)
+    at every (g, h, s) with s a generator, 2 |G|^2 triples for S5.  For
+    a normalized cochain, as every Cocycle2 is, that is the identity at
+    all |G|^3 triples: ``_delta2_rows_gf2`` shows by induction on the
+    word length of k that a normalized w whose coboundary vanishes at
+    every (g, h, s) has zero coboundary."""
+    G, w = c.group, c.values
+    t = G.table
+    for s in _row_generators(G):
+        ws = [row[s] for row in w]        # w(h, s) for every h
+        ts = [row[s] for row in t]        # hs for every h
+        for wg, tg in zip(w, t):
+            # w(h,s) + w(g,h) against w(gh,s) + w(g,hs), for every h
+            if (list(map(xor, ws, wg))
+                    != list(map(xor, map(ws.__getitem__, tg),
+                                map(wg.__getitem__, ts)))):
+                return False
+    return True
 
 
-def coboundary(G: FiniteGroup, c) -> np.ndarray:
-    """delta c (g,h) = c(h) + c(gh) + c(g) mod 2."""
-    c = np.asarray(c, dtype=np.int64) % 2
-    return c[None, :] ^ c[G.table] ^ c[:, None]
+def coboundary(G: FiniteGroup, c) -> tuple[tuple[int, ...], ...]:
+    """delta c (g,h) = c(h) + c(gh) + c(g) mod 2, as rows."""
+    c = [int(x) & 1 for x in c]
+    return tuple(tuple([ch ^ c[gh] ^ cg for ch, gh in zip(c, row)])
+                 for cg, row in zip(c, G.table))
 
 
 # -- the Pin lift on dense blade vectors ------------------------------------
@@ -137,46 +134,39 @@ def transposition_factorization(p: Permutation) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _blade_product_tables(n: int):
-    """IDX[i,k] = i xor k and S2[i,k] = sign(e_i * e_{i xor k}), so a dense
-    product is out[k] = sum_i a[i] * S2[i,k] * b[i xor k]."""
+def _blade_signs(n: int) -> tuple[tuple[int, ...], ...]:
+    """S[a][b] = sign of e_a * e_b over the 2^n blades of Cl(n)."""
     size = 1 << n
-    idx = np.arange(size)[:, None] ^ np.arange(size)[None, :]
-    s2 = np.empty((size, size), dtype=np.int64)
-    for i in range(size):
-        for k in range(size):
-            s2[i, k] = _blade_sign(i, i ^ k)
-    idx.flags.writeable = False
-    s2.flags.writeable = False
-    return idx, s2
+    return tuple(tuple(_blade_sign(a, b) for b in range(size))
+                 for a in range(size))
 
 
-def _right_mul(b: np.ndarray) -> np.ndarray:
-    """R[..., i, k] = S2[i, k] * b[..., i xor k] for dense blade vectors b
-    of Cl(n), so that a @ R is the Clifford product a * b; batched over
-    the leading axes of b."""
-    idx, s2 = _blade_product_tables(b.shape[-1].bit_length() - 1)
-    return s2 * b[..., idx]
+def _clifford_product(a: list[int], b: list[int]) -> list[int]:
+    """The Clifford product a * b of dense blade vectors of Cl(n):
+    e_i * e_j = S[i][j] e_(i xor j)."""
+    signs = _blade_signs(len(a).bit_length() - 1)
+    out = [0] * len(a)
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            row = signs[i]
+            for j, y in terms:
+                out[i ^ j] += row[j] * x * y
+    return out
 
 
-def pin_lift(p: Permutation) -> tuple[np.ndarray, int]:
+def pin_lift(p: Permutation) -> tuple[list[int], int]:
     """(v, k): v is the integer blade vector of the product of the k
     reflection vectors e_i - e_j along the deterministic factorization,
     and the lift of p is v / 2^(k/2)."""
     fac = transposition_factorization(p)
-    v = np.zeros(1 << p.degree, dtype=np.int64)
+    v = [0] * (1 << p.degree)
     v[0] = 1
     for i, j in fac:
-        r = np.zeros_like(v)
+        r = [0] * len(v)
         r[1 << i], r[1 << j] = 1, -1
-        v = v @ _right_mul(r)
+        v = _clifford_product(v, r)
     return v, len(fac)
-
-
-def _clifford_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[i, j] is the Clifford product a[i] * b[j] of dense blade
-    vectors, for stacks a and b of them."""
-    return np.einsum("ai,bik->abk", a, _right_mul(b))
 
 
 @lru_cache(maxsize=None)
@@ -198,36 +188,48 @@ def pin_cocycle_sn(n: int) -> Cocycle2:
         raise ValueError("pin cocycle is provided for n in {4, 5}")
     G = symmetric_group(n)
     lifts = [pin_lift(p) for p in G.elems]
-    L = np.stack([v for v, _ in lifts])
-    scale = -np.array([k for _, k in lifts], dtype=np.int64)
-    gens = list(G.generators)
+    gens = G.generators
     t = G.table
-    prod = _clifford_products(L, L[gens])
-    c = t[:, gens]
-    # the raw product has scale sa+sb; lengths are subadditive and keep
-    # parity, so d = ka+kb-kc is even and >= 0
-    d = scale[c] - scale[:, None] - scale[None, gens]
-    if (d < 0).any() or (d % 2).any():
-        raise InternalCheckFailed("pin lift scale mismatch")
-    target = L[c] * (1 << (d // 2))[:, :, None]
-    plus = (prod == target).all(axis=2)
-    minus = (prod == -target).all(axis=2)
-    if not (plus ^ minus).all():
-        raise InternalCheckFailed("pin lift products do not match up to sign")
-    cols = np.zeros((G.order, G.order), dtype=np.int8)  # cols[y] = w[:, y]
-    cols[gens] = minus.T
+    # the raw product lift(g) lift(s) has scale kg+ks; lengths are
+    # subadditive and keep parity, so d = kg+ks-k(gs) is even and >= 0
+    halves = []
+    for s in gens:
+        ks = lifts[s][1]
+        d = [kg + ks - lifts[row[s]][1] for row, (_, kg) in zip(t, lifts)]
+        if any(e < 0 or e & 1 for e in d):
+            raise InternalCheckFailed("pin lift scale mismatch")
+        halves.append([e >> 1 for e in d])
+    cols: list = [None] * G.order  # cols[y][g] = w(g, y)
+    cols[0] = [0] * G.order
+    for s, half in zip(gens, halves):
+        vs = lifts[s][0]
+        col = []
+        for row, (vg, _), h in zip(t, lifts, half):
+            prod = _clifford_product(vg, vs)
+            target = [x << h for x in lifts[row[s]][0]]
+            if prod == target:
+                col.append(0)
+            elif prod == [-x for x in target]:
+                col.append(1)
+            else:
+                raise InternalCheckFailed(
+                    "pin lift products do not match up to sign")
+        cols[s] = col
+    tcols = list(zip(*t))  # tcols[x][g] = gx
     for x, s, y, new in _bfs(t, gens):
         if new:
-            cols[y] = cols[x] ^ cols[s][t[:, x]] ^ cols[s][x]
-    return Cocycle2(G, cols.T)
+            ws = cols[s]
+            col = list(map(xor, cols[x], map(ws.__getitem__, tcols[x])))
+            cols[y] = [v ^ 1 for v in col] if ws[x] else col
+    return Cocycle2(G, zip(*cols))
 
 
 def restrict_cocycle(c: Cocycle2, labels) -> tuple[Cocycle2, tuple[int, ...]]:
     """Restrict to a subgroup; returns the cocycle on the relabeled
     subgroup together with the inclusion (new label -> old label)."""
     H, incl = c.group.subgroup(labels)
-    sub = np.asarray(incl, dtype=np.int32)
-    return Cocycle2(H, c.values[np.ix_(sub, sub)]), incl
+    pick, w = _picker(incl), c.values
+    return Cocycle2(H, [pick(w[a]) for a in incl]), incl
 
 
 # -- GF(2) linear algebra (bit-packed rows) --------------------------------
@@ -299,10 +301,9 @@ def _delta1_rows_gf2(G: FiniteGroup) -> list[int]:
     u, so c(gh) = c(g) + c(h) by induction on the word length of h:
     c is a homomorphism, i.e. dc = 0.
     """
-    gens = list(_row_generators(G))
-    return [(1 << s) ^ (1 << gs) ^ (1 << g)
-            for g, row in enumerate(G.table[:, gens].tolist())
-            for s, gs in zip(gens, row)]
+    gens = _row_generators(G)
+    return [(1 << s) ^ (1 << row[s]) ^ (1 << g)
+            for g, row in enumerate(G.table) for s in gens]
 
 
 def _delta2_rows_gf2(G: FiniteGroup) -> list[int]:
@@ -320,16 +321,15 @@ def _delta2_rows_gf2(G: FiniteGroup) -> list[int]:
     because dw(g,e,s) = w(e,s) + w(g,e) = 0; so dw(g,h,e) = 0, and
     dw = 0 at every (g, h, u) by induction on the word length of u.
     """
-    n, t = G.order, G.table.astype(np.int64)
-    gens = np.asarray(_row_generators(G), dtype=np.int64)
-    g, h, s = (a.ravel() for a in np.meshgrid(
-        np.arange(n), np.arange(n), gens, indexing="ij"))
-    cols = (h * n + s, t[g, h] * n + s, g * n + t[h, s], g * n + h)
-    return [(1 << a) ^ (1 << b) ^ (1 << c) ^ (1 << d)
-            for a, b, c, d in zip(*(col.tolist() for col in cols))]
+    n, t = G.order, G.table
+    gens = _row_generators(G)
+    return [(1 << (h * n + s)) ^ (1 << (gh * n + s))
+            ^ (1 << (g * n + t[h][s])) ^ (1 << (g * n + h))
+            for g, row in enumerate(t) for h, gh in enumerate(row)
+            for s in gens]
 
 
-def coboundary_witness(c: Cocycle2) -> Optional[np.ndarray]:
+def coboundary_witness(c: Cocycle2) -> Optional[tuple[int, ...]]:
     """A 1-cochain with delta(witness) == c.values, or None when there is
     none: the class of the cocycle is nonzero, or c is not a cocycle.
 
@@ -343,21 +343,20 @@ def coboundary_witness(c: Cocycle2) -> Optional[np.ndarray]:
     z(g, us) = z(g, u), and so z = 0 by induction from z(g, e) = 0.
     """
     G = c.group
-    gens = list(_row_generators(G))
+    gens = _row_generators(G)
     solver = Gf2Solver()
-    rhs = c.values[:, gens].ravel().tolist()
+    rhs = [row[s] for row in c.values for s in gens]
     for row in {row << 1 | v for row, v in zip(_delta1_rows_gf2(G), rhs)}:
         solver.add(row)
     sol = solver.solve()
     if sol is None:
         return None
-    witness = np.array([(sol >> j) & 1 for j in range(G.order)],
-                       dtype=np.int8)
+    witness = tuple((sol >> j) & 1 for j in range(G.order))
     image = coboundary(G, witness)
-    if not (image[:, gens] == c.values[:, gens]).all():
+    if [row[s] for row in image for s in gens] != rhs:
         raise InternalCheckFailed(
             "coboundary witness does not solve the generator equations")
-    if not (image == c.values).all():
+    if image != c.values:
         return None
     return witness
 
@@ -388,32 +387,34 @@ def h1_dimension(G: FiniteGroup) -> int:
 # -- central extensions ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CentralExtension:
+_ExtensionFields = namedtuple("_ExtensionFields", "group projection central")
+
+
+class CentralExtension(_ExtensionFields):
     """The extension 1 -> Z/2 -> E -> G -> 1 defined by a cocycle.
 
     Elements are pairs (c, g) with label c * |G| + g and product
-    (c1, g1)(c2, g2) = (c1 + c2 + w(g1, g2), g1 g2).
+    (c1, g1)(c2, g2) = (c1 + c2 + w(g1, g2), g1 g2); ``projection[l]``
+    is the G label of E label l.
     """
 
-    group: FiniteGroup
-    projection: np.ndarray
-    central: tuple[int, ...]
+    __slots__ = ()
 
 
 def central_extension(G: FiniteGroup, c: Cocycle2) -> CentralExtension:
-    if c.group is not G and not np.array_equal(c.group.table, G.table):
+    if c.group is not G and c.group.table != G.table:
         raise ValueError("cocycle is not on the given group")
     n = G.order
-    labels = np.arange(2 * n)
-    c1, g1 = labels // n, labels % n
-    newc = c1[:, None] ^ c1[None, :] ^ c.values[np.ix_(g1, g1)]
-    newg = G.table[np.ix_(g1, g1)]
-    table = (newc * n + newg).astype(np.int32)
-    elems = [(int(cc), G.elems[int(gg)]) for cc, gg in zip(c1, g1)]
+    # row (c1, g1) is the labels of (c1 + w(g1, g2), g1 g2) over g2,
+    # then those of (c1 + 1 + w(g1, g2), g1 g2)
+    upper, lower = [], []
+    for wrow, trow in zip(c.values, G.table):
+        r0 = tuple([w * n + gh for w, gh in zip(wrow, trow)])
+        r1 = tuple([x - n if x >= n else x + n for x in r0])
+        upper.append(r0 + r1)
+        lower.append(r1 + r0)
+    elems = [(cc, g) for cc in (0, 1) for g in G.elems]
     gens = list(G.generators) + [n]  # lifts of base generators plus (1, id)
-    E = FiniteGroup(elems, table, generators=gens,
+    E = FiniteGroup(elems, upper + lower, generators=gens,
                     name=f"ext2({G.name})" if G.name else "ext")
-    proj = g1.astype(np.int32)
-    proj.flags.writeable = False
-    return CentralExtension(E, proj, (0, n))
+    return CentralExtension(E, tuple(range(n)) * 2, (0, n))

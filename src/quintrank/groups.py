@@ -2,9 +2,12 @@
 
 A group is built once, by closure from generators or directly from a
 table, and is afterwards handled through integer labels: label 0 is the
-two-sided identity and ``table[a, b]`` is the label of ``a * b``.  All
-structure is exact integer arithmetic; tables are marked read-only so
-groups can be shared freely.
+two-sided identity and ``table[a][b]`` is the label of ``a * b``.  A
+table is a tuple of rows, each a tuple of Python ints, and a map over
+the labels (``inv``, ``CosetSystem.coset_of``,
+``AbelianQuotient.coset_index``) is a tuple indexed by label, so groups
+can be shared freely and this module needs no numpy.  All structure is
+exact integer arithmetic.
 
 Permutations compose by right action: ``(p * q)(i) = q(p(i))``, p acts
 first.  Coset systems use right cosets ``Q g_i`` acted on by right
@@ -19,13 +22,12 @@ homomorphisms (the latter into the wreath product of Q by S_n).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
+from operator import itemgetter
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import InternalCheckFailed
+from . import CheckedRecord, InternalCheckFailed
 
 DEFAULT_CAP = 10_000
 
@@ -34,13 +36,32 @@ class CapExceeded(RuntimeError):
     """Closure grew past the configured element cap."""
 
 
-@dataclass(frozen=True)
-class Permutation:
+def _int_rows(table) -> tuple[tuple[int, ...], ...]:
+    """A table as a tuple of row tuples: an integer array is read through
+    its tolist(), anything else as a sequence of rows of ints."""
+    if hasattr(table, "tolist"):
+        table = table.tolist()
+    return tuple(map(tuple, table))
+
+
+def _picker(labels: Sequence[int]):
+    """A function from a table row to the tuple of its entries at
+    ``labels``, in that order."""
+    if len(labels) == 1:
+        only = labels[0]
+        return lambda row: (row[only],)
+    return itemgetter(*labels)
+
+
+_PermutationFields = namedtuple("_PermutationFields", "images")
+
+
+class Permutation(CheckedRecord, _PermutationFields):
     """Permutation of {0, .., n-1}; ``images[i]`` is the image of i."""
 
-    images: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if sorted(self.images) != list(range(len(self.images))):
             raise ValueError(f"not a permutation of 0..n-1: {self.images!r}")
 
@@ -63,7 +84,7 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # right action: self first, then other
-        return Permutation(tuple(other.images[i] for i in self.images))
+        return Permutation(tuple(map(other.images.__getitem__, self.images)))
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen, out = set(), []
@@ -96,22 +117,25 @@ class FiniteGroup:
 
     ``elems`` holds the original payload objects (permutations, pairs,
     quaternion coordinates, ..) purely for inspection; all computation
-    goes through ``table``.  Identity is validated to sit at label 0.
+    goes through ``table``, which may be given as rows of ints or as an
+    integer array.  Identity is validated to sit at label 0.
     """
 
-    def __init__(self, elems: Sequence, table: np.ndarray, generators=None, name: str = ""):
-        table = np.asarray(table, dtype=np.int32)
+    def __init__(self, elems: Sequence, table, generators=None, name: str = ""):
+        table = _int_rows(table)
         n = len(elems)
-        if table.shape != (n, n):
+        if len(table) != n or any(len(row) != n for row in table):
             raise ValueError("table shape does not match element count")
-        ar = np.arange(n, dtype=np.int32)
-        if not ((table[0] == ar).all() and (table[:, 0] == ar).all()):
+        ar = tuple(range(n))
+        if table[0] != ar or tuple(row[0] for row in table) != ar:
             raise ValueError("label 0 is not a two-sided identity")
         self.elems = tuple(elems)
         self.table = table
-        self.table.flags.writeable = False
         self.name = name
-        self.inv = self._build_inverses()
+        try:
+            self.inv = tuple(row.index(0) for row in table)
+        except ValueError:
+            raise ValueError("a row of the table misses the identity") from None
         self._orders = None
         if generators is None:
             generators = _greedy_generators(self.table, self.element_orders())
@@ -120,15 +144,6 @@ class FiniteGroup:
             raise ValueError("declared generators do not generate the group")
         self._classes = None
 
-    # -- construction -------------------------------------------------
-
-    def _build_inverses(self) -> np.ndarray:
-        rows, cols = np.nonzero(self.table == 0)
-        inv = np.empty(self.order, dtype=np.int32)
-        inv[rows] = cols
-        inv.flags.writeable = False
-        return inv
-
     # -- basic queries -------------------------------------------------
 
     @property
@@ -136,53 +151,51 @@ class FiniteGroup:
         return len(self.elems)
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return self.table[a][b]
 
     def inverse(self, a: int) -> int:
-        return int(self.inv[a])
+        return self.inv[a]
 
     def power(self, a: int, k: int) -> int:
         if k < 0:
             a, k = self.inverse(a), -k
+        t = self.table
         acc, base = 0, a
         while k:
             if k & 1:
-                acc = int(self.table[acc, base])
-            base = int(self.table[base, base])
+                acc = t[acc][base]
+            base = t[base][base]
             k >>= 1
         return acc
 
     def order_of(self, a: int) -> int:
+        t = self.table
         k, x = 1, a
         while x != 0:
-            x = int(self.table[x, a])
+            x = t[x][a]
             k += 1
         return k
 
-    def element_orders(self) -> np.ndarray:
+    def element_orders(self) -> tuple[int, ...]:
         if self._orders is None:
-            orders = np.array([self.order_of(a) for a in range(self.order)],
-                              dtype=np.int32)
-            orders.flags.writeable = False
-            self._orders = orders
+            self._orders = tuple(map(self.order_of, range(self.order)))
         return self._orders
 
     def order_census(self) -> dict[int, int]:
-        orders = self.element_orders().tolist()
+        orders = self.element_orders()
         return {v: orders.count(v) for v in sorted(set(orders))}
 
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         if self._classes is None:
-            n = self.order
-            allg = np.arange(n)
-            seen = np.zeros(n, dtype=bool)
+            t, inv = self.table, self.inv
+            seen: set[int] = set()
             classes = []
-            for x in range(n):
-                if seen[x]:
+            for x in range(self.order):
+                if x in seen:
                     continue
-                t1 = self.table[self.inv, x]
-                orb = sorted(set(self.table[t1, allg].tolist()))
-                seen[orb] = True
+                # g^-1 x g for every g
+                orb = sorted({t[t[ig][x]][g] for g, ig in enumerate(inv)})
+                seen.update(orb)
                 classes.append(tuple(orb))
             self._classes = tuple(classes)
         return self._classes
@@ -194,25 +207,26 @@ class FiniteGroup:
         return tuple(sorted({0}.union(y for _, _, y, _ in _bfs(self.table, seeds))))
 
     def is_subgroup(self, labels) -> bool:
-        S = np.asarray(sorted({int(x) for x in labels}), dtype=np.int32)
-        if len(S) == 0 or S[0] != 0:
+        S = sorted({int(x) for x in labels})
+        if not S or S[0] != 0:
             return False
-        return bool(np.isin(self.table[np.ix_(S, S)], S).all())
+        members, pick, t = set(S), _picker(S), self.table
+        return all(members.issuperset(pick(t[a])) for a in S)
 
     def derived_subgroup(self) -> tuple[int, ...]:
-        ia = self.inv
-        left = self.table[np.ix_(ia, ia)]  # a^-1 b^-1
-        right = self.table  # a b
+        t, inv = self.table, self.inv
+        # a^-1 b^-1 a b for every a and b
         return self.subgroup_closure(
-            set(self.table[left, right].ravel().tolist()))
+            {t[t[ia][ib]][t[a][b]] for a, ia in enumerate(inv)
+             for b, ib in enumerate(inv)})
 
     def subgroup(self, labels, name: str = ""):
         """Return (H, inclusion) where inclusion[i] is the parent label of i."""
         S = sorted({int(x) for x in labels})
         pos = {l: i for i, l in enumerate(S)}
-        sub = self.table[np.ix_(S, S)]
+        pick, t = _picker(S), self.table
         try:
-            table = np.vectorize(pos.__getitem__, otypes=[np.int32])(sub)
+            table = [list(map(pos.__getitem__, pick(t[a]))) for a in S]
         except KeyError:
             raise ValueError("label set is not multiplicatively closed") from None
         H = FiniteGroup([self.elems[l] for l in S], table, name=name)
@@ -222,22 +236,24 @@ class FiniteGroup:
         """Return (Q, coset_index) for a normal subgroup given by labels."""
         cosets = CosetSystem.build(self, normal_labels)
         reps, qidx = cosets.reps, cosets.coset_of
-        qtable = qidx[self.table[np.ix_(reps, reps)]]
+        pick, t = _picker(reps), self.table
+        qtable = [list(map(qidx.__getitem__, pick(t[a]))) for a in reps]
         # well-definedness (fails iff the subgroup is not normal)
-        full = qtable[qidx[:, None], qidx[None, :]]
-        if not (qidx[self.table] == full).all():
-            raise ValueError("subgroup is not normal")
-        gens = [int(qidx[g]) for g in self.generators if qidx[g] != 0]
+        for a, row in enumerate(t):
+            qrow = qtable[qidx[a]]
+            if list(map(qidx.__getitem__, row)) != list(map(qrow.__getitem__, qidx)):
+                raise ValueError("subgroup is not normal")
+        gens = [qidx[g] for g in self.generators if qidx[g] != 0]
         gens = list(dict.fromkeys(gens)) or None
         Q = FiniteGroup(list(reps), qtable, generators=gens, name=name)
         return Q, qidx
 
 
-def _greedy_generators(table: np.ndarray, orders: np.ndarray) -> tuple[int, ...]:
+def _greedy_generators(table, orders) -> tuple[int, ...]:
     n = len(table)
     if n == 1:
         return ()
-    cands = sorted(range(1, n), key=lambda a: (-int(orders[a]), a))
+    cands = sorted(range(1, n), key=lambda a: (-orders[a], a))
     gens: list[int] = []
     closure = {0}
     for a in cands:
@@ -250,15 +266,16 @@ def _greedy_generators(table: np.ndarray, orders: np.ndarray) -> tuple[int, ...]
     return tuple(gens)
 
 
-def _bfs(table: np.ndarray, gens: Sequence[int]):
+def _bfs(table, gens: Sequence[int]):
     """Walk the labels reachable from the identity by right multiplication
     by ``gens``, in breadth-first discovery order.  Yields every edge as
     ``(x, g, x*g, new)``; ``new`` is true where x*g is first reached."""
     seen = {0}
     queue = [0]
     for x in queue:  # grows while it is walked
+        row = table[x]
         for g in gens:
-            y = int(table[x, g])
+            y = row[g]
             new = y not in seen
             if new:
                 seen.add(y)
@@ -277,7 +294,7 @@ def close_generators(generators: Sequence, name: str = "") -> FiniteGroup:
     Only the products x * g_j by the generators are formed.  They are
     the generators' columns of the table, and every other element y was
     first reached as y = x * g_j, so its column follows by associativity:
-    a * y = (a * x) * g_j, i.e. ``table[:, y] = table[:, g_j][table[:, x]]``.
+    a * y = (a * x) * g_j, i.e. column y is right[j] read at column x.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -301,25 +318,24 @@ def close_generators(generators: Sequence, name: str = "") -> FiniteGroup:
                 parent.append((x, j))
             right[j].append(index[y])
     n = len(elems)
-    right = np.array(right, dtype=np.int32)
-    cols = np.empty((n, n), dtype=np.int32)  # cols[y] = table[:, y]
-    cols[:len(gens)] = right
-    for y, (x, j) in enumerate(parent, start=len(gens)):
-        cols[y] = right[j][cols[x]]
-    table = cols.T
-    ar = np.arange(n, dtype=np.int32)
-    two_sided = (table == ar[None, :]).all(axis=1) & (table.T == ar[None, :]).all(axis=1)
-    ids = np.nonzero(two_sided)[0]
+    cols = list(right)  # cols[y][a] = label of a * y
+    for x, j in parent:
+        cols.append(list(map(right[j].__getitem__, cols[x])))
+    ar = list(range(n))
+    ids = [e for e in range(n)
+           if cols[e] == ar and all(col[e] == y for y, col in enumerate(cols))]
     if len(ids) != 1:
         raise ValueError("closure has no unique two-sided identity")
-    e = int(ids[0])
+    e = ids[0]
     order = [e] + [i for i in range(n) if i != e]
-    newlab = np.empty(n, dtype=np.int32)
-    newlab[order] = np.arange(n, dtype=np.int32)
-    table2 = newlab[table[np.ix_(order, order)]]
+    newlab = [0] * n
+    for new, old in enumerate(order):
+        newlab[old] = new
+    rows = list(zip(*[cols[y] for y in order]))  # rows[a][k] = a * order[k]
+    table = [tuple(map(newlab.__getitem__, rows[a])) for a in order]
     elems2 = [elems[i] for i in order]
-    gen_labels = list(dict.fromkeys(int(newlab[i]) for i in range(len(gens)) if newlab[i] != 0))
-    return FiniteGroup(elems2, table2, generators=gen_labels or None, name=name)
+    gen_labels = list(dict.fromkeys(newlab[i] for i in range(len(gens)) if newlab[i] != 0))
+    return FiniteGroup(elems2, table, generators=gen_labels or None, name=name)
 
 
 @lru_cache(maxsize=None)
@@ -347,19 +363,19 @@ def alternating_group(n: int) -> FiniteGroup:
 # -- coset systems ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CosetSystem:
+_CosetFields = namedtuple("_CosetFields", "group subgroup reps coset_of")
+
+
+class CosetSystem(_CosetFields):
     """Right cosets Q g_i of a subgroup, with chosen representatives.
 
-    ``reps[i]`` is the representative of coset i; by default coset 0 is
-    the subgroup itself represented by the identity, and every other
-    coset is represented by its smallest label.
+    ``reps[i]`` is the representative of coset i and ``coset_of[g]`` the
+    coset of label g; by default coset 0 is the subgroup itself
+    represented by the identity, and every other coset is represented
+    by its smallest label.
     """
 
-    group: FiniteGroup
-    subgroup: tuple[int, ...]
-    reps: tuple[int, ...]
-    coset_of: np.ndarray
+    __slots__ = ()
 
     @staticmethod
     def build(group: FiniteGroup, subgroup_labels, reps: Optional[Sequence[int]] = None
@@ -367,14 +383,18 @@ class CosetSystem:
         S = tuple(sorted({int(x) for x in subgroup_labels}))
         if not group.is_subgroup(S):
             raise ValueError("labels do not form a subgroup")
-        n = group.order
-        Sarr = np.asarray(S, dtype=np.int32)
-        coset_min = group.table[np.ix_(Sarr, np.arange(n))].min(axis=0)
-        # ascending, so the identity coset (min 0) comes first
-        canon = sorted(set(coset_min.tolist()))
-        pos = {r: i for i, r in enumerate(canon)}
-        coset_of = np.vectorize(pos.__getitem__, otypes=[np.int32])(coset_min)
-        coset_of.flags.writeable = False
+        t = group.table
+        # cosets numbered by their least labels, ascending, so the
+        # identity coset comes first: the first label not yet placed
+        # is the least of the right coset S g it starts
+        coset_of: list = [None] * group.order
+        canon = []
+        for g in range(group.order):
+            if coset_of[g] is None:
+                for s in S:
+                    coset_of[t[s][g]] = len(canon)
+                canon.append(g)
+        coset_of = tuple(coset_of)
         if reps is None:
             chosen = tuple(canon)
         else:
@@ -382,7 +402,7 @@ class CosetSystem:
             if len(chosen) != len(canon):
                 raise ValueError("wrong number of representatives")
             for i, r in enumerate(chosen):
-                if int(coset_of[r]) != i:
+                if coset_of[r] != i:
                     raise ValueError(f"element {r} does not represent coset {i}")
         return CosetSystem(group, S, chosen, coset_of)
 
@@ -398,31 +418,30 @@ def coset_factorization(cs: CosetSystem, g: int):
     tuple of subgroup element labels q_i(g).
     """
     G = cs.group
-    reps = np.asarray(cs.reps, dtype=np.int32)
-    t = G.table[reps, g]                      # g_i * g
-    j = cs.coset_of[t]                        # target coset indices
-    q = G.table[t, G.inv[reps[j]]]            # (g_i g) g_j^-1
-    pi = Permutation(tuple(int(x) for x in j))
-    return pi, tuple(int(x) for x in q)
+    t, inv = G.table, G.inv
+    moved = [t[r][g] for r in cs.reps]                 # g_i * g
+    j = tuple(map(cs.coset_of.__getitem__, moved))     # target cosets
+    q = tuple(t[x][inv[cs.reps[k]]] for x, k in zip(moved, j))  # (g_i g) g_j^-1
+    return Permutation(j), q
 
 
 # -- abelianization -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AbelianQuotient:
+_AbelianFields = namedtuple("_AbelianFields", "factors coset_index tuples")
+
+
+class AbelianQuotient(_AbelianFields):
     """G/[G,G] as an explicit product of cyclic factors, orders ascending.
 
     ``project(label)`` maps a G label to its exponent tuple; the trivial
     quotient has ``factors == ()`` and projects everything to ``()``.
     """
 
-    factors: tuple[int, ...]
-    coset_index: np.ndarray
-    tuples: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def project(self, label: int) -> tuple[int, ...]:
-        return self.tuples[int(self.coset_index[label])]
+        return self.tuples[self.coset_index[label]]
 
     def add(self, t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((a + b) % d for a, b, d in zip(t1, t2, self.factors))
@@ -437,14 +456,14 @@ def _decompose_abelian(Q: FiniteGroup) -> tuple[list[int], list[int]]:
     if Q.order == 1:
         return [], []
     orders = Q.element_orders()
-    m = int(orders.max())
-    x = int(np.nonzero(orders == m)[0][0])
+    m = max(orders)
+    x = orders.index(m)
     H = Q.subgroup_closure([x])
     Qq, qidx = Q.quotient_by(H)
     sub_factors, sub_gens = _decompose_abelian(Qq)
     lifts = []
     for fac, gq in zip(sub_factors, sub_gens):
-        members = sorted(int(c) for c in np.nonzero(qidx == gq)[0])
+        members = [c for c, q in enumerate(qidx) if q == gq]
         lift = next((c for c in members if Q.order_of(c) == fac), None)
         if lift is None:
             raise InternalCheckFailed(
@@ -480,14 +499,15 @@ def abelianization(G: FiniteGroup) -> AbelianQuotient:
 # -- transfer -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransferMap:
+_TransferFields = namedtuple("_TransferFields", "target_ab values")
+
+
+class TransferMap(_TransferFields):
     """The transfer V(g) = image of prod_i q_i(g) in the abelianization
     of the subgroup.  Well-definedness on the source abelianization is
     checked at construction; values are exponent tuples of target_ab."""
 
-    target_ab: AbelianQuotient
-    values: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def transfer(cs: CosetSystem) -> TransferMap:

@@ -289,10 +289,11 @@ def icosian_group() -> tuple[FiniteGroup, Representation]:
 
 # -- isomorphism search ------------------------------------------------------
 
-def _class_size_by_label(G: FiniteGroup) -> np.ndarray:
-    sizes = np.empty(G.order, dtype=np.int32)
+def _class_size_by_label(G: FiniteGroup) -> list[int]:
+    sizes = [0] * G.order
     for cls in G.conjugacy_classes():
-        sizes[list(cls)] = len(cls)
+        for label in cls:
+            sizes[label] = len(cls)
     return sizes
 
 
@@ -301,8 +302,9 @@ def _extend_partial(G1, G2, gens, imgs):
     None on a single-valuedness collision."""
     image_of = dict(zip(gens, imgs))
     phi = {0: 0}
+    t2 = G2.table
     for x, g, y, new in _bfs(G1.table, gens):
-        img = int(G2.table[phi[x], image_of[g]])
+        img = t2[phi[x]][image_of[g]]
         if new:
             phi[y] = img
         elif phi[y] != img:
@@ -339,7 +341,9 @@ def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup
                            dtype=np.int32)
             if len(set(phi.tolist())) != G1.order:
                 return None
-            if (phi[G1.table] == G2.table[np.ix_(phi, phi)]).all():
+            t1 = np.array(G1.table, dtype=np.int32)
+            t2 = np.array(G2.table, dtype=np.int32)
+            if (phi[t1] == t2[np.ix_(phi, phi)]).all():
                 return phi
             return None
         for h in candidates[level]:

@@ -13,8 +13,10 @@ every budget prime, squarefree kernels by trial division by
 every odd number up to the trial bound, quaternion group tables by
 float nearest-neighbour matching and by looking up every pairwise exact
 Hamilton product, tensor inductions by one np.kron chain per group
-element, cocycle defects one group element
-at a time, cohomology dimensions from the dense coboundary
+element, cocycle defects one group element at a time and over all
+|G|^3 triples in slices of numpy temporaries, the Pin cocycle table by
+one einsum over all products of dense numpy blade vectors at the
+generator columns, cohomology dimensions from the dense coboundary
 matrices (one row per triple or pair, reduced mod 2) and from the
 full sparse coboundary rows, coboundary witnesses from all n^2
 equations, group tables from every pairwise product, quintic
@@ -36,7 +38,8 @@ from math import comb
 
 import numpy as np
 
-from quintrank.cocycles import Gf2Solver, _row_chunks
+from quintrank.cocycles import (Gf2Solver, _blade_sign,
+                                transposition_factorization)
 from quintrank.fieldscan import (
     NotSeparable,
     QuinticField,
@@ -559,7 +562,7 @@ def cocycle_defect_labels(G, values):
     """Labels g at which w(h,k) - w(gh,k) + w(g,hk) - w(g,h) is odd for
     some (h, k), one g at a time."""
     w = np.asarray(values, dtype=np.int64)
-    t = G.table
+    t = np.asarray(G.table)
     bad = []
     for g in range(len(t)):
         d = w - w[t[g]] + w[g][t] - w[g][:, None]
@@ -568,11 +571,113 @@ def cocycle_defect_labels(G, values):
     return bad
 
 
+# Entry budget for every n^3-sized temporary below: checks over triples
+# run in slices of at most this many entries.
+CHUNK_ENTRIES = 1 << 18
+
+
+def row_chunks(n: int, per_row: int) -> list[tuple[int, int]]:
+    """[lo, hi) slices of range(n), each holding at most CHUNK_ENTRIES
+    entries of a per_row-wide temporary (but one row at least)."""
+    step = max(1, CHUNK_ENTRIES // max(1, per_row))
+    return [(lo, min(n, lo + step)) for lo in range(0, n, step)]
+
+
+def coboundary2_slice(t, w, lo: int, hi: int):
+    """delta w (g,h,k) = w(h,k) + w(gh,k) + w(g,hk) + w(g,h) mod 2 for
+    lo <= g < hi, as a (hi - lo) x n x n array, for a table array t and
+    a 0/1 array w."""
+    g = np.arange(lo, hi)
+    return w[None] ^ w[t[g]] ^ w[g][:, t] ^ w[g][:, :, None]
+
+
+def defect_labels_chunked(G, values):
+    """Labels g at which the cocycle identity fails for some (h, k),
+    checked over all |G|^3 triples in slices of consecutive g holding at
+    most CHUNK_ENTRIES triples (S5 takes 7 slices)."""
+    t = np.asarray(G.table)
+    w = np.asarray(values, dtype=np.int8) % 2
+    n = G.order
+    bad = []
+    for lo, hi in row_chunks(n, n * n):
+        defect = coboundary2_slice(t, w, lo, hi)
+        bad += (lo + np.flatnonzero(defect.any(axis=(1, 2)))).tolist()
+    return bad
+
+
+def verify_cocycle_exhaustive(c) -> bool:
+    """The cocycle identity of a Cocycle2 at all |G|^3 triples."""
+    return not defect_labels_chunked(c.group, c.values)
+
+
+@lru_cache(maxsize=None)
+def blade_product_tables(n: int):
+    """IDX[i,k] = i xor k and S2[i,k] = sign(e_i * e_{i xor k}), so a dense
+    product is out[k] = sum_i a[i] * S2[i,k] * b[i xor k]."""
+    size = 1 << n
+    idx = np.arange(size)[:, None] ^ np.arange(size)[None, :]
+    s2 = np.array([[_blade_sign(i, i ^ k) for k in range(size)]
+                   for i in range(size)], dtype=np.int64)
+    return idx, s2
+
+
+def right_mul(b):
+    """R[..., i, k] = S2[i, k] * b[..., i xor k] for dense blade vectors b
+    of Cl(n), so that a @ R is the Clifford product a * b; batched over
+    the leading axes of b."""
+    idx, s2 = blade_product_tables(b.shape[-1].bit_length() - 1)
+    return s2 * b[..., idx]
+
+
+def pin_lift_dense(p):
+    """(v, k) as the package's pin_lift gives them, as an int64 array
+    built by right_mul along the same transposition factorization."""
+    fac = transposition_factorization(p)
+    v = np.zeros(1 << p.degree, dtype=np.int64)
+    v[0] = 1
+    for i, j in fac:
+        r = np.zeros_like(v)
+        r[1 << i], r[1 << j] = 1, -1
+        v = v @ right_mul(r)
+    return v, len(fac)
+
+
+def pin_table_einsum(G):
+    """The Pin cocycle table of G = symmetric_group(n) as an int8 array:
+    all lift products at the generator columns in one einsum, each
+    checked for its scale and sign, and the other columns filled along
+    the breadth-first walk by w(g, xs) = w(g, x) + w(gx, s) + w(x, s)."""
+    lifts = [pin_lift_dense(p) for p in G.elems]
+    L = np.stack([v for v, _ in lifts])
+    scale = -np.array([k for _, k in lifts], dtype=np.int64)
+    gens = list(G.generators)
+    t = np.asarray(G.table)
+    prod = np.einsum("ai,bik->abk", L, right_mul(L[gens]))
+    c = t[:, gens]
+    d = scale[c] - scale[:, None] - scale[None, gens]
+    assert not (d < 0).any() and not (d % 2).any()
+    target = L[c] * (1 << (d // 2))[:, :, None]
+    plus = (prod == target).all(axis=2)
+    minus = (prod == -target).all(axis=2)
+    assert (plus ^ minus).all()
+    cols = np.zeros((G.order, G.order), dtype=np.int8)  # cols[y] = w[:, y]
+    cols[gens] = minus.T
+    seen, queue = {0}, [0]
+    for x in queue:
+        for s in gens:
+            y = int(t[x, s])
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+                cols[y] = cols[x] ^ cols[s][t[:, x]] ^ cols[s][x]
+    return cols.T
+
+
 def delta2_matrix(G):
     """Dense matrix of the 2-coboundary operator mod 2, one row per
     (g,h,k) triple and one column per (x,y) pair."""
     n = G.order
-    t = G.table
+    t = np.asarray(G.table)
     A = np.zeros((n * n * n, n * n), dtype=np.int8)
     g, h, k = np.meshgrid(np.arange(n), np.arange(n), np.arange(n),
                           indexing="ij")
@@ -589,7 +694,7 @@ def delta1_matrix(G):
     """Dense matrix of the 1-coboundary operator mod 2, one row per
     (g,h) pair."""
     n = G.order
-    t = G.table
+    t = np.asarray(G.table)
     A = np.zeros((n * n, n), dtype=np.int8)
     g, h = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     g, h = g.ravel(), h.ravel()
@@ -604,7 +709,7 @@ def delta1_rows(G):
     """Rows of delta1 in (g, h) order, one per pair, as Python ints:
     row (g,h) has bits h, gh and g, column x at bit x."""
     return [(1 << h) ^ (1 << gh) ^ (1 << g)
-            for g, row in enumerate(G.table.tolist())
+            for g, row in enumerate(G.table)
             for h, gh in enumerate(row)]
 
 
@@ -612,7 +717,7 @@ def delta2_rows(G):
     """Rows of delta2 in (g, h, k) order, one per triple, as Python ints:
     row (g,h,k) has bits (h,k), (gh,k), (g,hk) and (g,h), column (x,y)
     at bit x*n + y."""
-    n, t = G.order, G.table.astype(np.int64)
+    n, t = G.order, np.asarray(G.table, dtype=np.int64)
     g, h, k = np.indices((n, n, n)).reshape(3, -1)
     cols = (h * n + k, t[g, h] * n + k, g * n + t[h, k], g * n + h)
     return [(1 << a) ^ (1 << b) ^ (1 << c) ^ (1 << d)
@@ -702,8 +807,10 @@ def cyclic_group(n: int) -> FiniteGroup:
 def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
     """Direct product with labels (a, b) -> a * |G2| + b."""
     n1, n2 = G1.order, G2.order
-    t = (G1.table[:, None, :, None].astype(np.int64) * n2
-         + G2.table[None, :, None, :]).reshape(n1 * n2, n1 * n2)
+    t1 = np.asarray(G1.table, dtype=np.int64)
+    t2 = np.asarray(G2.table, dtype=np.int64)
+    t = (t1[:, None, :, None] * n2
+         + t2[None, :, None, :]).reshape(n1 * n2, n1 * n2)
     elems = [(G1.elems[a], G2.elems[b]) for a in range(n1) for b in range(n2)]
     gens = [g * n2 for g in G1.generators] + list(G2.generators)
     return FiniteGroup(elems, t, generators=gens or None)
@@ -711,9 +818,9 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
 
 def is_homomorphism(rep, tol: float = 1e-8) -> bool:
     """Every product rep(a) rep(b) matches rep(ab) within tol."""
-    n, t, imgs = rep.group.order, rep.group.table, rep.images
+    n, t, imgs = rep.group.order, np.asarray(rep.group.table), rep.images
     return all(np.abs(imgs[lo:hi, None] @ imgs - imgs[t[lo:hi]]).max() <= tol
-               for lo, hi in _row_chunks(n, n * rep.dim * rep.dim))
+               for lo, hi in row_chunks(n, n * rep.dim * rep.dim))
 
 
 def pairwise_product_table(elems):

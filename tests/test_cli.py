@@ -584,22 +584,42 @@ def test_scan_with_a_cache_loads_hashlib(tmp_path):
     assert "hashlib" in loaded
 
 
-# the threads of this process once h2 has imported numpy (1 where the
-# platform cannot list them), then OPENBLAS_NUM_THREADS as main left it
-H2_THEN_BLAS_SETTING = (
-    "import os; from quintrank.cli import main; main(['h2', '--json']); "
+def test_h2_prints_its_reference_output_without_numpy():
+    # an import of numpy anywhere on the h2 path raises ImportError
+    ref = json.loads((Path(__file__).parents[1] / "bench" / "data"
+                      / "reference.json").read_text(encoding="utf-8"))
+    out = _python("import sys; sys.modules['numpy'] = None; "
+                  "from quintrank.cli import main; "
+                  "sys.exit(main(['h2', '--json']))")
+    assert out == ref["algebra"]["h2"]["stdout"]
+
+
+def test_h2_loads_neither_numpy_nor_dataclasses():
+    loaded = _modules_after(
+        "from quintrank.cli import main; main(['h2', '--json'])")
+    assert "quintrank.cocycles" in loaded
+    assert not loaded & {"numpy", "dataclasses", "inspect", "quintrank.reps",
+                         "quintrank.fieldscan"}
+
+
+# the threads of this process once standard-rep has imported numpy (1
+# where the platform cannot list them), then OPENBLAS_NUM_THREADS as
+# main left it; h2 imports no numpy, so it could not show either
+STANDARD_REP_THEN_BLAS_SETTING = (
+    "import os; from quintrank.cli import main; "
+    "main(['standard-rep', '--json']); "
     "tasks = '/proc/self/task'; "
     "print(len(os.listdir(tasks)) if os.path.isdir(tasks) else 1, "
     "os.environ.get('OPENBLAS_NUM_THREADS'))")
 
 
 def test_cli_starts_numpy_with_one_openblas_thread():
-    out = _python(H2_THEN_BLAS_SETTING, OPENBLAS_NUM_THREADS=None)
+    out = _python(STANDARD_REP_THEN_BLAS_SETTING, OPENBLAS_NUM_THREADS=None)
     assert out.splitlines()[-1] == "1 None"
 
 
 def test_cli_keeps_an_openblas_thread_count_the_user_set():
-    out = _python(H2_THEN_BLAS_SETTING, OPENBLAS_NUM_THREADS="3")
+    out = _python(STANDARD_REP_THEN_BLAS_SETTING, OPENBLAS_NUM_THREADS="3")
     assert out.splitlines()[-1].split()[1] == "3"
 
 

@@ -3,7 +3,8 @@
 The Pin-lift table for S4 is checked against an independent oracle that
 represents Clifford generators as signed permutation matrices acting on
 the blade basis, with the sign rule derived separately from the blade
-arithmetic used by the implementation.
+arithmetic used by the implementation.  Cocycle tables are rows of ints;
+a test that slices or broadcasts one reads it through np.asarray.
 """
 
 import itertools
@@ -12,9 +13,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import (cocycle_defect_labels, coboundary_witness_full,
-                     cyclic_group, delta1_matrix, delta1_rows, delta2_matrix,
-                     delta2_rows, direct_product, pack_rows_gf2)
+from oracles import (CHUNK_ENTRIES, cocycle_defect_labels,
+                     coboundary_witness_full, cyclic_group,
+                     defect_labels_chunked, delta1_matrix, delta1_rows,
+                     delta2_matrix, delta2_rows, direct_product,
+                     pack_rows_gf2, pin_table_einsum, row_chunks,
+                     verify_cocycle_exhaustive)
 from quintrank import InternalCheckFailed
 from quintrank.groups import (FiniteGroup, Permutation, abelianization,
                               alternating_group, close_generators,
@@ -59,7 +63,7 @@ def _oracle_pin_table(n):
     G, L, k = _matrix_lifts(n)
     order = G.order
     w = np.zeros((order, order), dtype=np.int8)
-    t = G.table
+    t = np.asarray(G.table)
     for a in range(order):
         prod = L[a][None] @ L            # raw products lift(a) lift(b)
         c = t[a]
@@ -74,27 +78,37 @@ def _oracle_pin_table(n):
 
 
 def test_pin_table_s4_matches_matrix_oracle():
-    assert (_oracle_pin_table(4) == pin_cocycle_sn(4).values).all()
+    assert (_oracle_pin_table(4) == np.asarray(pin_cocycle_sn(4).values)).all()
 
 
 def test_pin_table_s5_matches_matrix_oracle():
-    assert (_oracle_pin_table(5) == pin_cocycle_sn(5).values).all()
+    assert (_oracle_pin_table(5) == np.asarray(pin_cocycle_sn(5).values)).all()
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_pin_table_matches_the_einsum_oracle(n):
+    G = symmetric_group(n)
+    assert pin_cocycle_sn(n).values == tuple(map(tuple, pin_table_einsum(G).tolist()))
 
 
 @pytest.mark.parametrize("n, products", [(4, 48), (5, 240)])
 def test_pin_table_forms_products_at_generator_columns_only(n, products,
                                                             monkeypatch):
+    # the lifts are made beforehand, so that only the products of lifts
+    # are counted
+    lifts = {p: cz.pin_lift(p) for p in symmetric_group(n).elems}
+    monkeypatch.setattr(cz, "pin_lift", lifts.__getitem__)
     formed = []
-    real = cz._clifford_products
+    real = cz._clifford_product
 
     def counting(a, b):
-        formed.append(len(a) * len(b))
+        formed.append(1)
         return real(a, b)
-    monkeypatch.setattr(cz, "_clifford_products", counting)
+    monkeypatch.setattr(cz, "_clifford_product", counting)
     # past the lru_cache, so the products are formed in this call
     c = pin_cocycle_sn.__wrapped__(n)
     assert sum(formed) == products == len(c.group.generators) * c.group.order
-    assert (c.values == _oracle_pin_table(n)).all()
+    assert (np.asarray(c.values) == _oracle_pin_table(n)).all()
     assert verify_cocycle(c)
 
 
@@ -108,7 +122,7 @@ def _vec(n, coeffs):
 
 
 def _mul(a, b):
-    return a @ cz._right_mul(b)
+    return np.array(cz._clifford_product(list(map(int, a)), list(map(int, b))))
 
 
 def _reflection(n, i, j):
@@ -136,8 +150,8 @@ def test_reflection_squares_to_one():
         assert (_mul(v, v) == _vec(5, {0: 2})).all()
 
 
-def test_right_mul_matches_left_regular_oracle():
-    # a @ R(b) against the left-regular matrix of a built from the
+def test_clifford_product_matches_left_regular_oracle():
+    # a * b against the left-regular matrix of a built from the
     # generator matrices: e_A = e_i1 e_i2 ... for the bits i1 < i2 < ...
     rng = np.random.default_rng(17)
     for n in range(1, 6):
@@ -152,7 +166,8 @@ def test_right_mul_matches_left_regular_oracle():
         for _ in range(20):
             a, b = rng.integers(-9, 10, size=(2, 1 << n))
             left = np.tensordot(a, np.stack(blade_mats), axes=1)
-            assert (a @ cz._right_mul(b) == left @ b).all()
+            assert cz._clifford_product(a.tolist(), b.tolist()) \
+                == (left @ b).tolist()
 
 
 def test_factorization_reconstructs_permutation():
@@ -178,7 +193,7 @@ def test_pin_lift_multiplicative_up_to_sign():
         # lift(a) lift(b) = +-lift(ab) with lift = v / 2^(k/2)
         d = ka + kb - kc
         assert d >= 0 and d % 2 == 0
-        prod, target = _mul(va, vb), vc * 2 ** (d // 2)
+        prod, target = _mul(va, vb), np.array(vc) * 2 ** (d // 2)
         assert (prod == target).all() or (prod == -target).all()
 
 
@@ -190,61 +205,84 @@ def test_pin5_is_a_cocycle_with_involutive_transposition_lifts():
     G = symmetric_group(5)
     transpositions = [l for l, p in enumerate(G.elems) if p.is_transposition()]
     assert len(transpositions) == 10
-    assert all(c.values[l, l] == 0 for l in transpositions)
-    assert not c.values[0].any() and not c.values[:, 0].any()
+    assert all(c.values[l][l] == 0 for l in transpositions)
+    assert not any(c.values[0]) and not any(row[0] for row in c.values)
 
 
 def test_verify_rejects_single_flipped_entry():
     c = pin_cocycle_sn(4)
-    vals = c.values.copy()
+    vals = np.array(c.values)
     vals[3, 5] ^= 1
     assert not verify_cocycle(Cocycle2(c.group, vals))
 
 
+def _pin5_on_a5():
+    G = symmetric_group(5)
+    a5 = [l for l, p in enumerate(G.elems) if p.is_even()]
+    return restrict_cocycle(pin_cocycle_sn(5), a5)[0]
+
+
+@pytest.mark.parametrize("build", [lambda: pin_cocycle_sn(4),
+                                   lambda: pin_cocycle_sn(5), _pin5_on_a5],
+                         ids=["pin4", "pin5", "pin5-on-A5"])
+def test_verify_agrees_with_the_exhaustive_oracle(build):
+    c = build()
+    assert verify_cocycle(c) and verify_cocycle_exhaustive(c)
+
+
+def test_verify_agrees_with_the_exhaustive_oracle_on_every_single_flip():
+    # all 23^2 flips of pin4 off the identity row and column, each a
+    # normalized cochain that is not a cocycle
+    c = pin_cocycle_sn(4)
+    base = np.array(c.values)
+    verdicts = set()
+    for g, h in itertools.product(range(1, 24), repeat=2):
+        vals = base.copy()
+        vals[g, h] ^= 1
+        flipped = Cocycle2(c.group, vals)
+        verdict = verify_cocycle(flipped)
+        assert verdict == verify_cocycle_exhaustive(flipped)
+        verdicts.add(verdict)
+    assert verdicts == {False}
+
+
 def test_row_chunks_tile_the_labels():
+    # the slices of the exhaustive oracle's |G|^3 check
     for n, per_row in [(120, 120 * 120), (120, 120 * 32), (7, 1),
                        (1, 1 << 30)]:
-        chunks = cz._row_chunks(n, per_row)
+        chunks = row_chunks(n, per_row)
         assert chunks[0][0] == 0 and chunks[-1][1] == n
         assert all(hi == lo for (_, hi), (lo, _) in zip(chunks, chunks[1:]))
-        assert all((hi - lo) * per_row <= cz._CHUNK_ENTRIES or hi - lo == 1
+        assert all((hi - lo) * per_row <= CHUNK_ENTRIES or hi - lo == 1
                    for lo, hi in chunks)
 
 
 @pytest.mark.parametrize("where", ["second_chunk", "last_chunk"])
 def test_verify_rejects_flips_at_chunk_edges(where):
     c = pin_cocycle_sn(5)
-    chunks = cz._row_chunks(120, 120 * 120)
+    chunks = row_chunks(120, 120 * 120)
     assert len(chunks) > 2
     g = chunks[1][0] if where == "second_chunk" else 119
-    vals = c.values.copy()
+    vals = np.array(c.values)
     vals[g, 7] ^= 1
     bad = Cocycle2(c.group, vals)
     assert not verify_cocycle(bad)
     # a flip shows at every g but the identity; a slice skipped or
-    # checked twice by the chunk loop would change this list
+    # checked twice by the oracle's chunk loop would change this list
     want = cocycle_defect_labels(c.group, vals)
     assert want == list(range(1, 120))
-    assert cz._defect_labels(bad) == want
-
-
-def test_pin5_table_does_not_depend_on_the_chunk_size(monkeypatch):
-    # the table is formed at the generator columns, not in slices of
-    # lift products; 7-row slices of the n^3 checks must not change it
-    want = pin_cocycle_sn(5).values
-    monkeypatch.setattr(cz, "_CHUNK_ENTRIES", 7 * 120 * 32)
-    assert len(cz._row_chunks(120, 120 * 32)) == 18
-    assert (cz.pin_cocycle_sn.__wrapped__(5).values == want).all()
+    assert defect_labels_chunked(c.group, vals) == want
 
 
 def test_pin5_sign_check_rejects_a_wrong_last_lift(monkeypatch):
     last = symmetric_group(5).elems[119]
-    bivector = _vec(5, {0b11: 1})
+    bivector = _vec(5, {0b11: 1}).tolist()
     real = cz.pin_lift
 
     def wrong_last(p):
         v, k = real(p)
-        return (_mul(v, bivector), k) if p == last else (v, k)
+        return (cz._clifford_product(v, bivector), k) if p == last \
+            else (v, k)
     monkeypatch.setattr(cz, "pin_lift", wrong_last)
     with pytest.raises(InternalCheckFailed, match="up to sign"):
         cz.pin_cocycle_sn.__wrapped__(5)
@@ -283,7 +321,7 @@ def test_zero_cochain_is_a_cocycle():
     z = Cocycle2(G, np.zeros((G.order, G.order), dtype=np.int8))
     assert verify_cocycle(z)
     w = coboundary_witness(z)
-    assert w is not None and not coboundary(G, w).any()
+    assert w is not None and not np.any(coboundary(G, w))
 
 
 def test_coboundaries_are_cocycles():
@@ -297,7 +335,7 @@ def test_coboundaries_are_cocycles():
         assert verify_cocycle(coc)
         w = coboundary_witness(coc)
         assert w is not None
-        assert (coboundary(G, w) == coc.values).all()
+        assert coboundary(G, w) == coc.values
 
 
 def test_pin5_class_is_nonzero_and_stays_nonzero_on_a5():
@@ -310,7 +348,8 @@ def test_pin5_class_is_nonzero_and_stays_nonzero_on_a5():
     assert coboundary_witness(ca5) is None
     # the restricted table agrees with the parent through the inclusion
     sub = np.array(incl)
-    assert (ca5.values == c.values[np.ix_(sub, sub)]).all()
+    assert (np.asarray(ca5.values)
+            == np.asarray(c.values)[np.ix_(sub, sub)]).all()
 
 
 def test_pin5_splits_on_a_transposition_subgroup():
@@ -321,7 +360,7 @@ def test_pin5_splits_on_a_transposition_subgroup():
     csub, _ = restrict_cocycle(c, sub)
     w = coboundary_witness(csub)
     assert w is not None
-    assert (coboundary(csub.group, w) == csub.values).all()
+    assert coboundary(csub.group, w) == csub.values
 
 
 def _random_cochains(G, rng, cocycles):
@@ -333,7 +372,7 @@ def _random_cochains(G, rng, cocycles):
     for _ in range(6):
         c = rng.integers(0, 2, size=n)
         c[0] = 0
-        d = coboundary(G, c)
+        d = np.array(coboundary(G, c))
         out += [d ^ w for w in cocycles]
         flipped = d.copy()
         g, h = rng.integers(1, n, size=2)
@@ -350,14 +389,14 @@ def test_witness_agrees_with_the_full_row_solve(n):
     G = symmetric_group(n)
     cocycles = [np.zeros((G.order, G.order), dtype=np.int64)]
     if n == 4:
-        cocycles.append(pin_cocycle_sn(4).values)  # a nonzero class
+        cocycles.append(np.array(pin_cocycle_sn(4).values))  # a nonzero class
     kinds = set()
     for c in _random_cochains(G, np.random.default_rng(40 + n), cocycles):
         kinds.add(verify_cocycle(c))
         w = coboundary_witness(c)
         assert (w is None) == (coboundary_witness_full(G, c.values) is None)
         if w is not None:
-            assert (coboundary(G, w) == c.values).all()
+            assert coboundary(G, w) == c.values
     assert kinds == {True, False}
 
 
@@ -368,7 +407,7 @@ def test_witness_rejects_a_table_that_solves_only_the_generator_equations(
     G = symmetric_group(4)
     c = np.arange(G.order) % 2
     c[0] = 0
-    values = coboundary(G, c)
+    values = np.array(coboundary(G, c))
     h = next(h for h in range(1, G.order) if h not in G.generators)
     values[1, h] ^= 1
     cochain = Cocycle2(G, values)
@@ -385,7 +424,8 @@ def test_witness_rejects_a_table_that_solves_only_the_generator_equations(
     assert coboundary_witness(cochain) is None
     assert len(solutions) == 1
     gens = list(G.generators)
-    assert (coboundary(G, solutions[0])[:, gens] == values[:, gens]).all()
+    assert (np.array(coboundary(G, solutions[0]))[:, gens]
+            == values[:, gens]).all()
 
 
 # -- GF(2) solver ----------------------------------------------------------
@@ -447,7 +487,7 @@ def _klein4():
 
 def _enum_h2(G):
     # direct enumeration over normalized 2-cochains; independent oracle
-    n, t = G.order, G.table
+    n, t = G.order, np.asarray(G.table)
     free = [(g, h) for g in range(1, n) for h in range(1, n)]
     count_z = 0
     for flat in itertools.product(range(2), repeat=len(free)):
@@ -462,7 +502,7 @@ def _enum_h2(G):
     borders = set()
     for cf in itertools.product(range(2), repeat=n - 1):
         c = np.array((0,) + cf)
-        borders.add(tuple(coboundary(G, c).ravel().tolist()))
+        borders.add(coboundary(G, c))
     q, rem = divmod(count_z, len(borders))
     assert rem == 0
     return q.bit_length() - 1
@@ -493,7 +533,7 @@ def test_h2_invariant_under_relabeling():
     gi = S4.inverse(g)
     pi = np.array([S4.mul(S4.mul(gi, x), g) for x in range(S4.order)])
     inv_pi = np.argsort(pi)
-    table = inv_pi[S4.table[np.ix_(pi, pi)]]
+    table = inv_pi[np.asarray(S4.table)[np.ix_(pi, pi)]]
     relabeled = FiniteGroup([S4.elems[p] for p in pi], table)
     assert h2_dimension(relabeled) == 2
 
@@ -564,9 +604,10 @@ def test_h2_cap_raises():
 def test_extension_projection_is_a_homomorphism():
     G = symmetric_group(4)
     ext = central_extension(G, pin_cocycle_sn(4))
-    E, proj = ext.group, ext.projection
+    E, proj = ext.group, np.asarray(ext.projection)
     assert E.order == 48
-    assert (proj[E.table] == G.table[np.ix_(proj, proj)]).all()
+    assert (proj[np.asarray(E.table)]
+            == np.asarray(G.table)[np.ix_(proj, proj)]).all()
     # (c, g) has label c * n + g
     n = G.order
     for g in range(n):
@@ -616,7 +657,7 @@ def test_extension_order_census_from_cocycle_sums():
         k = G.order_of(l)
         acc, x = 0, l
         for _ in range(k - 1):
-            acc ^= int(c.values[x, l])
+            acc ^= c.values[x][l]
             x = G.mul(x, l)
         expected = k if acc == 0 else 2 * k
         assert E.order_of(l) == expected
@@ -665,7 +706,8 @@ def test_cohomologous_cocycles_give_isomorphic_extensions():
     base = pin_cocycle_sn(4)
     c = rng.integers(0, 2, size=G.order)
     c[0] = 0
-    shifted = Cocycle2(G, base.values ^ coboundary(G, c))
+    shifted = Cocycle2(G, np.asarray(base.values)
+                       ^ np.asarray(coboundary(G, c)))
     assert verify_cocycle(shifted)
     e1 = central_extension(G, base)
     e2 = central_extension(G, shifted)
@@ -673,7 +715,8 @@ def test_cohomologous_cocycles_give_isomorphic_extensions():
     labels = np.arange(2 * n)
     cs, gs = labels // n, labels % n
     phi = ((cs + c[gs]) % 2) * n + gs  # e2 -> e1
-    assert (phi[e2.group.table] == e1.group.table[np.ix_(phi, phi)]).all()
+    assert (phi[np.asarray(e2.group.table)]
+            == np.asarray(e1.group.table)[np.ix_(phi, phi)]).all()
     assert len(set(phi.tolist())) == 2 * n
 
 

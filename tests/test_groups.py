@@ -3,6 +3,8 @@
 Expected values are either structural identities checked exhaustively or
 frozen numbers computed by the independent oracles in this file (plain
 dict/set closures and permutation-object arithmetic, no table reuse).
+Tables are tuples of rows; a test that slices or broadcasts one reads
+it through np.asarray.
 """
 
 import hashlib
@@ -107,15 +109,15 @@ def test_close_generators_s5_order():
 
 def test_identity_at_label_zero():
     for G in (symmetric_group(4), alternating_group(5), cyclic_group(6)):
-        n = G.order
-        assert (G.table[0] == np.arange(n)).all()
-        assert (G.table[:, 0] == np.arange(n)).all()
-        assert (G.table[np.arange(n), G.inv] == 0).all()
+        n, t = G.order, np.asarray(G.table)
+        assert (t[0] == np.arange(n)).all()
+        assert (t[:, 0] == np.arange(n)).all()
+        assert (t[np.arange(n), G.inv] == 0).all()
 
 
 def test_table_associativity_exhaustive_s4():
     G = symmetric_group(4)
-    t = G.table
+    t = np.asarray(G.table)
     lhs = t[t, :]  # lhs[a,b,c] = (ab)c
     rhs = t[:, t]  # rhs[a,b,c] = a(bc)
     assert (lhs == rhs).all()
@@ -150,7 +152,7 @@ def test_close_generators_matches_pairwise_products(name):
     G = close_generators(gens)
     assert set(G.elems) == closure_by_saturation(gens)
     assert len(set(G.elems)) == G.order
-    assert (G.table == pairwise_product_table(G.elems)).all()
+    assert (np.asarray(G.table) == pairwise_product_table(G.elems)).all()
     # the distinct non-identity generators, in their given order
     distinct = list(dict.fromkeys(g for g in gens if g * g != g))
     assert [G.elems[g] for g in G.generators] == distinct
@@ -184,7 +186,7 @@ def _v4_labels():
 def _digest(G):
     """SHA-256 of the generator labels and the int32 table bytes."""
     h = hashlib.sha256(repr(G.generators).encode())
-    h.update(G.table.tobytes())
+    h.update(np.asarray(G.table, dtype=np.int32).tobytes())
     return h.hexdigest()
 
 
@@ -233,7 +235,8 @@ def test_subgroup_closure_and_subgroup():
     assert len(v4) == 4
     assert S4.is_subgroup(v4)
     H, incl = S4.subgroup(v4)
-    assert H.order == 4 and (H.table == H.table.T).all()
+    t = np.asarray(H.table)
+    assert H.order == 4 and (t == t.T).all()
     for i in range(4):
         for j in range(4):
             assert incl[H.mul(i, j)] == S4.mul(incl[i], incl[j])
@@ -243,9 +246,11 @@ def test_quotient_s4_by_v4_is_s3():
     S4 = symmetric_group(4)
     v4 = _v4_labels()
     Q, qidx = S4.quotient_by(v4)
-    assert Q.order == 6 and not (Q.table == Q.table.T).all()
+    qt, qidx = np.asarray(Q.table), np.asarray(qidx)
+    assert Q.order == 6 and not (qt == qt.T).all()
     # projection is a homomorphism
-    assert (qidx[S4.table] == Q.table[qidx[:, None], qidx[None, :]]).all()
+    assert (qidx[np.asarray(S4.table)]
+            == qt[qidx[:, None], qidx[None, :]]).all()
 
 
 def test_quotient_rejects_non_normal():
