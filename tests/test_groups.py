@@ -445,6 +445,9 @@ def test_from_table_rejects_bad_identity():
     t = np.array([[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         FiniteGroup([0, 1], t)
+    # label 0 is a two-sided identity, but label 1 has no inverse
+    with pytest.raises(ValueError, match="misses the identity"):
+        FiniteGroup([0, 1, 2], [[0, 1, 2], [1, 2, 1], [2, 1, 1]])
 
 
 def test_declared_generators_must_generate():
