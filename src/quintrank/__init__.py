@@ -1,9 +1,11 @@
 """Toolkit for certifying analytic rank growth over quintic fields.
 
 Submodules:
-    groups     finite groups on dense tables, cosets, abelianization, transfer
+    groups     finite groups on dense tables, cosets, abelianization,
+               transfer, isomorphism search
     cocycles   2-cocycles, Clifford/Pin lifts of symmetric groups, extensions
-    reps       complex representations, tensor induction, reducibility tests
+    icosians   unit quaternion groups and the standard-rep checks in Z[phi]
+    reps       float representations, tensor induction, reducibility tests
     numtheory  Kronecker symbols, discriminants, root counts, S5 certification
     rankgrowth parity certificates for rank growth of elliptic curves
     fieldscan  quintic field enumeration, dedup, scanning, caching

@@ -27,9 +27,9 @@ from contextlib import nullcontext
 from typing import TYPE_CHECKING
 
 # Each converter and handler imports the modules it runs, so a command
-# starts with only those: groups, cocycles and reps pull in numpy, which
-# scan, certify and analyze-field never load, and fieldscan, numtheory
-# and rankgrowth are the scan stack, which h2 and standard-rep never load.
+# starts with only those: reps pulls in numpy, which only standard-rep
+# loads, and fieldscan, numtheory and rankgrowth are the scan stack,
+# which h2 and standard-rep never load.
 from . import InternalCheckFailed, canonical_json
 
 if TYPE_CHECKING:
@@ -130,7 +130,7 @@ def _load_curves(token: str) -> list[rankgrowth.CurveData]:
 # -- selftest ---------------------------------------------------------------
 
 def _selftest_checks() -> list[dict]:
-    from . import cocycles, fieldscan, groups, numtheory, rankgrowth, reps
+    from . import cocycles, fieldscan, groups, icosians, numtheory, rankgrowth
     checks = []
 
     def add(name, fn):
@@ -185,9 +185,8 @@ def _selftest_checks() -> list[dict]:
     add("cohomology dimensions", cohomology_check)
 
     def rep_check():
-        report = reps.verify_standard_rep()
-        n = sum(c["passed"] for c in report["checks"])
-        return report["all_pass"], f"{n}/{len(report['checks'])} checks"
+        passed = icosians.standard_rep_checks().passed
+        return all(passed), f"{sum(passed)}/{len(passed)} checks"
     add("tensor-induced standard representation", rep_check)
 
     def certificate_check():

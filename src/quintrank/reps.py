@@ -1,14 +1,20 @@
 """Complex representations of finite groups at desk scale.
 
-Group and cocycle layers are exact; this layer uses double-precision
-complex matrices with two tolerances: 1e-8 for entrywise matrix
-comparisons and 1e-6 for character values that must round to integers.
+The decisions of the standard-representation pipeline are exact: they
+come from ``icosians``, which computes the induced character in Z[phi]
+by the tensor-induction character formula (Curtis and Reiner,
+*Methods of Representation Theory I*, §13) and the characteristic
+polynomial of a transposition lift by Newton's identities.  This layer
+is the float view over the same groups: double-precision complex
+matrices built from the quaternions' float coordinates, with two
+tolerances, 1e-8 for entrywise matrix comparisons and 1e-6 for
+character values that must round to integers.  In
+``verify_standard_rep`` the floats only display deviations.
 
-The main constructions: the icosian group (120 unit quaternions with
-golden-ratio coordinates) with its tautological 2-dimensional
-representation, tensor induction along a coset system, and the
-reducibility criterion for an index-2 tensor induction of a
-2-dimensional representation via dual-twist character matching.
+The main constructions: the tautological 2-dimensional representation
+of the icosian and Hurwitz unit groups, tensor induction along a coset
+system, and the reducibility criterion for an index-2 tensor induction
+of a 2-dimensional representation via dual-twist character matching.
 """
 
 from __future__ import annotations
@@ -16,28 +22,27 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
-from . import InternalCheckFailed
-from .cocycles import central_extension, pin_cocycle_sn
-from .groups import (CosetSystem, FiniteGroup, Permutation, _bfs,
-                     abelianization, coset_factorization, symmetric_group)
+from . import InternalCheckFailed, cocycles, groups, icosians
+from .groups import (CosetSystem, FiniteGroup, Permutation, abelianization,
+                     coset_factorization, symmetric_group)
 
 TOL_ENTRY = 1e-8
 TOL_CHAR = 1e-6
 
 MAX_TENSOR_DIM = 64
-ISO_GROUP_CAP = 240
+
+# Public names that the double-cover pipeline no longer calls from here,
+# kept so that callers and the benchmark's tracer still find them.
+ClosureFailure = icosians.ClosureFailure
+find_isomorphism = groups.find_isomorphism
+pin_cocycle_sn = cocycles.pin_cocycle_sn
 
 # Representation images are plain complex ndarrays; for genuine
 # representation images |det| = 1 within TOL_ENTRY.
 RepMatrix = np.ndarray
-
-
-class ClosureFailure(InternalCheckFailed):
-    """A candidate matrix/quaternion set failed to close under products."""
 
 
 class DimensionOverflow(RuntimeError):
@@ -126,236 +131,31 @@ def linear_characters(G: FiniteGroup) -> list[Character]:
 
 # -- quaternion groups ------------------------------------------------------
 
-_GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
-_SNAP_TOL = 1e-9
-_SNAP_B = 4
-
-
-def _snap_golden(quats: np.ndarray) -> np.ndarray:
-    """Integer pairs (a, b) with 2x = a + b*phi, shape (n, 4, 2), for the
-    float coordinates x; x snaps only when |2x - a - b*phi| < _SNAP_TOL
-    for some |b| <= _SNAP_B.  Distinct values a + b*phi in that range lie
-    more than 0.05 apart, so the pair is unique."""
-    two_x = 2.0 * np.asarray(quats, dtype=np.float64)
-    bs = np.arange(-_SNAP_B, _SNAP_B + 1)
-    rest = two_x[..., None] - bs * _GOLDEN
-    a = np.rint(rest)
-    hit = np.abs(rest - a) < _SNAP_TOL
-    hit &= (np.abs(two_x) <= 2.0 + _SNAP_TOL)[..., None]  # |x| <= 1
-    if not hit.any(axis=-1).all():
-        raise ClosureFailure("a coordinate does not lie in (1/2)Z[phi]")
-    j = hit.argmax(axis=-1)
-    a = np.take_along_axis(a, j[..., None], axis=-1)[..., 0]
-    return np.stack([a.astype(np.int64), bs[j]], axis=-1)
-
-
-def _golden_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(a1 + b1 phi)(a2 + b2 phi) with phi^2 = phi + 1, on (..., 2) pairs."""
-    bb = x[..., 1] * y[..., 1]
-    return np.stack([x[..., 0] * y[..., 0] + bb,
-                     x[..., 0] * y[..., 1] + x[..., 1] * y[..., 0] + bb],
-                    axis=-1)
-
-
-def _golden_hamilton(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    """Exact Hamilton product of (..., 4, 2) golden-pair quaternions; the
-    denominators multiply."""
-    a1, b1, c1, d1 = (q1[..., i, :] for i in range(4))
-    a2, b2, c2, d2 = (q2[..., i, :] for i in range(4))
-    m = _golden_mul
-    return np.stack([
-        m(a1, a2) - m(b1, b2) - m(c1, c2) - m(d1, d2),
-        m(a1, b2) + m(b1, a2) + m(c1, d2) - m(d1, c2),
-        m(a1, c2) - m(b1, d2) + m(c1, a2) + m(d1, b2),
-        m(a1, d2) + m(b1, c2) - m(c1, b2) + m(d1, a2),
-    ], axis=-2)
-
-
 def _tautological_matrix(q) -> np.ndarray:
     a, b, c, d = q
     return np.array([[a + 1j * b, c + 1j * d],
                      [-c + 1j * d, a - 1j * b]])
 
 
-def _quaternion_group(quats: np.ndarray, name: str
-                      ) -> tuple[FiniteGroup, Representation]:
-    """Close a finite set of unit quaternions into a FiniteGroup with its
-    tautological 2-dimensional representation.
-
-    Each coordinate is snapped to an exact pair (a + b*phi)/2 in
-    (1/2)Z[phi], where icosian and Hurwitz coordinates lie, and each
-    snapped quaternion must have norm exactly 1.  Exact Hamilton
-    products (denominator 4) are taken only by generators, picked
-    greedily: the smallest label not yet reached becomes the next one
-    until a breadth-first walk from the identity reaches every member.
-    Each product is looked up among the members, so ClosureFailure
-    means a coordinate does not snap, two members coincide, or a
-    product is not in the set.  The set is then closed under right
-    multiplication by generators of it, hence a group, and the other
-    columns of the table follow by associativity, as in
-    ``groups.close_generators``: a * y = (a * x) * g when y = x * g was
-    first reached.  The floats stay the element values, with the
-    identity moved to label 0."""
-    exact = _snap_golden(quats)
-    if not (_golden_mul(exact, exact).sum(axis=1) == (4, 0)).all():
-        raise ClosureFailure("a member is not an exact unit quaternion")
-    keys = [tuple(k) for k in (2 * exact).reshape(-1, 8).tolist()]
-    ident = (4, 0, 0, 0, 0, 0, 0, 0)
-    if len(set(keys)) != len(keys) or ident not in keys:
-        raise ClosureFailure("members repeat or miss the identity")
-    i0 = keys.index(ident)
-    order = [i0] + [i for i in range(len(keys)) if i != i0]
-    label = {keys[i]: lab for lab, i in enumerate(order)}
-    exact = exact[order]
-    n = len(order)
-    gens: list[int] = []
-    right: list[np.ndarray] = []  # right[j][x] = label of x * gens[j]
-    done: list[int] = []  # right[j] holds the products of found[:done[j]]
-    parent = {0: None}  # y -> (x, j) with y = x * gens[j] first reached
-    found = [0]  # labels in the order they were reached
-    while len(found) < n:
-        gens.append(next(y for y in range(n) if y not in parent))
-        right.append(np.empty(n, dtype=np.int32))
-        done.append(0)
-        grew = True
-        while grew:
-            grew = False
-            for j, g in enumerate(gens):
-                xs = found[done[j]:]
-                done[j] = len(found)
-                if not xs:
-                    continue
-                prods = _golden_hamilton(exact[xs], exact[g])
-                ys = [label.get(tuple(k))
-                      for k in prods.reshape(-1, 8).tolist()]
-                if None in ys:
-                    raise ClosureFailure("a product is not in the set")
-                right[j][xs] = ys
-                for x, y in zip(xs, ys):
-                    if y not in parent:
-                        parent[y] = (x, j)
-                        found.append(y)
-                        grew = True
-    cols = np.empty((n, n), dtype=np.int32)  # cols[y] = table[:, y]
-    cols[0] = np.arange(n)
-    for y in found[1:]:
-        x, j = parent[y]
-        cols[y] = right[j][cols[x]]
-    quats = np.asarray(quats)[order]
-    G = FiniteGroup([tuple(q) for q in quats], cols.T, name=name)
-    images = np.stack([_tautological_matrix(q) for q in quats])
-    return G, Representation(G, images, 2)
-
-
-def _hurwitz_quaternions() -> np.ndarray:
-    out = []
-    for i in range(4):
-        for s in (1.0, -1.0):
-            q = [0.0] * 4
-            q[i] = s
-            out.append(q)
-    for signs in itertools.product((0.5, -0.5), repeat=4):
-        out.append(list(signs))
-    return np.array(out)
+def _tautological_rep(G: FiniteGroup) -> Representation:
+    """The 2-dimensional representation of a group of unit quaternions,
+    from the float coordinates that are its elements."""
+    return Representation(
+        G, np.stack([_tautological_matrix(q) for q in G.elems]), 2)
 
 
 @lru_cache(maxsize=None)
 def hurwitz_unit_group() -> tuple[FiniteGroup, Representation]:
     """The 24 Hurwitz units: the binary tetrahedral group."""
-    return _quaternion_group(_hurwitz_quaternions(), "hurwitz")
-
-
-def _icosian_quaternions() -> np.ndarray:
-    """Hurwitz units plus the 96 quaternions with components
-    {0, +-1/2, +-phi/2, +-1/(2 phi)} in even coordinate permutations."""
-    base = (0.0, 0.5, _GOLDEN / 2.0, 0.5 / _GOLDEN)
-    even_perms = [p.images for p in symmetric_group(4).elems if p.is_even()]
-    extra = []
-    for perm in even_perms:
-        for signs in itertools.product((1.0, -1.0), repeat=3):
-            q = [0.0] * 4
-            for k in range(4):
-                v = base[k]
-                q[perm[k]] = v if k == 0 else signs[k - 1] * v
-            extra.append(q)
-    return np.concatenate([_hurwitz_quaternions(), np.array(extra)])
+    G, _ = icosians.hurwitz_unit_group()
+    return G, _tautological_rep(G)
 
 
 @lru_cache(maxsize=None)
 def icosian_group() -> tuple[FiniteGroup, Representation]:
     """The 120 unit icosians: the binary icosahedral group."""
-    return _quaternion_group(_icosian_quaternions(), "icosian")
-
-
-# -- isomorphism search ------------------------------------------------------
-
-def _class_size_by_label(G: FiniteGroup) -> list[int]:
-    sizes = [0] * G.order
-    for cls in G.conjugacy_classes():
-        for label in cls:
-            sizes[label] = len(cls)
-    return sizes
-
-
-def _extend_partial(G1, G2, gens, imgs):
-    """Grow <gens> by right multiplication, carrying the candidate map;
-    None on a single-valuedness collision."""
-    image_of = dict(zip(gens, imgs))
-    phi = {0: 0}
-    t2 = G2.table
-    for x, g, y, new in _bfs(G1.table, gens):
-        img = t2[phi[x]][image_of[g]]
-        if new:
-            phi[y] = img
-        elif phi[y] != img:
-            return None
-    return phi
-
-
-def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup
-                     ) -> Optional[np.ndarray]:
-    """A multiplication-preserving bijection as an array (G1 label ->
-    G2 label), or None.  Generator images are searched in deterministic
-    order, pruned by element order and conjugacy class size."""
-    if max(G1.order, G2.order) > ISO_GROUP_CAP:
-        raise ValueError(f"isomorphism search capped at {ISO_GROUP_CAP}")
-    if G1.order != G2.order or G1.order_census() != G2.order_census():
-        return None
-    gens = list(G1.generators)
-    sizes1, sizes2 = _class_size_by_label(G1), _class_size_by_label(G2)
-    orders1, orders2 = G1.element_orders(), G2.element_orders()
-    candidates = []
-    for g in gens:
-        cand = [h for h in range(G2.order)
-                if orders2[h] == orders1[g] and sizes2[h] == sizes1[g]]
-        if not cand:
-            return None
-        candidates.append(cand)
-
-    def search(level, imgs):
-        if level == len(gens):
-            phi_map = _extend_partial(G1, G2, gens, imgs)
-            if phi_map is None or len(phi_map) != G1.order:
-                return None
-            phi = np.array([phi_map[x] for x in range(G1.order)],
-                           dtype=np.int32)
-            if len(set(phi.tolist())) != G1.order:
-                return None
-            t1 = np.array(G1.table, dtype=np.int32)
-            t2 = np.array(G2.table, dtype=np.int32)
-            if (phi[t1] == t2[np.ix_(phi, phi)]).all():
-                return phi
-            return None
-        for h in candidates[level]:
-            imgs.append(h)
-            if _extend_partial(G1, G2, gens[:level + 1], imgs) is not None:
-                found = search(level + 1, imgs)
-                if found is not None:
-                    return found
-            imgs.pop()
-        return None
-
-    return search(0, [])
+    G, _ = icosians.icosian_group()
+    return G, _tautological_rep(G)
 
 
 # -- tensor induction --------------------------------------------------------
@@ -497,24 +297,15 @@ class DoubleCoverData:
 def _double_cover(n: int) -> DoubleCoverData:
     """The double cover of S_n from the Pin cocycle, n = 4 or 5, with
     the preimage of A_n identified with the Hurwitz units (n = 4) or the
-    icosian group (n = 5)."""
-    units, name = ((hurwitz_unit_group, "Hurwitz unit group") if n == 4
-                   else (icosian_group, "icosian group"))
-    Sn = symmetric_group(n)
-    ext = central_extension(Sn, pin_cocycle_sn(n))
-    E = ext.group
-    evens = [l for l in range(E.order)
-             if Sn.elems[int(ext.projection[l])].is_even()]
-    Q, _ = E.subgroup(evens, name=f"2A{n}")
-    unit_g, unit_rep = units()
-    phi = find_isomorphism(Q, unit_g)
-    if phi is None:
-        raise InternalCheckFailed(f"preimage of A{n} is not the {name}")
-    rho = Representation(Q, unit_rep.images[phi], 2)
-    cs = CosetSystem.build(E, evens)
-    lifts = tuple(l for l in range(E.order)
-                  if Sn.elems[int(ext.projection[l])].is_transposition())
-    return DoubleCoverData(ext, cs, Q, rho, lifts)
+    icosian group (n = 5): ``icosians.double_cover``, with the units'
+    float representation transported along its isomorphism."""
+    cover = icosians.double_cover(n)
+    _, unit_rep = hurwitz_unit_group() if n == 4 else icosian_group()
+    rho = Representation(cover.subgroup_group,
+                         unit_rep.images[list(cover.phi)], 2)
+    return DoubleCoverData(cover.extension, cover.coset_system,
+                           cover.subgroup_group, rho,
+                           cover.transposition_lifts)
 
 
 def omega5_data() -> DoubleCoverData:
@@ -559,48 +350,45 @@ def verify_standard_rep() -> dict:
     (a) the central element acts trivially, (b) the character equals
     fix(g) - 1 pointwise, (c) every transposition lift has trace 2,
     (d) a transposition lift has characteristic polynomial
-    (x-1)^3 (x+1).  Returns a structured report."""
+    (x-1)^3 (x+1).  Returns a structured report.
+
+    ``passed`` and ``matched`` come from the exact checks of
+    ``icosians.standard_rep_checks``; the "computed" strings show the
+    deviations of the float matrices."""
+    exact = icosians.standard_rep_checks()
     data = omega5_data()
     ext, cs = data.extension, data.coset_system
     E = ext.group
     S5 = symmetric_group(5)
     induced = tensor_induction(cs, data.rho)
 
-    checks = []
-
     z = ext.central[1]
     dev = float(np.abs(induced.images[z] - np.eye(4)).max())
-    checks.append({"name": "central element acts trivially",
-                   "expected": "identity matrix",
-                   "computed": f"max deviation {dev:.3e}",
-                   "passed": dev <= TOL_ENTRY})
-
     traces = np.trace(induced.images, axis1=1, axis2=2)
-    fixm1 = np.array([S5.elems[int(ext.projection[l])].fixed_points() - 1
+    fixm1 = np.array([S5.elems[ext.projection[l]].fixed_points() - 1
                       for l in range(E.order)])
     cdev = float(np.abs(traces - fixm1).max())
-    matched = int(np.count_nonzero(np.abs(traces - fixm1) <= TOL_CHAR))
-    checks.append({"name": "character equals fix - 1 on all 240 elements",
-                   "expected": "0",
-                   "computed": f"max deviation {cdev:.3e}",
-                   "matched": matched,
-                   "total": E.order,
-                   "passed": cdev <= TOL_CHAR})
-
     tdev = float(max(abs(traces[l] - 2) for l in data.transposition_lifts))
-    checks.append({"name": "trace 2 at all transposition lifts",
-                   "expected": "2",
-                   "computed": f"max deviation {tdev:.3e} over "
-                               f"{len(data.transposition_lifts)} lifts",
-                   "passed": tdev <= TOL_CHAR})
+    coeffs = np.poly(induced.images[data.transposition_lifts[0]])
+    pdev = float(np.abs(coeffs - [1.0, -2.0, 0.0, 2.0, -1.0]).max())
 
-    theta = data.transposition_lifts[0]
-    coeffs = np.poly(induced.images[theta])
-    target = np.array([1.0, -2.0, 0.0, 2.0, -1.0])
-    pdev = float(np.abs(coeffs - target).max())
-    checks.append({"name": "transposition lift has charpoly (x-1)^3 (x+1)",
-                   "expected": "coefficients [1, -2, 0, 2, -1]",
-                   "computed": f"max deviation {pdev:.3e}",
-                   "passed": pdev <= TOL_CHAR})
-
-    return {"checks": checks, "all_pass": all(c["passed"] for c in checks)}
+    checks = [
+        {"name": "central element acts trivially",
+         "expected": "identity matrix",
+         "computed": f"max deviation {dev:.3e}"},
+        {"name": "character equals fix - 1 on all 240 elements",
+         "expected": "0",
+         "computed": f"max deviation {cdev:.3e}",
+         "matched": exact.matched,
+         "total": exact.total},
+        {"name": "trace 2 at all transposition lifts",
+         "expected": "2",
+         "computed": f"max deviation {tdev:.3e} over "
+                     f"{len(data.transposition_lifts)} lifts"},
+        {"name": "transposition lift has charpoly (x-1)^3 (x+1)",
+         "expected": "coefficients [1, -2, 0, 2, -1]",
+         "computed": f"max deviation {pdev:.3e}"},
+    ]
+    for check, passed in zip(checks, exact.passed):
+        check["passed"] = passed
+    return {"checks": checks, "all_pass": all(exact.passed)}

@@ -12,8 +12,9 @@ distinct-degree splitting, S5 certificates by reading the pattern at
 every budget prime, squarefree kernels by trial division by
 every odd number up to the trial bound, quaternion group tables by
 float nearest-neighbour matching and by looking up every pairwise exact
-Hamilton product, tensor inductions by one np.kron chain per group
-element, cocycle defects one group element at a time and over all
+Hamilton product, quaternion closures on numpy arrays of golden pairs,
+isomorphisms with a numpy check of every product, tensor inductions by
+one np.kron chain per group element, cocycle defects one group element at a time and over all
 |G|^3 triples in slices of numpy temporaries, the Pin cocycle table by
 one einsum over all products of dense numpy blade vectors at the
 generator columns, cohomology dimensions from the dense coboundary
@@ -60,8 +61,9 @@ from quintrank.numtheory import (
     is_probable_prime,
     poly_discriminant,
 )
-from quintrank.reps import (_factor_permutation_matrix, _golden_hamilton,
-                            _snap_golden)
+from quintrank.groups import _class_size_by_label, _extend_partial
+from quintrank.icosians import GOLDEN, ClosureFailure
+from quintrank.reps import _factor_permutation_matrix
 
 
 def legendre_by_enumeration(a: int, p: int) -> int:
@@ -528,19 +530,153 @@ def quaternion_table_by_nearest_neighbour(quats):
     return order, dist.argmin(axis=-1)
 
 
+def snap_golden_array(quats) -> np.ndarray:
+    """Integer pairs (a, b) with 2x = a + b*phi, shape (n, 4, 2), for the
+    float coordinates x, as one numpy search over |b| <= 4 for all
+    coordinates at once; x snaps only when |2x - a - b*phi| < 1e-9."""
+    two_x = 2.0 * np.asarray(quats, dtype=np.float64)
+    bs = np.arange(-4, 5)
+    rest = two_x[..., None] - bs * GOLDEN
+    a = np.rint(rest)
+    hit = np.abs(rest - a) < 1e-9
+    hit &= (np.abs(two_x) <= 2.0 + 1e-9)[..., None]  # |x| <= 1
+    if not hit.any(axis=-1).all():
+        raise ClosureFailure("a coordinate does not lie in (1/2)Z[phi]")
+    j = hit.argmax(axis=-1)
+    a = np.take_along_axis(a, j[..., None], axis=-1)[..., 0]
+    return np.stack([a.astype(np.int64), bs[j]], axis=-1)
+
+
+def _golden_mul_array(x, y):
+    """(a1 + b1 phi)(a2 + b2 phi) with phi^2 = phi + 1, on (..., 2) pairs."""
+    bb = x[..., 1] * y[..., 1]
+    return np.stack([x[..., 0] * y[..., 0] + bb,
+                     x[..., 0] * y[..., 1] + x[..., 1] * y[..., 0] + bb],
+                    axis=-1)
+
+
+def golden_hamilton_array(q1, q2):
+    """Exact Hamilton product of (..., 4, 2) golden-pair quaternions; the
+    denominators multiply."""
+    a1, b1, c1, d1 = (q1[..., i, :] for i in range(4))
+    a2, b2, c2, d2 = (q2[..., i, :] for i in range(4))
+    m = _golden_mul_array
+    return np.stack([
+        m(a1, a2) - m(b1, b2) - m(c1, c2) - m(d1, d2),
+        m(a1, b2) + m(b1, a2) + m(c1, d2) - m(d1, c2),
+        m(a1, c2) - m(b1, d2) + m(c1, a2) + m(d1, b2),
+        m(a1, d2) + m(b1, c2) - m(c1, b2) + m(d1, a2),
+    ], axis=-2)
+
+
+def quaternion_group_by_arrays(quats):
+    """(G, exact) for a finite set of float unit quaternions, by the
+    numpy closure: snapped (n, 4, 2) pair arrays, the products by
+    greedily picked generators taken for a whole frontier at once, and
+    the other table columns by associativity.  ``exact`` holds the
+    snapped pairs in label order."""
+    exact = snap_golden_array(quats)
+    if not (_golden_mul_array(exact, exact).sum(axis=1) == (4, 0)).all():
+        raise ClosureFailure("a member is not an exact unit quaternion")
+    keys = [tuple(k) for k in (2 * exact).reshape(-1, 8).tolist()]
+    ident = (4, 0, 0, 0, 0, 0, 0, 0)
+    if len(set(keys)) != len(keys) or ident not in keys:
+        raise ClosureFailure("members repeat or miss the identity")
+    i0 = keys.index(ident)
+    order = [i0] + [i for i in range(len(keys)) if i != i0]
+    label = {keys[i]: lab for lab, i in enumerate(order)}
+    exact = exact[order]
+    n = len(order)
+    gens, right, done = [], [], []
+    parent = {0: None}
+    found = [0]
+    while len(found) < n:
+        gens.append(next(y for y in range(n) if y not in parent))
+        right.append(np.empty(n, dtype=np.int32))
+        done.append(0)
+        grew = True
+        while grew:
+            grew = False
+            for j, g in enumerate(gens):
+                xs = found[done[j]:]
+                done[j] = len(found)
+                if not xs:
+                    continue
+                prods = golden_hamilton_array(exact[xs], exact[g])
+                ys = [label.get(tuple(k))
+                      for k in prods.reshape(-1, 8).tolist()]
+                if None in ys:
+                    raise ClosureFailure("a product is not in the set")
+                right[j][xs] = ys
+                for x, y in zip(xs, ys):
+                    if y not in parent:
+                        parent[y] = (x, j)
+                        found.append(y)
+                        grew = True
+    cols = np.empty((n, n), dtype=np.int32)  # cols[y] = table[:, y]
+    cols[0] = np.arange(n)
+    for y in found[1:]:
+        x, j = parent[y]
+        cols[y] = right[j][cols[x]]
+    quats = np.asarray(quats)[order]
+    return FiniteGroup([tuple(q) for q in quats], cols.T), exact
+
+
 def quaternion_table_by_all_products(quats):
     """(order, table) for a finite set of unit quaternions in
     (1/2)Z[phi]: the identity is moved to the front, and all n^2 exact
     Hamilton products of the snapped members are looked up among them."""
-    exact = _snap_golden(quats)
+    exact = snap_golden_array(quats)
     keys = [tuple(k) for k in (2 * exact).reshape(-1, 8).tolist()]
     ident = keys.index((4, 0, 0, 0, 0, 0, 0, 0))
     order = [ident] + [i for i in range(len(keys)) if i != ident]
     label = {keys[i]: lab for lab, i in enumerate(order)}
     exact = exact[order]
-    prods = _golden_hamilton(exact[:, None], exact[None, :])
+    prods = golden_hamilton_array(exact[:, None], exact[None, :])
     flat = [label[tuple(k)] for k in prods.reshape(-1, 8).tolist()]
     return order, np.array(flat, dtype=np.int32).reshape(len(order), -1)
+
+
+def find_isomorphism_by_arrays(G1, G2):
+    """The isomorphism search with a numpy array result and a numpy check
+    of all |G1|^2 products: the same candidates in the same order."""
+    if G1.order != G2.order or G1.order_census() != G2.order_census():
+        return None
+    gens = list(G1.generators)
+    sizes1, sizes2 = _class_size_by_label(G1), _class_size_by_label(G2)
+    orders1, orders2 = G1.element_orders(), G2.element_orders()
+    candidates = []
+    for g in gens:
+        cand = [h for h in range(G2.order)
+                if orders2[h] == orders1[g] and sizes2[h] == sizes1[g]]
+        if not cand:
+            return None
+        candidates.append(cand)
+    t1 = np.array(G1.table, dtype=np.int32)
+    t2 = np.array(G2.table, dtype=np.int32)
+
+    def search(level, imgs):
+        if level == len(gens):
+            phi_map = _extend_partial(G1, G2, gens, imgs)
+            if phi_map is None or len(phi_map) != G1.order:
+                return None
+            phi = np.array([phi_map[x] for x in range(G1.order)],
+                           dtype=np.int32)
+            if len(set(phi.tolist())) != G1.order:
+                return None
+            if (phi[t1] == t2[np.ix_(phi, phi)]).all():
+                return phi
+            return None
+        for h in candidates[level]:
+            imgs.append(h)
+            if _extend_partial(G1, G2, gens[:level + 1], imgs) is not None:
+                found = search(level + 1, imgs)
+                if found is not None:
+                    return found
+            imgs.pop()
+        return None
+
+    return search(0, [])
 
 
 def tensor_induction_by_kron(cs, rho):

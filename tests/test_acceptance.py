@@ -111,7 +111,7 @@ def test_criterion_03_standard_representation():
     elapsed = time.perf_counter() - t0
     names = [c["name"] for c in report["checks"] if not c["passed"]]
     ok = report["all_pass"] and len(report["checks"]) == 4 and elapsed < 60
-    _report(3, ok, f"4 checks at 1e-6, failed={names or 'none'}, "
+    _report(3, ok, f"4 checks decided in Z[phi], failed={names or 'none'}, "
                    f"{elapsed:.1f}s (limit 60s)")
 
 

@@ -15,6 +15,7 @@ from quintrank import InternalCheckFailed, cli, fieldscan, rankgrowth
 from quintrank.cli import main
 from quintrank.cocycles import TooLarge
 from quintrank.groups import CapExceeded
+from quintrank.icosians import StandardRepChecks
 from quintrank.numtheory import IntPolynomial
 from quintrank.reps import (
     ClosureFailure,
@@ -332,11 +333,12 @@ def test_selftest_json_two_runs_byte_identical(capsys):
 
 
 def test_selftest_failure_exits_one(capsys, monkeypatch):
-    fake = {"checks": [{"name": "stub", "expected": "x", "computed": "y",
-                        "passed": False}], "all_pass": False}
-    monkeypatch.setattr("quintrank.reps.verify_standard_rep", lambda: fake)
+    fake = StandardRepChecks((True, False, True, True), 239, 240)
+    monkeypatch.setattr("quintrank.icosians.standard_rep_checks",
+                        lambda: fake)
     assert main(["selftest"]) == 1
-    assert "FAIL" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL  tensor-induced standard representation: 3/4 checks" in out
 
 
 # -- standard-rep -----------------------------------------------------------
@@ -547,7 +549,8 @@ def _modules_after(code: str) -> set[str]:
 def test_cli_import_loads_neither_the_scan_stack_nor_numpy():
     loaded = _modules_after("import quintrank.cli")
     assert "quintrank.cli" in loaded
-    assert not loaded & (SCAN_STACK | OPENSSL | {"numpy"})
+    assert not loaded & (SCAN_STACK | OPENSSL
+                         | {"numpy", "quintrank.icosians"})
 
 
 @pytest.mark.parametrize("command", ["h2", "standard-rep"])
@@ -571,10 +574,8 @@ def test_commands_without_a_cache_leave_openssl_unloaded(argv):
                             f"from quintrank.cli import main; main({argv!r})")
     assert "quintrank.fieldscan" in loaded
     assert not loaded & OPENSSL
-    # the scan stack's records are tuples, not dataclasses; selftest
-    # runs numpy, which imports inspect itself
-    if argv != ["selftest"]:
-        assert not loaded & {"dataclasses", "inspect"}
+    # the scan stack's records are tuples, not dataclasses
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_scan_with_a_cache_loads_hashlib(tmp_path):
@@ -592,6 +593,23 @@ def test_h2_prints_its_reference_output_without_numpy():
                   "from quintrank.cli import main; "
                   "sys.exit(main(['h2', '--json']))")
     assert out == ref["algebra"]["h2"]["stdout"]
+
+
+def test_selftest_prints_its_reference_output_without_numpy():
+    # the standard-rep checks of selftest are decided in Z[phi]
+    ref = json.loads((Path(__file__).parents[1] / "bench" / "data"
+                      / "reference.json").read_text(encoding="utf-8"))
+    out = _python("import sys; sys.modules['numpy'] = None; "
+                  "from quintrank.cli import main; "
+                  "sys.exit(main(['selftest', '--json']))")
+    assert out == ref["algebra"]["selftest"]["stdout"]
+
+
+def test_selftest_loads_neither_numpy_nor_reps():
+    loaded = _modules_after(
+        "from quintrank.cli import main; main(['selftest', '--json'])")
+    assert "quintrank.icosians" in loaded
+    assert not loaded & {"numpy", "dataclasses", "inspect", "quintrank.reps"}
 
 
 def test_h2_loads_neither_numpy_nor_dataclasses():

@@ -1,25 +1,33 @@
 """Representation layer tests: quaternion groups, isomorphism search,
-tensor induction, and the index-2 reducibility criterion."""
+tensor induction, the index-2 reducibility criterion, and the exact
+standard-representation checks."""
+
+import math
 
 import numpy as np
 import pytest
 
-from oracles import (M16, cyclic_group, direct_product, is_homomorphism,
+from oracles import (M16, cyclic_group, direct_product,
+                     find_isomorphism_by_arrays, is_homomorphism,
+                     quaternion_group_by_arrays,
                      quaternion_table_by_all_products,
                      quaternion_table_by_nearest_neighbour,
                      tensor_induction_by_kron)
 from test_cocycles import PEAK_BOUND_MB, _traced_peak_mb
+from quintrank import groups, icosians
 from quintrank.groups import (CosetSystem, Permutation, abelianization,
                               close_generators, coset_factorization,
-                              symmetric_group, transfer)
-from quintrank import reps
+                              find_isomorphism, symmetric_group, transfer)
+from quintrank.icosians import (CHARPOLY, GOLDEN, double_cover,
+                                hurwitz_quaternions, icosian_quaternions,
+                                induced_character, quaternion_group,
+                                standard_rep_checks)
 from quintrank.reps import (Character, ClosureFailure, DimensionOverflow,
                             NonIntegral, PreconditionViolated, Representation,
                             binary_octahedral_data, criterion_catalog,
                             decomposition_profile, dual_twist_reducibility,
-                            find_isomorphism, hurwitz_unit_group,
-                            icosian_group, inner_product, linear_characters,
-                            omega5_data, tensor_induction,
+                            hurwitz_unit_group, icosian_group, inner_product,
+                            linear_characters, omega5_data, tensor_induction,
                             verify_standard_rep)
 
 PHI = (1 + np.sqrt(5)) / 2
@@ -67,65 +75,101 @@ def test_hurwitz_group_is_binary_tetrahedral():
 
 
 def test_closure_failure_on_alien_quaternion():
-    from quintrank.reps import _hurwitz_quaternions, _quaternion_group
-    alien = np.array([[np.cos(0.3), np.sin(0.3), 0.0, 0.0]])
-    quats = np.concatenate([_hurwitz_quaternions(), alien])
+    alien = (math.cos(0.3), math.sin(0.3), 0.0, 0.0)
+    quats = hurwitz_quaternions() + [alien]
     with pytest.raises(ClosureFailure):
-        _quaternion_group(quats, "broken")
+        quaternion_group(quats, "broken")
 
 
 def test_closure_failure_on_tiny_separation():
-    from quintrank.reps import _hurwitz_quaternions, _quaternion_group
-    quats = _hurwitz_quaternions()
-    near_dup = quats[3:4] + 1e-5
+    quats = hurwitz_quaternions()
+    near_dup = tuple(x + 1e-5 for x in quats[3])
     with pytest.raises(ClosureFailure):
-        _quaternion_group(np.concatenate([quats, near_dup]), "broken")
+        quaternion_group(quats + [near_dup], "broken")
 
 
-@pytest.mark.parametrize("quats", [reps._hurwitz_quaternions,
-                                   reps._icosian_quaternions],
-                         ids=["hurwitz", "icosian"])
+QUATERNION_SETS = pytest.mark.parametrize(
+    "quats", [hurwitz_quaternions, icosian_quaternions],
+    ids=["hurwitz", "icosian"])
+
+
+@QUATERNION_SETS
 def test_exact_table_matches_nearest_neighbour_oracle(quats):
-    floats = quats()
-    G, _ = reps._quaternion_group(floats, "x")
+    floats = np.array(quats())
+    G, _ = quaternion_group(quats(), "x")
     order, table = quaternion_table_by_nearest_neighbour(floats)
     assert (np.asarray(G.table) == table).all()
     assert list(G.elems) == [tuple(q) for q in floats[order]]
 
 
-@pytest.mark.parametrize("quats", [reps._hurwitz_quaternions,
-                                   reps._icosian_quaternions],
-                         ids=["hurwitz", "icosian"])
+@QUATERNION_SETS
 def test_table_from_generator_columns_matches_all_products(quats):
-    floats = quats()
-    G, _ = reps._quaternion_group(floats, "x")
+    floats = np.array(quats())
+    G, _ = quaternion_group(quats(), "x")
     order, table = quaternion_table_by_all_products(floats)
     assert (np.asarray(G.table) == table).all()
     assert list(G.elems) == [tuple(q) for q in floats[order]]
 
 
-@pytest.mark.parametrize("quats", [reps._hurwitz_quaternions,
-                                   reps._icosian_quaternions],
-                         ids=["hurwitz", "icosian"])
+@QUATERNION_SETS
+def test_pure_closure_matches_the_numpy_closure(quats):
+    G, exact = quaternion_group(quats(), "x")
+    H, exact_arrays = quaternion_group_by_arrays(np.array(quats()))
+    assert G.table == H.table
+    assert G.elems == H.elems
+    assert all(type(x) is float for q in G.elems for x in q)
+    assert np.array(exact).tolist() == exact_arrays.tolist()
+
+
+@QUATERNION_SETS
+def test_float_layer_keeps_the_exact_closure(quats):
+    # the float view wraps the cached exact group, without a closure of
+    # its own, and its images are the tautological matrices of the floats
+    unit_group = {hurwitz_quaternions: (hurwitz_unit_group,
+                                        icosians.hurwitz_unit_group),
+                  icosian_quaternions: (icosian_group,
+                                        icosians.icosian_group)}[quats]
+    floats, exact_fn = unit_group
+    G, rep = floats()
+    assert G is exact_fn()[0]
+    a, b, c, d = np.array(G.elems).T
+    want = np.stack([a + 1j * b, c + 1j * d, -c + 1j * d, a - 1j * b],
+                    axis=-1).reshape(-1, 2, 2)
+    assert np.array_equal(rep.images, want)
+
+
+@QUATERNION_SETS
 def test_closure_failure_on_a_dropped_member(quats):
     floats = quats()
     for drop in (1, 2, len(floats) // 2, len(floats) - 1):
         with pytest.raises(ClosureFailure, match="not in the set"):
-            reps._quaternion_group(np.delete(floats, drop, axis=0), "broken")
+            quaternion_group(floats[:drop] + floats[drop + 1:], "broken")
 
 
 def test_closure_failure_on_repeat_and_non_unit():
-    quats = reps._hurwitz_quaternions()
+    quats = hurwitz_quaternions()
     with pytest.raises(ClosureFailure, match="repeat"):
-        reps._quaternion_group(np.concatenate([quats, quats[3:4]]), "broken")
-    half = np.array([[0.5, 0.5, 0.0, 0.0]])  # snaps, but has norm 1/2
+        quaternion_group(quats + [quats[3]], "broken")
+    half = (0.5, 0.5, 0.0, 0.0)  # snaps, but has norm 1/2
     with pytest.raises(ClosureFailure, match="unit"):
-        reps._quaternion_group(np.concatenate([quats, half]), "broken")
+        quaternion_group(quats + [half], "broken")
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((1.5, 0.0, 0.0, 0.0), "does not lie"),  # |x| > 1
+    ((0.5, 0.5, 0.5, 0.5 + 1e-7), "does not lie"),
+])
+def test_pure_and_numpy_snaps_fail_alike(bad, message):
+    quats = hurwitz_quaternions() + [bad]
+    with pytest.raises(ClosureFailure, match=message):
+        quaternion_group(quats, "broken")
+    with pytest.raises(ClosureFailure, match=message):
+        quaternion_group_by_arrays(np.array(quats))
 
 
 def test_icosian_table_stays_in_bounded_memory():
-    floats = reps._icosian_quaternions()
-    peak = _traced_peak_mb(lambda: reps._quaternion_group(floats, "x"))
+    floats = icosian_quaternions()
+    peak = _traced_peak_mb(lambda: quaternion_group(floats, "x"))
     assert peak < PEAK_BOUND_MB
 
 
@@ -141,6 +185,7 @@ def test_find_isomorphism_identity_case():
     S4 = symmetric_group(4)
     phi = find_isomorphism(S4, S4)
     assert phi is not None
+    phi = np.asarray(phi)
     t = np.asarray(S4.table)
     assert (phi[t] == t[np.ix_(phi, phi)]).all()
 
@@ -150,6 +195,7 @@ def test_find_isomorphism_cyclic_product():
     C2xC3 = direct_product(cyclic_group(2), cyclic_group(3))
     phi = find_isomorphism(C6, C2xC3)
     assert phi is not None
+    phi = np.asarray(phi)
     assert (phi[np.asarray(C6.table)]
             == np.asarray(C2xC3.table)[np.ix_(phi, phi)]).all()
     assert len(set(phi.tolist())) == 6
@@ -168,9 +214,33 @@ def test_find_isomorphism_same_census_different_groups():
 
 def test_extend_partial_carries_homomorphisms_and_rejects_collisions():
     C4, C2, C3 = cyclic_group(4), cyclic_group(2), cyclic_group(3)
-    assert reps._extend_partial(C4, C2, [1], [1]) == {0: 0, 1: 1, 2: 0, 3: 1}
+    assert groups._extend_partial(C4, C2, [1], [1]) == {0: 0, 1: 1, 2: 0, 3: 1}
     # 1 -> 1 in C3 breaks 1^4 = 1: the edge 3 * 1 = 0 lands on 1, not 0
-    assert reps._extend_partial(C4, C3, [1], [1]) is None
+    assert groups._extend_partial(C4, C3, [1], [1]) is None
+
+
+def _isomorphism_cases():
+    m16 = close_generators([M16((1, 0)), M16((0, 1))], name="m16")
+    yield "S4", symmetric_group(4), symmetric_group(4)
+    yield "C6", cyclic_group(6), direct_product(cyclic_group(2),
+                                                cyclic_group(3))
+    yield "m16", m16, direct_product(cyclic_group(8), cyclic_group(2))
+    yield "C4-V4", cyclic_group(4), direct_product(cyclic_group(2),
+                                                   cyclic_group(2))
+    for n in (4, 5):
+        cover = double_cover(n)
+        yield f"2A{n}", cover.subgroup_group, cover.units
+
+
+@pytest.mark.parametrize("case", ["S4", "C6", "m16", "C4-V4", "2A4", "2A5"])
+def test_find_isomorphism_matches_the_numpy_search(case):
+    _, G1, G2 = next(c for c in _isomorphism_cases() if c[0] == case)
+    phi = find_isomorphism(G1, G2)
+    want = find_isomorphism_by_arrays(G1, G2)
+    if want is None:
+        assert phi is None
+    else:
+        assert isinstance(phi, tuple) and list(phi) == want.tolist()
 
 
 def test_find_isomorphism_cap():
@@ -414,6 +484,54 @@ def test_criterion_rejects_theta_inside_subgroup():
 
 
 # -- the standard representation pipeline ------------------------------------
+
+def _float_character(data_fn):
+    data = data_fn()
+    induced = tensor_induction(data.coset_system, data.rho)
+    return np.trace(induced.images, axis1=1, axis2=2)
+
+
+@pytest.mark.parametrize("n, data_fn", [(4, binary_octahedral_data),
+                                        (5, omega5_data)])
+def test_exact_character_matches_the_float_trace(n, data_fn):
+    cover = double_cover(n)
+    chi = induced_character(cover)
+    assert len(chi) == cover.extension.group.order == 2 * math.factorial(n)
+    exact = np.array([a + b * GOLDEN for a, b in chi])
+    assert np.abs(_float_character(data_fn) - exact).max() <= 1e-12
+
+
+def test_standard_rep_checks_pass_exactly():
+    checks = standard_rep_checks()
+    assert checks.passed == (True, True, True, True)
+    assert checks.matched == checks.total == 240
+
+
+def test_standard_rep_checks_fail_on_twice_the_trivial_character():
+    # 2 = fix - 1 only on the 20 transposition lifts, so (c) alone holds
+    checks = standard_rep_checks([(2, 0)] * 240)
+    assert checks.passed == (False, False, True, False)
+    assert checks.matched == 20 < checks.total
+
+
+def test_standard_rep_checks_fail_where_newton_leaves_z_phi():
+    # p_1 = chi(theta) = 1 and p_2 = chi(1) = 0 give e_2 = 1/2
+    theta = double_cover(5).transposition_lifts[0]
+    chi = [(0, 0)] * 240
+    chi[theta] = (1, 0)
+    checks = standard_rep_checks(chi)
+    assert checks.passed == (False, False, False, False)
+    # 0 = fix - 1 on the lifts of the 15 double transpositions and the
+    # 30 four-cycles
+    assert checks.matched == 90
+
+
+def test_charpoly_from_power_sums():
+    assert icosians._charpoly([(2, 0), (4, 0), (2, 0), (4, 0)]) == CHARPOLY
+    # roots phi and 1: p_1 = 1 + phi, p_2 = phi^2 + 1 = 2 + phi
+    assert icosians._charpoly([(1, 1), (2, 1)]) == ((1, 0), (-1, -1), (0, 1))
+    assert icosians._charpoly([(1, 0), (0, 0)]) is None
+
 
 def test_verify_standard_rep_all_checks_pass():
     report = verify_standard_rep()
