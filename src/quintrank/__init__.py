@@ -1,10 +1,10 @@
 """Toolkit for certifying analytic rank growth over quintic fields.
 
 Submodules:
-    groups     finite groups on dense tables, cosets, abelianization,
-               transfer, isomorphism search
+    groups     finite groups on dense tables, cosets, abelianization, transfer
     cocycles   2-cocycles, Clifford/Pin lifts of symmetric groups, extensions
-    icosians   unit quaternion groups and the standard-rep checks in Z[phi]
+    icosians   unit quaternion groups, isomorphism search, double covers and
+               the standard-rep checks in Z[phi]
     reps       float representations, tensor induction, reducibility tests
     numtheory  Kronecker symbols, discriminants, root counts, S5 certification
     rankgrowth parity certificates for rank growth of elliptic curves

@@ -360,81 +360,6 @@ def alternating_group(n: int) -> FiniteGroup:
     return close_generators(gens, name=f"A{n}")
 
 
-# -- isomorphism search -------------------------------------------------
-
-ISO_GROUP_CAP = 240
-
-
-def _class_size_by_label(G: FiniteGroup) -> list[int]:
-    sizes = [0] * G.order
-    for cls in G.conjugacy_classes():
-        for label in cls:
-            sizes[label] = len(cls)
-    return sizes
-
-
-def _extend_partial(G1, G2, gens, imgs):
-    """Grow <gens> by right multiplication, carrying the candidate map;
-    None on a single-valuedness collision."""
-    image_of = dict(zip(gens, imgs))
-    phi = {0: 0}
-    t2 = G2.table
-    for x, g, y, new in _bfs(G1.table, gens):
-        img = t2[phi[x]][image_of[g]]
-        if new:
-            phi[y] = img
-        elif phi[y] != img:
-            return None
-    return phi
-
-
-def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup
-                     ) -> Optional[tuple[int, ...]]:
-    """A multiplication-preserving bijection as a tuple (G1 label ->
-    G2 label), or None.  Generator images are searched in deterministic
-    order, pruned by element order and conjugacy class size; a candidate
-    map is accepted only after all |G1|^2 products are checked."""
-    if max(G1.order, G2.order) > ISO_GROUP_CAP:
-        raise ValueError(f"isomorphism search capped at {ISO_GROUP_CAP}")
-    if G1.order != G2.order or G1.order_census() != G2.order_census():
-        return None
-    gens = list(G1.generators)
-    sizes1, sizes2 = _class_size_by_label(G1), _class_size_by_label(G2)
-    orders1, orders2 = G1.element_orders(), G2.element_orders()
-    candidates = []
-    for g in gens:
-        cand = [h for h in range(G2.order)
-                if orders2[h] == orders1[g] and sizes2[h] == sizes1[g]]
-        if not cand:
-            return None
-        candidates.append(cand)
-
-    def is_isomorphism(phi):
-        # phi(a b) = phi(a) phi(b), row by row
-        t2, at, pick = G2.table, phi.__getitem__, _picker(phi)
-        return len(set(phi)) == G1.order and all(
-            tuple(map(at, row)) == pick(t2[phi[a]])
-            for a, row in enumerate(G1.table))
-
-    def search(level, imgs):
-        if level == len(gens):
-            phi_map = _extend_partial(G1, G2, gens, imgs)
-            if phi_map is None or len(phi_map) != G1.order:
-                return None
-            phi = tuple(phi_map[x] for x in range(G1.order))
-            return phi if is_isomorphism(phi) else None
-        for h in candidates[level]:
-            imgs.append(h)
-            if _extend_partial(G1, G2, gens[:level + 1], imgs) is not None:
-                found = search(level + 1, imgs)
-                if found is not None:
-                    return found
-            imgs.pop()
-        return None
-
-    return search(0, [])
-
-
 # -- coset systems ------------------------------------------------------
 
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import InternalCheckFailed, cocycles, groups, icosians
+from . import InternalCheckFailed, cocycles, icosians
 from .groups import (CosetSystem, FiniteGroup, Permutation, abelianization,
                      coset_factorization, symmetric_group)
 
@@ -37,7 +37,7 @@ MAX_TENSOR_DIM = 64
 # Public names that the double-cover pipeline no longer calls from here,
 # kept so that callers and the benchmark's tracer still find them.
 ClosureFailure = icosians.ClosureFailure
-find_isomorphism = groups.find_isomorphism
+find_isomorphism = icosians.find_isomorphism
 pin_cocycle_sn = cocycles.pin_cocycle_sn
 
 # Representation images are plain complex ndarrays; for genuine

@@ -61,8 +61,8 @@ from quintrank.numtheory import (
     is_probable_prime,
     poly_discriminant,
 )
-from quintrank.groups import _class_size_by_label, _extend_partial
-from quintrank.icosians import GOLDEN, ClosureFailure
+from quintrank.icosians import (GOLDEN, ClosureFailure, _class_size_by_label,
+                                _extend_partial)
 from quintrank.reps import _factor_permutation_matrix
 
 

@@ -14,12 +14,12 @@ from oracles import (M16, cyclic_group, direct_product,
                      quaternion_table_by_nearest_neighbour,
                      tensor_induction_by_kron)
 from test_cocycles import PEAK_BOUND_MB, _traced_peak_mb
-from quintrank import groups, icosians
+from quintrank import icosians
 from quintrank.groups import (CosetSystem, Permutation, abelianization,
                               close_generators, coset_factorization,
-                              find_isomorphism, symmetric_group, transfer)
+                              symmetric_group, transfer)
 from quintrank.icosians import (CHARPOLY, GOLDEN, double_cover,
-                                hurwitz_quaternions, icosian_quaternions,
+                                find_isomorphism, hurwitz_quaternions, icosian_quaternions,
                                 induced_character, quaternion_group,
                                 standard_rep_checks)
 from quintrank.reps import (Character, ClosureFailure, DimensionOverflow,
@@ -214,9 +214,9 @@ def test_find_isomorphism_same_census_different_groups():
 
 def test_extend_partial_carries_homomorphisms_and_rejects_collisions():
     C4, C2, C3 = cyclic_group(4), cyclic_group(2), cyclic_group(3)
-    assert groups._extend_partial(C4, C2, [1], [1]) == {0: 0, 1: 1, 2: 0, 3: 1}
+    assert icosians._extend_partial(C4, C2, [1], [1]) == {0: 0, 1: 1, 2: 0, 3: 1}
     # 1 -> 1 in C3 breaks 1^4 = 1: the edge 3 * 1 = 0 lands on 1, not 0
-    assert groups._extend_partial(C4, C3, [1], [1]) is None
+    assert icosians._extend_partial(C4, C3, [1], [1]) is None
 
 
 def _isomorphism_cases():
