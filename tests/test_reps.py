@@ -121,17 +121,14 @@ def test_pure_closure_matches_the_numpy_closure(quats):
     assert np.array(exact).tolist() == exact_arrays.tolist()
 
 
-@QUATERNION_SETS
-def test_float_layer_keeps_the_exact_closure(quats):
+@pytest.mark.parametrize("floats, exact", [
+    (hurwitz_unit_group, icosians.hurwitz_unit_group),
+    (icosian_group, icosians.icosian_group)], ids=["hurwitz", "icosian"])
+def test_float_layer_keeps_the_exact_closure(floats, exact):
     # the float view wraps the cached exact group, without a closure of
     # its own, and its images are the tautological matrices of the floats
-    unit_group = {hurwitz_quaternions: (hurwitz_unit_group,
-                                        icosians.hurwitz_unit_group),
-                  icosian_quaternions: (icosian_group,
-                                        icosians.icosian_group)}[quats]
-    floats, exact_fn = unit_group
     G, rep = floats()
-    assert G is exact_fn()[0]
+    assert G is exact()[0]
     a, b, c, d = np.array(G.elems).T
     want = np.stack([a + 1j * b, c + 1j * d, -c + 1j * d, a - 1j * b],
                     axis=-1).reshape(-1, 2, 2)
@@ -219,22 +216,22 @@ def test_extend_partial_carries_homomorphisms_and_rejects_collisions():
     assert icosians._extend_partial(C4, C3, [1], [1]) is None
 
 
-def _isomorphism_cases():
-    m16 = close_generators([M16((1, 0)), M16((0, 1))], name="m16")
-    yield "S4", symmetric_group(4), symmetric_group(4)
-    yield "C6", cyclic_group(6), direct_product(cyclic_group(2),
-                                                cyclic_group(3))
-    yield "m16", m16, direct_product(cyclic_group(8), cyclic_group(2))
-    yield "C4-V4", cyclic_group(4), direct_product(cyclic_group(2),
-                                                   cyclic_group(2))
-    for n in (4, 5):
-        cover = double_cover(n)
-        yield f"2A{n}", cover.subgroup_group, cover.units
+ISOMORPHISM_CASES = {
+    "S4": lambda: (symmetric_group(4), symmetric_group(4)),
+    "C6": lambda: (cyclic_group(6),
+                   direct_product(cyclic_group(2), cyclic_group(3))),
+    "m16": lambda: (close_generators([M16((1, 0)), M16((0, 1))]),
+                    direct_product(cyclic_group(8), cyclic_group(2))),
+    "C4-V4": lambda: (cyclic_group(4),
+                      direct_product(cyclic_group(2), cyclic_group(2))),
+    "2A4": lambda: (double_cover(4).subgroup_group, double_cover(4).units),
+    "2A5": lambda: (double_cover(5).subgroup_group, double_cover(5).units),
+}
 
 
-@pytest.mark.parametrize("case", ["S4", "C6", "m16", "C4-V4", "2A4", "2A5"])
+@pytest.mark.parametrize("case", list(ISOMORPHISM_CASES))
 def test_find_isomorphism_matches_the_numpy_search(case):
-    _, G1, G2 = next(c for c in _isomorphism_cases() if c[0] == case)
+    G1, G2 = ISOMORPHISM_CASES[case]()
     phi = find_isomorphism(G1, G2)
     want = find_isomorphism_by_arrays(G1, G2)
     if want is None:
@@ -485,12 +482,6 @@ def test_criterion_rejects_theta_inside_subgroup():
 
 # -- the standard representation pipeline ------------------------------------
 
-def _float_character(data_fn):
-    data = data_fn()
-    induced = tensor_induction(data.coset_system, data.rho)
-    return np.trace(induced.images, axis1=1, axis2=2)
-
-
 @pytest.mark.parametrize("n, data_fn", [(4, binary_octahedral_data),
                                         (5, omega5_data)])
 def test_exact_character_matches_the_float_trace(n, data_fn):
@@ -498,7 +489,10 @@ def test_exact_character_matches_the_float_trace(n, data_fn):
     chi = induced_character(cover)
     assert len(chi) == cover.extension.group.order == 2 * math.factorial(n)
     exact = np.array([a + b * GOLDEN for a, b in chi])
-    assert np.abs(_float_character(data_fn) - exact).max() <= 1e-12
+    data = data_fn()
+    induced = tensor_induction(data.coset_system, data.rho)
+    traces = np.trace(induced.images, axis1=1, axis2=2)
+    assert np.abs(traces - exact).max() <= 1e-12
 
 
 def test_standard_rep_checks_pass_exactly():
