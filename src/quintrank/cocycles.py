@@ -37,8 +37,7 @@ from operator import xor
 from typing import Optional
 
 from . import CheckedRecord, InternalCheckFailed
-from .groups import (FiniteGroup, Permutation, _bfs, _int_rows, _picker,
-                     symmetric_group)
+from .groups import FiniteGroup, Permutation, _bfs, _picker, symmetric_group
 
 H2_GROUP_CAP = 30
 H1_GROUP_CAP = 240
@@ -54,21 +53,20 @@ _BITS = frozenset((0, 1))
 
 class Cocycle2(CheckedRecord, _Cocycle2Fields):
     """A normalized Z/2-valued 2-cochain on G (trivial action); run
-    verify_cocycle for the cocycle law.  ``values`` may be given as rows
-    of ints or as an integer array; it is kept reduced mod 2."""
+    verify_cocycle for the cocycle law.  ``values`` are rows of ints,
+    each 0 or 1."""
 
     __slots__ = ()
 
     def __new__(cls, group: FiniteGroup, values):
-        rows = tuple(row if _BITS.issuperset(row)
-                     else tuple([v & 1 for v in row])
-                     for row in _int_rows(values))
-        return super().__new__(cls, group, rows)
+        return super().__new__(cls, group, tuple(map(tuple, values)))
 
     def _check(self):
         n = self.group.order
         if len(self.values) != n or any(len(row) != n for row in self.values):
             raise ValueError("cocycle table shape mismatch")
+        if not all(map(_BITS.issuperset, self.values)):
+            raise ValueError("cocycle entries must be 0 or 1")
         if any(self.values[0]) or any(row[0] for row in self.values):
             raise ValueError("cocycle is not normalized")
 

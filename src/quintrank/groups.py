@@ -36,14 +36,6 @@ class CapExceeded(RuntimeError):
     """Closure grew past the configured element cap."""
 
 
-def _int_rows(table) -> tuple[tuple[int, ...], ...]:
-    """A table as a tuple of row tuples: an integer array is read through
-    its tolist(), anything else as a sequence of rows of ints."""
-    if hasattr(table, "tolist"):
-        table = table.tolist()
-    return tuple(map(tuple, table))
-
-
 def _picker(labels: Sequence[int]):
     """A function from a table row to the tuple of its entries at
     ``labels``, in that order."""
@@ -117,12 +109,12 @@ class FiniteGroup:
 
     ``elems`` holds the original payload objects (permutations, pairs,
     quaternion coordinates, ..) purely for inspection; all computation
-    goes through ``table``, which may be given as rows of ints or as an
-    integer array.  Identity is validated to sit at label 0.
+    goes through ``table``, given as rows of ints.  Identity is validated
+    to sit at label 0.
     """
 
     def __init__(self, elems: Sequence, table, generators=None, name: str = ""):
-        table = _int_rows(table)
+        table = tuple(map(tuple, table))
         n = len(elems)
         if len(table) != n or any(len(row) != n for row in table):
             raise ValueError("table shape does not match element count")

@@ -9,12 +9,15 @@ Sturm chains and by Descartes bisection over exact rationals (the
 package reads a quintic's from Hermite's form), mod-p factor patterns by
 exhaustive trial division and, for any degree and prime, by
 distinct-degree splitting, S5 certificates by reading the pattern at
-every budget prime, squarefree kernels by trial division by
-every odd number up to the trial bound, quaternion group tables by
-float nearest-neighbour matching and by looking up every pairwise exact
-Hamilton product, quaternion closures on numpy arrays of golden pairs,
-isomorphisms with a numpy check of every product, tensor inductions by
-one np.kron chain per group element, cocycle defects one group element at a time and over all
+every budget prime, the parity sign chi as a product of symbols over
+the multiplicative primes and as the root number w(E/K)/w(E) place by
+place from Sturm chains and mod-p factor counts, squarefree kernels by
+trial division by every odd number up to the trial bound, quaternion
+group tables by float nearest-neighbour matching and by looking up
+every pairwise exact Hamilton product, quaternion closures on numpy
+arrays of golden pairs, isomorphisms with a numpy check of every
+product, tensor inductions by one np.kron chain per group element,
+cocycle defects one group element at a time and over all
 |G|^3 triples in slices of numpy temporaries, the Pin cocycle table by
 one einsum over all products of dense numpy blade vectors at the
 generator columns, cohomology dimensions from the dense coboundary
@@ -59,10 +62,12 @@ from quintrank.numtheory import (
     _trim,
     first_primes,
     is_probable_prime,
+    kronecker_symbol,
     poly_discriminant,
 )
 from quintrank.icosians import (GOLDEN, ClosureFailure, _class_size_by_label,
                                 _extend_partial)
+from quintrank.rankgrowth import certify_pair
 from quintrank.reps import _factor_permutation_matrix
 
 
@@ -447,6 +452,61 @@ def certify_s5_full_scan(f: IntPolynomial, budget: int,
     return S5Certificate("Inconclusive", five, transposition, scanned)
 
 
+def chi_by_primes(curve, field) -> int:
+    """chi of an admissible pair as the product of (disc f|p) over the
+    primes p || N, the route certify_pair took before it read the one
+    symbol (disc f|-N): on the paper's family disc f > 0 and every
+    additive (disc f|p) is 1."""
+    chi = 1
+    for p, e in curve.factorization:
+        if e == 1:
+            chi *= kronecker_symbol(field.disc, p)
+    return chi
+
+
+def root_number_ratio(curve, field) -> int | None:
+    """w(E/K)/w(E) place by place, reading no Kronecker symbol, or None
+    when f mod p is not squarefree at some p | N.  Infinity gives
+    (-1)^(r1 + r2 + 1), r1 by Sturm's theorem.  With g_p the number of
+    factors of f mod p, by distinct-degree splitting, a p || N gives
+    (-1)^(g_p + 1): the residue degrees above p sum to 5, so whether E
+    is split or non-split at p cancels out.  An additive p^e || N gives
+    (-1)^((5 - g_p) e), by Tate's unramified-twist formula."""
+    r1 = sturm_root_count(field.poly.coeffs)
+    sign = (-1) ** (r1 + (5 - r1) // 2 + 1)
+    for p, e in curve.factorization:
+        pattern = ddf_pattern_mod_p(field.poly, p).pattern
+        if pattern is None:
+            return None
+        g = len(pattern)
+        sign *= (-1) ** (g + 1 if e == 1 else (5 - g) * e)
+    return sign
+
+
+def root_number_disagreements(curves, fields):
+    """Compare root_number_ratio with certify_pair's chi and with
+    chi_by_primes on every admissible pair, and with (disc f|-N) on
+    every pair where no p | N divides disc f.  Returns the counts of
+    admissible and unramified pairs and the (curve, field) labels of
+    the pairs where some route disagrees."""
+    admissible = unramified = 0
+    bad = []
+    for field in fields:
+        for curve in curves:
+            if any(field.disc % p == 0 for p, _ in curve.factorization):
+                continue
+            unramified += 1
+            w = root_number_ratio(curve, field)
+            ok = w == kronecker_symbol(field.disc, -curve.conductor)
+            cert = certify_pair(curve, field)
+            if cert.admissible:
+                admissible += 1
+                ok = ok and w == cert.chi == chi_by_primes(curve, field)
+            if not ok:
+                bad.append((curve.label, field.label))
+    return admissible, unramified, bad
+
+
 def factor_completely(n: int):
     """Full trial-division factorization, for small oracle inputs only."""
     assert n != 0
@@ -619,7 +679,7 @@ def quaternion_group_by_arrays(quats):
         x, j = parent[y]
         cols[y] = right[j][cols[x]]
     quats = np.asarray(quats)[order]
-    return FiniteGroup([tuple(q) for q in quats], cols.T), exact
+    return FiniteGroup([tuple(q) for q in quats], cols.T.tolist()), exact
 
 
 def quaternion_table_by_all_products(quats):
@@ -937,7 +997,8 @@ def quintic_orbit(coeffs):
 @lru_cache(maxsize=None)
 def cyclic_group(n: int) -> FiniteGroup:
     table = (np.arange(n)[:, None] + np.arange(n)) % n
-    return FiniteGroup(range(n), table, generators=[1] if n > 1 else None)
+    return FiniteGroup(range(n), table.tolist(),
+                       generators=[1] if n > 1 else None)
 
 
 def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
@@ -949,7 +1010,7 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
          + t2[None, :, None, :]).reshape(n1 * n2, n1 * n2)
     elems = [(G1.elems[a], G2.elems[b]) for a in range(n1) for b in range(n2)]
     gens = [g * n2 for g in G1.generators] + list(G2.generators)
-    return FiniteGroup(elems, t, generators=gens or None)
+    return FiniteGroup(elems, t.tolist(), generators=gens or None)
 
 
 def is_homomorphism(rep, tol: float = 1e-8) -> bool:

@@ -167,6 +167,22 @@ def test_certify_bundled_sample(capsys):
     assert any(c["growth"] == "Certified" for c in certs)
 
 
+# the flagship; a field admissible for 175a, where 5 is additive; one
+# with even parity for 37a and 175a; and one where 37 ramifies and 5 is
+# inert in the resolvent.  tests/data/certify_sample.jsonl holds their
+# stdout as recorded while chi was still a product over the primes of N-
+PINNED_CERTIFY_POLYS = ("1,0,0,0,-1,-1", "1,-2,-2,-2,-2,-1",
+                        "1,-2,-2,-1,-1,-2", "1,-2,-2,-2,-2,-2")
+
+
+def test_certify_bundled_sample_stdout_is_pinned(capsys):
+    want = (Path(__file__).parent / "data" / "certify_sample.jsonl"
+            ).read_text(encoding="utf-8")
+    for poly in PINNED_CERTIFY_POLYS:
+        assert main(["certify", "--curve-file", "sample", "--poly", poly]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_certify_bad_curve_spec_is_data_error(capsys):
     assert main(["certify", "--curve", "37a 37", "--poly", FLAGSHIP_POLY]) == 3
     assert capsys.readouterr().err == \
@@ -194,16 +210,6 @@ def test_certify_non_admissible_still_exits_zero(capsys):
 
 
 # -- failures inside a command -----------------------------------------------
-
-def test_parity_cross_check_failure_exits_one(capsys, monkeypatch):
-    # make the prime-by-prime and one-shot symbols over N- = 91 disagree
-    monkeypatch.setattr(rankgrowth, "kronecker_symbol",
-                        lambda a, n: -1 if n == 91 else 1)
-    assert main(["certify", "--curve", "91a 91 7^1 13^1",
-                 "--poly", FLAGSHIP_POLY]) == 1
-    assert capsys.readouterr().err.startswith(
-        "internal check failed: parity cross-check failed")
-
 
 def test_false_merge_exits_one(capsys, monkeypatch):
     # every merge now looks unproven and splits differently at the audit

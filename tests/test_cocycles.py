@@ -213,7 +213,7 @@ def test_verify_rejects_single_flipped_entry():
     c = pin_cocycle_sn(4)
     vals = np.array(c.values)
     vals[3, 5] ^= 1
-    assert not verify_cocycle(Cocycle2(c.group, vals))
+    assert not verify_cocycle(Cocycle2(c.group, vals.tolist()))
 
 
 def _pin5_on_a5():
@@ -239,7 +239,7 @@ def test_verify_agrees_with_the_exhaustive_oracle_on_every_single_flip():
     for g, h in itertools.product(range(1, 24), repeat=2):
         vals = base.copy()
         vals[g, h] ^= 1
-        flipped = Cocycle2(c.group, vals)
+        flipped = Cocycle2(c.group, vals.tolist())
         verdict = verify_cocycle(flipped)
         assert verdict == verify_cocycle_exhaustive(flipped)
         verdicts.add(verdict)
@@ -265,7 +265,7 @@ def test_verify_rejects_flips_at_chunk_edges(where):
     g = chunks[1][0] if where == "second_chunk" else 119
     vals = np.array(c.values)
     vals[g, 7] ^= 1
-    bad = Cocycle2(c.group, vals)
+    bad = Cocycle2(c.group, vals.tolist())
     assert not verify_cocycle(bad)
     # a flip shows at every g but the identity; a slice skipped or
     # checked twice by the oracle's chunk loop would change this list
@@ -318,7 +318,7 @@ def test_h2_s4_stays_in_bounded_memory():
 
 def test_zero_cochain_is_a_cocycle():
     G = symmetric_group(4)
-    z = Cocycle2(G, np.zeros((G.order, G.order), dtype=np.int8))
+    z = Cocycle2(G, [[0] * G.order] * G.order)
     assert verify_cocycle(z)
     w = coboundary_witness(z)
     assert w is not None and not np.any(coboundary(G, w))
@@ -381,7 +381,7 @@ def _random_cochains(G, rng, cocycles):
         noise = rng.integers(0, 2, size=(n, n))
         noise[0] = noise[:, 0] = 0
         out.append(noise)
-    return [Cocycle2(G, v) for v in out]
+    return [Cocycle2(G, v.tolist()) for v in out]
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -410,7 +410,7 @@ def test_witness_rejects_a_table_that_solves_only_the_generator_equations(
     values = np.array(coboundary(G, c))
     h = next(h for h in range(1, G.order) if h not in G.generators)
     values[1, h] ^= 1
-    cochain = Cocycle2(G, values)
+    cochain = Cocycle2(G, values.tolist())
     assert not verify_cocycle(cochain)
     assert coboundary_witness_full(G, values) is None
     # the solver finds a solution, so the full-table check runs and fails
@@ -534,7 +534,7 @@ def test_h2_invariant_under_relabeling():
     pi = np.array([S4.mul(S4.mul(gi, x), g) for x in range(S4.order)])
     inv_pi = np.argsort(pi)
     table = inv_pi[np.asarray(S4.table)[np.ix_(pi, pi)]]
-    relabeled = FiniteGroup([S4.elems[p] for p in pi], table)
+    relabeled = FiniteGroup([S4.elems[p] for p in pi], table.tolist())
     assert h2_dimension(relabeled) == 2
 
 
@@ -692,7 +692,7 @@ def test_sl23_from_a4_restriction():
 
 def test_zero_cocycle_gives_split_extension():
     G = symmetric_group(4)
-    z = Cocycle2(G, np.zeros((G.order, G.order), dtype=np.int8))
+    z = Cocycle2(G, [[0] * G.order] * G.order)
     ext = central_extension(G, z)
     ref = direct_product(cyclic_group(2), G)
     assert ext.group.order_census() == ref.order_census()
@@ -706,8 +706,8 @@ def test_cohomologous_cocycles_give_isomorphic_extensions():
     base = pin_cocycle_sn(4)
     c = rng.integers(0, 2, size=G.order)
     c[0] = 0
-    shifted = Cocycle2(G, np.asarray(base.values)
-                       ^ np.asarray(coboundary(G, c)))
+    shifted = Cocycle2(G, (np.asarray(base.values)
+                           ^ np.asarray(coboundary(G, c))).tolist())
     assert verify_cocycle(shifted)
     e1 = central_extension(G, base)
     e2 = central_extension(G, shifted)
@@ -731,6 +731,12 @@ def test_extension_is_deterministic():
 
 def test_cocycle_rejects_unnormalized_table():
     G = cyclic_group(2)
-    bad = np.array([[0, 1], [0, 0]], dtype=np.int8)
-    with pytest.raises(ValueError):
-        Cocycle2(G, bad)
+    with pytest.raises(ValueError, match="not normalized"):
+        Cocycle2(G, [[0, 1], [0, 0]])
+
+
+def test_cocycle_rejects_an_entry_other_than_0_or_1():
+    # a 2 is not read as 0 mod 2: the cochain is refused
+    G = cyclic_group(2)
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        Cocycle2(G, [[0, 0], [0, 2]])

@@ -1111,7 +1111,6 @@ def test_int_polynomial_trims_and_compares_by_coefficients():
 
 
 GUARDS_UNDER_O = textwrap.dedent("""
-    import numpy as np
     from quintrank import cocycles
     from quintrank.fieldscan import BucketStat, ScanReport
     from quintrank.groups import symmetric_group
@@ -1137,8 +1136,8 @@ GUARDS_UNDER_O = textwrap.dedent("""
     raises(ValueError, ParityCertificate, "c", "f", True, (), 1, "Odd",
            "Unknown")
     G = symmetric_group(2)
-    zero = cocycles.Cocycle2(G, np.zeros((2, 2), dtype=np.int8))
-    cocycles.coboundary = lambda group, c: np.ones((2, 2), dtype=np.int64)
+    zero = cocycles.Cocycle2(G, [[0, 0], [0, 0]])
+    cocycles.coboundary = lambda group, c: ((1, 1), (1, 1))
     raises(RuntimeError, cocycles.coboundary_witness, zero)
 """)
 

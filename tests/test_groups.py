@@ -442,9 +442,8 @@ def test_center():
 
 
 def test_from_table_rejects_bad_identity():
-    t = np.array([[1, 0], [0, 1]])
     with pytest.raises(ValueError):
-        FiniteGroup([0, 1], t)
+        FiniteGroup([0, 1], [[1, 0], [0, 1]])
     # label 0 is a two-sided identity, but label 1 has no inverse
     with pytest.raises(ValueError, match="misses the identity"):
         FiniteGroup([0, 1, 2], [[0, 1, 2], [1, 2, 1], [2, 1, 1]])

@@ -1,7 +1,8 @@
 from functools import lru_cache
+from math import prod
 
 import pytest
-from oracles import ddf_pattern_mod_p
+from oracles import ddf_pattern_mod_p, root_number_disagreements
 
 from quintrank.cli import _load_curves
 from quintrank.fieldscan import QuinticField, enumerate_quintics
@@ -49,13 +50,15 @@ def test_parse_curve_line():
     c = CurveData.parse("37a 37 37^1")
     assert c.label == "37a" and c.conductor == 37
     assert c.factorization == ((37, 1),)
-    assert c.multiplicative_part == 37 and c.additive_part == 1
+    # N- = 37, and no additive part
+    assert prod(p for p, e in c.factorization if e == 1) == 37
+    assert prod(p ** e for p, e in c.factorization if e >= 2) == 1
 
 
 def test_parse_mixed_reduction():
     c = CurveData.parse("e 1350 2^1 3^3 5^2")
-    assert c.multiplicative_part == 2
-    assert c.additive_part == 675
+    assert prod(p for p, e in c.factorization if e == 1) == 2
+    assert prod(p ** e for p, e in c.factorization if e >= 2) == 675
     assert c.factorization == ((2, 1), (3, 3), (5, 2))
 
 
@@ -241,6 +244,17 @@ def test_chi_is_the_frobenius_sign_of_the_ddf_oracle():
             assert cert.chi == sign, (curve.label, field.label)
             chis.append(sign)
     assert len(chis) > 1000 and set(chis) == {1, -1}
+
+
+def test_root_numbers_place_by_place_agree_with_the_certificate():
+    # w(E/K)/w(E) from Sturm chains and ddf factor counts, with no
+    # Kronecker symbol, against chi and the product over p || N on every
+    # admissible pair, and against (disc f|-N) on every unramified one
+    fields = tuple(enumerate_quintics(3, 10 ** 6, prime_budget=40))
+    admissible_pairs, unramified_pairs, bad = root_number_disagreements(
+        _load_curves("sample"), fields)
+    assert bad == []
+    assert (admissible_pairs, unramified_pairs) == (20356, 28142)
 
 
 def test_kronecker_of_disc_f_equals_that_of_the_fundamental_disc():
