@@ -30,10 +30,14 @@ lexicographically smallest vector and the whole stream reproducible.
 It visits only the smallest vector of each orbit under the mirror
 f(x) -> -f(-x) and, for a unit constant term, the reciprocal
 f(x) -> +-x^5 f(1/x); the others always share their minimum's field and
-fingerprint, so dedup would drop them anyway.  For fixed (a4, ..., a1)
-the discriminant is a quartic in a0, so each row computes its five
-coefficients once and each entry's discriminant by one Horner step.  A
-QuinticField is built only once its discriminant is within the bound.
+fingerprint, so dedup would drop them anyway.  It filters a row, the a0
+of one head (a4, a3, a2, a1), at a time: the mirror's rule is read off
+the head's signs, only a0 = +-1 can have a smaller reciprocal, and the
+a0 that give an integer root are the values -g(r), |r| <= max|a0|, of
+g = f - a0.  The discriminant is a quartic in a0, so each row computes
+its five coefficients once and each entry's discriminant by one Horner
+step.  A QuinticField is built only once its discriminant is within
+the bound.
 
 The cache is a JSONL file of checksummed records, laid out as FieldCache
 says; a record carries "version" and its fingerprint's code string,
@@ -515,28 +519,6 @@ def dedupe_stream(fields: Iterable[QuinticField]) -> Iterator[QuinticField]:
         yield field
 
 
-def _has_integer_root(coeffs_desc: tuple[int, ...]) -> bool:
-    """A rational root of a monic integer polynomial is an integer
-    dividing a0, so try the divisors up to sqrt|a0|: the enumeration's
-    filter, cheap for |a0| <= MAX_ENUM_HEIGHT and needing no
-    discriminant.  numtheory.has_integer_root lifts roots mod p instead,
-    for input of any size."""
-    a0 = coeffs_desc[-1]
-    if a0 == 0:
-        return True
-    d = 1
-    while d * d <= abs(a0):
-        if a0 % d == 0:
-            for r in (d, -d, a0 // d, -(a0 // d)):
-                acc = 0
-                for c in coeffs_desc:
-                    acc = acc * r + c
-                if acc == 0:
-                    return True
-        d += 1
-    return False
-
-
 def _is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
@@ -551,12 +533,28 @@ def _orbit_minimal(tail: tuple[int, ...]) -> bool:
 def _orbit_minimal_rows(h: int) -> Iterator[tuple[tuple, list[int]]]:
     """The box |a_i| <= h row by row in lexicographic order: each head
     (a4, a3, a2, a1) with the ascending a0 that make an orbit-minimal
-    tail.  A head with a4 > 0 has none, as M t starts with -a4 < a4."""
+    tail.  The mirror M t = (-a4, a3, -a2, a1, -a0) is smaller than t
+    when a4 > 0 or a4 = 0 < a2 (no row), or a4 = a2 = 0 < a0; only
+    a0 = +-1 has a reciprocal, for _orbit_minimal to decide."""
     span = range(-h, h + 1)
     for head in product(range(-h, 1), span, span, span):
-        a0s = [a0 for a0 in span if _orbit_minimal(head + (a0,))]
-        if a0s:
-            yield head, a0s
+        a4, _, a2, _ = head
+        if a4 == 0 and a2 > 0:
+            continue
+        yield head, [a0 for a0 in (span if a4 or a2 else range(-h, 1))
+                     if a0 * a0 != 1 or _orbit_minimal(head + (a0,))]
+
+
+def _root_free(head: tuple, a0s: list[int]) -> list[int]:
+    """The a0 in a0s for which g + a0 has no integer root, with
+    g(x) = x^5 + a4 x^4 + a3 x^3 + a2 x^2 + a1 x: r is a root exactly
+    when a0 = -g(r), and r divides a0, so only |r| <= max|a0| are
+    tried, 2 max|a0| + 1 evaluations of g per row."""
+    a4, a3, a2, a1 = head
+    reach = max(map(abs, a0s))
+    rooted = {-((((r + a4) * r + a3) * r + a2) * r + a1) * r
+              for r in range(-reach, reach + 1)}
+    return [a0 for a0 in a0s if a0 not in rooted]
 
 
 def enumerate_quintics(coeff_height: int, disc_bound: int,
@@ -578,20 +576,19 @@ def enumerate_quintics(coeff_height: int, disc_bound: int,
     the two agree at every prime not dividing their common disc.  A
     skipped vector is thus exactly one that dedup dropped.
 
-    The box is walked lazily, a row of a0 at a time: the row's head
-    gives the discriminant's coefficients in a0 once (disc_coeffs_in_a0),
-    each entry takes one Horner step, and a QuinticField is built only
-    once its discriminant passes the bound."""
+    The box is walked lazily, a row of a0 at a time (_orbit_minimal_rows,
+    then _root_free).  The row's head gives the discriminant's
+    coefficients in a0 once (disc_coeffs_in_a0), each entry takes one
+    Horner step, and a QuinticField is built only once its discriminant
+    passes the bound."""
     if not 0 <= coeff_height <= MAX_ENUM_HEIGHT:
         raise ValueError(f"coefficient height must be in [0, {MAX_ENUM_HEIGHT}]")
 
     def raw() -> Iterator[QuinticField]:
         for head, a0s in _orbit_minimal_rows(coeff_height):
             c4, c3, c2, c1, c0 = disc_coeffs_in_a0(*head)
-            for a0 in a0s:
+            for a0 in _root_free(head, a0s):  # a rooted f is reducible
                 coeffs = (1,) + head + (a0,)
-                if _has_integer_root(coeffs):
-                    continue  # reducible, can never certify
                 hit = (None if cache is None
                        else cache.get(coeffs, prime_budget))
                 if hit is not None:

@@ -589,7 +589,8 @@ def has_integer_root(f: IntPolynomial, p: int) -> bool:
     the modulus exceeds twice that, r is the lift's symmetric residue,
     and f(r) = 0 is checked exactly.  The work grows with the length of
     the coefficients, not with |a0|, so this serves input of any size;
-    fieldscan._has_integer_root tries the divisors of a0 in bounded boxes."""
+    fieldscan.enumerate_quintics drops the rooted a0 of a whole row at
+    once, as the values -g(r) of the row's head g at |r| <= max|a0|."""
     def at(coeffs, x):
         return reduce(lambda acc, a: acc * x + a, reversed(coeffs), 0)
 

@@ -23,10 +23,12 @@ one einsum over all products of dense numpy blade vectors at the
 generator columns, cohomology dimensions from the dense coboundary
 matrices (one row per triple or pair, reduced mod 2) and from the
 full sparse coboundary rows, coboundary witnesses from all n^2
-equations, group tables from every pairwise product, quintic
-enumeration by deriving every vector of the coefficient box, and
-mirror/reciprocal orbits by transforming the polynomial itself, and
-cache lines in the unversioned layout by re-signing a record.  It
+equations, group tables from every pairwise product, integer roots
+by trying the divisors of a0, quintic enumeration by deriving every
+vector of the coefficient box, a whole scan of a small box (its kept
+fields and buckets) from the routines here alone, mirror/reciprocal
+orbits by transforming the polynomial itself, and cache lines in the
+unversioned layout by re-signing a record.  It
 also holds the test-only cyclic groups, direct products and full
 homomorphism check of a representation, and the modular group of
 order 16 as a non-permutation closure input.
@@ -35,6 +37,7 @@ order 16 as a non-permutation closure input.
 import hashlib
 import json
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -47,7 +50,6 @@ from quintrank.cocycles import (Gf2Solver, _blade_sign,
 from quintrank.fieldscan import (
     NotSeparable,
     QuinticField,
-    _has_integer_root,
     _is_square,
     dedupe_stream,
 )
@@ -941,6 +943,26 @@ def pack_rows_gf2(A):
             for i in range(0, len(raw), width)} - {0}
 
 
+def divisor_integer_root(coeffs_desc) -> bool:
+    """Whether a monic integer polynomial has an integer root, by trying
+    the divisors of a0 up to sqrt|a0| and their cofactors: a rational
+    root of a monic polynomial is an integer dividing a0."""
+    a0 = coeffs_desc[-1]
+    if a0 == 0:
+        return True
+    d = 1
+    while d * d <= abs(a0):
+        if a0 % d == 0:
+            for r in (d, -d, a0 // d, -(a0 // d)):
+                acc = 0
+                for c in coeffs_desc:
+                    acc = acc * r + c
+                if acc == 0:
+                    return True
+        d += 1
+    return False
+
+
 def enumerate_full_box(coeff_height, disc_bound,
                        prime_budget=DEFAULT_PRIME_BUDGET, cache=None):
     """enumerate_quintics by the plain loop: every vector of the box, in
@@ -950,7 +972,7 @@ def enumerate_full_box(coeff_height, disc_bound,
         span = range(-coeff_height, coeff_height + 1)
         for tail in product(span, repeat=5):
             coeffs = (1,) + tail
-            if _has_integer_root(coeffs):
+            if divisor_integer_root(coeffs):
                 continue
             if cache is not None:
                 hit = cache.get(coeffs, prime_budget)
@@ -973,6 +995,78 @@ def enumerate_full_box(coeff_height, disc_bound,
             yield field
 
     return dedupe_stream(raw())
+
+
+OracleField = namedtuple("OracleField", "coeffs poly disc kernel")
+
+
+def scan_box(height, disc_bound, budget):
+    """The fields enumerate_quintics(height, disc_bound, budget) keeps, in
+    its order, from the routines of this module alone: every vector of
+    the box in lexicographic order without an integer root (by
+    divisor_integer_root), with a nonzero, non-square subresultant
+    discriminant within the bound, and with the ddf patterns (5) and
+    (1, 1, 1, 2) among the first `budget` primes not dividing it.  Of
+    each key, the trial-division kernel with the ddf patterns at the
+    first 20 primes not dividing the discriminant, the first vector is
+    kept, as an OracleField holding that kernel."""
+    span = range(-height, height + 1)
+    keys, kept = set(), []
+    for tail in product(span, repeat=5):
+        coeffs = (1,) + tail
+        if divisor_integer_root(coeffs):
+            continue
+        disc = subresultant_discriminant(coeffs[::-1])
+        if disc == 0 or abs(disc) > disc_bound \
+                or (disc > 0 and math.isqrt(disc) ** 2 == disc):
+            continue
+        poly = IntPolynomial.descending(coeffs)
+        at = {}
+
+        def pattern(p):
+            if p not in at:
+                at[p] = ddf_pattern_mod_p(poly, p).pattern
+            return at[p]
+        seen = set()
+        for p in first_primes(budget):
+            if disc % p:
+                seen.add(pattern(p))
+                if {(5,), (1, 1, 1, 2)} <= seen:
+                    break
+        else:
+            continue
+        # a nonzero disc has fewer prime factors than bits
+        good = [p for p in first_primes(20 + abs(disc).bit_length())
+                if disc % p][:20]
+        kernel = squarefree_kernel_by_trial_division(disc)
+        patterns = tuple(map(pattern, good))
+        if (kernel.kernel, patterns) not in keys:
+            keys.add((kernel.kernel, patterns))
+            kept.append(OracleField(coeffs, poly, disc, kernel))
+    return kept
+
+
+def scan_report_of(curve, fields, edges) -> dict:
+    """scan --json's report for curve over OracleFields: for each bound X
+    in edges, the fields with |disc| <= X, the admissible pairs among
+    them, and the pairs with chi = -1.  A pair is admissible when the
+    kernel is complete, N is odd, Sturm's theorem finds one real root,
+    no p | N divides disc, and (disc|p) = 1 by legendre_by_enumeration
+    at each additive p; chi is root_number_ratio."""
+    rows = []
+    for field in fields:
+        ok = (field.kernel.complete and curve.conductor % 2 == 1
+              and sturm_root_count(field.poly.coeffs) == 1
+              and all(field.disc % p for p, _ in curve.factorization)
+              and all(legendre_by_enumeration(field.disc, p) == 1
+                      for p, e in curve.factorization if e >= 2))
+        rows.append((abs(field.disc), ok,
+                     ok and root_number_ratio(curve, field) == -1))
+    return {"curve": curve.label, "buckets": [
+        {"X": x, "total": sum(d <= x for d, _, _ in rows),
+         "admissible": sum(d <= x and ok for d, ok, _ in rows),
+         "odd": sum(d <= x and odd for d, _, odd in rows)}
+        for x in edges]}
 
 
 def quintic_orbit(coeffs):

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from oracles import unversioned_cache_line
+from oracles import scan_box, scan_report_of, unversioned_cache_line
 
 from quintrank import InternalCheckFailed, cli, fieldscan, rankgrowth
 from quintrank.cli import main
@@ -404,6 +404,29 @@ def test_scan_enumeration_matches_library(capsys):
     assert b[0]["total"] <= b[1]["total"]
     assert all(x["odd"] <= x["admissible"] <= x["total"] for x in b)
     assert b[1]["admissible"] > 0
+
+
+def test_oracle_scan_of_the_height_one_box_matches(capsys):
+    # divisors, subresultant discriminants, ddf patterns and trial-division
+    # kernels keep enumerate_quintics' fields in its order, and Sturm
+    # signatures and root numbers give scan --json's buckets per curve
+    edges = [100_000, 400_000, 1_000_000]
+    kept = scan_box(1, edges[-1], 40)
+    assert [(f.coeffs, f.disc) for f in kept] == [
+        (f.coeffs, f.disc)
+        for f in fieldscan.enumerate_quintics(1, edges[-1], prime_budget=40)]
+    assert len(kept) == 24
+    odd = 0
+    for curve in cli._load_curves("sample"):
+        spec = " ".join([curve.label, str(curve.conductor),
+                         *(f"{q}^{e}" for q, e in curve.factorization)])
+        assert main(["scan", "--curve", spec, "--height", "1",
+                     "--prime-budget", "40", "--buckets",
+                     ",".join(map(str, edges)), "--json"]) == 0
+        want = scan_report_of(curve, kept, edges)
+        assert json.loads(capsys.readouterr().out) == want, curve.label
+        odd += want["buckets"][-1]["odd"]
+    assert odd > 0
 
 
 def test_scan_two_runs_byte_identical(capsys):

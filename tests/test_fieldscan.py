@@ -13,6 +13,7 @@ import pytest
 from oracles import (
     certify_s5_full_scan,
     count_real_roots_bisection,
+    divisor_integer_root,
     enumerate_full_box,
     quintic_orbit,
     sturm_root_count,
@@ -355,7 +356,7 @@ def test_enumeration_skips_certifying_square_discriminants(monkeypatch):
         poly = IntPolynomial.descending(coeffs)
         disc = poly_discriminant(poly)
         if disc > 0 and fieldscan._is_square(disc) \
-                and not fieldscan._has_integer_root(coeffs):
+                and not divisor_integer_root(coeffs):
             squares.append(poly)
     assert len(squares) == 22
     for poly in squares:
@@ -470,12 +471,41 @@ def test_orbit_walk_visits_one_member_per_orbit():
     assert len(visited) == len(orbits) == 1275
 
 
+def test_row_filters_match_the_per_vector_references(monkeypatch):
+    # at heights 0-6 the rows are the per-a0 orbit test over every head,
+    # and their root-free entries those the divisor walk passes; the
+    # orbit test itself runs only at a0 = +-1, so at most twice a head
+    real = fieldscan._orbit_minimal
+    calls = []
+    monkeypatch.setattr(fieldscan, "_orbit_minimal",
+                        lambda tail: calls.append(tail) or real(tail))
+    counts = []
+    for height in range(7):
+        span = range(-height, height + 1)
+        calls.clear()
+        rows = list(fieldscan._orbit_minimal_rows(height))
+        assert {tail[-1] for tail in calls} <= {-1, 1}
+        assert len(set(calls)) == len(calls)
+        assert rows == [
+            (head, a0s) for head in product(range(-height, 1), span, span, span)
+            if (a0s := [a0 for a0 in span if real(head + (a0,))])]
+        free = [head + (a0,) for head, a0s in rows
+                for a0 in fieldscan._root_free(head, a0s)]
+        assert free == [head + (a0,) for head, a0s in rows for a0 in a0s
+                        if not divisor_integer_root((1,) + head + (a0,))]
+        counts.append((len(rows), sum(len(a0s) for _, a0s in rows),
+                       len(free)))
+    assert counts == [(1, 1, 0), (45, 90, 28), (325, 1275, 737),
+                      (1225, 7252, 5023), (3321, 26325, 19880),
+                      (7381, 73326, 58611), (14365, 171535, 141934)]
+
+
 def test_skipped_vectors_are_their_orbit_minimum_field():
     seen = set(_orbit_walk(2))
     skipped = 0
     for tail in product(range(-2, 3), repeat=5):
         coeffs = (1,) + tail
-        if tail in seen or fieldscan._has_integer_root(coeffs):
+        if tail in seen or divisor_integer_root(coeffs):
             continue
         rep = min(quintic_orbit(coeffs))
         assert rep[1:] in seen
@@ -505,7 +535,7 @@ def test_enumeration_rows_match_the_discriminant_oracle(monkeypatch):
     for coeffs in _orbit_walk(2):
         coeffs = (1,) + coeffs
         disc = subresultant_discriminant(coeffs[::-1])
-        if not fieldscan._has_integer_root(coeffs) \
+        if not divisor_integer_root(coeffs) \
                 and disc != 0 and not fieldscan._is_square(disc):
             want.append((coeffs, disc))
     assert built == want and len(want) > 600
@@ -566,7 +596,7 @@ def test_row_discriminants_are_exact_and_never_cost_more(monkeypatch):
         for a0 in a0s:
             coeffs = (1,) + head + (a0,)
             disc = subresultant_discriminant(coeffs[::-1])
-            if not fieldscan._has_integer_root(coeffs) \
+            if not divisor_integer_root(coeffs) \
                     and disc != 0 and not fieldscan._is_square(disc):
                 want.append((coeffs, disc))
         assert built == want

@@ -13,6 +13,7 @@ from oracles import (
     certify_s5_full_scan,
     count_real_roots_bisection,
     ddf_pattern_mod_p,
+    divisor_integer_root,
     factor_completely,
     squarefree_kernel_by_trial_division,
     sturm_root_count,
@@ -22,7 +23,7 @@ from oracles import (
     sylvester_resultant,
 )
 from quintrank import numtheory
-from quintrank.fieldscan import QuinticField, _has_integer_root
+from quintrank.fieldscan import QuinticField
 from quintrank.numtheory import (
     DEFAULT_PRIME_BUDGET,
     FactorPattern,
@@ -117,6 +118,18 @@ def test_kronecker_zero_and_negative_conventions():
     assert kronecker_symbol(3, -1) == 1
     assert kronecker_symbol(-3, -1) == -1
     assert kronecker_symbol(-7, -5) == -kronecker_symbol(-7, 5)
+
+
+def test_kronecker_nonpositive_n_by_definition():
+    # (a|-1) is -1 for a < 0 and 1 otherwise, so (0|-1) = 1; (a|0) is 1
+    # exactly for a = +-1; and (a|-n) = (a|-1) (a|n)
+    for a in range(-50, 51):
+        sign = -1 if a < 0 else 1
+        assert kronecker_symbol(a, -1) == sign, a
+        assert kronecker_symbol(a, 0) == (1 if a in (1, -1) else 0), a
+        for n in range(1, 51):
+            assert kronecker_symbol(a, -n) == \
+                sign * kronecker_symbol(a, n), (a, n)
 
 
 def test_kronecker_multiplicative_both_slots():
@@ -719,7 +732,7 @@ def test_certify_rooted_height_two_box_matches_full_scan(monkeypatch):
     rooted = transpositions = 0
     for tail in product(range(-2, 3), repeat=5):
         coeffs = (1,) + tail
-        if not _has_integer_root(coeffs):
+        if not divisor_integer_root(coeffs):
             continue
         f = IntPolynomial.descending(coeffs)
         disc = poly_discriminant(f)
@@ -778,7 +791,7 @@ def test_has_integer_root_matches_divisor_test_on_height_three_box():
             continue
         checked += 1
         assert has_integer_root(f, _first_good_prime(f)) \
-            == _has_integer_root(coeffs), coeffs
+            == divisor_integer_root(coeffs), coeffs
     assert checked > 15000
 
 
