@@ -275,13 +275,16 @@ def _bfs(table, gens: Sequence[int]):
             yield x, g, y, new
 
 
-def close_generators(generators: Sequence, name: str = "") -> FiniteGroup:
+def close_generators(generators: Sequence, name: str = "",
+                     members: Optional[Sequence] = None) -> FiniteGroup:
     """Close hashable elements under their ``*`` product.
 
     BFS discovery order is deterministic in the given generator order;
-    after closure the identity is found and moved to label 0.  Raises
-    CapExceeded if more than DEFAULT_CAP elements appear; the cap is read
-    at call time.
+    after closure the identity is found and moved to label 0.  Given
+    ``members``, the closure is labelled in their order instead, and
+    ValueError is raised unless it is exactly those distinct elements;
+    the members are then the group's elements.  Raises CapExceeded if
+    more than DEFAULT_CAP elements appear; the cap is read at call time.
 
     Only the products x * g_j by the generators are formed.  They are
     the generators' columns of the table, and every other element y was
@@ -313,21 +316,26 @@ def close_generators(generators: Sequence, name: str = "") -> FiniteGroup:
     cols = list(right)  # cols[y][a] = label of a * y
     for x, j in parent:
         cols.append(list(map(right[j].__getitem__, cols[x])))
-    ar = list(range(n))
-    ids = [e for e in range(n)
-           if cols[e] == ar and all(col[e] == y for y, col in enumerate(cols))]
-    if len(ids) != 1:
-        raise ValueError("closure has no unique two-sided identity")
-    e = ids[0]
-    order = [e] + [i for i in range(n) if i != e]
+    if members is None:
+        ar = list(range(n))
+        ids = [e for e in range(n) if cols[e] == ar
+               and all(col[e] == y for y, col in enumerate(cols))]
+        if len(ids) != 1:
+            raise ValueError("closure has no unique two-sided identity")
+        e = ids[0]
+        order = [e] + [i for i in range(n) if i != e]
+        members = [elems[i] for i in order]
+    else:
+        order = [index.get(m) for m in members]
+        if len(order) != n or set(order) != set(range(n)):
+            raise ValueError("the closure is not exactly the given members")
     newlab = [0] * n
     for new, old in enumerate(order):
         newlab[old] = new
     rows = list(zip(*[cols[y] for y in order]))  # rows[a][k] = a * order[k]
     table = [tuple(map(newlab.__getitem__, rows[a])) for a in order]
-    elems2 = [elems[i] for i in order]
     gen_labels = list(dict.fromkeys(newlab[i] for i in range(len(gens)) if newlab[i] != 0))
-    return FiniteGroup(elems2, table, generators=gen_labels or None, name=name)
+    return FiniteGroup(members, table, generators=gen_labels or None, name=name)
 
 
 @lru_cache(maxsize=None)

@@ -5,11 +5,12 @@ over Z[phi].
 
 A golden pair (a, b) stands for a + b*phi, with phi = (1 + sqrt 5)/2
 and phi^2 = phi + 1.  The coordinates of icosian and Hurwitz units lie
-in (1/2)Z[phi], so each float coordinate x snaps to the golden pair of
-2x, and a unit is a 4-tuple of such pairs.  Closure, tables,
-isomorphisms and characters are computed on the pairs alone; the float
-coordinates stay the group elements only so that ``reps`` can display
-float matrices built from them.
+in (1/2)Z[phi], so a unit is the 4-tuple of golden pairs of twice its
+coordinates, written down exactly: 1 is (2, 0), 1/2 is (1, 0), phi/2
+is (0, 1) and 1/(2 phi) = (phi - 1)/2 is (-1, 1).  The groups are
+closed from two generators each by ``groups.close_generators``, and
+closure, tables, isomorphisms and characters are computed on the pairs
+alone; ``reps`` maps them to floats for its matrices.
 
 ``standard_rep_checks`` decides that the tensor induction of the
 icosian 2-dimensional representation rho up the double cover of S5 is
@@ -30,82 +31,24 @@ numpy.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import namedtuple
 from functools import lru_cache
 
 from . import InternalCheckFailed
 from .cocycles import central_extension, pin_cocycle_sn
 from .groups import (CosetSystem, FiniteGroup, _bfs, _picker,
-                     coset_factorization, symmetric_group)
-
-GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
-_SNAP_TOL = 1e-9
-_SNAP_B = 4
+                     close_generators, coset_factorization, symmetric_group)
 
 
 class ClosureFailure(InternalCheckFailed):
-    """A candidate quaternion set failed to close under products."""
-
-
-# -- float coordinates ------------------------------------------------------
-
-def hurwitz_quaternions() -> list[tuple[float, ...]]:
-    """The 24 Hurwitz units: +-1, +-i, +-j, +-k and (+-1 +-i +-j +-k)/2."""
-    out = []
-    for i in range(4):
-        for s in (1.0, -1.0):
-            q = [0.0] * 4
-            q[i] = s
-            out.append(tuple(q))
-    out.extend(itertools.product((0.5, -0.5), repeat=4))
-    return out
-
-
-def icosian_quaternions() -> list[tuple[float, ...]]:
-    """Hurwitz units plus the 96 quaternions with components
-    {0, +-1/2, +-phi/2, +-1/(2 phi)} in even coordinate permutations."""
-    base = (0.0, 0.5, GOLDEN / 2.0, 0.5 / GOLDEN)
-    even_perms = [p.images for p in symmetric_group(4).elems if p.is_even()]
-    extra = []
-    for perm in even_perms:
-        for signs in itertools.product((1.0, -1.0), repeat=3):
-            q = [0.0] * 4
-            for k in range(4):
-                v = base[k]
-                q[perm[k]] = v if k == 0 else signs[k - 1] * v
-            extra.append(tuple(q))
-    return hurwitz_quaternions() + extra
+    """A set of unit quaternions failed to close under products."""
 
 
 # -- golden pairs -----------------------------------------------------------
 
-# a quaternion as the golden pairs of its four coordinates
+# a quaternion as the golden pairs (a, b), 2x = a + b*phi, of its four
+# coordinates x
 GoldenQuaternion = tuple[tuple[int, int], ...]
-
-
-def _snap_golden(quats) -> list[GoldenQuaternion]:
-    """Each quaternion as the golden pairs (a, b) with 2x = a + b*phi of
-    its float coordinates x; x snaps only when |2x - a - b*phi| <
-    _SNAP_TOL for some |b| <= _SNAP_B, b tried in ascending order.
-    Distinct values a + b*phi in that range lie more than 0.05 apart,
-    so the pair is unique."""
-    out = []
-    for q in quats:
-        pairs = []
-        for x in q:
-            two_x = 2.0 * x
-            for b in range(-_SNAP_B, _SNAP_B + 1):
-                rest = two_x - b * GOLDEN
-                a = round(rest)
-                if abs(rest - a) < _SNAP_TOL and abs(two_x) <= 2.0 + _SNAP_TOL:
-                    pairs.append((a, b))
-                    break
-            else:
-                raise ClosureFailure(
-                    "a coordinate does not lie in (1/2)Z[phi]")
-        out.append(tuple(pairs))
-    return out
 
 
 def _golden_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
@@ -137,91 +80,89 @@ def _golden_hamilton(p, q) -> GoldenQuaternion:
             (x2 + y2, s2 - x2), (x3 + y3, s3 - x3))
 
 
-# -- quaternion groups ------------------------------------------------------
+class _Unit(tuple):
+    """A GoldenQuaternion whose ``*`` is the Hamilton product, for
+    ``close_generators``: the product of twice p and twice q is four
+    times pq, so it is halved, and ClosureFailure is raised where a
+    pair is odd, as pq then does not lie in (1/2)Z[phi]."""
 
-def quaternion_group(quats, name: str
-                     ) -> tuple[FiniteGroup, tuple[GoldenQuaternion, ...]]:
-    """Close a finite set of float unit quaternions into a FiniteGroup,
-    returned with the exact golden pairs of twice each member's
-    coordinates, by label.
+    __slots__ = ()
 
-    Each coordinate is snapped to an exact pair (a + b*phi)/2 in
-    (1/2)Z[phi], where icosian and Hurwitz coordinates lie, and each
-    snapped quaternion must have norm exactly 1.  Exact Hamilton
-    products (denominator 4) are taken only by generators, picked
-    greedily: the smallest label not yet reached becomes the next one
-    until a breadth-first walk from the identity reaches every member.
-    Each product is looked up among the members, so ClosureFailure
-    means a coordinate does not snap, two members coincide, or a
-    product is not in the set.  The set is then closed under right
-    multiplication by generators of it, hence a group, and the other
-    columns of the table follow by associativity, as in
-    ``groups.close_generators``: a * y = (a * x) * g when y = x * g was
-    first reached.  The floats stay the element values, with the
-    identity moved to label 0."""
-    quats = [tuple(q) for q in quats]
-    exact = _snap_golden(quats)
-    for q in exact:
-        norm = [sum(c) for c in zip(*(_golden_mul(x, x) for x in q))]
+    def __mul__(self, other):
+        four = _golden_hamilton(self, other)
+        if any(a % 2 or b % 2 for a, b in four):
+            raise ClosureFailure("a product does not lie in (1/2)Z[phi]")
+        return _Unit((a // 2, b // 2) for a, b in four)
+
+
+# -- the unit groups --------------------------------------------------------
+
+def hurwitz_units() -> list[GoldenQuaternion]:
+    """The 24 Hurwitz units: +-1, +-i, +-j, +-k and (+-1 +-i +-j +-k)/2."""
+    out = []
+    for i in range(4):
+        for s in (2, -2):
+            q = [(0, 0)] * 4
+            q[i] = (s, 0)
+            out.append(tuple(q))
+    out.extend(itertools.product(((1, 0), (-1, 0)), repeat=4))
+    return out
+
+
+def icosian_units() -> list[GoldenQuaternion]:
+    """Hurwitz units plus the 96 quaternions with coordinates
+    {0, +-1/2, +-phi/2, +-1/(2 phi)} in even coordinate permutations."""
+    # 0 at perm[0], and +-1/2, +-phi/2, +-1/(2 phi) at perm[1], .., perm[3]
+    base = ((1, 0), (0, 1), (-1, 1))
+    even_perms = [p.images for p in symmetric_group(4).elems if p.is_even()]
+    extra = []
+    for perm in even_perms:
+        for signs in itertools.product((1, -1), repeat=3):
+            q = [(0, 0)] * 4
+            for k, (s, (a, b)) in enumerate(zip(signs, base), 1):
+                q[perm[k]] = (s * a, s * b)
+            extra.append(tuple(q))
+    return hurwitz_units() + extra
+
+
+# two units that generate each group: (1 + i + j +- k)/2 and
+# -1/(2 phi) + i/2 +- (phi/2) k
+HURWITZ_GENERATORS = (((1, 0), (1, 0), (1, 0), (1, 0)),
+                      ((1, 0), (1, 0), (1, 0), (-1, 0)))
+ICOSIAN_GENERATORS = (((1, -1), (1, 0), (0, 0), (0, 1)),
+                      ((1, -1), (1, 0), (0, 0), (0, -1)))
+
+
+def quaternion_group(units, generators, name: str) -> FiniteGroup:
+    """The group of the exact unit quaternions ``units``, labelled in
+    their order, which must start with the identity: ``generators``,
+    units themselves, are closed by ``groups.close_generators`` and
+    become the group's generators.  The elements are the units.
+
+    ClosureFailure means a generator is not an exact unit, a product
+    does not lie in (1/2)Z[phi], or the closure is not exactly
+    ``units`` (a member missing, added or repeated)."""
+    for g in generators:
+        norm = [sum(c) for c in zip(*(_golden_mul(x, x) for x in g))]
         if norm != [4, 0]:
-            raise ClosureFailure("a member is not an exact unit quaternion")
-    # keys hold four times each coordinate, as the products of two
-    # members do
-    keys = [tuple((2 * a, 2 * b) for a, b in q) for q in exact]
-    ident = ((4, 0), (0, 0), (0, 0), (0, 0))
-    if len(set(keys)) != len(keys) or ident not in keys:
-        raise ClosureFailure("members repeat or miss the identity")
-    i0 = keys.index(ident)
-    order = [i0] + [i for i in range(len(keys)) if i != i0]
-    label = {keys[i]: lab for lab, i in enumerate(order)}
-    exact = [exact[i] for i in order]
-    n = len(order)
-    gens: list[int] = []
-    right: list[list[int]] = []  # right[j][x] = label of x * gens[j]
-    done: list[int] = []  # right[j] holds the products of found[:done[j]]
-    parent = {0: None}  # y -> (x, j) with y = x * gens[j] first reached
-    found = [0]  # labels in the order they were reached
-    while len(found) < n:
-        gens.append(next(y for y in range(n) if y not in parent))
-        right.append([0] * n)
-        done.append(0)
-        grew = True
-        while grew:
-            grew = False
-            for j, g in enumerate(gens):
-                xs = found[done[j]:]
-                done[j] = len(found)
-                rj, qg = right[j], exact[g]
-                for x in xs:
-                    y = label.get(_golden_hamilton(exact[x], qg))
-                    if y is None:
-                        raise ClosureFailure("a product is not in the set")
-                    rj[x] = y
-                    if y not in parent:
-                        parent[y] = (x, j)
-                        found.append(y)
-                        grew = True
-    cols = [None] * n  # cols[y][a] = label of a * y
-    cols[0] = list(range(n))
-    for y in found[1:]:
-        x, j = parent[y]
-        cols[y] = list(map(right[j].__getitem__, cols[x]))
-    G = FiniteGroup([quats[i] for i in order], list(zip(*cols)), name=name)
-    return G, tuple(exact)
+            raise ClosureFailure("a generator is not an exact unit quaternion")
+    try:
+        return close_generators([_Unit(g) for g in generators], name=name,
+                                members=units)
+    except ValueError as exc:
+        raise ClosureFailure(str(exc)) from None
 
 
 @lru_cache(maxsize=None)
-def hurwitz_unit_group():
-    """The 24 Hurwitz units, the binary tetrahedral group, with their
-    exact coordinates."""
-    return quaternion_group(hurwitz_quaternions(), "hurwitz")
+def hurwitz_unit_group() -> FiniteGroup:
+    """The 24 Hurwitz units, the binary tetrahedral group."""
+    return quaternion_group(hurwitz_units(), HURWITZ_GENERATORS, "hurwitz")
 
 
 @lru_cache(maxsize=None)
-def icosian_group():
-    """The 120 unit icosians, the binary icosahedral group, with their
-    exact coordinates."""
-    return quaternion_group(icosian_quaternions(), "icosian")
+def icosian_group() -> FiniteGroup:
+    """The 120 unit icosians, the binary icosahedral group."""
+    return quaternion_group(icosian_units(), ICOSIAN_GENERATORS, "icosian")
 
 
 # -- isomorphism search ------------------------------------------------------
@@ -303,14 +244,14 @@ def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup
 
 _DoubleCoverFields = namedtuple(
     "_DoubleCoverFields", "extension coset_system subgroup_group units "
-    "unit_coords phi transposition_lifts")
+    "phi transposition_lifts")
 
 
 class DoubleCover(_DoubleCoverFields):
     """A double cover of S_n with its index-2 preimage of A_n identified
     with a group of quaternion units: ``phi[q]`` is the unit label of
-    subgroup label q, and ``unit_coords`` holds the units' exact
-    coordinates, as ``quaternion_group`` returns them."""
+    subgroup label q, and ``units.elems`` holds the units' exact
+    coordinates."""
 
     __slots__ = ()
 
@@ -328,14 +269,14 @@ def double_cover(n: int) -> DoubleCover:
     evens = [l for l in range(E.order)
              if Sn.elems[ext.projection[l]].is_even()]
     Q, _ = E.subgroup(evens, name=f"2A{n}")
-    unit_g, coords = units()
+    unit_g = units()
     phi = find_isomorphism(Q, unit_g)
     if phi is None:
         raise InternalCheckFailed(f"preimage of A{n} is not the {name}")
     cs = CosetSystem.build(E, evens)
     lifts = tuple(l for l in range(E.order)
                   if Sn.elems[ext.projection[l]].is_transposition())
-    return DoubleCover(ext, cs, Q, unit_g, coords, phi, lifts)
+    return DoubleCover(ext, cs, Q, unit_g, phi, lifts)
 
 
 def induced_character(cover: DoubleCover) -> tuple[tuple[int, int], ...]:
@@ -345,7 +286,7 @@ def induced_character(cover: DoubleCover) -> tuple[tuple[int, int], ...]:
     product (the module docstring's formula)."""
     cs = cover.coset_system
     t = cs.group.table
-    coords, phi = cover.unit_coords, cover.phi
+    coords, phi = cover.units.elems, cover.phi
     chi_rho = {lab: coords[phi[i]][0] for i, lab in enumerate(cs.subgroup)}
     out = []
     for g in range(cs.group.order):

@@ -6,7 +6,8 @@ by the tensor-induction character formula (Curtis and Reiner,
 *Methods of Representation Theory I*, §13) and the characteristic
 polynomial of a transposition lift by Newton's identities.  This layer
 is the float view over the same groups: double-precision complex
-matrices built from the quaternions' float coordinates, with two
+matrices built from floats of the units' exact coordinates, each the
+float that the units' definition names (``FLOAT_COORDINATE``), with two
 tolerances, 1e-8 for entrywise matrix comparisons and 1e-6 for
 character values that must round to integers.  In
 ``verify_standard_rep`` the floats only display deviations.
@@ -20,6 +21,7 @@ of a 2-dimensional representation via dual-twist character matching.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,6 +35,17 @@ TOL_ENTRY = 1e-8
 TOL_CHAR = 1e-6
 
 MAX_TENSOR_DIM = 64
+
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+# the float of each coordinate of an icosian or Hurwitz unit, keyed by
+# the golden pair (a, b) of twice it, 2x = a + b*phi: 0, +-1/2, +-1,
+# +-phi/2 and +-1/(2 phi), computed as written here
+FLOAT_COORDINATE = {
+    (0, 0): 0.0, (1, 0): 0.5, (-1, 0): -0.5, (2, 0): 1.0, (-2, 0): -1.0,
+    (0, 1): GOLDEN / 2.0, (0, -1): -GOLDEN / 2.0,
+    (-1, 1): 0.5 / GOLDEN, (1, -1): -0.5 / GOLDEN,
+}
 
 # Public names that the double-cover pipeline no longer calls from here,
 # kept so that callers and the benchmark's tracer still find them.
@@ -137,24 +150,29 @@ def _tautological_matrix(q) -> np.ndarray:
                      [-c + 1j * d, a - 1j * b]])
 
 
+def float_quaternion(q) -> tuple[float, ...]:
+    """The float coordinates of an exact unit of ``icosians``."""
+    return tuple(FLOAT_COORDINATE[x] for x in q)
+
+
 def _tautological_rep(G: FiniteGroup) -> Representation:
-    """The 2-dimensional representation of a group of unit quaternions,
-    from the float coordinates that are its elements."""
-    return Representation(
-        G, np.stack([_tautological_matrix(q) for q in G.elems]), 2)
+    """The 2-dimensional representation of a group of exact unit
+    quaternions, from the floats of its elements' coordinates."""
+    return Representation(G, np.stack(
+        [_tautological_matrix(float_quaternion(q)) for q in G.elems]), 2)
 
 
 @lru_cache(maxsize=None)
 def hurwitz_unit_group() -> tuple[FiniteGroup, Representation]:
     """The 24 Hurwitz units: the binary tetrahedral group."""
-    G, _ = icosians.hurwitz_unit_group()
+    G = icosians.hurwitz_unit_group()
     return G, _tautological_rep(G)
 
 
 @lru_cache(maxsize=None)
 def icosian_group() -> tuple[FiniteGroup, Representation]:
     """The 120 unit icosians: the binary icosahedral group."""
-    G, _ = icosians.icosian_group()
+    G = icosians.icosian_group()
     return G, _tautological_rep(G)
 
 

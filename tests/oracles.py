@@ -15,8 +15,10 @@ place from Sturm chains and mod-p factor counts, squarefree kernels by
 trial division by every odd number up to the trial bound, quaternion
 group tables by float nearest-neighbour matching and by looking up
 every pairwise exact Hamilton product, quaternion closures on numpy
-arrays of golden pairs, isomorphisms with a numpy check of every
-product, tensor inductions by one np.kron chain per group element,
+arrays of golden pairs (all three from floats (a + b*phi)/2 computed
+here from the exact units, snapped back to golden pairs), isomorphisms
+with their own class sizes, their own extension of generator images
+and a numpy check of every product, tensor inductions by one np.kron chain per group element,
 cocycle defects one group element at a time and over all
 |G|^3 triples in slices of numpy temporaries, the Pin cocycle table by
 one einsum over all products of dense numpy blade vectors at the
@@ -67,8 +69,7 @@ from quintrank.numtheory import (
     kronecker_symbol,
     poly_discriminant,
 )
-from quintrank.icosians import (GOLDEN, ClosureFailure, _class_size_by_label,
-                                _extend_partial)
+from quintrank.icosians import ClosureFailure
 from quintrank.rankgrowth import certify_pair
 from quintrank.reps import _factor_permutation_matrix
 
@@ -592,6 +593,16 @@ def quaternion_table_by_nearest_neighbour(quats):
     return order, dist.argmin(axis=-1)
 
 
+GOLDEN = (1 + math.sqrt(5)) / 2
+
+
+def golden_floats(units) -> np.ndarray:
+    """The float coordinates (a + b*phi)/2, shape (n, 4), of exact
+    units given as golden pairs (a, b) of twice each coordinate."""
+    pairs = np.asarray(units, dtype=np.float64)
+    return (pairs[..., 0] + pairs[..., 1] * GOLDEN) / 2
+
+
 def snap_golden_array(quats) -> np.ndarray:
     """Integer pairs (a, b) with 2x = a + b*phi, shape (n, 4, 2), for the
     float coordinates x, as one numpy search over |b| <= 4 for all
@@ -699,13 +710,45 @@ def quaternion_table_by_all_products(quats):
     return order, np.array(flat, dtype=np.int32).reshape(len(order), -1)
 
 
+def class_sizes_by_conjugation(G):
+    """The size of each label's conjugacy class, as the number of
+    distinct g^-1 x g over all g, from one numpy array of them."""
+    t = np.array(G.table, dtype=np.int32)
+    left = t[np.argmax(t == 0, axis=1)]  # left[g, x] = g^-1 x
+    conj = t[left, np.arange(len(t))[:, None]]  # conj[g, x] = g^-1 x g
+    return [len(set(col)) for col in conj.T.tolist()]
+
+
+def extend_by_frontiers(G1, G2, gens, imgs):
+    """The map x -> phi(x) on the labels that ``gens`` reach in G1, grown
+    a frontier at a time from phi(1) = 1 and phi(x g) = phi(x) phi(g)
+    over every edge x -> x g; None when two edges into one label
+    disagree."""
+    t1, t2 = G1.table, G2.table
+    phi, frontier = {0: 0}, [0]
+    while frontier:
+        grown = []
+        for x in frontier:
+            for g, h in zip(gens, imgs):
+                y, img = t1[x][g], t2[phi[x]][h]
+                if y not in phi:
+                    phi[y] = img
+                    grown.append(y)
+                elif phi[y] != img:
+                    return None
+        frontier = grown
+    return phi
+
+
 def find_isomorphism_by_arrays(G1, G2):
     """The isomorphism search with a numpy array result and a numpy check
-    of all |G1|^2 products: the same candidates in the same order."""
+    of all |G1|^2 products: the same candidates in the same order, with
+    class sizes and extensions computed here."""
     if G1.order != G2.order or G1.order_census() != G2.order_census():
         return None
     gens = list(G1.generators)
-    sizes1, sizes2 = _class_size_by_label(G1), _class_size_by_label(G2)
+    sizes1 = class_sizes_by_conjugation(G1)
+    sizes2 = class_sizes_by_conjugation(G2)
     orders1, orders2 = G1.element_orders(), G2.element_orders()
     candidates = []
     for g in gens:
@@ -719,7 +762,7 @@ def find_isomorphism_by_arrays(G1, G2):
 
     def search(level, imgs):
         if level == len(gens):
-            phi_map = _extend_partial(G1, G2, gens, imgs)
+            phi_map = extend_by_frontiers(G1, G2, gens, imgs)
             if phi_map is None or len(phi_map) != G1.order:
                 return None
             phi = np.array([phi_map[x] for x in range(G1.order)],
@@ -731,7 +774,7 @@ def find_isomorphism_by_arrays(G1, G2):
             return None
         for h in candidates[level]:
             imgs.append(h)
-            if _extend_partial(G1, G2, gens[:level + 1], imgs) is not None:
+            if extend_by_frontiers(G1, G2, gens[:level + 1], imgs) is not None:
                 found = search(level + 1, imgs)
                 if found is not None:
                     return found

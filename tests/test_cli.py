@@ -634,6 +634,15 @@ def test_selftest_prints_its_reference_output_without_numpy():
     assert out == ref["algebra"]["selftest"]["stdout"]
 
 
+def test_standard_rep_prints_its_reference_output():
+    # the float strings of standard-rep come from the units' float view
+    ref = json.loads((Path(__file__).parents[1] / "bench" / "data"
+                      / "reference.json").read_text(encoding="utf-8"))
+    out = _python("import sys; from quintrank.cli import main; "
+                  "sys.exit(main(['standard-rep', '--json']))")
+    assert out == ref["algebra"]["standard-rep"]["stdout"]
+
+
 def test_selftest_loads_neither_numpy_nor_reps():
     loaded = _modules_after(
         "from quintrank.cli import main; main(['selftest', '--json'])")

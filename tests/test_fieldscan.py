@@ -434,6 +434,21 @@ def test_false_merge_is_surfaced():
         list(dedupe_stream([f, g]))
 
 
+def test_equal_patterns_with_other_kernels_are_kept_unaudited(monkeypatch):
+    # the kernel half of the fingerprint separates two fields whose 20
+    # pattern codes agree, with no audit and no proof of a merge
+    def no_audit(*args):
+        raise AssertionError("audited fields with different kernels")
+    monkeypatch.setattr(QuinticField, "extended_fingerprint",
+                        property(no_audit))
+    monkeypatch.setattr(fieldscan, "_provably_same_field", no_audit)
+    f = field_of(1, 0, 0, 0, -1, -1)
+    g = field_of(1, 0, 0, 0, -4, 2)
+    g.fingerprint = (g.fingerprint[0], f.fingerprint[1])
+    assert f.fingerprint[0] != g.fingerprint[0]
+    assert list(dedupe_stream([f, g])) == [f, g]
+
+
 # -- orbit walk and discriminant rows ---------------------------------------------
 
 

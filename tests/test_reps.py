@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from oracles import (M16, cyclic_group, direct_product,
-                     find_isomorphism_by_arrays, is_homomorphism,
-                     quaternion_group_by_arrays,
+                     find_isomorphism_by_arrays, golden_floats,
+                     is_homomorphism, quaternion_group_by_arrays,
                      quaternion_table_by_all_products,
                      quaternion_table_by_nearest_neighbour,
                      tensor_induction_by_kron)
@@ -18,16 +18,19 @@ from quintrank import icosians
 from quintrank.groups import (CosetSystem, Permutation, abelianization,
                               close_generators, coset_factorization,
                               symmetric_group, transfer)
-from quintrank.icosians import (CHARPOLY, GOLDEN, double_cover,
-                                find_isomorphism, hurwitz_quaternions, icosian_quaternions,
+from quintrank.icosians import (CHARPOLY, HURWITZ_GENERATORS,
+                                ICOSIAN_GENERATORS, double_cover,
+                                find_isomorphism, hurwitz_units, icosian_units,
                                 induced_character, quaternion_group,
                                 standard_rep_checks)
-from quintrank.reps import (Character, ClosureFailure, DimensionOverflow,
-                            NonIntegral, PreconditionViolated, Representation,
+from quintrank.reps import (FLOAT_COORDINATE, Character, ClosureFailure,
+                            DimensionOverflow, NonIntegral,
+                            PreconditionViolated, Representation,
                             binary_octahedral_data, criterion_catalog,
                             decomposition_profile, dual_twist_reducibility,
-                            hurwitz_unit_group, icosian_group, inner_product,
-                            linear_characters, omega5_data, tensor_induction,
+                            float_quaternion, hurwitz_unit_group,
+                            icosian_group, inner_product, linear_characters,
+                            omega5_data, tensor_induction,
                             verify_standard_rep)
 
 PHI = (1 + np.sqrt(5)) / 2
@@ -74,51 +77,37 @@ def test_hurwitz_group_is_binary_tetrahedral():
     assert abelianization(G).factors == (3,)
 
 
-def test_closure_failure_on_alien_quaternion():
-    alien = (math.cos(0.3), math.sin(0.3), 0.0, 0.0)
-    quats = hurwitz_quaternions() + [alien]
-    with pytest.raises(ClosureFailure):
-        quaternion_group(quats, "broken")
-
-
-def test_closure_failure_on_tiny_separation():
-    quats = hurwitz_quaternions()
-    near_dup = tuple(x + 1e-5 for x in quats[3])
-    with pytest.raises(ClosureFailure):
-        quaternion_group(quats + [near_dup], "broken")
-
-
-QUATERNION_SETS = pytest.mark.parametrize(
-    "quats", [hurwitz_quaternions, icosian_quaternions],
+UNIT_SETS = pytest.mark.parametrize(
+    "units, gens", [(hurwitz_units, HURWITZ_GENERATORS),
+                    (icosian_units, ICOSIAN_GENERATORS)],
     ids=["hurwitz", "icosian"])
 
 
-@QUATERNION_SETS
-def test_exact_table_matches_nearest_neighbour_oracle(quats):
-    floats = np.array(quats())
-    G, _ = quaternion_group(quats(), "x")
-    order, table = quaternion_table_by_nearest_neighbour(floats)
+@UNIT_SETS
+def test_exact_table_matches_nearest_neighbour_oracle(units, gens):
+    G = quaternion_group(units(), gens, "x")
+    order, table = quaternion_table_by_nearest_neighbour(golden_floats(units()))
     assert (np.asarray(G.table) == table).all()
-    assert list(G.elems) == [tuple(q) for q in floats[order]]
+    assert list(G.elems) == [units()[i] for i in order]
 
 
-@QUATERNION_SETS
-def test_table_from_generator_columns_matches_all_products(quats):
-    floats = np.array(quats())
-    G, _ = quaternion_group(quats(), "x")
-    order, table = quaternion_table_by_all_products(floats)
+@UNIT_SETS
+def test_table_from_generator_columns_matches_all_products(units, gens):
+    G = quaternion_group(units(), gens, "x")
+    order, table = quaternion_table_by_all_products(golden_floats(units()))
     assert (np.asarray(G.table) == table).all()
-    assert list(G.elems) == [tuple(q) for q in floats[order]]
+    assert list(G.elems) == [units()[i] for i in order]
 
 
-@QUATERNION_SETS
-def test_pure_closure_matches_the_numpy_closure(quats):
-    G, exact = quaternion_group(quats(), "x")
-    H, exact_arrays = quaternion_group_by_arrays(np.array(quats()))
+@UNIT_SETS
+def test_pure_closure_matches_the_numpy_closure(units, gens):
+    G = quaternion_group(units(), gens, "x")
+    H, exact_arrays = quaternion_group_by_arrays(golden_floats(units()))
     assert G.table == H.table
-    assert G.elems == H.elems
-    assert all(type(x) is float for q in G.elems for x in q)
-    assert np.array(exact).tolist() == exact_arrays.tolist()
+    assert all(type(a) is int for q in G.elems for pair in q for a in pair)
+    assert np.array(G.elems).tolist() == exact_arrays.tolist()
+    # the named generators are the greedy ones of the table
+    assert G.generators == H.generators
 
 
 @pytest.mark.parametrize("floats, exact", [
@@ -126,47 +115,81 @@ def test_pure_closure_matches_the_numpy_closure(quats):
     (icosian_group, icosians.icosian_group)], ids=["hurwitz", "icosian"])
 def test_float_layer_keeps_the_exact_closure(floats, exact):
     # the float view wraps the cached exact group, without a closure of
-    # its own, and its images are the tautological matrices of the floats
+    # its own, and its images are the tautological matrices of the
+    # floats that the view gives the exact coordinates
     G, rep = floats()
-    assert G is exact()[0]
-    a, b, c, d = np.array(G.elems).T
+    assert G is exact()
+    a, b, c, d = np.array([float_quaternion(q) for q in G.elems]).T
     want = np.stack([a + 1j * b, c + 1j * d, -c + 1j * d, a - 1j * b],
                     axis=-1).reshape(-1, 2, 2)
     assert np.array_equal(rep.images, want)
+    assert np.abs(np.array([float_quaternion(q) for q in G.elems])
+                  - golden_floats(G.elems)).max() <= 1e-16
 
 
-@QUATERNION_SETS
-def test_closure_failure_on_a_dropped_member(quats):
-    floats = quats()
-    for drop in (1, 2, len(floats) // 2, len(floats) - 1):
-        with pytest.raises(ClosureFailure, match="not in the set"):
-            quaternion_group(floats[:drop] + floats[drop + 1:], "broken")
+def test_float_view_names_every_unit_coordinate():
+    # the nine golden pairs that occur, each within one ulp of
+    # (a + b phi)/2; 1/(2 phi) is written 0.5/GOLDEN, as the units'
+    # definition names it
+    pairs = {x for q in icosian_units() for x in q}
+    assert pairs == set(FLOAT_COORDINATE)
+    for (a, b), x in FLOAT_COORDINATE.items():
+        want = golden_floats([[(a, b)]])[0, 0]
+        assert type(x) is float and abs(x - want) <= math.ulp(want)
+
+
+@UNIT_SETS
+def test_closure_failure_on_a_dropped_member(units, gens):
+    members = units()
+    for drop in (1, 2, len(members) // 2, len(members) - 1):
+        with pytest.raises(ClosureFailure, match="not exactly"):
+            quaternion_group(members[:drop] + members[drop + 1:], gens,
+                             "broken")
 
 
 def test_closure_failure_on_repeat_and_non_unit():
-    quats = hurwitz_quaternions()
-    with pytest.raises(ClosureFailure, match="repeat"):
-        quaternion_group(quats + [quats[3]], "broken")
-    half = (0.5, 0.5, 0.0, 0.0)  # snaps, but has norm 1/2
-    with pytest.raises(ClosureFailure, match="unit"):
-        quaternion_group(quats + [half], "broken")
+    units = hurwitz_units()
+    with pytest.raises(ClosureFailure, match="not exactly"):
+        quaternion_group(units + [units[3]], HURWITZ_GENERATORS, "broken")
+    extra = icosian_units()[24]  # an icosian outside the Hurwitz units
+    with pytest.raises(ClosureFailure, match="not exactly"):
+        quaternion_group(units + [extra], HURWITZ_GENERATORS, "broken")
+    half = ((1, 0), (1, 0), (0, 0), (0, 0))  # (1 + i)/2 has norm 1/2
+    with pytest.raises(ClosureFailure, match="not an exact unit"):
+        quaternion_group(units, HURWITZ_GENERATORS + (half,), "broken")
+
+
+def test_closure_failure_on_a_product_outside_half_z_phi():
+    # phi/2 + i/(2 phi) + j/2, an odd permutation of an icosian's
+    # coordinates, is a unit in (1/2)Z[phi] but no icosian; the first
+    # icosian generator times it has real part
+    # -(1/(2 phi))(phi/2) - (1/2)(1/(2 phi)) = -phi/4
+    odd = ((0, 1), (-1, 1), (1, 0), (0, 0))
+    with pytest.raises(ClosureFailure, match="does not lie"):
+        quaternion_group(icosian_units(), ICOSIAN_GENERATORS + (odd,),
+                         "broken")
+
+
+def test_closure_failure_when_the_identity_is_not_first():
+    units = hurwitz_units()
+    with pytest.raises(ClosureFailure, match="identity"):
+        quaternion_group(units[1:] + units[:1], HURWITZ_GENERATORS, "broken")
 
 
 @pytest.mark.parametrize("bad, message", [
     ((1.5, 0.0, 0.0, 0.0), "does not lie"),  # |x| > 1
     ((0.5, 0.5, 0.5, 0.5 + 1e-7), "does not lie"),
 ])
-def test_pure_and_numpy_snaps_fail_alike(bad, message):
-    quats = hurwitz_quaternions() + [bad]
-    with pytest.raises(ClosureFailure, match=message):
-        quaternion_group(quats, "broken")
+def test_numpy_closure_refuses_floats_off_half_z_phi(bad, message):
+    quats = golden_floats(hurwitz_units()).tolist() + [bad]
     with pytest.raises(ClosureFailure, match=message):
         quaternion_group_by_arrays(np.array(quats))
 
 
 def test_icosian_table_stays_in_bounded_memory():
-    floats = icosian_quaternions()
-    peak = _traced_peak_mb(lambda: quaternion_group(floats, "x"))
+    units = icosian_units()
+    peak = _traced_peak_mb(
+        lambda: quaternion_group(units, ICOSIAN_GENERATORS, "x"))
     assert peak < PEAK_BOUND_MB
 
 
@@ -488,7 +511,7 @@ def test_exact_character_matches_the_float_trace(n, data_fn):
     cover = double_cover(n)
     chi = induced_character(cover)
     assert len(chi) == cover.extension.group.order == 2 * math.factorial(n)
-    exact = np.array([a + b * GOLDEN for a, b in chi])
+    exact = np.array([a + b * PHI for a, b in chi])
     data = data_fn()
     induced = tensor_induction(data.coset_system, data.rho)
     traces = np.trace(induced.images, axis1=1, axis2=2)
