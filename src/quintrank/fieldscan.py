@@ -36,15 +36,17 @@ the head's signs, only a0 = +-1 can have a smaller reciprocal, and the
 a0 that give an integer root are the values -g(r), |r| <= max|a0|, of
 g = f - a0.  The discriminant is a quartic in a0, so each row computes
 its five coefficients once and each entry's discriminant by one Horner
-step.  A QuinticField is built only once its discriminant is within
-the bound.
+step.  A field is taken only once its discriminant is within the bound,
+through field_from_coeffs, as a table row's is.
 
 The cache is a JSONL file of checksummed records, laid out as FieldCache
-says; a record carries "version" and its fingerprint's code string,
-which a rebuilt field decodes into its pattern stream only when an audit
-grows the stream.  Corrupt lines and stale ones (records of another
-version) are listed at load, reported by `scan --cache` on stderr, never
-served, and recomputed.  A record is served only to a request with the
+says, and field_from_coeffs is its only reader and writer: it records
+every field it derives, a rejected enumeration candidate as much as a
+certified one.  A record carries "version" and its fingerprint's code
+string, which a rebuilt field decodes into its pattern stream only when
+an audit grows the stream.  Corrupt lines and stale ones (records of
+another version) are listed at load, reported by `scan --cache` on
+stderr, never served, and recomputed.  A record is served only to a request with the
 prime budget it was derived with, and only if it was derived with
 DEFAULT_TRIAL_BOUND; any other request derives the field afresh and its
 record replaces the old one.  Single writer: a FieldCache that has put
@@ -380,16 +382,20 @@ class FieldCache:
 
 def field_from_coeffs(coeffs, label: Optional[str] = None,
                       cache: Optional[FieldCache] = None,
-                      prime_budget: int = DEFAULT_PRIME_BUDGET) -> QuinticField:
+                      prime_budget: int = DEFAULT_PRIME_BUDGET,
+                      disc: Optional[int] = None) -> QuinticField:
     """Construct a field, serving it from the cache when a record with
-    the same parameters exists; a miss derives everything and stores
-    the record, which then replaces any older one."""
-    coeffs = tuple(int(c) for c in coeffs)
+    the same parameters exists; a miss derives everything, whatever the
+    certificate decides, and stores the record, which then replaces any
+    older one.  disc, when given, is the caller's own discriminant, as
+    for QuinticField.  This is the only path in or out of a cache: table
+    rows and enumerated candidates alike."""
     if cache is not None:
         hit = cache.get(coeffs, prime_budget)
         if hit is not None:
             return hit
-    field = QuinticField(IntPolynomial.descending(coeffs), label, prime_budget)
+    field = QuinticField(IntPolynomial.descending(coeffs), label, prime_budget,
+                         disc)
     if cache is not None:
         cache.put(field)
     return field
@@ -579,8 +585,11 @@ def enumerate_quintics(coeff_height: int, disc_bound: int,
     The box is walked lazily, a row of a0 at a time (_orbit_minimal_rows,
     then _root_free).  The row's head gives the discriminant's
     coefficients in a0 once (disc_coeffs_in_a0), each entry takes one
-    Horner step, and a QuinticField is built only once its discriminant
-    passes the bound."""
+    Horner step, and a field is taken from field_from_coeffs only once
+    its discriminant is nonzero, within the bound and not a square.
+    With a cache, every such candidate is served from or recorded in it,
+    certified or not, so a second enumeration with the same cache and
+    prime budget certifies no candidate."""
     if not 0 <= coeff_height <= MAX_ENUM_HEIGHT:
         raise ValueError(f"coefficient height must be in [0, {MAX_ENUM_HEIGHT}]")
 
@@ -589,24 +598,14 @@ def enumerate_quintics(coeff_height: int, disc_bound: int,
             c4, c3, c2, c1, c0 = disc_coeffs_in_a0(*head)
             for a0 in _root_free(head, a0s):  # a rooted f is reducible
                 coeffs = (1,) + head + (a0,)
-                hit = (None if cache is None
-                       else cache.get(coeffs, prime_budget))
-                if hit is not None:
-                    if abs(hit.disc) <= disc_bound \
-                            and hit.s5_status == "Certified":
-                        yield hit
-                    continue
                 disc = (((c4 * a0 + c3) * a0 + c2) * a0 + c1) * a0 + c0
                 # zero: a repeated root; a square disc puts the group in A5
                 if disc == 0 or abs(disc) > disc_bound or _is_square(disc):
                     continue
-                field = QuinticField(IntPolynomial.descending(coeffs),
-                                     prime_budget=prime_budget, disc=disc)
-                if field.s5_status != "Certified":
-                    continue
-                if cache is not None:
-                    cache.put(field)
-                yield field
+                field = field_from_coeffs(coeffs, cache=cache,
+                                          prime_budget=prime_budget, disc=disc)
+                if field.s5_status == "Certified":
+                    yield field
 
     yield from dedupe_stream(raw())
 

@@ -1007,7 +1007,7 @@ def divisor_integer_root(coeffs_desc) -> bool:
 
 
 def enumerate_full_box(coeff_height, disc_bound,
-                       prime_budget=DEFAULT_PRIME_BUDGET, cache=None):
+                       prime_budget=DEFAULT_PRIME_BUDGET):
     """enumerate_quintics by the plain loop: every vector of the box, in
     lexicographic order, gets a QuinticField (and so a discriminant),
     and dedup drops the later members of each fingerprint class."""
@@ -1017,13 +1017,6 @@ def enumerate_full_box(coeff_height, disc_bound,
             coeffs = (1,) + tail
             if divisor_integer_root(coeffs):
                 continue
-            if cache is not None:
-                hit = cache.get(coeffs, prime_budget)
-                if hit is not None:
-                    if abs(hit.disc) <= disc_bound \
-                            and hit.s5_status == "Certified":
-                        yield hit
-                    continue
             try:
                 field = QuinticField(IntPolynomial.descending(coeffs),
                                      prime_budget=prime_budget)
@@ -1033,8 +1026,6 @@ def enumerate_full_box(coeff_height, disc_bound,
                 continue
             if _is_square(field.disc) or field.s5_status != "Certified":
                 continue
-            if cache is not None:
-                cache.put(field)
             yield field
 
     return dedupe_stream(raw())

@@ -966,6 +966,55 @@ def test_cache_record_without_every_key_is_corrupt(tmp_path):
     assert FieldCache(store).get(rec["coeffs"]).disc == 2869
 
 
+@pytest.fixture(scope="module")
+def height_two_cold_cache(tmp_path_factory):
+    """The cache file a cold height-2 enumeration (budget 40) writes, and
+    the _field_data of the fields it yields."""
+    store = tmp_path_factory.mktemp("cold") / "cache.jsonl"
+    with FieldCache(store) as cache:
+        fields = _field_data(enumerate_quintics(2, 10 ** 6, prime_budget=40,
+                                                cache=cache))
+    return store.read_bytes(), fields
+
+
+def test_warm_cached_enumeration_certifies_nothing(
+        tmp_path, monkeypatch, height_two_cold_cache):
+    cold, want = height_two_cold_cache
+    records = [json.loads(line) for line in cold.splitlines()]
+    assert Counter(rec["s5"][0] for rec in records) \
+        == {"Certified": 599, "Inconclusive": 127}
+    store = tmp_path / "cache.jsonl"
+    store.write_bytes(cold)
+    certified = []
+    real = fieldscan.certify_s5
+
+    def recording(f, *args):
+        certified.append(f)
+        return real(f, *args)
+    monkeypatch.setattr(fieldscan, "certify_s5", recording)
+    with FieldCache(store) as cache:
+        assert _field_data(enumerate_quintics(
+            2, 10 ** 6, prime_budget=40, cache=cache)) == want
+    assert store.read_bytes() == cold
+    assert certified == []
+
+
+def test_a_record_does_not_depend_on_the_path_that_wrote_it(
+        tmp_path, height_two_cold_cache):
+    # the enumeration's discriminant comes from the row's Horner step,
+    # field_from_coeffs' from poly_discriminant
+    cold, _ = height_two_cold_cache
+    rejected = [line for line in cold.decode("utf-8").splitlines(True)
+                if json.loads(line)["s5"][0] != "Certified"]
+    assert len(rejected) == 127
+    store = tmp_path / "rows.jsonl"
+    with FieldCache(store) as cache:
+        for line in rejected:
+            field_from_coeffs(json.loads(line)["coeffs"], cache=cache,
+                              prime_budget=40)
+    assert store.read_text(encoding="utf-8").splitlines(True) == rejected
+
+
 def test_enumeration_with_cache_is_stable(tmp_path):
     store = tmp_path / "cache.jsonl"
     runs = []
@@ -999,10 +1048,14 @@ def _write_pinned_records(path) -> list[dict]:
     return [json.loads(line) for line in Path(path).read_text().splitlines()]
 
 
-# sha256 of the file _write_pinned_records writes, and of the same
-# records in the unversioned layout; the second was recorded while every
-# discriminant came from subresultants, every signature from a Sturm
-# chain and Miller-Rabin ran once per run of primes
+# sha256 of the file _write_pinned_records writes; of the same file
+# without the 127 lines of the enumeration's Inconclusive candidates,
+# which were written when the enumeration recorded only certified
+# fields; and of those 636 records in the unversioned layout, recorded
+# while every discriminant came from subresultants, every signature from
+# a Sturm chain and Miller-Rabin ran once per run of primes
+ALL_RECORDS_SHA256 = \
+    "db264d739dfd4578646e1a95e9fd14c2e789359a383e3d145badc6a2717590d2"
 PINNED_RECORDS_SHA256 = \
     "ac1ff91823d7fa3a798737aaac985c51b3972edbbb54a06e140820a47f59218a"
 UNVERSIONED_RECORDS_SHA256 = \
@@ -1013,10 +1066,17 @@ def test_cold_cache_records_are_pinned(tmp_path):
     store = tmp_path / "cache.jsonl"
     records = _write_pinned_records(store)
     assert hashlib.sha256(store.read_bytes()).hexdigest() \
-        == PINNED_RECORDS_SHA256
+        == ALL_RECORDS_SHA256
+    # the seeded and pinned rows are derived with the default budget, 200
+    lines = store.read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [(line, rec) for line, rec in zip(lines, records)
+            if rec["prime_budget"] != 40 or rec["s5"][0] == "Certified"]
+    assert (len(lines), len(kept)) == (763, 636)
+    assert hashlib.sha256("".join(line for line, _ in kept).encode(
+        "utf-8")).hexdigest() == PINNED_RECORDS_SHA256
     # each record, its codes decoded and its version removed, is the
     # record the unversioned layout wrote
-    unversioned = "".join(map(unversioned_cache_line, records))
+    unversioned = "".join(unversioned_cache_line(rec) for _, rec in kept)
     assert hashlib.sha256(unversioned.encode("utf-8")).hexdigest() \
         == UNVERSIONED_RECORDS_SHA256
     # what the set is meant to cover
