@@ -75,10 +75,12 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
 
 
-def _positive_int(text: str) -> int:
+def _budget_arg(text: str) -> int:
+    from .numtheory import MAX_PRIME_BUDGET
     n = _int_arg(text)
-    if n <= 0:
-        raise argparse.ArgumentTypeError("expected a positive integer")
+    if not 1 <= n <= MAX_PRIME_BUDGET:
+        raise argparse.ArgumentTypeError(
+            f"prime budget must be between 1 and {MAX_PRIME_BUDGET}")
     return n
 
 
@@ -386,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true",
                         help="emit canonical JSON on stdout")
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--prime-budget", type=_positive_int,
+    budget.add_argument("--prime-budget", type=_budget_arg,
                         default=None, metavar="B",
                         help="primes scanned by the Galois test")
     field = argparse.ArgumentParser(add_help=False)

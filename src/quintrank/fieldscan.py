@@ -18,8 +18,8 @@ and (disc|p) by Stickelberger's theorem (R. G. Swan, Pacific J. Math.
 12 (1962)).  The certificate reads the list in place, and that of a
 quintic with an integer root only up to its first transposition prime.
 The list is filled a block of primes at a time (up to the fingerprint,
-up to the audit, then doubling), never past the primes the certificate's
-budget can read unless asked, with the roots of a whole block counted by
+up to the audit, then doubling), never past the most patterns its reader
+says it will read unless asked, with the roots of a whole block counted by
 gcds of f(x) with products of its primes; primes from _BLOCK_BELOW up go
 one at a time.  A square discriminant puts the Galois group in A5, so
 the enumeration does not try to certify such a polynomial.
@@ -155,30 +155,25 @@ class QuinticField:
 
     @cached_property
     def certificate(self) -> S5Certificate:
-        return certify_s5(self.poly, self.prime_budget, self.disc,
-                          self._stream)
+        good = [p for p in first_primes(self.prime_budget) if self.disc % p]
+        return certify_s5(self.poly, good,
+                          lambda count: self._stream(count, len(good)))
 
     @property
     def s5_status(self) -> str:
         return self.certificate.status
 
-    @cached_property
-    def _budget_good(self) -> int:
-        """How many of the first prime_budget primes do not divide disc:
-        the most patterns a certificate can read."""
-        return sum(1 for p in first_primes(self.prime_budget) if self.disc % p)
-
-    def _stream(self, count: int) -> list:
+    def _stream(self, count: int, most: int = 0) -> list:
         """The pattern stream, extended to at least `count` entries: the
         patterns at the primes not dividing the discriminant, in order.
         It grows a block at a time and is returned without copying.  The
         first block is the fingerprint's 20 patterns, whatever the
-        budget; later blocks end at the audit's 50, then double, but
-        never past the _budget_good patterns a certificate can read,
-        unless `count` asks for more (as the audit does at small
-        budgets).  A block's primes below _BLOCK_BELOW share one
-        quintic_patterns pass; larger ones go one at a time.  A field
-        rebuilt from a record starts from its fingerprint's codes."""
+        reader; later blocks end at the audit's 50, then double, but
+        never past the reader's `most` (the certificate's good budget
+        primes), unless `count` asks for more.  A block's primes below
+        _BLOCK_BELOW share one quintic_patterns pass; larger ones go one
+        at a time.  A field rebuilt from a record starts from its
+        fingerprint's codes."""
         if self._patterns is None:
             self._patterns = [_PATTERN_OF[code]
                               for code in self.fingerprint[1].split()]
@@ -188,7 +183,7 @@ class QuinticField:
             have = len(patterns)
             end = (FINGERPRINT_PRIMES if have < FINGERPRINT_PRIMES
                    else max(count, min(audited if have < audited
-                                       else 2 * have, self._budget_good)))
+                                       else 2 * have, most)))
             # a nonzero disc has fewer prime factors than bits
             good = [p for p in first_primes(end + abs(disc).bit_length())
                     if disc % p][have:end]

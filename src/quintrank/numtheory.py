@@ -33,6 +33,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 DEFAULT_TRIAL_BOUND = 10 ** 6
 DEFAULT_PRIME_BUDGET = 200
+MAX_PRIME_BUDGET = 100_000    # first_primes(100_000) sieves to 2^21
 
 # Miller-Rabin to the first 13 prime bases is deterministic below
 # psi_13 = _MR_PROVEN (Sorenson and Webster, Math. Comp. 86, 2017)
@@ -606,29 +607,25 @@ def has_integer_root(f: IntPolynomial, p: int) -> bool:
     return False
 
 
-def certify_s5(f: IntPolynomial, prime_budget: int, disc: int,
+def certify_s5(f: IntPolynomial, good: list,
                patterns: Callable[[int], list]) -> S5Certificate:
     """Sound one-sided Galois test for a monic quintic: a prime with
     factor pattern {5} forces transitivity, one with {1,1,1,2} puts a
     transposition in the group, and a transitive degree-5 group with a
-    transposition is the full symmetric group.  Tries the first
-    prime_budget primes and skips those dividing the discriminant; never
-    certifies falsely, but may return Inconclusive.  primes_scanned
-    counts the primes read up to certification, or else every budget
-    prime not dividing disc.  A quintic with an integer root has a root
-    mod every such prime (Dedekind), so no pattern is {5}: once every
-    pattern so far has a linear factor and one is {1,1,1,2}, a single
-    has_integer_root test may end the scan with the full scan's answer.
-    disc = disc(f), and the caller's pattern stream is patterns(n): a
-    list of at least n entries, the patterns at the first primes not
-    dividing disc, in order.  The list is read in place, and patterns is
-    called again, with one more than the entries read, only once every
-    entry of the last list has been read."""
+    transposition is the full symmetric group.  Reads only the primes it
+    is handed, good: increasing primes not dividing disc(f).  Never
+    certifies falsely, but may return Inconclusive, and then
+    primes_scanned is len(good); else it counts the primes read.  A
+    quintic with an integer root has a root mod every good prime
+    (Dedekind), so no pattern is {5}: once every pattern so far has a
+    linear factor and one is {1,1,1,2}, a single has_integer_root test
+    may end the scan with the full scan's answer.  The caller's pattern
+    stream is patterns(n): a list of at least n entries, the patterns at
+    the primes of good, in order.  The list is read in place, and
+    patterns is called again, with one more than the entries read, only
+    once every entry of the last list has been read."""
     if f.degree != 5 or f.lc != 1:
         raise ValueError("expected a monic quintic")
-    if disc == 0:
-        raise ValueError("discriminant vanishes")
-    good = [p for p in first_primes(prime_budget) if disc % p]
     five = transposition = None
     linear = True       # every pattern read so far has a root mod p
     stream = []

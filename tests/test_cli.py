@@ -101,6 +101,18 @@ def test_height_out_of_range_is_usage_error(capsys):
                  "--height", "\u0661"]) == 2
 
 
+def test_prime_budget_is_bounded(capsys):
+    # an input from outside the program: the sieve behind
+    # first_primes(B) grows with B, so B is refused past MAX_PRIME_BUDGET
+    base = ["analyze-field", "--poly", FLAGSHIP_POLY, "--json"]
+    assert main(base + ["--prime-budget", "100000"]) == 0
+    assert json.loads(capsys.readouterr().out)["galois_status"] == "Certified"
+    for bad in ("100001", "0", "-3"):
+        assert main(base + ["--prime-budget", bad]) == 2
+        assert "prime budget must be between 1 and 100000" \
+            in capsys.readouterr().err
+
+
 def test_bad_buckets_are_usage_errors(capsys):
     base = ["scan", "--curve", CURVE37, "--height", "1"]
     assert main(base + ["--buckets", "5,3"]) == 2

@@ -91,6 +91,8 @@ def test_flagship_field_derivations():
 def test_field_rejects_bad_polynomials():
     with pytest.raises(NotSeparable):
         field_of(1, 0, 0, 0, 0, 0)              # x^5
+    with pytest.raises(NotSeparable):           # the caller's own disc
+        field_of(1, 0, 0, 0, -1, -1, disc=0)
     with pytest.raises(ValueError):
         field_of(2, 0, 0, 0, -1, -1)            # not monic
     with pytest.raises(ValueError):
@@ -249,6 +251,22 @@ def test_stream_past_the_block_crossover(monkeypatch):
                               for p in primes]
 
 
+def test_certificate_sieves_the_budget_once(monkeypatch):
+    # the certificate filters the first prime_budget primes itself and
+    # hands them to certify_s5, which sieves none, and tells the stream
+    # how many it will read
+    budgets = []
+
+    def counted(count):
+        budgets.append(count)
+        return first_primes(count)
+    monkeypatch.setattr(numtheory, "first_primes", counted)
+    monkeypatch.setattr(fieldscan, "first_primes", counted)
+    f = field_of(1, 0, 0, 0, 0, -2, prime_budget=600)
+    assert f.certificate.primes_scanned == 598
+    assert budgets.count(600) == 1
+
+
 def test_first_block_is_the_fingerprint_at_small_budgets(monkeypatch):
     # at budget 3 the certificate reads at most 3 patterns, but the first
     # block is still the fingerprint's 20, and nothing more is computed;
@@ -275,9 +293,9 @@ def test_certificate_reads_each_block_in_place(monkeypatch):
             f = field_of(*desc, prime_budget=budget)
             grown = []
 
-            def patterns(n, stream=f._stream):
+            def patterns(n, most=0, stream=f._stream):
                 before = len(f._patterns)
-                out = stream(n)
+                out = stream(n, most)
                 grown.append(before < n <= len(out))
                 return out
             monkeypatch.setattr(f, "_stream", patterns)
@@ -289,7 +307,7 @@ def test_certificate_reads_each_block_in_place(monkeypatch):
     sizes = []
     stream = f._stream
     monkeypatch.setattr(f, "_stream",
-                        lambda n: sizes.append(n) or stream(n))
+                        lambda n, most=0: sizes.append(n) or stream(n, most))
     f.certificate
     assert sizes == [1, 21, 51, 101]
     assert len(f._patterns) == 198

@@ -55,9 +55,9 @@ def _certify(f, budget=DEFAULT_PRIME_BUDGET):
     """certify_s5 fed, as one list, the patterns at every budget prime
     not dividing disc f."""
     disc = poly_discriminant(f)
-    patterns = [factor_pattern_mod_p(f, p, disc).pattern
-                for p in first_primes(budget) if disc % p]
-    return certify_s5(f, budget, disc, lambda n: patterns)
+    good = [p for p in first_primes(budget) if disc % p]
+    patterns = [factor_pattern_mod_p(f, p, disc).pattern for p in good]
+    return certify_s5(f, good, lambda n: patterns)
 
 
 def _random_quintics(count, seed=20260819, lo=-30, hi=30):
@@ -550,7 +550,7 @@ def test_pattern_rejects_non_quintics():
         with pytest.raises(ValueError):
             factor_pattern_mod_p(IntPolynomial(coeffs), 7, 1)
         with pytest.raises(ValueError):
-            certify_s5(IntPolynomial(coeffs), 200, 1, lambda n: [])
+            certify_s5(IntPolynomial(coeffs), [7], lambda n: [])
 
 
 def _good_primes(disc, count):
@@ -695,9 +695,20 @@ def test_certify_reducible_inconclusive():
 
 def test_certify_degree_precondition():
     with pytest.raises(ValueError):
-        certify_s5(IntPolynomial([1, 0, 0, 0, 1]), 200, 1, lambda n: [])
-    with pytest.raises(ValueError, match="discriminant vanishes"):
-        certify_s5(IntPolynomial([0, 0, 0, 0, 0, 1]), 200, 0, lambda n: [])
+        certify_s5(IntPolynomial([1, 0, 0, 0, 1]), [7], lambda n: [])
+
+
+def test_certify_reads_only_the_primes_it_is_handed(monkeypatch):
+    # the caller filters the budget's primes; certify_s5 sieves none and
+    # takes the i-th pattern as the one at the i-th prime it was handed
+    def no_sieve(count):
+        raise AssertionError("certify_s5 sieved primes")
+    monkeypatch.setattr(numtheory, "first_primes", no_sieve)
+    assert certify_s5(X5_X_1, [7, 11, 13],
+                      lambda n: [(2, 3), (5,), (1, 1, 1, 2)]) \
+        == numtheory.S5Certificate("Certified", 11, 13, 3)
+    assert certify_s5(X5_X_1, [7, 11], lambda n: [(5,), (1, 4)]) \
+        == numtheory.S5Certificate("Inconclusive", 7, None, 2)
 
 
 def _times_linear(r, g_desc):
@@ -746,7 +757,8 @@ def test_certify_rooted_height_two_box_matches_full_scan(monkeypatch):
             want = certify_s5_full_scan(f, budget, pattern=at.__getitem__)
             assert want.status == "Inconclusive"
             transpositions += want.transposition_witness is not None
-            cert = certify_s5(f, budget, disc, lambda n: patterns)
+            handed = [p for p in first_primes(budget) if disc % p]
+            cert = certify_s5(f, handed, lambda n: patterns)
             assert cert == want, (coeffs, budget)
             field = QuinticField(f, prime_budget=budget)
             assert field.certificate == want, (coeffs, budget)
