@@ -63,10 +63,11 @@ import json
 import math
 import os
 import sys
+from bisect import bisect_left
 from collections import namedtuple
 from contextlib import suppress
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -117,7 +118,7 @@ class QuinticField:
     def __init__(self, poly: IntPolynomial, label: Optional[str] = None,
                  prime_budget: int = DEFAULT_PRIME_BUDGET,
                  disc: Optional[int] = None):
-        if poly.degree != 5 or poly.lc != 1:
+        if len(poly.coeffs) != 6 or poly.coeffs[5] != 1:
             raise ValueError("expected a monic quintic")
         if disc is None:
             disc = poly_discriminant(poly)
@@ -227,15 +228,18 @@ class QuinticField:
         }
 
     @staticmethod
-    def from_record(rec: dict) -> "QuinticField":
-        """Rebuild without recomputing anything; the stream is decoded
-        from the fingerprint's codes only when it must grow, so an audit
-        computes only its own patterns."""
+    def from_record(rec: dict, label: Optional[str] = None
+                    ) -> "QuinticField":
+        """Rebuild without recomputing anything, labelled `label` when
+        given and else as the record is; the stream is decoded from the
+        fingerprint's codes only when it must grow, so an audit computes
+        only its own patterns."""
         self = QuinticField(IntPolynomial.descending(rec["coeffs"]),
-                            rec["label"], rec["prime_budget"], rec["disc"])
+                            rec["label"] if label is None else label,
+                            rec["prime_budget"], rec["disc"])
         self.signature = tuple(rec["signature"])
-        self.resolvent = ResolventData(*rec["resolvent"])
-        self.certificate = S5Certificate(*rec["s5"])
+        self.resolvent = ResolventData._make(rec["resolvent"])
+        self.certificate = S5Certificate._make(rec["s5"])
         self.fingerprint = tuple(rec["fingerprint"])
         self._patterns = None
         return self
@@ -252,6 +256,7 @@ _UNVERSIONED_KEYS = frozenset(("coeffs", "label", "disc", "signature",
                                "prime_budget", "trial_bound"))
 _RECORD_KEYS = _UNVERSIONED_KEYS | {"version"}
 _STALE: dict = {}           # _record_of's answer for a stale line
+_decode = json.JSONDecoder().raw_decode
 _sha256 = None              # hashlib.sha256, bound by the first FieldCache
 
 
@@ -267,8 +272,11 @@ def _record_of(line: str) -> Optional[dict]:
     if _sha256(text.encode("utf-8")).hexdigest() != digest:
         return None
     try:
-        rec = json.loads(text)
+        rec, end = _decode(text)
     except json.JSONDecodeError:
+        return None
+    # json.loads takes trailing whitespace, and nothing else, past the value
+    if text[end:].strip(" \t\n\r"):
         return None
     if rec.get("version") == CACHE_VERSION:
         return rec if rec.keys() == _RECORD_KEYS else None
@@ -322,11 +330,10 @@ class FieldCache:
         records = 0
         with open(self.path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
                 rec = _record_of(line)
                 if rec is None:
-                    self.corrupt_lines.append(lineno)
+                    if line.strip():        # a blank line is no record
+                        self.corrupt_lines.append(lineno)
                 elif rec is _STALE:
                     self.stale_lines.append(lineno)
                 else:
@@ -360,16 +367,17 @@ class FieldCache:
     def __exit__(self, *exc):
         self.close()
 
-    def get(self, coeffs, prime_budget: int = DEFAULT_PRIME_BUDGET
-            ) -> Optional[QuinticField]:
-        """The record for coeffs, if it was derived with this prime budget
-        and DEFAULT_TRIAL_BOUND; a record made under other parameters is
-        a miss, so it is never served."""
+    def get(self, coeffs, prime_budget: int = DEFAULT_PRIME_BUDGET,
+            label: Optional[str] = None) -> Optional[QuinticField]:
+        """The field of the record for coeffs, if it was derived with this
+        prime budget and DEFAULT_TRIAL_BOUND, labelled `label` when given
+        and else with the record's label; a record made under other
+        parameters is a miss, so it is never served."""
         rec = self._by_coeffs.get(tuple(coeffs))
         if rec is None or rec["prime_budget"] != prime_budget \
                 or rec["trial_bound"] != DEFAULT_TRIAL_BOUND:
             return None
-        return QuinticField.from_record(rec)
+        return QuinticField.from_record(rec, label)
 
     def __len__(self):
         return len(self._by_coeffs)
@@ -382,11 +390,13 @@ def field_from_coeffs(coeffs, label: Optional[str] = None,
     """Construct a field, serving it from the cache when a record with
     the same parameters exists; a miss derives everything, whatever the
     certificate decides, and stores the record, which then replaces any
-    older one.  disc, when given, is the caller's own discriminant, as
-    for QuinticField.  This is the only path in or out of a cache: table
+    older one.  A hit keeps the caller's label, when one is given, not
+    the record's, so a field is labelled alike with or without a cache.
+    disc, when given, is the caller's own discriminant, as for
+    QuinticField.  This is the only path in or out of a cache: table
     rows and enumerated candidates alike."""
     if cache is not None:
-        hit = cache.get(coeffs, prime_budget)
+        hit = cache.get(coeffs, prime_budget, label)
         if hit is not None:
             return hit
     field = QuinticField(IntPolynomial.descending(coeffs), label, prime_budget,
@@ -425,11 +435,19 @@ def ingest_fields(path, fmt: str = "csv",
                 continue
             try:
                 if fmt == "csv":
-                    parts = line.split(",")
-                    if len(parts) != 7:
+                    label, _, cells = line.partition(",")
+                    parts = cells.split(",")
+                    if len(parts) != 6:
                         raise ValueError("expected label plus 6 coefficients")
-                    label = parts[0].strip() or None
-                    coeffs = [parse_int(x) for x in parts[1:]]
+                    label = label.strip() or None
+                    try:
+                        # int reads an ASCII cell without "_" as parse_int
+                        # does, or refuses it, and parse_int then says why
+                        if not cells.isascii() or "_" in cells:
+                            raise ValueError
+                        coeffs = list(map(int, parts))
+                    except ValueError:
+                        coeffs = [parse_int(x) for x in parts]
                 else:
                     obj = json.loads(line)
                     if not isinstance(obj, dict):
@@ -459,19 +477,13 @@ def ingest_fields(path, fmt: str = "csv",
 
 
 def _shift_desc(coeffs: tuple[int, ...], c: int) -> tuple[int, ...]:
-    """Coefficients of f(x + c), descending input and output."""
-    asc = list(reversed(coeffs))
-    acc = [0] * len(asc)
-    cur = [1]
-    for a in asc:
-        for i, t in enumerate(cur):
-            acc[i] += a * t
-        nxt = [0] * (len(cur) + 1)
-        for i, t in enumerate(cur):
-            nxt[i] += c * t
-            nxt[i + 1] += t
-        cur = nxt
-    return tuple(reversed(acc))
+    """Coefficients of f(x + c), descending input and output, by Horner's
+    Taylor shift in place: pass k leaves the last k of them final."""
+    a = list(coeffs)
+    for end in range(len(a) - 1, 0, -1):
+        for i in range(1, end + 1):
+            a[i] += c * a[i - 1]
+    return tuple(a)
 
 
 def _moves(coeffs: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -649,18 +661,19 @@ def scan(curve: CurveData, fields: Iterable[QuinticField],
     edges = [int(x) for x in bucket_edges]
     if not edges or any(a >= b for a, b in zip(edges, edges[1:])):
         raise ValueError("bucket edges must be strictly ascending, nonempty")
-    stats = [[0, 0, 0] for _ in edges]
+    # counts in each field's first bucket, summed into the others at the end
+    n = len(edges)
+    total, admitted, odd = ([0] * n for _ in range(3))
     for field in fields:
-        ad = abs(field.disc)
-        if ad > edges[-1]:
+        i = bisect_left(edges, abs(field.disc))
+        if i == n:
             continue
         cert = certify_pair(curve, field)
-        for i, x in enumerate(edges):
-            if ad <= x:
-                stats[i][0] += 1
-                if cert.admissible:
-                    stats[i][1] += 1
-                    if cert.growth == "Certified":
-                        stats[i][2] += 1
+        total[i] += 1
+        if cert.admissible:
+            admitted[i] += 1
+            if cert.growth == "Certified":
+                odd[i] += 1
+    sums = zip(accumulate(total), accumulate(admitted), accumulate(odd))
     return ScanReport(curve.label, tuple(
-        BucketStat(x, *row) for x, row in zip(edges, stats)))
+        BucketStat(x, *row) for x, row in zip(edges, sums)))

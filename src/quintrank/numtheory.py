@@ -61,7 +61,7 @@ def parse_int(text: str) -> int:
 # -- polynomials -------------------------------------------------------------
 
 
-def _trim(coeffs: list) -> tuple:
+def _trim(coeffs) -> tuple:
     n = len(coeffs)
     while n and coeffs[n - 1] == 0:
         n -= 1
@@ -75,7 +75,10 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", _trim([int(c) for c in coeffs]))
+        coeffs = tuple(map(int, coeffs))
+        if coeffs and not coeffs[-1]:
+            coeffs = _trim(coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, *_):
         raise AttributeError("IntPolynomial is immutable")
@@ -94,7 +97,7 @@ class IntPolynomial:
 
     @staticmethod
     def descending(coeffs) -> "IntPolynomial":
-        return IntPolynomial(list(reversed(list(coeffs))))
+        return IntPolynomial(tuple(coeffs)[::-1])
 
     @property
     def degree(self) -> int:

@@ -140,12 +140,15 @@ def admissible(curve: CurveData, field) -> Admissibility:
         reasons.append(REASON_EVEN)
     if field.signature[0] != 1:
         reasons.append(REASON_SIGNATURE)
-    if any(field.disc % p == 0 for p, _ in curve.factorization):
-        reasons.append(REASON_RAMIFIED)
+    disc = field.disc
+    for p, _ in curve.factorization:
+        if disc % p == 0:
+            reasons.append(REASON_RAMIFIED)
+            break
     for p, e in curve.factorization:
         # an additive prime splits when (disc f|p) = 1; ramified ones,
         # where the symbol is 0, are already reported above
-        if e >= 2 and kronecker_symbol(field.disc, p) == -1:
+        if e >= 2 and kronecker_symbol(disc, p) == -1:
             reasons.append(REASON_NONSPLIT)
             break
     return Admissibility(not reasons, tuple(reasons))
@@ -160,7 +163,6 @@ def certify_pair(curve: CurveData, field) -> ParityCertificate:
                                  adm.reasons, None, None, "Unknown")
     chi = kronecker_symbol(field.disc, -curve.conductor)
     odd = chi == -1
-    return ParityCertificate(
-        curve=curve.label, field=field.label, admissible=True, reasons=(),
-        chi=chi, parity="Odd" if odd else "Even",
-        growth="Certified" if odd else "Unknown")
+    return ParityCertificate(curve.label, field.label, True, (), chi,
+                             "Odd" if odd else "Even",
+                             "Certified" if odd else "Unknown")

@@ -29,7 +29,8 @@ equations, group tables from every pairwise product, integer roots
 by trying the divisors of a0, quintic enumeration by deriving every
 vector of the coefficient box, a whole scan of a small box (its kept
 fields and buckets) from the routines here alone, mirror/reciprocal
-orbits by transforming the polynomial itself, and cache lines in the
+orbits by transforming the polynomial itself, Taylor shifts f(x + c)
+by summing multiples of the powers of (x + c), and cache lines in the
 unversioned layout by re-signing a record.  It
 also holds the test-only cyclic groups, direct products and full
 homomorphism check of a representation, and the modular group of
@@ -1120,6 +1121,23 @@ def quintic_orbit(coeffs):
         if grown == orbit:
             return orbit
         orbit = grown
+
+
+def shift_desc_binomial(coeffs, c: int) -> tuple:
+    """Coefficients of f(x + c), descending input and output: each
+    a_k (x + c)^k expanded by building the powers of (x + c) in turn."""
+    asc = list(reversed(coeffs))
+    acc = [0] * len(asc)
+    cur = [1]
+    for a in asc:
+        for i, t in enumerate(cur):
+            acc[i] += a * t
+        nxt = [0] * (len(cur) + 1)
+        for i, t in enumerate(cur):
+            nxt[i] += c * t
+            nxt[i + 1] += t
+        cur = nxt
+    return tuple(reversed(acc))
 
 
 @lru_cache(maxsize=None)

@@ -16,6 +16,7 @@ from oracles import (
     divisor_integer_root,
     enumerate_full_box,
     quintic_orbit,
+    shift_desc_binomial,
     sturm_root_count,
     subresultant_discriminant,
     unversioned_cache_line,
@@ -40,6 +41,7 @@ from quintrank.numtheory import (
     IntPolynomial,
     factor_pattern_mod_p,
     first_primes,
+    parse_int,
     poly_discriminant,
 )
 from quintrank.rankgrowth import CurveData
@@ -403,6 +405,20 @@ def test_shifted_polynomial_merges():
     assert kept == [f]
 
 
+def test_taylor_shift_matches_the_binomial_oracle():
+    for tail in product(range(-3, 4), repeat=5):
+        coeffs = (1,) + tail
+        for c in range(-6, 7):
+            assert fieldscan._shift_desc(coeffs, c) \
+                == shift_desc_binomial(coeffs, c)
+    rng = random.Random(40)
+    for _ in range(200):
+        coeffs = tuple(10 ** 4 + rng.randint(-50, 50) for _ in range(6))
+        c = rng.randint(-10 ** 4 - 50, 10 ** 4 + 50)
+        assert fieldscan._shift_desc(coeffs, c) \
+            == shift_desc_binomial(coeffs, c)
+
+
 def test_reciprocal_then_shift_merges_without_audit(monkeypatch):
     def no_audit(self):
         raise AssertionError("audited a merge that a move proves")
@@ -711,6 +727,51 @@ def test_ingest_jsonl(tmp_path):
     assert [lineno for lineno, _ in errs] == [2, 4, 5, 6, 7, 8, 9, 10, 11, 12]
 
 
+def test_csv_fast_path_reads_cells_as_parse_int_does(tmp_path, monkeypatch):
+    # rows of ASCII cells without "_" are read by int, the others (and
+    # those int refuses) by parse_int: a cell means what parse_int says
+    cells = [" 007 ", "\t-3\t", "+3", "\u00a05\u00a0", "\u20035\u2003",
+             "1_0", "\u0661", "\uff11", "+", "--1", "0x10", "\u00b2"]
+    table = tmp_path / "fields.csv"
+    table.write_text("".join(f"r{i},1,0,0,0,-1,{cell}\n"
+                             for i, cell in enumerate(cells)),
+                     encoding="utf-8")
+    want_fields, want_errs = [], []
+    for lineno, cell in enumerate(cells, 1):
+        try:
+            a0 = parse_int(cell)
+        except ValueError as exc:
+            want_errs.append((lineno, str(exc)))
+        else:
+            want_fields.append((f"r{lineno - 1}", (1, 0, 0, 0, -1, a0)))
+    assert len(want_fields) == 5 and len(want_errs) == 7
+    calls = []
+    monkeypatch.setattr(fieldscan, "parse_int",
+                        lambda text: calls.append(text) or parse_int(text))
+    errs, on_error = collect_errors()
+    got = [(f.label, f.coeffs)
+           for f in ingest_fields(table, "csv", on_error=on_error)]
+    assert got == want_fields and errs == want_errs
+    assert [coeffs[-1] for _, coeffs in got] == [7, -3, 3, 5, 5]
+    # the three rows int reads never reached parse_int, the other nine
+    # did (the line is stripped first, so a0 loses its trailing padding)
+    assert len(calls) == 9 * 6 \
+        and calls[5::6] == [cell.rstrip() for cell in cells[3:]]
+    calls.clear()
+    table.write_text("r, 1 ,\t0\t, +0 ,-0,-1 ,-1\n", encoding="utf-8")
+    assert [f.coeffs for f in ingest_fields(table, "csv")] \
+        == [(1, 0, 0, 0, -1, -1)] and calls == []
+    # whatever int accepts of ASCII without "_", parse_int reads alike
+    for n in range(4):
+        for cell in map("".join, product(" \t\n\v\f\r\x1c\x1f+-019x.",
+                                         repeat=n)):
+            try:
+                value = int(cell)
+            except ValueError:
+                continue
+            assert parse_int(cell) == value
+
+
 def test_ingest_empty_and_bad_format(tmp_path):
     table = tmp_path / "empty.csv"
     table.write_text("")
@@ -879,9 +940,10 @@ GOLDEN_LINE = (
     'on":2}\n')
 
 
-def signed_line(rec: dict) -> str:
-    """rec as a cache line with a checksum that matches it."""
-    text = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+def signed_line(rec: dict, tail: str = "") -> str:
+    """rec as a cache line with a checksum that matches it, with tail
+    after the record's text and under the checksum."""
+    text = json.dumps(rec, sort_keys=True, separators=(",", ":")) + tail
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return '{"checksum":"' + digest + '",' + text[1:] + "\n"
 
@@ -982,6 +1044,63 @@ def test_cache_record_without_every_key_is_corrupt(tmp_path):
         assert cache.get(rec["coeffs"]) is None
         assert field_from_coeffs(rec["coeffs"], cache=cache).disc == 2869
     assert FieldCache(store).get(rec["coeffs"]).disc == 2869
+
+
+def test_record_text_is_decoded_as_json_loads_does(tmp_path):
+    # trailing whitespace after the record is served; trailing text or a
+    # second object makes the line corrupt, whatever its checksum says
+    rec = field_of(1, 0, 0, 0, -1, -1, label="padded").to_record()
+    store = tmp_path / "cache.jsonl"
+    store.write_text(signed_line(rec, "   "), encoding="utf-8")
+    cache = FieldCache(store)
+    assert cache.corrupt_lines == [] and cache.get(rec["coeffs"]).label \
+        == "padded"
+    for tail in (" x", '{"disc":1}', "}"):
+        store.write_text(signed_line(rec, tail), encoding="utf-8")
+        cache = FieldCache(store)
+        assert cache.corrupt_lines == [1] and len(cache) == 0
+
+
+def test_served_records_pass_the_field_checks(tmp_path):
+    # a checksummed record is rebuilt through QuinticField's constructor,
+    # so it refuses a non-monic quintic and a zero discriminant
+    rec = field_of(1, 0, 0, 0, -1, -1).to_record()
+    non_monic = dict(rec, coeffs=[2, 0, 0, 0, -1, -1])
+    store = tmp_path / "cache.jsonl"
+    store.write_text(signed_line(non_monic) + signed_line(dict(rec, disc=0)),
+                     encoding="utf-8")
+    with FieldCache(store) as cache:
+        assert cache.corrupt_lines == [] and len(cache) == 2
+        with pytest.raises(ValueError, match="expected a monic quintic") \
+                as refused:
+            field_from_coeffs(non_monic["coeffs"], cache=cache)
+        assert not isinstance(refused.value, NotSeparable)
+        with pytest.raises(NotSeparable):
+            field_from_coeffs(rec["coeffs"], cache=cache)
+
+
+def test_a_cache_hit_keeps_the_callers_label(tmp_path):
+    table = tmp_path / "fields.csv"
+    rows = "flagship,1,0,0,0,-1,-1\nrepeat,1,0,0,0,-1,-1\n,1,0,0,0,-4,2\n"
+    table.write_text(rows, encoding="utf-8")
+    store = tmp_path / "cache.jsonl"
+
+    def labels(cache=None):
+        return [f.label for f in ingest_fields(table, cache=cache)]
+
+    want = ["flagship", "repeat", "x^5 - 4*x + 2"]
+    assert labels() == want
+    with FieldCache(store) as cache:
+        assert labels(cache) == want            # cold: repeat is a hit
+    cold = store.read_bytes()
+    with FieldCache(store) as cache:
+        assert labels(cache) == want            # warm
+    table.write_text(rows.replace("flagship", "renamed"), encoding="utf-8")
+    with FieldCache(store) as cache:
+        assert labels(cache) == ["renamed", "repeat", "x^5 - 4*x + 2"]
+        # without a label, get serves the record's
+        assert cache.get((1, 0, 0, 0, -1, -1)).label == "flagship"
+    assert store.read_bytes() == cold
 
 
 @pytest.fixture(scope="module")
