@@ -5,7 +5,8 @@ Submodules:
     cocycles   2-cocycles, Clifford/Pin lifts of symmetric groups, extensions
     icosians   unit quaternion groups, isomorphism search, double covers and
                the standard-rep checks in Z[phi]
-    reps       float representations, tensor induction, reducibility tests
+    reps       icosians' unit groups and double covers as float matrices,
+               tensor induction, reducibility tests
     numtheory  Kronecker symbols, discriminants, root counts, S5 certification
     rankgrowth parity certificates for rank growth of elliptic curves
     fieldscan  quintic field enumeration, dedup, scanning, caching

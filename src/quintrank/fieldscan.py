@@ -231,11 +231,10 @@ class QuinticField:
     def from_record(rec: dict, label: Optional[str] = None
                     ) -> "QuinticField":
         """Rebuild without recomputing anything, labelled `label` when
-        given and else as the record is; the stream is decoded from the
-        fingerprint's codes only when it must grow, so an audit computes
-        only its own patterns."""
-        self = QuinticField(IntPolynomial.descending(rec["coeffs"]),
-                            rec["label"] if label is None else label,
+        given and else str(poly), never with the record's label; the
+        stream is decoded from the fingerprint's codes only when it must
+        grow, so an audit computes only its own patterns."""
+        self = QuinticField(IntPolynomial.descending(rec["coeffs"]), label,
                             rec["prime_budget"], rec["disc"])
         self.signature = tuple(rec["signature"])
         self.resolvent = ResolventData._make(rec["resolvent"])
@@ -370,9 +369,9 @@ class FieldCache:
     def get(self, coeffs, prime_budget: int = DEFAULT_PRIME_BUDGET,
             label: Optional[str] = None) -> Optional[QuinticField]:
         """The field of the record for coeffs, if it was derived with this
-        prime budget and DEFAULT_TRIAL_BOUND, labelled `label` when given
-        and else with the record's label; a record made under other
-        parameters is a miss, so it is never served."""
+        prime budget and DEFAULT_TRIAL_BOUND, labelled as from_record
+        labels it; a record made under other parameters is a miss, so it
+        is never served."""
         rec = self._by_coeffs.get(tuple(coeffs))
         if rec is None or rec["prime_budget"] != prime_budget \
                 or rec["trial_bound"] != DEFAULT_TRIAL_BOUND:
@@ -390,7 +389,7 @@ def field_from_coeffs(coeffs, label: Optional[str] = None,
     """Construct a field, serving it from the cache when a record with
     the same parameters exists; a miss derives everything, whatever the
     certificate decides, and stores the record, which then replaces any
-    older one.  A hit keeps the caller's label, when one is given, not
+    older one.  A hit takes the caller's label, or else str(poly), never
     the record's, so a field is labelled alike with or without a cache.
     disc, when given, is the caller's own discriminant, as for
     QuinticField.  This is the only path in or out of a cache: table

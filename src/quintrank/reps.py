@@ -12,10 +12,11 @@ tolerances, 1e-8 for entrywise matrix comparisons and 1e-6 for
 character values that must round to integers.  In
 ``verify_standard_rep`` the floats only display deviations.
 
-The main constructions: the tautological 2-dimensional representation
-of the icosian and Hurwitz unit groups, tensor induction along a coset
-system, and the reducibility criterion for an index-2 tensor induction
-of a 2-dimensional representation via dual-twist character matching.
+The main constructions: ``cover_rep``, the tautological 2-dimensional
+representation of the preimage of A_n in ``icosians.double_cover(n)``
+(this module keeps no group or double cover of its own), tensor
+induction along a coset system, and the reducibility criterion for an
+index-2 tensor induction via dual-twist character matching.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ FLOAT_COORDINATE = {
 # kept so that callers and the benchmark's tracer still find them.
 ClosureFailure = icosians.ClosureFailure
 find_isomorphism = icosians.find_isomorphism
+icosian_group = icosians.icosian_group
 pin_cocycle_sn = cocycles.pin_cocycle_sn
 
 # Representation images are plain complex ndarrays; for genuine
@@ -153,27 +155,6 @@ def _tautological_matrix(q) -> np.ndarray:
 def float_quaternion(q) -> tuple[float, ...]:
     """The float coordinates of an exact unit of ``icosians``."""
     return tuple(FLOAT_COORDINATE[x] for x in q)
-
-
-def _tautological_rep(G: FiniteGroup) -> Representation:
-    """The 2-dimensional representation of a group of exact unit
-    quaternions, from the floats of its elements' coordinates."""
-    return Representation(G, np.stack(
-        [_tautological_matrix(float_quaternion(q)) for q in G.elems]), 2)
-
-
-@lru_cache(maxsize=None)
-def hurwitz_unit_group() -> tuple[FiniteGroup, Representation]:
-    """The 24 Hurwitz units: the binary tetrahedral group."""
-    G = icosians.hurwitz_unit_group()
-    return G, _tautological_rep(G)
-
-
-@lru_cache(maxsize=None)
-def icosian_group() -> tuple[FiniteGroup, Representation]:
-    """The 120 unit icosians: the binary icosahedral group."""
-    G = icosians.icosian_group()
-    return G, _tautological_rep(G)
 
 
 # -- tensor induction --------------------------------------------------------
@@ -299,64 +280,36 @@ def dual_twist_reducibility(cs: CosetSystem, theta: int,
 
 # -- the quintic double-cover pipeline ---------------------------------------
 
-@dataclass(frozen=True)
-class DoubleCoverData:
-    """A double cover of S_n with its index-2 preimage of A_n
-    identified with a group of quaternion units."""
-
-    extension: object            # cocycles.CentralExtension
-    coset_system: CosetSystem
-    subgroup_group: FiniteGroup
-    rho: Representation          # transported tautological icosian rep
-    transposition_lifts: tuple[int, ...]
-
-
 @lru_cache(maxsize=None)
-def _double_cover(n: int) -> DoubleCoverData:
-    """The double cover of S_n from the Pin cocycle, n = 4 or 5, with
-    the preimage of A_n identified with the Hurwitz units (n = 4) or the
-    icosian group (n = 5): ``icosians.double_cover``, with the units'
-    float representation transported along its isomorphism."""
+def cover_rep(n: int) -> Representation:
+    """The 2-dimensional representation of the preimage of A_n in
+    ``icosians.double_cover(n)``, n = 4 or 5: subgroup label q maps to
+    the tautological matrix of the floats of its unit ``phi[q]``."""
     cover = icosians.double_cover(n)
-    _, unit_rep = hurwitz_unit_group() if n == 4 else icosian_group()
-    rho = Representation(cover.subgroup_group,
-                         unit_rep.images[list(cover.phi)], 2)
-    return DoubleCoverData(cover.extension, cover.coset_system,
-                           cover.subgroup_group, rho,
-                           cover.transposition_lifts)
-
-
-def omega5_data() -> DoubleCoverData:
-    """The order-240 double cover of S5 with its preimage of A5
-    identified with the icosian group."""
-    return _double_cover(5)
-
-
-def binary_octahedral_data() -> DoubleCoverData:
-    """The order-48 double cover of S4 with its preimage of A4 identified
-    with the Hurwitz units."""
-    return _double_cover(4)
+    units = cover.units.elems
+    return Representation(cover.subgroup_group, np.stack(
+        [_tautological_matrix(float_quaternion(units[i]))
+         for i in cover.phi]), 2)
 
 
 def criterion_catalog() -> list[dict]:
     """Named (coset system, theta, rho) instances with exceptional
     projective image, for exercising the reducibility criterion."""
     out = []
-    oct_data = binary_octahedral_data()
-    theta4 = oct_data.transposition_lifts[0]
-    for i, lam in enumerate(linear_characters(oct_data.subgroup_group)):
+    octa, octa_rep = icosians.double_cover(4), cover_rep(4)
+    for i, lam in enumerate(linear_characters(octa.subgroup_group)):
         out.append({
             "name": f"binary-octahedral-twist{i}",
-            "cs": oct_data.coset_system,
-            "theta": theta4,
-            "rho": oct_data.rho.twist(lam.values),
+            "cs": octa.coset_system,
+            "theta": octa.transposition_lifts[0],
+            "rho": octa_rep.twist(lam.values),
         })
-    ico = omega5_data()
+    ico = icosians.double_cover(5)
     out.append({
         "name": "icosian",
         "cs": ico.coset_system,
         "theta": ico.transposition_lifts[0],
-        "rho": ico.rho,
+        "rho": cover_rep(5),
     })
     return out
 
@@ -374,11 +327,11 @@ def verify_standard_rep() -> dict:
     ``icosians.standard_rep_checks``; the "computed" strings show the
     deviations of the float matrices."""
     exact = icosians.standard_rep_checks()
-    data = omega5_data()
-    ext, cs = data.extension, data.coset_system
+    cover = icosians.double_cover(5)
+    ext, lifts = cover.extension, cover.transposition_lifts
     E = ext.group
     S5 = symmetric_group(5)
-    induced = tensor_induction(cs, data.rho)
+    induced = tensor_induction(cover.coset_system, cover_rep(5))
 
     z = ext.central[1]
     dev = float(np.abs(induced.images[z] - np.eye(4)).max())
@@ -386,8 +339,8 @@ def verify_standard_rep() -> dict:
     fixm1 = np.array([S5.elems[ext.projection[l]].fixed_points() - 1
                       for l in range(E.order)])
     cdev = float(np.abs(traces - fixm1).max())
-    tdev = float(max(abs(traces[l] - 2) for l in data.transposition_lifts))
-    coeffs = np.poly(induced.images[data.transposition_lifts[0]])
+    tdev = float(max(abs(traces[l] - 2) for l in lifts))
+    coeffs = np.poly(induced.images[lifts[0]])
     pdev = float(np.abs(coeffs - [1.0, -2.0, 0.0, 2.0, -1.0]).max())
 
     checks = [
@@ -402,7 +355,7 @@ def verify_standard_rep() -> dict:
         {"name": "trace 2 at all transposition lifts",
          "expected": "2",
          "computed": f"max deviation {tdev:.3e} over "
-                     f"{len(data.transposition_lifts)} lifts"},
+                     f"{len(lifts)} lifts"},
         {"name": "transposition lift has charpoly (x-1)^3 (x+1)",
          "expected": "coefficients [1, -2, 0, 2, -1]",
          "computed": f"max deviation {pdev:.3e}"},

@@ -31,6 +31,7 @@ from quintrank.cocycles import (
     verify_cocycle,
 )
 from quintrank.fieldscan import QuinticField, enumerate_quintics, scan
+from quintrank.icosians import double_cover
 from quintrank.groups import (
     CosetSystem,
     alternating_group,
@@ -47,10 +48,9 @@ from quintrank.numtheory import (
 )
 from quintrank.rankgrowth import CurveData, admissible, certify_pair
 from quintrank.reps import (
-    binary_octahedral_data,
+    cover_rep,
     criterion_catalog,
     dual_twist_reducibility,
-    omega5_data,
     tensor_induction,
     verify_standard_rep,
 )
@@ -117,10 +117,10 @@ def test_criterion_03_standard_representation():
 
 def test_criterion_04_tensor_induction_forms():
     worst_closed = worst_trace = worst_char = 0.0
-    for data_fn in (omega5_data, binary_octahedral_data):
-        data = data_fn()
+    for n in (5, 4):
+        data = double_cover(n)
         G = data.extension.group
-        rho = data.rho
+        rho = cover_rep(n)
         cs = data.coset_system
         theta = data.transposition_lifts[0]
         cs1 = CosetSystem.build(G, cs.subgroup, reps=(0, theta))
@@ -227,8 +227,8 @@ def test_criterion_08_transfer_triviality():
     worst_det = 0.0
     rechoice_ok = True
     target_factors = {}
-    for data_fn in (omega5_data, binary_octahedral_data):
-        data = data_fn()
+    for n in (5, 4):
+        data = double_cover(n)
         G = data.extension.group
         cs = data.coset_system
         tm = transfer(cs)
@@ -238,12 +238,12 @@ def test_criterion_08_transfer_triviality():
             _, qs = coset_factorization(cs, g)
             det = 1.0 + 0.0j
             for q in qs:
-                det *= np.linalg.det(data.rho.images[pos[q]])
+                det *= np.linalg.det(cover_rep(n).images[pos[q]])
             worst_det = max(worst_det, abs(det - 1.0))
         cs2 = CosetSystem.build(G, cs.subgroup,
                                 reps=(0, data.transposition_lifts[1]))
         rechoice_ok = rechoice_ok and transfer(cs2).values == tm.values
-    tm5 = transfer(omega5_data().coset_system)
+    tm5 = transfer(double_cover(5).coset_system)
     trivial = all(v == tm5.target_ab.zero for v in tm5.values)
     ok = worst_det <= 1e-8 and rechoice_ok and trivial
     _report(8, ok, f"det-of-transfer dev {worst_det:.1e}, values trivial on "

@@ -983,7 +983,7 @@ def test_cache_line_is_checksum_then_the_record_text(tmp_path):
     with FieldCache(store) as cache:
         cache.put(field_of(1, 0, 0, 0, -1, -1, label="é ✓"))
     assert store.read_text(encoding="utf-8") == signed_line(rec)
-    assert FieldCache(store).get((1, 0, 0, 0, -1, -1)).label == "é ✓"
+    assert FieldCache(store).get((1, 0, 0, 0, -1, -1)).label == "x^5 - x - 1"
 
 
 def test_record_keys_carry_the_version_after_the_checksum():
@@ -1054,7 +1054,7 @@ def test_record_text_is_decoded_as_json_loads_does(tmp_path):
     store.write_text(signed_line(rec, "   "), encoding="utf-8")
     cache = FieldCache(store)
     assert cache.corrupt_lines == [] and cache.get(rec["coeffs"]).label \
-        == "padded"
+        == "x^5 - x - 1"
     for tail in (" x", '{"disc":1}', "}"):
         store.write_text(signed_line(rec, tail), encoding="utf-8")
         cache = FieldCache(store)
@@ -1098,9 +1098,30 @@ def test_a_cache_hit_keeps_the_callers_label(tmp_path):
     table.write_text(rows.replace("flagship", "renamed"), encoding="utf-8")
     with FieldCache(store) as cache:
         assert labels(cache) == ["renamed", "repeat", "x^5 - 4*x + 2"]
-        # without a label, get serves the record's
-        assert cache.get((1, 0, 0, 0, -1, -1)).label == "flagship"
+        # without a label, get serves str(poly), not the record's
+        assert cache.get((1, 0, 0, 0, -1, -1)).label == "x^5 - x - 1"
     assert store.read_bytes() == cold
+
+
+def test_an_unlabelled_row_is_labelled_alike_with_or_without_a_cache(
+        tmp_path):
+    # the second row's field is a hit on the record the first row wrote,
+    # and takes its own str(poly) label, not the record's "flagship"
+    table = tmp_path / "fields.csv"
+    table.write_text("flagship,1,0,0,0,-1,-1\n,1,0,0,0,-1,-1\n",
+                     encoding="utf-8")
+    store = tmp_path / "cache.jsonl"
+
+    def labels(cache=None):
+        return [f.label for f in ingest_fields(table, cache=cache)]
+
+    want = ["flagship", "x^5 - x - 1"]
+    assert labels() == want
+    for _ in ("cold", "warm"):
+        with FieldCache(store) as cache:
+            assert labels(cache) == want
+    assert json.loads(store.read_text(encoding="utf-8"))["label"] \
+        == "flagship"
 
 
 @pytest.fixture(scope="module")

@@ -28,7 +28,7 @@ from quintrank.groups import (
     symmetric_group,
     transfer,
 )
-from quintrank.reps import hurwitz_unit_group, icosian_group, omega5_data
+from quintrank.icosians import double_cover, hurwitz_unit_group, icosian_group
 
 
 def brute_closure(gens):
@@ -198,13 +198,13 @@ def _digest(G):
     pytest.param(lambda: symmetric_group(3), (1, 2),
                  "485d0e131f30142670a680556007633b4447b57705c3e3612b50fb6f5a1291ad",
                  id="S3"),
-    pytest.param(lambda: icosian_group()[0], (33, 35),
+    pytest.param(icosian_group, (33, 35),
                  "8c609ef42e7e855dde6a28011b40ea52232fff96a2959469ad5b2c1fa3d9e10c",
                  id="icosian"),
-    pytest.param(lambda: hurwitz_unit_group()[0], (8, 9),
+    pytest.param(hurwitz_unit_group, (8, 9),
                  "7378dcb65da219b46676894c83d0ef5f35beea2a2b73c54fa95b1b82d5529d4d",
                  id="hurwitz"),
-    pytest.param(lambda: omega5_data().subgroup_group, (1, 6),
+    pytest.param(lambda: double_cover(5).subgroup_group, (1, 6),
                  "6db5062d745188ff396f20938215c160f9f8aaf4a8dc113abe0f9ed62557008a",
                  id="2A5"),
     pytest.param(lambda: symmetric_group(4).subgroup(_v4_labels())[0], (1, 2),
@@ -437,7 +437,7 @@ def test_center():
         return sorted(c[0] for c in G.conjugacy_classes() if len(c) == 1)
     assert center(symmetric_group(4)) == [0]
     assert center(cyclic_group(5)) == [0, 1, 2, 3, 4]
-    E = omega5_data().extension
+    E = double_cover(5).extension
     assert center(E.group) == sorted(E.central)
 
 

@@ -25,21 +25,23 @@ from quintrank.icosians import (CHARPOLY, HURWITZ_GENERATORS,
                                 standard_rep_checks)
 from quintrank.reps import (FLOAT_COORDINATE, Character, ClosureFailure,
                             DimensionOverflow, NonIntegral,
-                            PreconditionViolated, Representation,
-                            binary_octahedral_data, criterion_catalog,
-                            decomposition_profile, dual_twist_reducibility,
-                            float_quaternion, hurwitz_unit_group,
-                            icosian_group, inner_product, linear_characters,
-                            omega5_data, tensor_induction,
-                            verify_standard_rep)
+                            PreconditionViolated, Representation, cover_rep,
+                            criterion_catalog, decomposition_profile,
+                            dual_twist_reducibility, float_quaternion,
+                            inner_product, linear_characters,
+                            tensor_induction, verify_standard_rep)
 
 PHI = (1 + np.sqrt(5)) / 2
+
+# the double covers of S4 and S5, under the test ids the suite prints
+COVER_IDS = ["binary_octahedral_data", "omega5_data"]
+COVERS = pytest.mark.parametrize("n", [4, 5], ids=COVER_IDS)
 
 
 # -- quaternion groups -------------------------------------------------------
 
 def test_icosian_group_structure():
-    G, rep = icosian_group()
+    G = icosians.icosian_group()
     assert G.order == 120
     center = [c[0] for c in G.conjugacy_classes() if len(c) == 1]
     assert len(center) == 2 and 0 in center
@@ -52,7 +54,7 @@ def test_icosian_group_structure():
 
 
 def test_icosian_traces_land_in_golden_set():
-    _, rep = icosian_group()
+    rep = cover_rep(5)
     traces = np.trace(rep.images, axis1=1, axis2=2)
     assert np.abs(traces.imag).max() < 1e-9
     allowed = np.array([2, -2, 1, -1, 0, PHI, -PHI, PHI - 1, 1 - PHI])
@@ -61,7 +63,7 @@ def test_icosian_traces_land_in_golden_set():
 
 
 def test_icosian_rep_is_an_irreducible_homomorphism():
-    G, rep = icosian_group()
+    rep = cover_rep(5)
     assert is_homomorphism(rep)
     dets = np.linalg.det(rep.images)
     assert np.abs(dets - 1).max() < 1e-9
@@ -70,7 +72,7 @@ def test_icosian_rep_is_an_irreducible_homomorphism():
 
 
 def test_hurwitz_group_is_binary_tetrahedral():
-    G, rep = hurwitz_unit_group()
+    G, rep = icosians.hurwitz_unit_group(), cover_rep(4)
     assert G.order == 24
     assert is_homomorphism(rep)
     assert G.order_census()[2] == 1
@@ -113,16 +115,16 @@ def test_pure_closure_matches_the_numpy_closure(units, gens):
     assert G.generators == H.generators
 
 
-@pytest.mark.parametrize("floats, exact", [
-    (hurwitz_unit_group, icosians.hurwitz_unit_group),
-    (icosian_group, icosians.icosian_group)], ids=["hurwitz", "icosian"])
-def test_float_layer_keeps_the_exact_closure(floats, exact):
-    # the float view wraps the cached exact group, without a closure of
-    # its own, and its images are the tautological matrices of the
-    # floats that the view gives the exact coordinates
-    G, rep = floats()
-    assert G is exact()
-    a, b, c, d = np.array([float_quaternion(q) for q in G.elems]).T
+@pytest.mark.parametrize("n", [4, 5], ids=["hurwitz", "icosian"])
+def test_float_layer_keeps_the_exact_closure(n):
+    # the float view reads the cached exact cover, without a group of its
+    # own: subgroup label q maps to the tautological matrix of the floats
+    # of its unit phi[q], exactly
+    cover = double_cover(n)
+    rep = cover_rep(n)
+    assert rep is cover_rep(n) and rep.group is cover.subgroup_group
+    units = [cover.units.elems[i] for i in cover.phi]
+    a, b, c, d = np.array([float_quaternion(q) for q in units]).T
     want = np.stack([a + 1j * b, c + 1j * d, -c + 1j * d, a - 1j * b],
                     axis=-1).reshape(-1, 2, 2)
     assert np.array_equal(rep.images, want)
@@ -297,24 +299,24 @@ def _closed_form_index2(cs, theta, rho):
     return images
 
 
-@pytest.mark.parametrize("data_fn", [binary_octahedral_data, omega5_data])
-def test_index2_closed_form_matches_general(data_fn):
-    data = data_fn()
+@COVERS
+def test_index2_closed_form_matches_general(n):
+    data = double_cover(n)
     G = data.extension.group
     theta = data.transposition_lifts[0]
     cs = CosetSystem.build(G, data.coset_system.subgroup, reps=(0, theta))
-    induced = tensor_induction(cs, data.rho)
-    closed = _closed_form_index2(cs, theta, data.rho)
+    induced = tensor_induction(cs, cover_rep(n))
+    closed = _closed_form_index2(cs, theta, cover_rep(n))
     assert np.abs(induced.images - closed).max() <= 1e-8
 
 
-@pytest.mark.parametrize("data_fn", [binary_octahedral_data, omega5_data])
-def test_off_subgroup_trace_is_chi_of_square(data_fn):
-    data = data_fn()
+@COVERS
+def test_off_subgroup_trace_is_chi_of_square(n):
+    data = double_cover(n)
     G = data.extension.group
     cs = data.coset_system
-    induced = tensor_induction(cs, data.rho)
-    chi = data.rho.character().values
+    induced = tensor_induction(cs, cover_rep(n))
+    chi = cover_rep(n).character().values
     pos = {lab: i for i, lab in enumerate(cs.subgroup)}
     for g in range(G.order):
         if cs.coset_of[g] != 0:
@@ -324,21 +326,21 @@ def test_off_subgroup_trace_is_chi_of_square(data_fn):
 
 
 def test_tensor_induction_identity_and_dimension():
-    data = omega5_data()
-    induced = tensor_induction(data.coset_system, data.rho)
+    data = double_cover(5)
+    induced = tensor_induction(data.coset_system, cover_rep(5))
     assert induced.dim == 4
     assert np.abs(induced.images[0] - np.eye(4)).max() <= 1e-12
 
 
 def test_tensor_induction_homomorphism_binary_octahedral():
-    data = binary_octahedral_data()
-    induced = tensor_induction(data.coset_system, data.rho)
+    data = double_cover(4)
+    induced = tensor_induction(data.coset_system, cover_rep(4))
     assert is_homomorphism(induced)
 
 
 def test_tensor_induction_homomorphism_omega5_sampled():
-    data = omega5_data()
-    induced = tensor_induction(data.coset_system, data.rho)
+    data = double_cover(5)
+    induced = tensor_induction(data.coset_system, cover_rep(5))
     G = data.extension.group
     rng = np.random.default_rng(41)
     for _ in range(1500):
@@ -348,14 +350,14 @@ def test_tensor_induction_homomorphism_omega5_sampled():
 
 
 def test_character_independent_of_representatives():
-    data = omega5_data()
+    data = double_cover(5)
     G = data.extension.group
     cs1 = data.coset_system
     other = next(g for g in range(G.order)
                  if cs1.coset_of[g] == 1 and g != cs1.reps[1])
     cs2 = CosetSystem.build(G, cs1.subgroup, reps=(0, other))
-    chi1 = tensor_induction(cs1, data.rho).character().values
-    chi2 = tensor_induction(cs2, data.rho).character().values
+    chi1 = tensor_induction(cs1, cover_rep(5)).character().values
+    chi2 = tensor_induction(cs2, cover_rep(5)).character().values
     assert np.abs(chi1 - chi2).max() <= 1e-8
 
 
@@ -384,11 +386,11 @@ def test_tensor_induction_index_four():
     assert induced.images.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("data_fn", [binary_octahedral_data, omega5_data])
-def test_tensor_induction_bytes_match_kron_oracle(data_fn):
-    data = data_fn()
-    induced = tensor_induction(data.coset_system, data.rho)
-    want = tensor_induction_by_kron(data.coset_system, data.rho)
+@COVERS
+def test_tensor_induction_bytes_match_kron_oracle(n):
+    data = double_cover(n)
+    induced = tensor_induction(data.coset_system, cover_rep(n))
+    want = tensor_induction_by_kron(data.coset_system, cover_rep(n))
     assert induced.images.tobytes() == want.tobytes()
 
 
@@ -434,9 +436,9 @@ def test_linear_characters_s4_and_perfect_groups():
     assert np.abs(lams[0].values - 1).max() < 1e-12
     parity = np.array([1.0 if p.is_even() else -1.0 for p in S4.elems])
     assert np.abs(lams[1].values - parity).max() < 1e-9
-    ico, _ = icosian_group()
+    ico = icosians.icosian_group()
     assert len(linear_characters(ico)) == 1
-    hw, _ = hurwitz_unit_group()
+    hw = icosians.hurwitz_unit_group()
     cube = linear_characters(hw)
     assert len(cube) == 3
     for lam in cube:
@@ -458,16 +460,16 @@ def test_criterion_catalog_agreement():
 
 
 def test_icosian_induction_is_irreducible():
-    ico = omega5_data()
+    ico = double_cover(5)
     res = dual_twist_reducibility(ico.coset_system,
-                                  ico.transposition_lifts[0], ico.rho)
+                                  ico.transposition_lifts[0], cover_rep(5))
     assert not res["criterion_holds"] and not res["reducible"]
 
 
 def test_binary_octahedral_inductions_are_reducible():
-    data = binary_octahedral_data()
+    data = double_cover(4)
     res = dual_twist_reducibility(data.coset_system,
-                                  data.transposition_lifts[0], data.rho)
+                                  data.transposition_lifts[0], cover_rep(4))
     assert res["criterion_holds"] and res["reducible"]
 
 
@@ -499,22 +501,21 @@ def _cycle_power(r, j):
 
 
 def test_criterion_rejects_theta_inside_subgroup():
-    data = binary_octahedral_data()
+    data = double_cover(4)
     with pytest.raises(ValueError):
-        dual_twist_reducibility(data.coset_system, 0, data.rho)
+        dual_twist_reducibility(data.coset_system, 0, cover_rep(4))
 
 
 # -- the standard representation pipeline ------------------------------------
 
-@pytest.mark.parametrize("n, data_fn", [(4, binary_octahedral_data),
-                                        (5, omega5_data)])
-def test_exact_character_matches_the_float_trace(n, data_fn):
+@pytest.mark.parametrize("n", [4, 5], ids=[
+    f"{n}-{name}" for n, name in zip((4, 5), COVER_IDS)])
+def test_exact_character_matches_the_float_trace(n):
     cover = double_cover(n)
     chi = induced_character(cover)
     assert len(chi) == cover.extension.group.order == 2 * math.factorial(n)
     exact = np.array([a + b * PHI for a, b in chi])
-    data = data_fn()
-    induced = tensor_induction(data.coset_system, data.rho)
+    induced = tensor_induction(cover.coset_system, cover_rep(n))
     traces = np.trace(induced.images, axis1=1, axis2=2)
     assert np.abs(traces - exact).max() <= 1e-12
 
@@ -561,20 +562,20 @@ def test_verify_standard_rep_all_checks_pass():
 
 
 def test_transported_icosian_rep_is_homomorphism():
-    data = omega5_data()
-    assert is_homomorphism(data.rho)
+    data = double_cover(5)
+    assert is_homomorphism(cover_rep(5))
     assert data.subgroup_group.order == 120
 
 
 def test_det_of_transfer_is_trivial():
     # transfer lands in the abelianization of the perfect subgroup, and
     # the direct product of det(rho) over coset factors is 1 everywhere
-    data = omega5_data()
+    data = double_cover(5)
     cs = data.coset_system
     G = data.extension.group
     tm = transfer(cs)
     assert all(v == () for v in tm.values)
-    dets = np.linalg.det(data.rho.images)
+    dets = np.linalg.det(cover_rep(5).images)
     pos = {lab: i for i, lab in enumerate(cs.subgroup)}
     for g in range(G.order):
         _, qs = coset_factorization(cs, g)
@@ -583,7 +584,7 @@ def test_det_of_transfer_is_trivial():
 
 
 def test_transfer_invariant_under_representative_choice():
-    data = omega5_data()
+    data = double_cover(5)
     G = data.extension.group
     cs1 = data.coset_system
     other = next(g for g in range(G.order)
