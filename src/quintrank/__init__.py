@@ -25,12 +25,14 @@ def canonical_json(obj) -> str:
 
 
 class CheckedRecord:
-    """Base for a record whose fields a collections.namedtuple holds:
-    listed before that namedtuple among a subclass's bases, it runs the
-    subclass's _check, which raises ValueError on inconsistent fields,
-    whenever a record is made, by _make and _replace too.  (A
-    typing.NamedTuple would do as well, but it compiles each string
-    annotation of its fields when the class is made.)"""
+    """Base for a record built from input from outside the program
+    (CurveData, Permutation, Cocycle2), whose fields a
+    collections.namedtuple holds: listed before that namedtuple among a
+    subclass's bases, it runs the subclass's _check, which raises
+    ValueError on inconsistent fields, whenever a record is made, by
+    _make and _replace too.  The program's own records are plain
+    namedtuples, checked by the tests.  (A typing.NamedTuple would do
+    as well, but it compiles each string annotation of its fields.)"""
 
     __slots__ = ()
 

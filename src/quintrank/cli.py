@@ -198,8 +198,8 @@ def _selftest_checks() -> list[dict]:
         cert = rankgrowth.certify_pair(curve, field)
         if not cert.admissible:
             return False, f"not admissible: {', '.join(cert.reasons)}"
-        if cert.chi != -1 or cert.growth != "Certified":
-            return False, f"chi={cert.chi}, growth={cert.growth}"
+        if (cert.chi, cert.parity, cert.growth) != (-1, "Odd", "Certified"):
+            return False, f"chi={cert.chi}, parity={cert.parity}, growth={cert.growth}"
         return True, "conductor-37 curve certified over x^5 - x - 1"
     add("flagship parity certificate", certificate_check)
 

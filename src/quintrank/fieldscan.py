@@ -71,7 +71,7 @@ from itertools import accumulate, product
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
-from . import CheckedRecord, InternalCheckFailed, canonical_json
+from . import InternalCheckFailed, canonical_json
 from .numtheory import (
     DEFAULT_PRIME_BUDGET,
     DEFAULT_TRIAL_BOUND,
@@ -619,31 +619,17 @@ def enumerate_quintics(coeff_height: int, disc_bound: int,
 # -- scan -----------------------------------------------------------------------
 
 
-_BucketFields = namedtuple("_BucketFields", "X total admissible odd")
-
-
-class BucketStat(CheckedRecord, _BucketFields):
-    __slots__ = ()
-
-    def _check(self):
-        if not 0 <= self.odd <= self.admissible <= self.total:
-            raise ValueError("bucket counts must satisfy "
-                             "0 <= odd <= admissible <= total")
+BucketStat = namedtuple("BucketStat", "X total admissible odd")
 
 
 _ScanFields = namedtuple("_ScanFields", "curve buckets")
 
 
-class ScanReport(CheckedRecord, _ScanFields):
-    __slots__ = ()
+class ScanReport(_ScanFields):
+    """Only scan builds one; the tests check its counts against the
+    certificates they come from."""
 
-    def _check(self):
-        for a, b in zip(self.buckets, self.buckets[1:]):
-            if not a.X < b.X:
-                raise ValueError("bucket bounds must be strictly ascending")
-            if not (a.total <= b.total and a.admissible <= b.admissible
-                    and a.odd <= b.odd):
-                raise ValueError("bucket counts must be cumulative")
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"curve": self.curve,

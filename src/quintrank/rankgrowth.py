@@ -41,7 +41,6 @@ Kodaira data.  Fields are consumed through a small protocol: .label,
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import NamedTuple
 
 from . import CheckedRecord
 from .numtheory import is_probable_prime, kronecker_symbol, parse_int
@@ -97,42 +96,31 @@ class CurveData(CheckedRecord, _CurveFields):
         return CurveData(label, parse_int(n_str), tuple(fact))
 
 
-class Admissibility(NamedTuple):
-    ok: bool
-    reasons: tuple[str, ...]
-
-
 _ParityFields = namedtuple(
     "_ParityFields", "curve field admissible reasons chi parity growth")
 
 
-class ParityCertificate(CheckedRecord, _ParityFields):
+class ParityCertificate(_ParityFields):
     """The curve's and the field's labels, whether the pair is admissible
     and the reasons it is not, then chi (None when the criterion does
     not apply), parity ("Odd", "Even" or None) and growth ("Certified"
-    or "Unknown")."""
+    or "Unknown").  Only certify_pair builds one; the tests check its
+    rules over whole boxes of fields."""
 
     __slots__ = ()
-
-    def _check(self):
-        if self.growth == "Certified" and not (
-                self.admissible and self.parity == "Odd" and self.chi == -1):
-            raise ValueError("certified growth needs an admissible pair "
-                             "with odd parity and chi = -1")
-        if self.admissible and (self.parity == "Odd") != (self.chi == -1):
-            raise ValueError("parity must be odd exactly when chi = -1")
 
     def to_json_dict(self) -> dict:
         return {**self._asdict(), "reasons": list(self.reasons)}
 
 
-def admissible(curve: CurveData, field) -> Admissibility:
-    """Hypothesis checks, in order: certified S5 field, odd conductor,
+def admissible(curve: CurveData, field) -> tuple[str, ...]:
+    """The reasons the pair is not admissible, empty when it is.
+    Hypothesis checks, in order: certified S5 field, odd conductor,
     one real embedding, no conductor prime ramified in the field, every
     additive prime split in the resolvent.  An incomplete resolvent
     kernel is the only reason given when it occurs."""
     if not field.resolvent.complete:
-        return Admissibility(False, (REASON_INCOMPLETE,))
+        return (REASON_INCOMPLETE,)
     reasons = []
     if field.s5_status != "Certified":
         reasons.append(REASON_NOT_S5)
@@ -151,16 +139,16 @@ def admissible(curve: CurveData, field) -> Admissibility:
         if e >= 2 and kronecker_symbol(disc, p) == -1:
             reasons.append(REASON_NONSPLIT)
             break
-    return Admissibility(not reasons, tuple(reasons))
+    return tuple(reasons)
 
 
 def certify_pair(curve: CurveData, field) -> ParityCertificate:
     """The parity certificate of a pair; non-admissible pairs get a
     certificate carrying the reasons instead of an error."""
-    adm = admissible(curve, field)
-    if not adm.ok:
+    reasons = admissible(curve, field)
+    if reasons:
         return ParityCertificate(curve.label, field.label, False,
-                                 adm.reasons, None, None, "Unknown")
+                                 reasons, None, None, "Unknown")
     chi = kronecker_symbol(field.disc, -curve.conductor)
     odd = chi == -1
     return ParityCertificate(curve.label, field.label, True, (), chi,

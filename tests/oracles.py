@@ -31,10 +31,10 @@ vector of the coefficient box, a whole scan of a small box (its kept
 fields and buckets) from the routines here alone, mirror/reciprocal
 orbits by transforming the polynomial itself, Taylor shifts f(x + c)
 by summing multiples of the powers of (x + c), and cache lines in the
-unversioned layout by re-signing a record.  It
-also holds the test-only cyclic groups, direct products and full
-homomorphism check of a representation, and the modular group of
-order 16 as a non-permutation closure input.
+unversioned layout by re-signing a record.  It also holds the rules
+every parity certificate keeps, the test-only cyclic groups, direct
+products and full homomorphism check of a representation, and the
+modular group of order 16 as a non-permutation closure input.
 """
 
 import hashlib
@@ -71,7 +71,7 @@ from quintrank.numtheory import (
     poly_discriminant,
 )
 from quintrank.icosians import ClosureFailure
-from quintrank.rankgrowth import certify_pair
+from quintrank.rankgrowth import admissible, certify_pair
 from quintrank.reps import _factor_permutation_matrix
 
 
@@ -487,28 +487,55 @@ def root_number_ratio(curve, field) -> int | None:
     return sign
 
 
+def certificate_breaks_rules(curve, field, cert) -> bool:
+    """Whether certify_pair's certificate of (curve, field) breaks the
+    rules of the criterion: it carries the pair's labels and
+    admissible's reasons, and the pair is admissible exactly when there
+    are none; growth is Certified exactly when the pair is admissible,
+    parity is Odd and chi = -1; an admissible pair has chi =
+    (disc f|-N) and parity Odd exactly when chi = -1; any other pair has
+    chi and parity None and growth Unknown."""
+    rules = [
+        (cert.curve, cert.field) == (curve.label, field.label),
+        cert.reasons == admissible(curve, field),
+        cert.admissible == (not cert.reasons),
+        (cert.growth == "Certified") == (
+            cert.admissible and cert.parity == "Odd" and cert.chi == -1),
+        cert.growth in ("Certified", "Unknown"),
+    ]
+    if cert.admissible:
+        rules += [cert.chi == kronecker_symbol(field.disc, -curve.conductor),
+                  cert.parity in ("Odd", "Even"),
+                  (cert.parity == "Odd") == (cert.chi == -1)]
+    else:
+        rules += [cert.chi is None, cert.parity is None,
+                  cert.growth == "Unknown"]
+    return not all(rules)
+
+
 def root_number_disagreements(curves, fields):
     """Compare root_number_ratio with certify_pair's chi and with
     chi_by_primes on every admissible pair, and with (disc f|-N) on
-    every pair where no p | N divides disc f.  Returns the counts of
+    every pair where no p | N divides disc f; check every pair's
+    certificate with certificate_breaks_rules.  Returns the counts of
     admissible and unramified pairs and the (curve, field) labels of
-    the pairs where some route disagrees."""
-    admissible = unramified = 0
+    the pairs where some route disagrees or a rule breaks."""
+    admitted = unramified = 0
     bad = []
     for field in fields:
         for curve in curves:
-            if any(field.disc % p == 0 for p, _ in curve.factorization):
-                continue
-            unramified += 1
-            w = root_number_ratio(curve, field)
-            ok = w == kronecker_symbol(field.disc, -curve.conductor)
             cert = certify_pair(curve, field)
-            if cert.admissible:
-                admissible += 1
-                ok = ok and w == cert.chi == chi_by_primes(curve, field)
+            ok = not certificate_breaks_rules(curve, field, cert)
+            if all(field.disc % p for p, _ in curve.factorization):
+                unramified += 1
+                w = root_number_ratio(curve, field)
+                ok = ok and w == kronecker_symbol(field.disc, -curve.conductor)
+                if cert.admissible:
+                    admitted += 1
+                    ok = ok and w == cert.chi == chi_by_primes(curve, field)
             if not ok:
                 bad.append((curve.label, field.label))
-    return admissible, unramified, bad
+    return admitted, unramified, bad
 
 
 def factor_completely(n: int):

@@ -207,14 +207,14 @@ def test_criterion_07_flagship_pair():
         # vacuous here: 37a has no additive prime
         "additive primes split": all(e == 1 for _, e in curve.factorization),
     }
-    adm = admissible(curve, field)
+    reasons = admissible(curve, field)
     cert = certify_pair(curve, field)
 
     residues = {pow(x, 2, 37) for x in range(1, 37)}
     chi_enum = 1 if 2869 % 37 in residues else -1
     chi_kron = kronecker_symbol(2869, 37)
 
-    ok = (all(hyp.values()) and adm.ok and adm.reasons == ()
+    ok = (all(hyp.values()) and reasons == ()
           and cert.chi == chi_kron == chi_enum == -1
           and cert.parity == "Odd" and cert.growth == "Certified")
     logged = ", ".join(f"{k}={v}" for k, v in hyp.items())

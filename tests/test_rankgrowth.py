@@ -2,18 +2,22 @@ from functools import lru_cache
 from math import prod
 
 import pytest
-from oracles import ddf_pattern_mod_p, root_number_disagreements
+from oracles import (
+    certificate_breaks_rules,
+    ddf_pattern_mod_p,
+    root_number_disagreements,
+)
 
 from quintrank.cli import _load_curves
-from quintrank.fieldscan import QuinticField, enumerate_quintics
+from quintrank.fieldscan import (
+    BucketStat,
+    QuinticField,
+    enumerate_quintics,
+    scan,
+)
 from quintrank import rankgrowth
 from quintrank.numtheory import IntPolynomial, first_primes, kronecker_symbol
-from quintrank.rankgrowth import (
-    Admissibility,
-    CurveData,
-    admissible,
-    certify_pair,
-)
+from quintrank.rankgrowth import CurveData, admissible, certify_pair
 
 
 def field_of(*desc_coeffs, **kw):
@@ -92,8 +96,7 @@ def test_curve_data_checks_every_construction():
 
 
 def test_flagship_pair_admissible():
-    adm = admissible(CURVE37, FLAGSHIP)
-    assert adm.ok and adm.reasons == ()
+    assert admissible(CURVE37, FLAGSHIP) == ()
 
 
 def test_even_conductor_reason():
@@ -142,8 +145,7 @@ def test_incomplete_resolvent():
     stub = field_of(1, 0, 0, 0, -1, -1)
     stub.resolvent = stub.resolvent._replace(complete=False)
     assert not stub.resolvent.complete
-    assert admissible(CURVE37, stub) == Admissibility(False,
-                                                      ("IncompleteData",))
+    assert admissible(CURVE37, stub) == ("IncompleteData",)
     cert = certify_pair(CURVE37, stub)
     assert cert.reasons == ("IncompleteData",)
     assert (cert.admissible, cert.chi, cert.growth) == (False, None, "Unknown")
@@ -255,6 +257,33 @@ def test_root_numbers_place_by_place_agree_with_the_certificate():
         _load_curves("sample"), fields)
     assert bad == []
     assert (admissible_pairs, unramified_pairs) == (20356, 28142)
+
+
+def test_certificates_and_scan_reports_keep_their_rules_over_a_box():
+    # the records are plain namedtuples, so these rules are checked here,
+    # over the 2,952 fields of the height-3 box and the 10 bundled curves
+    fields = tuple(enumerate_quintics(3, 10 ** 6, prime_budget=40))
+    assert len(fields) == 2952
+    edges = [1000, 10_000, 100_000, 400_000, 1_000_000]
+    for curve in _load_curves("sample"):
+        certs = [certify_pair(curve, field) for field in fields]
+        broken = [cert for field, cert in zip(fields, certs)
+                  if certificate_breaks_rules(curve, field, cert)]
+        assert broken == []
+        pairs = [(abs(field.disc), cert) for field, cert in zip(fields, certs)]
+        recount = tuple(
+            BucketStat(x, sum(d <= x for d, _ in pairs),
+                       sum(d <= x and c.admissible for d, c in pairs),
+                       sum(d <= x and c.parity == "Odd" for d, c in pairs))
+            for x in edges)
+        report = scan(curve, fields, edges)
+        assert report == (curve.label, recount)
+        buckets = report.buckets
+        assert all(0 <= b.odd <= b.admissible <= b.total for b in buckets)
+        for a, b in zip(buckets, buckets[1:]):
+            assert a.X < b.X
+            assert (a.total <= b.total and a.admissible <= b.admissible
+                    and a.odd <= b.odd)
 
 
 def test_kronecker_of_disc_f_equals_that_of_the_fundamental_disc():
