@@ -10,13 +10,19 @@ of a pattern's factor degrees).  Fingerprint identity is a heuristic
 for field isomorphism, not a proof, so a merge that _provably_same_field
 cannot prove (a translation between a mirror or reciprocal image of each
 side) is audited against 30 further primes, and a disagreement raises
-instead of silently collapsing two fields.
+instead of silently collapsing two fields.  Dedup keeps a few numbers per
+class, not its field, and rebuilds the field only for an audit.
 The certificate, the fingerprint and the audit all read one
 append-only list of patterns at those primes, in increasing order, so
 no pattern is computed twice; each one comes from the root count mod p
 and (disc|p) by Stickelberger's theorem (R. G. Swan, Pacific J. Math.
-12 (1962)).  The certificate reads the list in place, and that of a
-quintic with an integer root only up to its first transposition prime.
+12 (1962)).  The certificate reads the list in place, with the good
+primes each block filtered for it, and counts the good primes of its
+budget from one gcd, so it filters none itself.  It stops once
+reducibility is proven: that of a quintic with an integer root at its
+first transposition prime, and that of a quadratic times a cubic, past
+the audit's 50 patterns only, where one exact lift of the quadratic
+factor divides the quintic; either answer is the full scan's.
 The list is filled a block of primes at a time (up to the fingerprint,
 up to the audit, then doubling), never past the most patterns its reader
 says it will read unless asked, with the roots of a whole block counted by
@@ -67,7 +73,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from contextlib import suppress
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate, islice, product
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -82,6 +88,7 @@ from .numtheory import (
     disc_coeffs_in_a0,
     factor_pattern_mod_p,
     first_primes,
+    good_prime_count,
     parse_int,
     poly_discriminant,
     quintic_patterns,
@@ -104,7 +111,12 @@ _PATTERN_OF = {code: pattern for pattern, code in _CODE.items()}
 
 
 class NotSeparable(ValueError):
-    """Zero discriminant: the polynomial has a repeated root."""
+    """Zero discriminant: the polynomial, the one argument, has a repeated
+    root.  The message is formatted only when read, so a table row that
+    ingest_fields reports by its own words formats nothing."""
+
+    def __str__(self):
+        return f"{self.args[0]} has a repeated root"
 
 
 class FalseMergeError(InternalCheckFailed):
@@ -123,7 +135,7 @@ class QuinticField:
         if disc is None:
             disc = poly_discriminant(poly)
         if disc == 0:
-            raise NotSeparable(f"{poly} has a repeated root")
+            raise NotSeparable(poly)
         self.poly = poly
         if label is not None:
             self.label = label
@@ -156,9 +168,9 @@ class QuinticField:
 
     @cached_property
     def certificate(self) -> S5Certificate:
-        good = [p for p in first_primes(self.prime_budget) if self.disc % p]
-        return certify_s5(self.poly, good,
-                          lambda count: self._stream(count, len(good)))
+        good = good_prime_count(self.prime_budget, self.disc)
+        return certify_s5(self.poly, good, lambda count: (
+            self._stream(count, good), self._primes))
 
     @property
     def s5_status(self) -> str:
@@ -173,7 +185,8 @@ class QuinticField:
         never past the reader's `most` (the certificate's good budget
         primes), unless `count` asks for more.  A block's primes below
         _BLOCK_BELOW share one quintic_patterns pass; larger ones go one
-        at a time.  A field rebuilt from a record starts from its
+        at a time.  Each block leaves the good primes up to its end in
+        _primes.  A field rebuilt from a record starts from its
         fingerprint's codes."""
         if self._patterns is None:
             self._patterns = [_PATTERN_OF[code]
@@ -185,9 +198,11 @@ class QuinticField:
             end = (FINGERPRINT_PRIMES if have < FINGERPRINT_PRIMES
                    else max(count, min(audited if have < audited
                                        else 2 * have, most)))
-            # a nonzero disc has fewer prime factors than bits
-            good = [p for p in first_primes(end + abs(disc).bit_length())
-                    if disc % p][have:end]
+            # a nonzero disc has fewer prime factors than bits; the
+            # filter stops at the block's last good prime
+            self._primes = primes = list(islice(filter(
+                disc.__mod__, first_primes(end + abs(disc).bit_length())), end))
+            good = primes[have:]
             small = [p for p in good if p < _BLOCK_BELOW]
             patterns += [fp.pattern for fp in
                          quintic_patterns(self.poly, small, disc)]
@@ -515,19 +530,25 @@ def dedupe_stream(fields: Iterable[QuinticField]) -> Iterator[QuinticField]:
     """Keep the first field of each fingerprint class.  Every merge is
     audited: it must either be provably a same-field transform or agree
     at 30 extra primes; a disagreement means the fingerprint collided
-    for two genuinely different fields and raises FalseMergeError."""
-    seen: dict[tuple, QuinticField] = {}
+    for two genuinely different fields and raises FalseMergeError.
+    A class keeps (poly, the caller's label or None, prime budget, disc)
+    of its first field, not the field, which only an audit rebuilds,
+    from them and the fingerprint, as from_record rebuilds one."""
+    seen: dict[tuple, tuple] = {}
     for field in fields:
         fp = field.fingerprint
-        rep = seen.get(fp)
-        if rep is not None:
-            if not _provably_same_field(rep.coeffs, field.coeffs) \
-                    and rep.extended_fingerprint != field.extended_fingerprint:
-                raise FalseMergeError(
-                    f"{rep.label} and {field.label} share a fingerprint but "
-                    f"split differently at audit primes")
+        kept = seen.get(fp)
+        if kept is not None:
+            if not _provably_same_field(kept[0].coeffs[::-1], field.coeffs):
+                rep = QuinticField(*kept)
+                rep.fingerprint, rep._patterns = fp, None
+                if rep.extended_fingerprint != field.extended_fingerprint:
+                    raise FalseMergeError(
+                        f"{rep.label} and {field.label} share a fingerprint "
+                        f"but split differently at audit primes")
             continue
-        seen[fp] = field
+        seen[fp] = (field.poly, vars(field).get("label"), field.prime_budget,
+                    field.disc)
         yield field
 
 

@@ -45,6 +45,10 @@ _MR_PROVEN = 3317044064679887385961981
 _TRIAL_BELOW = 1000
 _CHUNK = 512
 _SEGMENT = 1 << 15
+# certify_s5 tries to prove a quadratic factor only once it has read this
+# many patterns, a fingerprint's 20 and an audit's 30, so that neither a
+# field certified within them nor a budget of fewer good primes pays
+_LIFT_AFTER = 50
 
 
 def parse_int(text: str) -> int:
@@ -225,6 +229,32 @@ def first_primes(count: int) -> tuple[int, ...]:
     while len(ps := _sieve(limit)) < count:
         limit *= 2
     return ps[:count]
+
+
+@lru_cache(maxsize=None)
+def _primorial(count: int) -> int:
+    """The product of the first count primes, multiplied in pairs, layer
+    by layer: a balanced tree, where one running product of the 100,000
+    primes of MAX_PRIME_BUDGET takes ten times as long."""
+    layer = first_primes(count)
+    while len(layer) > 1:
+        layer = [math.prod(layer[i:i + 2]) for i in range(0, len(layer), 2)]
+    return math.prod(layer)
+
+
+def good_prime_count(count: int, disc: int) -> int:
+    """How many of the first count primes do not divide disc.  Those that
+    do are the prime factors of the squarefree g = gcd(disc, their
+    product), taken out by trial division only while p^2 <= g; what is
+    left of g is then 1 or one more prime."""
+    g = math.gcd(disc, _primorial(count))
+    for p in first_primes(count):
+        if p * p > g:
+            break
+        if g % p == 0:
+            g //= p
+            count -= 1
+    return count - (g > 1)
 
 
 # -- integer squarefree kernel -------------------------------------------------
@@ -475,12 +505,13 @@ _QUINTIC_PATTERNS = {
         (2, 1, (1, 1, 3)), (3, -1, (1, 1, 1, 2)), (5, 1, (1, 1, 1, 1, 1)))}
 
 
-def _frobenius_quintic(c, p):
-    """x^p mod f for monic f with ascending coefficients c mod p, by
-    repeated squaring where each set bit of p multiplies by x."""
+def _frobenius_quintic(c, p, power=0):
+    """x^power (x^p when power is 0) mod f for monic f with ascending
+    coefficients c mod p, by repeated squaring where each set bit of
+    the exponent multiplies by x."""
     n0, n1, n2, n3, n4 = [-a % p for a in c[:5]]   # x^5 = sum n_i x^i
     u0, u1, u2, u3, u4 = 0, 1, 0, 0, 0
-    for bit in bin(p)[3:]:
+    for bit in bin(power or p)[3:]:
         w0 = u0 * u0
         w1 = 2 * u0 * u1
         w2 = 2 * u0 * u2 + u1 * u1
@@ -610,43 +641,62 @@ def has_integer_root(f: IntPolynomial, p: int) -> bool:
     return False
 
 
-def certify_s5(f: IntPolynomial, good: list,
-               patterns: Callable[[int], list]) -> S5Certificate:
+def certify_s5(f: IntPolynomial, good: int,
+               stream: Callable[[int], tuple[list, list]]) -> S5Certificate:
     """Sound one-sided Galois test for a monic quintic: a prime with
     factor pattern {5} forces transitivity, one with {1,1,1,2} puts a
     transposition in the group, and a transitive degree-5 group with a
-    transposition is the full symmetric group.  Reads only the primes it
-    is handed, good: increasing primes not dividing disc(f).  Never
+    transposition is the full symmetric group.  Reads the patterns at
+    the first `good` primes not dividing disc(f), no more.  Never
     certifies falsely, but may return Inconclusive, and then
-    primes_scanned is len(good); else it counts the primes read.  A
-    quintic with an integer root has a root mod every good prime
-    (Dedekind), so no pattern is {5}: once every pattern so far has a
-    linear factor and one is {1,1,1,2}, a single has_integer_root test
-    may end the scan with the full scan's answer.  The caller's pattern
-    stream is patterns(n): a list of at least n entries, the patterns at
-    the primes of good, in order.  The list is read in place, and
-    patterns is called again, with one more than the entries read, only
-    once every entry of the last list has been read."""
+    primes_scanned is good; else it counts the primes read.
+
+    Two exact proofs of reducibility end the scan with the full scan's
+    answer.  A quintic with an integer root has a root mod every good
+    prime (Dedekind), so no pattern is {5}: once every pattern so far
+    has a linear factor and one is {1,1,1,2}, a single has_integer_root
+    test may end the scan.  A quadratic times a cubic shows neither {5}
+    nor {1,4}: once the patterns read, at least _LIFT_AFTER of them,
+    show neither, but a transposition and a {2,3} prime, one
+    galois.quadratic_factor lift at that prime may end it.
+
+    The caller's stream(n) returns (patterns, primes): lists of at least
+    n entries, the good primes in increasing order and the patterns at
+    them.  They are read in place, and stream is called again, with one
+    more than the entries read, only once every entry has been read."""
     if f.degree != 5 or f.lc != 1:
         raise ValueError("expected a monic quintic")
-    five = transposition = None
+    five = transposition = split = None
     linear = True       # every pattern read so far has a root mod p
-    stream = []
-    for scanned, p in enumerate(good):
-        if scanned == len(stream):
-            stream = patterns(scanned + 1)
-        pat = stream[scanned]
+    lift = True         # no pattern so far rules out a quadratic factor
+    patterns = ()
+    for scanned in range(good):
+        if scanned == len(patterns):
+            if lift and scanned >= _LIFT_AFTER and split and transposition:
+                lift = False
+                from .galois import quadratic_factor
+                if quadratic_factor(f, split) is not None:
+                    return S5Certificate("Inconclusive", None, transposition,
+                                         good)
+            patterns, primes = stream(scanned + 1)
+        pat = patterns[scanned]
         linear = linear and pat[0] == 1
         if pat == (5,):
-            five = five if five is not None else p
+            lift = False
+            five = five or primes[scanned]
         elif pat == (1, 1, 1, 2) and transposition is None:
-            transposition = p
-            if linear and has_integer_root(f, good[0]):
-                return S5Certificate("Inconclusive", None, p, len(good))
+            transposition = primes[scanned]
+            if linear and has_integer_root(f, primes[0]):
+                return S5Certificate("Inconclusive", None, transposition,
+                                     good)
+        elif pat == (2, 3):
+            split = split or primes[scanned]
+        elif pat == (1, 4):
+            lift = False
         if five is not None and transposition is not None:
             return S5Certificate("Certified", five, transposition,
                                  scanned + 1)
-    return S5Certificate("Inconclusive", five, transposition, len(good))
+    return S5Certificate("Inconclusive", five, transposition, good)
 
 
 # -- quadratic resolvent -----------------------------------------------------------

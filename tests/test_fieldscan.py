@@ -25,7 +25,8 @@ from oracles import (
 )
 
 import quintrank
-from quintrank import cocycles, fieldscan, groups, numtheory, rankgrowth
+from quintrank import (cocycles, fieldscan, galois, groups, numtheory,
+                       rankgrowth)
 from quintrank.fieldscan import (
     BucketStat,
     FalseMergeError,
@@ -45,6 +46,7 @@ from quintrank.numtheory import (
     first_primes,
     parse_int,
     poly_discriminant,
+    quintic_patterns,
 )
 from quintrank.rankgrowth import CurveData
 
@@ -256,19 +258,28 @@ def test_stream_past_the_block_crossover(monkeypatch):
 
 
 def test_certificate_sieves_the_budget_once(monkeypatch):
-    # the certificate filters the first prime_budget primes itself and
-    # hands them to certify_s5, which sieves none, and tells the stream
-    # how many it will read
-    budgets = []
+    # the certificate filters no budget prime: it counts its good ones
+    # from one gcd of disc with the budget's primorial, built once per
+    # budget, and reads its primes from the stream's blocks.  disc(x^5 -
+    # 2) = 2^4 5^5 leaves the gcd 10, so the count reads only 2 and 3
+    budgets, read = [], []
+
+    class Counted(tuple):
+        def __iter__(self):
+            for p in tuple.__iter__(self):
+                read.append(p)
+                yield p
 
     def counted(count):
         budgets.append(count)
-        return first_primes(count)
+        return Counted(first_primes(count))
+    numtheory._primorial.cache_clear()
     monkeypatch.setattr(numtheory, "first_primes", counted)
-    monkeypatch.setattr(fieldscan, "first_primes", counted)
-    f = field_of(1, 0, 0, 0, 0, -2, prime_budget=600)
-    assert f.certificate.primes_scanned == 598
-    assert budgets.count(600) == 1
+    for _ in range(2):
+        f = field_of(1, 0, 0, 0, 0, -2, prime_budget=600)
+        assert f.certificate.primes_scanned == 598
+        assert f._primes == [p for p in first_primes(600) if f.disc % p]
+    assert budgets == [600, 600, 600] and read == [2, 3, 2, 3]
 
 
 def test_first_block_is_the_fingerprint_at_small_budgets(monkeypatch):
@@ -315,6 +326,110 @@ def test_certificate_reads_each_block_in_place(monkeypatch):
     f.certificate
     assert sizes == [1, 21, 51, 101]
     assert len(f._patterns) == 198
+
+
+# (x^2 + 1)(x^3 + 2x^2 + 2x - 1): no integer root, a transposition at 13
+REDUCIBLE_ROOTLESS = (1, 2, 3, 1, 2, -1)
+
+
+def _counting_lifts(monkeypatch) -> list:
+    """The primes quadratic_factor is called at, in order."""
+    lifts = []
+    real = galois.quadratic_factor
+
+    def counted(f, p):
+        lifts.append(p)
+        return real(f, p)
+    monkeypatch.setattr(galois, "quadratic_factor", counted)
+    return lifts
+
+
+def test_reducible_rootless_quintic_stops_at_its_quadratic_factor(
+        monkeypatch):
+    # at budget 200 the certificate reads the first 50 patterns, finds a
+    # transposition and a {2,3} prime but no {5} or {1,4}, and proves
+    # the quadratic factor instead of reading the other 147; at budget 40
+    # its 37 good primes stop short of 50, and no lift is tried
+    calls = _count_patterns(monkeypatch)
+    lifts = _counting_lifts(monkeypatch)
+    poly = IntPolynomial.descending(REDUCIBLE_ROOTLESS)
+    f = QuinticField(poly)
+    want = full_scan(poly, 200, f.disc)
+    assert f.certificate == want \
+        == numtheory.S5Certificate("Inconclusive", None, 13, 197)
+    assert len(calls) == len(f._patterns) == 50
+    split = next(p for p, pat in zip(f._primes, f._patterns) if pat == (2, 3))
+    assert lifts == [split]
+    assert galois.quadratic_factor(poly, split) == IntPolynomial((1, 0, 1))
+    # the audit reads the same 50 patterns and computes none
+    assert len(f.extended_fingerprint) == 30 and len(calls) == 50
+    lifts.clear()
+    f = QuinticField(poly, prime_budget=40)
+    assert f.certificate == full_scan(poly, 40, f.disc)
+    assert f.certificate.primes_scanned == 37 and lifts == []
+
+
+def test_a_failed_lift_is_not_tried_again(monkeypatch):
+    # a lift that proves no factor leaves the scan to the full scan's
+    # end; here the lift is made to fail, and the scan reads all 197
+    lifts = []
+    monkeypatch.setattr(galois, "quadratic_factor",
+                        lambda f, p: lifts.append(p))
+    poly = IntPolynomial.descending(REDUCIBLE_ROOTLESS)
+    f = QuinticField(poly)
+    assert f.certificate == full_scan(poly, 200, f.disc)
+    assert len(lifts) == 1 and len(f._patterns) == 197
+
+
+def _bench_pool(monkeypatch) -> list:
+    """Every coefficient vector a5..a0 of the benchmark's pool, drawn by
+    bench/tables.py, which is only read."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tables.py"
+    spec = importlib.util.spec_from_file_location("tables", path)
+    tables = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, "tables", tables)
+    spec.loader.exec_module(tables)
+    return [c for row in tables.pool_polynomials().values() for c in row]
+
+
+def test_certificates_match_the_full_scan_on_the_pool_and_a_box_sample(
+        monkeypatch):
+    # every pool vector and every 16th vector of the height-3 box, at the
+    # budgets of the enumeration and of a table: the certificate, stopped
+    # early or not, is the full scan's, and the fingerprint holds the
+    # patterns at the first 20 good primes.  The full scan is fed
+    # quintic_patterns over the first 40 good budget primes, and over the
+    # rest only when it reads past them
+    pool = _bench_pool(monkeypatch)
+    box = [(1,) + tail for tail in product(range(-3, 4), repeat=5)][::16]
+    assert len(pool) == 2780 and len(box) == 1051
+    lifts = _counting_lifts(monkeypatch)
+    stops = 0
+    for coeffs in pool + box:
+        poly = IntPolynomial.descending(coeffs)
+        disc = poly_discriminant(poly)
+        if disc == 0:
+            continue
+        good = [p for p in first_primes(200) if disc % p]
+        at = {}
+
+        def pattern(p):
+            if p not in at:
+                block = [q for q in good[:len(good) if at else 40]
+                         if q not in at]
+                at.update(zip(block, quintic_patterns(poly, block, disc)))
+            return at[p]
+        for budget in (40, 200):
+            f = QuinticField(poly, prime_budget=budget, disc=disc)
+            want = certify_s5_full_scan(poly, budget, pattern=pattern)
+            assert f.certificate == want, (coeffs, budget)
+            stops += len(f._patterns) < len(good[:budget]) \
+                and want.status == "Inconclusive"
+        assert decode(f.fingerprint[1]) == [pattern(p).pattern
+                                            for p in good[:20]]
+    # some reducible quintics stop early, past a proven factor or root
+    assert lifts and stops
 
 
 def test_stream_fed_certificate_matches_standalone():
@@ -436,8 +551,10 @@ def test_reciprocal_then_shift_merges_without_audit(monkeypatch):
 
 def test_served_and_derived_fields_of_one_class_merge(tmp_path, monkeypatch):
     # one field from the cache and its shift derived afresh: the merge
-    # audits them (the shift proof is switched off), and the served
-    # field's stream starts from its decoded codes when the audit grows it
+    # audits them (the shift proof is switched off).  The kept field is
+    # rebuilt from its class entry, and its stream, like the served
+    # field's, starts from the fingerprint's decoded codes when the audit
+    # grows it
     store = tmp_path / "cache.jsonl"
     with FieldCache(store) as cache:
         cache.put(field_of(1, 0, 0, 0, -1, -1))
@@ -456,9 +573,37 @@ def test_served_and_derived_fields_of_one_class_merge(tmp_path, monkeypatch):
         pair = [served, fresh] if served_first else [fresh, served]
         assert list(dedupe_stream(pair)) == pair[:1]
         monkeypatch.setattr(QuinticField, "_stream", real)
-        assert sorted(audits) == [(False, 20), (True, 0)]
-        assert served._patterns == fresh._patterns
-        assert len(served._patterns) == 50
+        assert sorted(audits) == ([(False, 0), (False, 20)] if served_first
+                                  else [(False, 0), (True, 0)])
+        assert len(pair[1]._patterns) == 50
+        assert pair[1]._patterns == field_of(1, 0, 0, 0, -1, -1)._stream(50)
+
+
+def test_dedup_keeps_no_field_of_a_class(monkeypatch):
+    # each class keeps (poly, caller's label or None, budget, disc) of
+    # its first field, read here from dedupe_stream's own table once the
+    # height-2 enumeration has fed it every candidate
+    kept = []
+    real = fieldscan.dedupe_stream
+
+    def spying(fields):
+        def fed():
+            yield from fields
+            kept.extend(sys._getframe(1).f_locals["seen"].values())
+        return real(fed())
+    monkeypatch.setattr(fieldscan, "dedupe_stream", spying)
+    fields = list(enumerate_quintics(2, 10 ** 6, prime_budget=40))
+    assert len(kept) == len(fields) == 569
+    assert not any(isinstance(entry, QuinticField) for entry in kept)
+    assert kept == [(f.poly, None, 40, f.disc) for f in fields]
+    # a caller's label is kept, and names the rebuilt field of a false
+    # merge as it named the field itself
+    f = field_of(1, 0, 0, 0, -1, -1, label="flagship")
+    g = field_of(1, 0, 0, 0, -4, 2, label="other")
+    g.fingerprint = f.fingerprint
+    with pytest.raises(FalseMergeError, match="^flagship and other share a "
+                       "fingerprint but split differently at audit primes$"):
+        list(real([f, g]))
 
 
 def test_false_merge_is_surfaced():
@@ -573,7 +718,9 @@ def test_skipped_vectors_are_their_orbit_minimum_field():
 
 def test_enumeration_rows_match_the_discriminant_oracle(monkeypatch):
     # every field the walk builds carries the subresultant discriminant,
-    # and every root-free vector with a nonzero, non-square one is built
+    # and every root-free vector with a nonzero, non-square one is built;
+    # dedup builds one more, the kept field of the one merge that no move
+    # proves, which it rebuilds for the audit
     built = []
 
     class Recorded(QuinticField):
@@ -589,7 +736,8 @@ def test_enumeration_rows_match_the_discriminant_oracle(monkeypatch):
         if not divisor_integer_root(coeffs) \
                 and disc != 0 and not fieldscan._is_square(disc):
             want.append((coeffs, disc))
-    assert built == want and len(want) > 600
+    assert list(dict.fromkeys(built)) == want and len(want) > 600
+    assert len(built) == len(want) + 1
 
 
 def _count_discriminants(monkeypatch) -> list:
@@ -841,6 +989,33 @@ def test_failed_cache_rewrite_keeps_the_file(tmp_path, monkeypatch):
     monkeypatch.undo()
     FieldCache(store)
     assert store.read_text() == before.splitlines(keepends=True)[0]
+
+
+def test_repeated_root_rows_format_nothing(tmp_path, monkeypatch):
+    # NotSeparable formats "<poly> has a repeated root" only when read;
+    # ingest_fields reports such a row in its own words, so a table of
+    # labelled rows builds no polynomial's text at all
+    table = tmp_path / "fields.csv"
+    table.write_text("f1,1,0,0,0,-1,-1\nsquare,1,0,-2,0,1,0\n"
+                     "x5,1,0,0,0,0,0\nf2,1,0,0,0,-4,2\n")
+    to_str = IntPolynomial.__str__
+    texts = []
+
+    def counted(self):
+        texts.append(self.coeffs)
+        return to_str(self)
+    monkeypatch.setattr(IntPolynomial, "__str__", counted)
+    errs, on_error = collect_errors()
+    labels = [f.label for f in ingest_fields(table, on_error=on_error)]
+    assert labels == ["f1", "f2"]
+    assert errs == [(2, "NotSeparable: zero discriminant"),
+                    (3, "NotSeparable: zero discriminant")]
+    assert texts == []
+    with pytest.raises(NotSeparable) as refused:
+        field_of(1, 0, -2, 0, 1, 0)
+    assert texts == []
+    assert str(refused.value) == "x^5 - 2*x^3 + x has a repeated root"
+    assert len(texts) == 1
 
 
 def test_cache_skips_recomputation(tmp_path, monkeypatch):

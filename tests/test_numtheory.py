@@ -52,12 +52,12 @@ def _pattern(f, p):
 
 
 def _certify(f, budget=DEFAULT_PRIME_BUDGET):
-    """certify_s5 fed, as one list, the patterns at every budget prime
-    not dividing disc f."""
+    """certify_s5 fed, as two whole lists, the budget primes not
+    dividing disc f and the patterns at them."""
     disc = poly_discriminant(f)
     good = [p for p in first_primes(budget) if disc % p]
     patterns = [factor_pattern_mod_p(f, p, disc).pattern for p in good]
-    return certify_s5(f, good, lambda n: patterns)
+    return certify_s5(f, len(good), lambda n: (patterns, good))
 
 
 def _random_quintics(count, seed=20260819, lo=-30, hi=30):
@@ -550,7 +550,7 @@ def test_pattern_rejects_non_quintics():
         with pytest.raises(ValueError):
             factor_pattern_mod_p(IntPolynomial(coeffs), 7, 1)
         with pytest.raises(ValueError):
-            certify_s5(IntPolynomial(coeffs), [7], lambda n: [])
+            certify_s5(IntPolynomial(coeffs), 1, lambda n: ([], []))
 
 
 def _good_primes(disc, count):
@@ -695,19 +695,22 @@ def test_certify_reducible_inconclusive():
 
 def test_certify_degree_precondition():
     with pytest.raises(ValueError):
-        certify_s5(IntPolynomial([1, 0, 0, 0, 1]), [7], lambda n: [])
+        certify_s5(IntPolynomial([1, 0, 0, 0, 1]), 1, lambda n: ([], []))
 
 
 def test_certify_reads_only_the_primes_it_is_handed(monkeypatch):
-    # the caller filters the budget's primes; certify_s5 sieves none and
-    # takes the i-th pattern as the one at the i-th prime it was handed
+    # the caller's stream hands the good primes with their patterns;
+    # certify_s5 sieves none, takes the i-th pattern as the one at the
+    # i-th prime it was handed, and reads no more than `good` of them
     def no_sieve(count):
         raise AssertionError("certify_s5 sieved primes")
     monkeypatch.setattr(numtheory, "first_primes", no_sieve)
-    assert certify_s5(X5_X_1, [7, 11, 13],
-                      lambda n: [(2, 3), (5,), (1, 1, 1, 2)]) \
+    handed = [(2, 3), (5,), (1, 1, 1, 2)], [7, 11, 13]
+    assert certify_s5(X5_X_1, 3, lambda n: handed) \
         == numtheory.S5Certificate("Certified", 11, 13, 3)
-    assert certify_s5(X5_X_1, [7, 11], lambda n: [(5,), (1, 4)]) \
+    assert certify_s5(X5_X_1, 2, lambda n: handed) \
+        == numtheory.S5Certificate("Inconclusive", 11, None, 2)
+    assert certify_s5(X5_X_1, 2, lambda n: ([(5,), (1, 4)], [7, 11])) \
         == numtheory.S5Certificate("Inconclusive", 7, None, 2)
 
 
@@ -758,7 +761,7 @@ def test_certify_rooted_height_two_box_matches_full_scan(monkeypatch):
             assert want.status == "Inconclusive"
             transpositions += want.transposition_witness is not None
             handed = [p for p in first_primes(budget) if disc % p]
-            cert = certify_s5(f, handed, lambda n: patterns)
+            cert = certify_s5(f, len(handed), lambda n: (patterns, good))
             assert cert == want, (coeffs, budget)
             field = QuinticField(f, prime_budget=budget)
             assert field.certificate == want, (coeffs, budget)
