@@ -7,7 +7,8 @@ Submodules:
                the standard-rep checks in Z[phi]
     reps       icosians' unit groups and double covers as float matrices,
                tensor induction, reducibility tests
-    numtheory  Kronecker symbols, discriminants, root counts, S5 certification
+    numtheory  Kronecker symbols, discriminants, root counts, factor patterns
+    galois     the S5 certificate and its exact proofs of reducibility
     rankgrowth parity certificates for rank growth of elliptic curves
     fieldscan  quintic field enumeration, dedup, scanning, caching
     cli        command line interface

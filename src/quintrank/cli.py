@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 # Each converter and handler imports the modules it runs, so a command
 # starts with only those: reps pulls in numpy, which only standard-rep
-# loads, and fieldscan, numtheory and rankgrowth are the scan stack,
+# loads, and fieldscan, galois, numtheory and rankgrowth are the scan stack,
 # which h2 and standard-rep never load.
 from . import InternalCheckFailed, canonical_json
 

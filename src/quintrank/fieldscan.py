@@ -16,9 +16,10 @@ The certificate, the fingerprint and the audit all read one
 append-only list of patterns at those primes, in increasing order, so
 no pattern is computed twice; each one comes from the root count mod p
 and (disc|p) by Stickelberger's theorem (R. G. Swan, Pacific J. Math.
-12 (1962)).  The certificate reads the list in place, with the good
-primes each block filtered for it, and counts the good primes of its
-budget from one gcd, so it filters none itself.  It stops once
+12 (1962)).  The certificate is galois.certify_s5, where the S5 verdict
+lives.  It reads the list in place, with the good primes each block
+filtered for it, and counts the good primes of its budget from one
+gcd, so it filters none itself.  It stops once
 reducibility is proven: that of a quintic with an integer root at its
 first transposition prime, and that of a quadratic times a cubic, past
 the audit's 50 patterns only, where one exact lift of the quadratic
@@ -78,13 +79,12 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import InternalCheckFailed, canonical_json
+from .galois import S5Certificate, certify_s5
 from .numtheory import (
     DEFAULT_PRIME_BUDGET,
     DEFAULT_TRIAL_BOUND,
     IntPolynomial,
     ResolventData,
-    S5Certificate,
-    certify_s5,
     disc_coeffs_in_a0,
     factor_pattern_mod_p,
     first_primes,
@@ -467,8 +467,11 @@ def ingest_fields(path, fmt: str = "csv",
                     if not isinstance(obj, dict):
                         raise ValueError("expected a JSON object")
                     label, coeffs = obj.get("label"), obj.get("coeffs")
-                    if label is not None and not isinstance(label, str):
-                        raise ValueError("label must be a string")
+                    if label is not None:
+                        if not isinstance(label, str):
+                            raise ValueError("label must be a string")
+                        # stripped, and a blank one is none, as in csv
+                        label = label.strip() or None
                     # bool is a subclass of int, and true is no coefficient
                     if (not isinstance(coeffs, list)
                             or any(type(c) is not int for c in coeffs)):

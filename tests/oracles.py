@@ -56,13 +56,13 @@ from quintrank.fieldscan import (
     _is_square,
     dedupe_stream,
 )
+from quintrank.galois import S5Certificate
 from quintrank.groups import FiniteGroup, coset_factorization
 from quintrank.numtheory import (
     DEFAULT_PRIME_BUDGET,
     DEFAULT_TRIAL_BOUND,
     FactorPattern,
     IntPolynomial,
-    S5Certificate,
     SquarefreeResult,
     _trim,
     first_primes,

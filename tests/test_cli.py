@@ -575,7 +575,7 @@ def test_scan_path_imports_no_numpy():
 
 
 SCAN_STACK = {"quintrank.fieldscan", "quintrank.rankgrowth",
-              "quintrank.numtheory"}
+              "quintrank.numtheory", "quintrank.galois"}
 OPENSSL = {"hashlib", "_hashlib"}
 
 

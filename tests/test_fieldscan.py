@@ -356,7 +356,7 @@ def test_reducible_rootless_quintic_stops_at_its_quadratic_factor(
     f = QuinticField(poly)
     want = full_scan(poly, 200, f.disc)
     assert f.certificate == want \
-        == numtheory.S5Certificate("Inconclusive", None, 13, 197)
+        == galois.S5Certificate("Inconclusive", None, 13, 197)
     assert len(calls) == len(f._patterns) == 50
     split = next(p for p, pat in zip(f._primes, f._patterns) if pat == (2, 3))
     assert lifts == [split]
@@ -379,6 +379,31 @@ def test_a_failed_lift_is_not_tried_again(monkeypatch):
     f = QuinticField(poly)
     assert f.certificate == full_scan(poly, 200, f.disc)
     assert len(lifts) == 1 and len(f._patterns) == 197
+
+
+@pytest.mark.parametrize("desc, want", [
+    # D5, in A5: no transposition at any good prime
+    ((1, 0, 0, 0, -5, 12), ("Inconclusive", 7, None, 998)),
+    # F20: 4-cycles, but no transposition
+    ((1, 0, 0, 0, 15, 12), ("Inconclusive", 19, None, 997)),
+    (REDUCIBLE_ROOTLESS, ("Inconclusive", None, 13, 997)),
+], ids=["x5-5x+12", "x5+15x+12", "reducible"])
+def test_non_s5_examples_at_budget_1000_match_the_full_scan(
+        monkeypatch, desc, want):
+    # the certificates of a group that is not S5 stay Inconclusive, and
+    # equal the full scan's by ddf; the two irreducible ones read past
+    # _BLOCK_BELOW one prime at a time, and the reducible one stops at
+    # its quadratic factor after the audit's 50 patterns
+    one_at_a_time = []
+    calls = _count_patterns(monkeypatch, one_at_a_time)
+    poly = IntPolynomial.descending(desc)
+    f = QuinticField(poly, prime_budget=1000)
+    assert f.certificate == certify_s5_full_scan(poly, 1000) \
+        == galois.S5Certificate(*want)
+    if desc == REDUCIBLE_ROOTLESS:
+        assert len(calls) <= 50 and not one_at_a_time
+    else:
+        assert one_at_a_time and min(one_at_a_time) >= fieldscan._BLOCK_BELOW
 
 
 def _bench_pool(monkeypatch) -> list:
@@ -867,14 +892,40 @@ def test_ingest_jsonl(tmp_path):
         '{"coeffs":[1,0,0,0,-1,-1.5]}',
         '{"coeffs":[true,0,0,0,-1,-1]}',
         '{"coeffs":[1,0,0,0,-1,-1],"label":7}',
+        # a blank label is no label, as in a csv row
+        json.dumps({"label": "", "coeffs": [1, 0, 0, 0, -1, 1]}),
+        json.dumps({"label": "  ", "coeffs": [1, 0, 0, 0, -1, -1]}),
     ]
     table.write_text("\n".join(rows) + "\n")
     errs, on_error = collect_errors()
     fields = list(ingest_fields(table, "jsonl", on_error=on_error))
-    assert len(fields) == 2
+    assert len(fields) == 4
     assert fields[0].label == "f1"
     assert fields[1].label == "x^5 - 4*x + 2"  # default label from the poly
+    assert [f.label for f in fields[2:]] == ["x^5 - x + 1", "x^5 - x - 1"]
     assert [lineno for lineno, _ in errs] == [2, 4, 5, 6, 7, 8, 9, 10, 11, 12]
+
+
+def test_csv_and_jsonl_forms_of_a_table_write_the_same_cache(tmp_path):
+    # blank, padded and missing labels: each form labels a row alike
+    rows = [("", (1, 0, 0, 0, -1, -1)), ("  ", (1, 0, 0, 0, -1, 1)),
+            (" f ", (1, 0, 0, 0, -4, 2)), (None, (1, 0, 0, 0, -1, 2))]
+    (tmp_path / "fields.csv").write_text("".join(
+        f"{label or ''},{','.join(map(str, coeffs))}\n"
+        for label, coeffs in rows))
+    (tmp_path / "fields.jsonl").write_text("".join(
+        json.dumps({"coeffs": list(coeffs)} if label is None
+                   else {"label": label, "coeffs": list(coeffs)}) + "\n"
+        for label, coeffs in rows))
+    stores = []
+    for fmt in ("csv", "jsonl"):
+        stores.append(tmp_path / f"{fmt}-cache.jsonl")
+        with FieldCache(stores[-1]) as cache:
+            fields = list(ingest_fields(tmp_path / f"fields.{fmt}", fmt,
+                                        cache=cache))
+        assert [f.label for f in fields] == [
+            "x^5 - x - 1", "x^5 - x + 1", "f", "x^5 - x + 2"], fmt
+    assert stores[0].read_bytes() == stores[1].read_bytes()
 
 
 def test_csv_fast_path_reads_cells_as_parse_int_does(tmp_path, monkeypatch):
@@ -1515,7 +1566,7 @@ def test_enumeration_builds_labels_only_for_the_fields_scan_reads(
 RECORDS = [
     numtheory.SquarefreeResult(-6, True),
     numtheory.FactorPattern(True, (5,)),
-    numtheory.S5Certificate("Certified", 3, 7, 4),
+    galois.S5Certificate("Certified", 3, 7, 4),
     numtheory.resolvent(2869),
     CURVE37,
     rankgrowth.certify_pair(CURVE37, field_of(1, 0, 0, 0, -1, -1)),

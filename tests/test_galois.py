@@ -1,5 +1,8 @@
+import ast
 import random
+from pathlib import Path
 
+from quintrank import galois, numtheory
 from quintrank.galois import quadratic_factor
 from quintrank.numtheory import (
     IntPolynomial,
@@ -69,3 +72,15 @@ def test_quadratic_factor_of_the_reducible_example():
     assert splits and all(quadratic_factor(big, p)
                           == IntPolynomial((-10 ** 30 - 7, 3 * 10 ** 29, 1))
                           for p in splits)
+
+
+def test_galois_alone_holds_the_verdict_and_imports_at_module_level():
+    # numtheory keeps no copy or re-export of the moved names, and no
+    # function of galois imports anything when it is called
+    moved = {"certify_s5", "S5Certificate", "has_integer_root", "_LIFT_AFTER"}
+    assert moved <= set(vars(galois))
+    assert not moved & set(vars(numtheory))
+    tree = ast.parse(Path(galois.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports and all(node in tree.body for node in imports)

@@ -1,7 +1,9 @@
-"""The CI gates under tests/gates, run on small git repositories."""
+"""The CI gates under tests/gates, run on small git repositories and on
+copies of the package."""
 
 import ast
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 VERSION_BUMP = ROOT / "tests" / "gates" / "cache_version_bump.py"
+NO_FLOATS = ROOT / "tests" / "gates" / "no_floats.py"
 DIGESTS = "tests/test_fieldscan.py"
 VERSION = "src/quintrank/fieldscan.py"
 # no GIT_DIR or the like from a calling git process
@@ -78,3 +81,37 @@ def test_version_bump_gate_wants_a_bump_for_each_repinned_digest(
     if not bump:
         assert f"::error::{name} changed, but CACHE_VERSION did not grow" \
             in proc.stdout
+
+
+def no_floats_gate(root):
+    return subprocess.run([sys.executable, str(NO_FLOATS)], cwd=root,
+                          capture_output=True, text=True)
+
+
+@pytest.fixture
+def package(tmp_path):
+    """A directory holding a copy of this tree's src/quintrank."""
+    shutil.copytree(ROOT / "src" / "quintrank", tmp_path / "src" / "quintrank",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return tmp_path
+
+
+def test_no_floats_gate_passes_the_package(package):
+    proc = no_floats_gate(package)
+    assert (proc.returncode, proc.stdout) == (0, ""), proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("module, old, new, found", [
+    ("galois.py", "linear = True ", "linear = 1.0 ", "float constant 1.0"),
+    ("galois.py", "from functools import reduce\n",
+     "import math\nfrom functools import reduce\n", "imports math"),
+    ("cocycles.py", "(0, n))\n", "(0, int(float(n))))\n", "calls float"),
+], ids=["float-in-certify_s5", "math-in-galois", "float-call-in-cocycles"])
+def test_no_floats_gate_fails_each_mutant(package, module, old, new, found):
+    path = package / "src" / "quintrank" / module
+    replace_in(path, old, new)
+    text = path.read_text(encoding="utf-8")
+    lineno = text[:text.index(new)].count("\n") + 1
+    proc = no_floats_gate(package)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout == f"src/quintrank/{module}:{lineno}: {found}\n"

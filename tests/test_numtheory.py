@@ -22,18 +22,17 @@ from oracles import (
     sylvester_discriminant,
     sylvester_resultant,
 )
-from quintrank import numtheory
+from quintrank import galois, numtheory
 from quintrank.fieldscan import QuinticField
+from quintrank.galois import certify_s5, has_integer_root
 from quintrank.numtheory import (
     DEFAULT_PRIME_BUDGET,
     FactorPattern,
     IntPolynomial,
     SquarefreeResult,
-    certify_s5,
     disc_coeffs_in_a0,
     factor_pattern_mod_p,
     first_primes,
-    has_integer_root,
     is_probable_prime,
     kronecker_symbol,
     parse_int,
@@ -707,11 +706,11 @@ def test_certify_reads_only_the_primes_it_is_handed(monkeypatch):
     monkeypatch.setattr(numtheory, "first_primes", no_sieve)
     handed = [(2, 3), (5,), (1, 1, 1, 2)], [7, 11, 13]
     assert certify_s5(X5_X_1, 3, lambda n: handed) \
-        == numtheory.S5Certificate("Certified", 11, 13, 3)
+        == galois.S5Certificate("Certified", 11, 13, 3)
     assert certify_s5(X5_X_1, 2, lambda n: handed) \
-        == numtheory.S5Certificate("Inconclusive", 11, None, 2)
+        == galois.S5Certificate("Inconclusive", 11, None, 2)
     assert certify_s5(X5_X_1, 2, lambda n: ([(5,), (1, 4)], [7, 11])) \
-        == numtheory.S5Certificate("Inconclusive", 7, None, 2)
+        == galois.S5Certificate("Inconclusive", 7, None, 2)
 
 
 def _times_linear(r, g_desc):
@@ -733,7 +732,7 @@ def _counting_integer_root_tests(monkeypatch):
     def counted(f, p):
         calls.append(f)
         return has_integer_root(f, p)
-    monkeypatch.setattr(numtheory, "has_integer_root", counted)
+    monkeypatch.setattr(galois, "has_integer_root", counted)
     return calls
 
 
@@ -781,7 +780,7 @@ def test_certify_x5_plus_x_never_sees_a_transposition(monkeypatch):
         assert want.transposition_witness is None
         assert _certify(f, budget) == want
         assert QuinticField(f, prime_budget=budget).certificate == want
-    assert want == numtheory.S5Certificate("Inconclusive", None, None, 199)
+    assert want == galois.S5Certificate("Inconclusive", None, None, 199)
     assert calls == []
 
 
